@@ -11,14 +11,13 @@ machinery.
 
 from .exactla import (
     Window, SpanTracker, RefusalError, StructuralError,
-    matrix_from_columns, vec_add_into,
+    complex_from_labels, matrix_from_columns, vec_add_into,
 )
 from .dga import (
     FiniteDga, DgaMap, base_field_algebra, square_zero,
     algebra_slice, finite_dga_from_tables, tensor_algebra, full_cohomology,
     lc_equal,
 )
-from .exactla import CochainComplexSlice
 
 
 def k_slice(field):
@@ -249,8 +248,6 @@ def homotopy_fiber_product(f, g, name=None):
         field, hull, basis, diff, mult_fn, unit="1",
         aug={"1": field.one}, complete=True,
         name=name or f"fp({x.name} -> {z.name} <- {y.name})")
-    fp.fp_path = path
-    fp.fp_vectors = vectors
 
     def express_triple(x_lc, p_lc, y_lc, d):
         return {l: c for l, c in express(join(x_lc, p_lc, y_lc, d), d).items()}
@@ -571,35 +568,17 @@ def _cone_is_acyclic(a, fp, induced, window=None):
     field = a.field
     hull = Window(min(a.window.lo - 1, fp.window.lo),
                   max(a.window.hi - 1, fp.window.hi)).padded(1)
-    basis = {}
-    for d in hull.degrees():
-        labels = ([("a", l) for l in a.labels(d + 1)]
-                  + [("f", l) for l in fp.labels(d)])
-        if labels:
-            basis[d] = tuple(labels)
-    index = {d: {l: i for i, l in enumerate(ls)} for d, ls in basis.items()}
-    diffs = {}
-    for d, labels in sorted(basis.items()):
-        if d + 1 not in hull:
-            continue
-        target = index.get(d + 1, {})
-        cols = []
-        for part, l in labels:
-            col = {}
-            if part == "a":
-                for m, c in a.diff(l).items():
-                    col[target[("a", m)]] = field.neg(c)
-                image = induced.apply({l: field.one})
-                for m, c in image.items():
-                    vec_add_into(field, col, {target[("f", m)]: c}, field.one)
-            else:
-                for m, c in fp.diff(l).items():
-                    col[target[("f", m)]] = c
-            cols.append(col)
-        diffs[d] = matrix_from_columns(field, len(basis.get(d + 1, ())), cols)
-    cone = CochainComplexSlice(field, hull, basis, diffs)
-    cone.validate_complex()
-    h = cone.cohomology(representatives=False)
+    basis = {d: [("a", l) for l in a.labels(d + 1)] + [("f", l) for l in fp.labels(d)]
+             for d in hull.degrees()}
+
+    def boundary(label):
+        part, l = label
+        if part == "f":
+            return [(("f", m), c) for m, c in fp.diff(l).items()]
+        return ([(("a", m), field.neg(c)) for m, c in a.diff(l).items()]
+                + [(("f", m), c) for m, c in induced.apply({l: field.one}).items()])
+
+    h = complex_from_labels(field, hull, basis, boundary).cohomology(representatives=False)
     for d, n in sorted(h.dims.items()):
         if n and (window is None or d in window):
             return d

@@ -18,10 +18,7 @@ finite cap exists are refused rather than silently truncated.
 
 import math
 
-from .exactla import (
-    Window, CochainComplexSlice, RefusalError, StructuralError,
-    matrix_from_columns,
-)
+from .exactla import RefusalError, StructuralError, complex_from_labels
 
 
 class ConvergenceError(RefusalError):
@@ -77,9 +74,15 @@ def weight_bound(spec, w):
     Coconnected case: shifted degrees >= g >= 1, so weight <= ceil(hi / g).
     """
     try:
-        kind, g = _regime(spec, w)
+        regime = _regime(spec, w)
     except ConvergenceError:
         return None
+    return _weight_cap(regime, w)
+
+
+def _weight_cap(regime, w):
+    """The reduced bar's weight cap on w for a regime (see weight_bound)."""
+    kind, g = regime
     if kind == "connective":
         return max(0, -w.lo)
     if g is None:
@@ -144,12 +147,12 @@ class BarSlice:
     materializing, so cohomology is reliable on every requested degree.
     basis maps degree to the tuple of words (tuples of letters)."""
 
-    def __init__(self, spec, window, basis, complex_, max_weight):
+    def __init__(self, spec, window, complex_, max_weight):
         self.spec = spec
         self.field = spec.field
         self.window = window
         self.padded = complex_.window
-        self.basis = basis
+        self.basis = complex_.basis
         self.complex = complex_
         self.max_weight = max_weight
 
@@ -177,8 +180,8 @@ class BarSlice:
 
 
 def bar_complex(spec, window, max_weight=None):
-    """Materialize the reduced bar complex of spec over the padded window and
-    validate d^2 = 0 on it.
+    """Materialize the reduced bar complex of spec over the padded window;
+    d^2 = 0 is checked when its cohomology is taken.
 
     max_weight overrides the computed cap (expert use: a smaller cap computes
     a filtration stage, a larger one changes nothing).  Refuses inputs with
@@ -186,78 +189,47 @@ def bar_complex(spec, window, max_weight=None):
     """
     padded = window.padded(1)
     regime = _regime(spec, padded)
-    bound = weight_bound(spec, padded)
-    if bound is None:  # unreachable after _regime, kept for clarity
-        raise ConvergenceError(f"{spec.name}: no finite weight bound")
-    cap = bound if max_weight is None else max_weight
+    cap = _weight_cap(regime, padded) if max_weight is None else max_weight
     if cap < 0:
         raise RefusalError(f"negative weight cap {cap}")
 
     enum = _WordEnumerator(spec, regime)
-    basis = {}
-    for d in padded.degrees():
-        ws = enum.words(d, cap)
-        if ws:
-            basis[d] = ws
-    index = {d: {w: i for i, w in enumerate(ws)} for d, ws in basis.items()}
+    basis = {d: enum.words(d, cap) for d in padded.degrees()}
+    complex_ = complex_from_labels(
+        spec.field, padded, basis, lambda word: _word_terms(spec, word, 0)[0])
+    return BarSlice(spec, window, complex_, cap)
 
+
+def _word_terms(spec, word, e):
+    """The internal-differential and merge terms of the bar differential of
+    `word`, as a list of (word, scalar) pairs, and the degree of everything
+    up to the end of the word.  e is the degree of whatever precedes the
+    first letter (0 in the reduced bar, |m| in B(M, A, N))."""
     field = spec.field
-    diffs = {}
-    for d, words in sorted(basis.items()):
-        if d + 1 not in padded:
-            continue
-        target = index.get(d + 1, {})
-        cols = []
-        for word in words:
-            col = {}
-            _bar_diff_into(spec, word, col, target, field)
-            cols.append(col)
-        diffs[d] = matrix_from_columns(field, len(basis.get(d + 1, ())), cols)
-
-    complex_ = CochainComplexSlice(field, padded, basis, diffs)
-    complex_.validate_complex()
-    return BarSlice(spec, window, basis, complex_, cap)
-
-
-def _bar_diff_into(spec, word, col, target, field):
-    """Accumulate the bar differential of `word` into col (position -> scalar),
-    using `target` (word -> position) for the degree above."""
     one = field.one
-    neg = field.neg
-    e = 0  # shifted degree of the prefix before position i
+    minus = field.neg(one)
+    terms = []
     w = len(word)
     for i, a in enumerate(word):
+        deg = spec.degree(a)
         da = spec.diff(a)
         if da:
             # -(-1)^{e_i} [..|da_i|..]
-            sign = neg(one) if e % 2 == 0 else one
+            sign = minus if e % 2 == 0 else one
             for m, c in da.items():
-                neww = word[:i] + (m,) + word[i + 1:]
-                _accumulate(col, target, neww, field.mul(sign, c), field, spec)
+                terms.append((word[:i] + (m,) + word[i + 1:], field.mul(sign, c)))
         if i + 1 < w:
             prod = spec.mult(a, word[i + 1])
             if prod:
                 # +(-1)^{e_i + |a_i|} [..|a_i a_{i+1}|..]
-                exp = e + spec.degree(a)
-                sign = one if exp % 2 == 0 else neg(one)
+                sign = one if (e + deg) % 2 == 0 else minus
                 for m, c in prod.items():
                     if m == spec.unit:
                         raise StructuralError(
                             f"merge {a!r}*{word[i + 1]!r} leaves the augmentation ideal")
-                    neww = word[:i] + (m,) + word[i + 2:]
-                    _accumulate(col, target, neww, field.mul(sign, c), field, spec)
-        e += spec.degree(a) - 1
-
-
-def _accumulate(col, target, word, coeff, field, spec):
-    pos = target.get(word)
-    if pos is None:
-        raise StructuralError(f"bar differential leaves the materialized basis at {word!r}")
-    s = field.add(col.get(pos, field.zero), coeff)
-    if field.is_zero(s):
-        col.pop(pos, None)
-    else:
-        col[pos] = s
+                    terms.append((word[:i] + (m,) + word[i + 2:], field.mul(sign, c)))
+        e += deg - 1
+    return terms, e
 
 
 def bar_homology_dims(spec, window, max_weight=None):
@@ -273,14 +245,14 @@ class TwoSidedBarSlice:
     """B(M, A, N) on a window: words (m; a_1..a_w; n) with M acting on the
     right of itself (m.a) and N on the left (a.n)."""
 
-    def __init__(self, left, spec, right, window, basis, complex_, max_weight):
+    def __init__(self, left, spec, right, window, complex_, max_weight):
         self.left = left
         self.spec = spec
         self.right = right
         self.field = spec.field
         self.window = window
         self.padded = complex_.window
-        self.basis = basis
+        self.basis = complex_.basis
         self.complex = complex_
         self.max_weight = max_weight
 
@@ -311,9 +283,9 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
     left must be a right module over spec (an object with basis/degree/diff/
     right_act and degree bounds), right a left module (left_act).  The
     differential combines the internal differentials, the bar merges and the
-    two outer merges m.a_1 and a_w.n; d^2 = 0 is validated on the slice.
+    two outer merges m.a_1 and a_w.n; d^2 = 0 is checked when its cohomology
+    is taken.
     """
-    field = spec.field
     padded = window.padded(1)
     regime = _regime(spec, padded)
     kind, g = regime
@@ -367,86 +339,45 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
                     for word in words:
                         for n in ns:
                             entries.append((m, word, n))
-        if entries:
-            basis[d] = tuple(entries)
-    index = {d: {w: i for i, w in enumerate(ws)} for d, ws in basis.items()}
-
-    diffs = {}
-    for d, entries in sorted(basis.items()):
-        if d + 1 not in padded:
-            continue
-        target = index.get(d + 1, {})
-        cols = []
-        for (m, word, n) in entries:
-            col = {}
-            _two_sided_diff_into(left, spec, right, m, word, n, col, target, field)
-            cols.append(col)
-        diffs[d] = matrix_from_columns(field, len(basis.get(d + 1, ())), cols)
-
-    complex_ = CochainComplexSlice(field, padded, basis, diffs)
-    complex_.validate_complex()
-    return TwoSidedBarSlice(left, spec, right, window, basis, complex_, cap)
+        basis[d] = entries
+    complex_ = complex_from_labels(
+        spec.field, padded, basis,
+        lambda label: _two_sided_terms(left, spec, right, label))
+    return TwoSidedBarSlice(left, spec, right, window, complex_, cap)
 
 
-def _two_sided_diff_into(left, spec, right, m, word, n, col, target, field):
+def _two_sided_terms(left, spec, right, label):
+    """The terms of the differential of B(M, A, N) on (m; a_1..a_w; n): the
+    module differentials and outer merges around the word's own terms."""
+    m, word, n = label
+    field = spec.field
     one = field.one
-    neg = field.neg
-
-    def put(mm, ww, nn, coeff):
-        key = (mm, ww, nn)
-        pos = target.get(key)
-        if pos is None:
-            raise StructuralError(
-                f"two-sided bar differential leaves the basis at {key!r}")
-        s = field.add(col.get(pos, field.zero), coeff)
-        if field.is_zero(s):
-            col.pop(pos, None)
-        else:
-            col[pos] = s
-
+    minus = field.neg(one)
     dm_deg = left.degree(m)
-    w = len(word)
 
     # (dm; A; n)
     for mm, c in left.diff(m).items():
-        put(mm, word, n, c)
+        yield (mm, word, n), c
 
-    # internal letters and merges, prefixes now start at |m|
-    e = dm_deg
-    for i, a in enumerate(word):
-        da = spec.diff(a)
-        if da:
-            sign = neg(one) if e % 2 == 0 else one
-            for x, c in da.items():
-                put(m, word[:i] + (x,) + word[i + 1:], n, field.mul(sign, c))
-        if i + 1 < w:
-            prod = spec.mult(a, word[i + 1])
-            if prod:
-                exp = e + spec.degree(a)
-                sign = one if exp % 2 == 0 else neg(one)
-                for x, c in prod.items():
-                    if x == spec.unit:
-                        raise StructuralError(
-                            f"merge {a!r}*{word[i + 1]!r} leaves the augmentation ideal")
-                    put(m, word[:i] + (x,) + word[i + 2:], n, field.mul(sign, c))
-        e += spec.degree(a) - 1
-    p_last = e  # |m| + sum of all shifted letter degrees
+    terms, p_last = _word_terms(spec, word, dm_deg)
+    for ww, c in terms:
+        yield (m, ww, n), c
 
     # (-1)^{P_w} (m; A; dn)
-    sign_n = one if p_last % 2 == 0 else neg(one)
+    sign_n = one if p_last % 2 == 0 else minus
     for nn, c in right.diff(n).items():
-        put(m, word, nn, field.mul(sign_n, c))
+        yield (m, word, nn), field.mul(sign_n, c)
 
-    if w >= 1:
+    if word:
         # -(-1)^{|m|} (m.a_1; a_2..; n)
-        sign_l = neg(one) if dm_deg % 2 == 0 else one
+        sign_l = minus if dm_deg % 2 == 0 else one
         for mm, c in left.right_act(m, word[0]).items():
-            put(mm, word[1:], n, field.mul(sign_l, c))
+            yield (mm, word[1:], n), field.mul(sign_l, c)
         # +(-1)^{P_{w-1}} (m; a_1..a_{w-1}; a_w.n)
         p_prev = p_last - (spec.degree(word[-1]) - 1)
-        sign_r = one if p_prev % 2 == 0 else neg(one)
+        sign_r = one if p_prev % 2 == 0 else minus
         for nn, c in right.left_act(word[-1], n).items():
-            put(m, word[:-1], nn, field.mul(sign_r, c))
+            yield (m, word[:-1], nn), field.mul(sign_r, c)
 
 
 def derived_tensor_dims(left, spec, right, window, max_weight=None):

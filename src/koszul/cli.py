@@ -620,10 +620,14 @@ def main(argv=None):
         if not args.no_cache:
             cache_path = os.path.join(_cache_dir(args), digest + ".json")
             if os.path.exists(cache_path):
-                with open(cache_path, "r", encoding="utf-8") as fh:
-                    report = json.load(fh)
-                _emit(report, time.monotonic() - start)
-                return 0
+                try:
+                    with open(cache_path, "r", encoding="utf-8") as fh:
+                        report = json.load(fh)
+                except ValueError:
+                    pass  # a corrupt entry is a miss; it is rewritten below
+                else:
+                    _emit(report, time.monotonic() - start)
+                    return 0
 
         # algebra-document positions get parsed here; module and square
         # documents stay raw for the command to interpret in context

@@ -13,8 +13,8 @@ value is 1 while all other basis labels augment to 0.
 """
 
 from .exactla import (
-    Window, SparseMatrix, CochainComplexSlice, SpanTracker,
-    RefusalError, StructuralError, matrix_from_columns, vec_add_into,
+    Window, CochainComplexSlice, SpanTracker,
+    RefusalError, StructuralError, complex_from_labels, vec_add_into,
     vec_scale, CohomologyReport,
 )
 
@@ -239,15 +239,8 @@ class FiniteDga:
 
     def complex(self):
         if self._complex is None:
-            diffs = {}
-            for d in self.window.degrees():
-                labels = self.labels(d)
-                if not labels or d + 1 not in self.window:
-                    continue
-                cols = [self.vector(self.diff(l), d + 1) if self.diff(l) else {}
-                        for l in labels]
-                diffs[d] = matrix_from_columns(self.field, self.dim(d + 1), cols)
-            self._complex = CochainComplexSlice(self.field, self.window, self.basis, diffs)
+            self._complex = complex_from_labels(
+                self.field, self.window, self.basis, lambda l: self.diff(l).items())
         return self._complex
 
     def cohomology(self, representatives=True):

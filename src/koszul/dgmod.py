@@ -8,12 +8,9 @@ with the mixed associativity (a.m).b = a.(m.b) holding on the nose.
 """
 
 from .exactla import (
-    Window, CochainComplexSlice, SpanTracker, RefusalError, StructuralError,
-    matrix_from_columns, vec_add_into,
+    SpanTracker, RefusalError, StructuralError, complex_from_labels, vec_add_into,
 )
-from .dga import (
-    DgAlgebraSpec, ValidationReport, free_assoc, square_zero, lc_equal,
-)
+from .dga import ValidationReport, free_assoc, square_zero, lc_equal
 from .bar import two_sided_bar, derived_tensor_dims  # noqa: F401  (re-exported)
 
 
@@ -236,32 +233,13 @@ def koszul_complex(field, n, name=None):
 def module_slice(mod, window):
     """The underlying cochain complex of a module on a window (differential
     terms above the window are truncated, as for algebra slices)."""
-    basis = {}
-    for d in window.degrees():
-        labels = mod.basis(d)
+    basis = {d: mod.basis(d) for d in window.degrees()}
+    for d, labels in basis.items():
         for l in labels:
             if mod.degree(l) != d:
                 raise StructuralError(
                     f"{mod.name}: basis({d}) lists {l!r} of degree {mod.degree(l)}")
-        if labels:
-            basis[d] = labels
-    index = {d: {l: i for i, l in enumerate(ls)} for d, ls in basis.items()}
-    diffs = {}
-    for d, labels in sorted(basis.items()):
-        if d + 1 not in window:
-            continue
-        target = index.get(d + 1, {})
-        cols = []
-        for l in labels:
-            col = {}
-            for m, c in mod.diff(l).items():
-                if m not in target:
-                    raise StructuralError(
-                        f"{mod.name}: d({l!r}) has term {m!r} missing from degree {d + 1}")
-                col[target[m]] = c
-            cols.append(col)
-        diffs[d] = matrix_from_columns(mod.field, len(basis.get(d + 1, ())), cols)
-    return CochainComplexSlice(mod.field, window, basis, diffs)
+    return complex_from_labels(mod.field, window, basis, lambda l: mod.diff(l).items())
 
 
 def validate_module(mod, window):
@@ -494,29 +472,18 @@ def strict_tensor(mod, window):
             chosen[d] = tuple(quotient_labels)
         trackers[d] = (t, pos)
 
-    diffs = {}
-    for d, labels in sorted(chosen.items()):
-        if d + 1 not in window:
-            continue
-        nxt = chosen.get(d + 1, ())
-        t_pos = trackers.get(d + 1)
-        cols = []
-        for l in labels:
-            col = {}
-            dl = mod.diff(l)
-            if dl and t_pos is not None:
-                t, pos = t_pos
-                vec = {pos[x]: c for x, c in dl.items()}
-                residual, combo = t.reduce(vec)
-                if residual:
-                    raise StructuralError("differential escapes the quotient basis")
-                for tag, c in combo.items():
-                    if tag[0] == "q":
-                        col[nxt.index(tag[1])] = c
-            cols.append(col)
-        diffs[d] = matrix_from_columns(field, len(chosen.get(d + 1, ())), cols)
+    def boundary(l):
+        dl = mod.diff(l)
+        t_pos = trackers.get(mod.degree(l) + 1)
+        if not dl or t_pos is None:
+            return ()
+        t, pos = t_pos
+        residual, combo = t.reduce({pos[x]: c for x, c in dl.items()})
+        if residual:
+            raise StructuralError("differential escapes the quotient basis")
+        return [(tag[1], c) for tag, c in combo.items() if tag[0] == "q"]
 
-    return CochainComplexSlice(field, window, chosen, diffs)
+    return complex_from_labels(field, window, chosen, boundary)
 
 
 def rhom_from_k_dims(mod, window):
@@ -538,39 +505,15 @@ def rhom_from_k_dims(mod, window):
         act = lambda a, m: mod.right_act(m, a)
 
     padded = window.padded(1)
-    basis = {}
-    for d in padded.degrees():
-        labels = [("x", m) for m in mod.basis(d)]
-        labels += [("y", m) for m in mod.basis(d + g - 1)]
-        if labels:
-            basis[d] = tuple(labels)
-    index = {d: {l: i for i, l in enumerate(ls)} for d, ls in basis.items()}
+    basis = {d: [("x", m) for m in mod.basis(d)] + [("y", m) for m in mod.basis(d + g - 1)]
+             for d in padded.degrees()}
 
-    diffs = {}
-    for d, labels in sorted(basis.items()):
-        if d + 1 not in padded:
-            continue
-        target = index.get(d + 1, {})
-        cols = []
-        for part, m in labels:
-            col = {}
-            if part == "x":
-                for x, c in mod.diff(m).items():
-                    col[target[("x", x)]] = c
-                for x, c in act(tname, m).items():
-                    key = ("y", x)
-                    if key in target:
-                        s = field.add(col.get(target[key], field.zero), c)
-                        if field.is_zero(s):
-                            col.pop(target[key], None)
-                        else:
-                            col[target[key]] = s
-            else:
-                for x, c in mod.diff(m).items():
-                    col[target[("y", x)]] = field.neg(c)
-            cols.append(col)
-        diffs[d] = matrix_from_columns(field, len(basis.get(d + 1, ())), cols)
+    def boundary(label):
+        part, m = label
+        if part == "y":
+            return [(("y", x), field.neg(c)) for x, c in mod.diff(m).items()]
+        return ([(("x", x), c) for x, c in mod.diff(m).items()]
+                + [(("y", x), c) for x, c in act(tname, m).items()])
 
-    slice_ = CochainComplexSlice(field, padded, basis, diffs)
-    rep = slice_.cohomology(representatives=False)
+    rep = complex_from_labels(field, padded, basis, boundary).cohomology(representatives=False)
     return {d: rep.dims.get(d, 0) for d in window.degrees()}

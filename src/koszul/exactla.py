@@ -262,11 +262,6 @@ class SparseMatrix:
             self.field, self.cols, self.rows,
             (((j, i), v) for (i, j), v in self.entries.items()))
 
-    def column(self, j):
-        if not (0 <= j < self.cols):
-            raise StructuralError(f"column {j} outside a {self.rows}x{self.cols} matrix")
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
-
     def columns(self):
         """All columns at once, as a list of dict-vectors (cached; callers
         must not mutate the returned dicts)."""
@@ -388,12 +383,6 @@ class Window:
     def mirrored(self):
         return Window(-self.hi, -self.lo)
 
-    def intersect(self, other):
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            raise RefusalError(f"windows [{self.lo},{self.hi}] and [{other.lo},{other.hi}] do not meet")
-        return Window(lo, hi)
-
     def __eq__(self, other):
         return isinstance(other, Window) and (other.lo, other.hi) == (self.lo, self.hi)
 
@@ -486,6 +475,35 @@ class CochainComplexSlice:
         for d, labels in self.basis.items():
             total += len(labels) if d % 2 == 0 else -len(labels)
         return total
+
+
+def complex_from_labels(field, window, basis, boundary):
+    """The cochain complex on window with basis[d] the labels of degree d.
+
+    boundary(label) gives the terms of d(label) as (label', scalar) pairs,
+    label' in the next degree's basis; repeated labels are summed.  Only
+    differentials that stay inside the window are assembled.  A term
+    outside the next degree's basis raises StructuralError.
+    """
+    basis = {d: tuple(labels) for d, labels in basis.items() if labels}
+    zero, add = field.zero, field.add
+    diffs = {}
+    for d, labels in sorted(basis.items()):
+        if d + 1 not in window:
+            continue
+        target = {l: i for i, l in enumerate(basis.get(d + 1, ()))}
+        cols = []
+        for label in labels:
+            col = {}
+            for term, c in boundary(label):
+                i = target.get(term)
+                if i is None:
+                    raise StructuralError(
+                        f"d({label!r}) has term {term!r} outside the degree {d + 1} basis")
+                col[i] = add(col.get(i, zero), c)
+            cols.append(col)
+        diffs[d] = matrix_from_columns(field, len(target), cols)
+    return CochainComplexSlice(field, window, basis, diffs)
 
 
 class CohomologyReport:

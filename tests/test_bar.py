@@ -217,6 +217,28 @@ def test_two_sided_with_trivial_modules_is_reduced_bar():
         == {0: 1, 1: 1}
 
 
+@pytest.mark.parametrize("spec, lo, hi", [
+    (truncated_polynomial(QQ, 3, 0), -6, 0),
+    (square_zero(QQ, 2), 0, 9),
+    (square_zero(QQ, 2), -9, 0),
+    (square_zero(F5, 1), 0, 8),
+    (square_zero(F5, 1), -8, 0),
+    (square_zero(QQ, 0), -5, 0),
+])
+def test_two_sided_with_trivial_modules_is_reduced_bar_on_chains(spec, lo, hi):
+    # B(k, A, k) and the reduced bar agree label by label and matrix by
+    # matrix once the (m, word, n) labels are reduced to their words.
+    k = trivial_module(spec)
+    window = Window(lo, hi)
+    two = two_sided_bar(k, spec, k, window)
+    red = bar_complex(spec, window)
+    assert {d: tuple(word for _, word, _ in labels)
+            for d, labels in two.basis.items()} == red.basis
+    assert two.complex.window == red.complex.window
+    for d in red.complex.window.degrees():
+        assert two.complex.d_at(d) == red.complex.d_at(d)
+
+
 def test_two_sided_weight_zero_part():
     spec = square_zero(QQ, 1)
     slice_ = two_sided_bar(

@@ -286,3 +286,25 @@ def test_refusals_are_not_cached(docs, capsys, tmp_path):
                      "--cache-dir", cache)
     assert code == 2
     assert not os.path.exists(cache) or not os.listdir(cache)
+
+
+def test_corrupt_cache_entry_is_recomputed_and_rewritten(docs, capsys,
+                                                        tmp_path):
+    path = docs("cubic.json", {"builder": "truncated_polynomial", "m": 3,
+                               "d": 0})
+    cache = str(tmp_path / "cache")
+    code1, r1, _ = run(capsys, "bar", path, "--window=-4..0",
+                       "--cache-dir", cache)
+    (name,) = os.listdir(cache)
+    entry = os.path.join(cache, name)
+    with open(entry, "r+", encoding="utf-8") as fh:
+        text = fh.read()
+        fh.seek(0)
+        fh.truncate()
+        fh.write(text[: len(text) // 2])
+    code2, r2, _ = run(capsys, "bar", path, "--window=-4..0",
+                       "--cache-dir", cache)
+    assert code1 == code2 == 0
+    assert r2["result"] == r1["result"]
+    with open(entry, "r", encoding="utf-8") as fh:
+        assert json.load(fh)["result"] == r1["result"]

@@ -4,7 +4,7 @@ strict vs derived tensor, Laurent modules, the t-action fiber."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszul.exactla import Window, QQ, Field, RefusalError
+from koszul.exactla import Window, QQ, Field, RefusalError, StructuralError
 from koszul.dga import square_zero, free_assoc
 from koszul.dgmod import (
     DgModuleSpec, trivial_module, zero_module, regular_module,
@@ -191,3 +191,20 @@ def test_rhom_refusals():
     two_gen = free_assoc(QQ, [("t", 2), ("s", 4)])
     with pytest.raises(RefusalError):
         rhom_from_k_dims(regular_module(two_gen), Window(-2, 2))
+
+
+def test_differential_outside_the_next_basis_is_structural():
+    # d(a) names "ghost", which no degree of the module lists
+    base = free_assoc(QQ, [("t", 2)])
+    table = {0: ("a",), 1: ("b",)}
+    mod = DgModuleSpec(
+        QQ, "ghostly", base, "left",
+        basis=lambda d: table.get(d, ()),
+        degree=lambda l: {"a": 0, "b": 1}[l],
+        diff=lambda l: {"ghost": QQ.one} if l == "a" else {},
+        left_act=lambda x, m: {m: QQ.one} if x == "1" else {},
+        min_degree=0, max_degree=1)
+    with pytest.raises(StructuralError, match="ghost"):
+        module_slice(mod, Window(0, 1))
+    with pytest.raises(StructuralError, match="ghost"):
+        rhom_from_k_dims(mod, Window(0, 1))

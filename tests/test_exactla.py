@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from koszul.exactla import (
     Field, QQ, SparseMatrix, SpanTracker, Window, CochainComplexSlice,
     InvalidComplexError, RefusalError, StructuralError, matrix_from_columns,
+    complex_from_labels,
 )
 
 
@@ -257,3 +258,18 @@ def test_matrix_from_columns_roundtrip():
     cols = [{0: Fraction(1)}, {}, {1: Fraction(-2), 0: Fraction(3)}]
     m = matrix_from_columns(QQ, 2, cols)
     assert m.columns() == [{0: Fraction(1)}, {}, {0: Fraction(3), 1: Fraction(-2)}]
+
+
+def test_complex_from_labels_sums_terms_and_stops_at_the_window():
+    f5 = Field(5)
+    basis = {0: ("a", "b"), 1: ("x",), 2: ("y",)}
+    terms = {"a": [("x", 2), ("x", 1)], "b": [("x", 2), ("x", 3)],
+             "x": [("y", 1)], "y": [("z", 1)]}
+    c = complex_from_labels(f5, Window(0, 2), basis, lambda l: terms[l])
+    # repeated terms are summed (b's two cancel mod 5); y's term would
+    # leave the window and is never asked for
+    assert c.d_at(0) == SparseMatrix(f5, 1, 2, {(0, 0): 3})
+    assert c.d_at(1) == SparseMatrix(f5, 1, 1, {(0, 0): 1})
+    terms["a"] = [("w", 1)]
+    with pytest.raises(StructuralError, match="'w'"):
+        complex_from_labels(f5, Window(0, 2), basis, lambda l: terms[l])
