@@ -225,15 +225,11 @@ def homotopy_fiber_product(f, g, name=None):
                 f"vector at degree {d} is not in the fiber product")
         return dict(combo)
 
-    diff = {}
-    for d, labels in basis.items():
-        if d + 1 not in hull:
-            continue
-        for label in labels:
-            xs, ps, ys = split(vectors[label], d)
-            image = join(x.diff_lc(xs), p.diff_lc(ps), y.diff_lc(ys), d + 1)
-            if image:
-                diff[label] = express(image, d + 1)
+    def boundary(label):
+        d = label_degree[label]
+        xs, ps, ys = split(vectors[label], d)
+        image = join(x.diff_lc(xs), p.diff_lc(ps), y.diff_lc(ys), d + 1)
+        return express(image, d + 1).items() if image else ()
 
     def mult_fn(l1, l2):
         d1 = label_degree[l1]
@@ -245,7 +241,7 @@ def homotopy_fiber_product(f, g, name=None):
         return express(prod, d1 + d2) if prod else {}
 
     fp = FiniteDga(
-        field, hull, basis, diff, mult_fn, unit="1",
+        complex_from_labels(field, hull, basis, boundary), mult_fn, unit="1",
         aug={"1": field.one}, complete=True,
         name=name or f"fp({x.name} -> {z.name} <- {y.name})")
 

@@ -6,14 +6,16 @@ invocation ({"builder": "square_zero", "n": 1}) or an explicit finite table
 and squares are small wrappers over the same shapes.  Reports are JSON on
 standard output with every scalar rendered exactly (integer strings and
 "p/q"); identical inputs are served from an on-disk cache keyed by a hash
-of the canonicalized documents, the command, the window, and the engine
-version.
+of the canonicalized documents, the command, the window, the engine
+version and a digest of the engine's sources.
 
 Exit codes: 0 success, 2 refusal (a precondition does not hold), 3
 structural or validation failure, 4 parse error.
 """
 
 import argparse
+import functools
+import glob
 import hashlib
 import json
 import os
@@ -288,6 +290,18 @@ def _cache_dir(args):
     if env:
         return env
     return os.path.join(os.path.expanduser("~"), ".cache", "koszul")
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_key():
+    """The engine version plus a sha256 of the package's sources, so that any
+    code change invalidates the cache.  Read once per process."""
+    h = hashlib.sha256()
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py"))):
+        h.update(os.path.basename(path).encode("utf-8") + b"\0")
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+    return f"{__version__}+{h.hexdigest()}"
 
 
 def _emit(report, duration, stream=None):
@@ -607,7 +621,7 @@ def main(argv=None):
         window = getattr(args, "window", None)
         options = {k: getattr(args, k) for k in _OPTION_KEYS if hasattr(args, k)}
         payload = _canonical({
-            "engine": __version__,
+            "engine": _engine_key(),
             "command": args.command,
             "field": field.name,
             "window": [window.lo, window.hi] if window is not None else None,

@@ -109,26 +109,22 @@ class ValidationReport:
 class FiniteDga:
     """An augmented dg algebra materialized on a degree window.
 
-    basis maps degree to an ordered tuple of labels; diff is stored as a full
-    table label -> lincomb with terms outside the window dropped (source
-    degrees affected by that are in truncated_diff_sources).  Products are
-    computed lazily through mult_fn and memoized; a product whose degree
-    falls outside the window is zero here, and the set of such out-of-window
-    landing degrees is precomputed in truncated_products.  complete=True
-    asserts the window contains the entire algebra, which makes every stored
-    number honest rather than merely window-accurate.
+    complex_ is the underlying CochainComplexSlice: the window, the basis and
+    the differential are its, and diff(label) reads the label's column of d
+    (memoized per label).  Products are computed lazily through mult_fn and
+    memoized; a product whose degree falls outside the window is zero here,
+    and truncated_products holds the out-of-window degrees that products of
+    basis elements land in.  complete=True asserts the window contains the
+    entire algebra, which makes every stored number honest rather than
+    merely window-accurate.
     """
 
-    def __init__(self, field, window, basis, diff, mult_fn, unit, aug,
-                 complete, name="", spec=None, truncated_products=frozenset(),
-                 truncated_diff_sources=frozenset()):
-        self.field = field
-        self.window = window
-        self.basis = {d: tuple(ls) for d, ls in basis.items() if ls}
+    def __init__(self, complex_, mult_fn, unit, aug, complete, name="", spec=None):
+        self.field = field = complex_.field
+        self.window = complex_.window
+        self.basis = complex_.basis
         self.index = {}
         for d, labels in self.basis.items():
-            if d not in window:
-                raise StructuralError(f"basis at degree {d} escapes window {window!r}")
             for i, l in enumerate(labels):
                 if l in self.index:
                     raise StructuralError(f"duplicate basis label {l!r}")
@@ -137,17 +133,6 @@ class FiniteDga:
         self.name = name
         self.spec = spec
         self.complete = complete
-        self._diff = {}
-        for l, lc in diff.items():
-            if l not in self.index:
-                raise StructuralError(f"differential given for unknown label {l!r}")
-            d = self.index[l][0]
-            for m, c in lc.items():
-                if m not in self.index or self.index[m][0] != d + 1:
-                    raise StructuralError(
-                        f"d({l!r}) has a term {m!r} not in the degree {d + 1} basis")
-            if lc:
-                self._diff[l] = dict(lc)
         self.aug = {}
         for l, c in aug.items():
             if field.is_zero(c):
@@ -157,9 +142,11 @@ class FiniteDga:
             self.aug[l] = c
         self._mult_fn = mult_fn
         self._mult_memo = {}
-        self.truncated_products = frozenset(truncated_products)
-        self.truncated_diff_sources = frozenset(truncated_diff_sources)
-        self._complex = None
+        self._diff_memo = {}
+        self._complex = complex_
+        present = sorted(self.basis)
+        self.truncated_products = frozenset(
+            d1 + d2 for d1 in present for d2 in present if d1 + d2 not in self.window)
 
     # -- basic queries ----------------------------------------------------
 
@@ -187,8 +174,16 @@ class FiniteDga:
     # -- structure maps ---------------------------------------------------
 
     def diff(self, label):
-        self.degree(label)
-        return self._diff.get(label, {})
+        lc = self._diff_memo.get(label)
+        if lc is None:
+            d = self.degree(label)
+            m = self._complex.diff.get(d)
+            lc = {}
+            if m is not None:
+                targets = self.basis[d + 1]
+                lc = {targets[i]: c for i, c in m.columns()[self.index[label][1]].items()}
+            self._diff_memo[label] = lc
+        return lc
 
     def diff_lc(self, lc):
         out = {}
@@ -238,9 +233,6 @@ class FiniteDga:
     # -- derived structures -----------------------------------------------
 
     def complex(self):
-        if self._complex is None:
-            self._complex = complex_from_labels(
-                self.field, self.window, self.basis, lambda l: self.diff(l).items())
         return self._complex
 
     def cohomology(self, representatives=True):
@@ -371,52 +363,32 @@ def algebra_slice(spec, window):
                     f"{spec.name}: basis({d}) lists {l!r} of degree {spec.degree(l)}")
         if labels:
             basis[d] = labels
-    index = {l: d for d, ls in basis.items() for l in ls}
-
-    diff = {}
-    truncated_diff = set()
-    for d, labels in basis.items():
-        for l in labels:
-            full = spec.diff(l)
-            if not full:
-                continue
-            if d + 1 in window:
-                diff[l] = full
-            else:
-                truncated_diff.add(d)
-
-    truncated_products = set()
-    present = sorted(basis)
-    for d1 in present:
-        for d2 in present:
-            if d1 + d2 not in window:
-                truncated_products.add(d1 + d2)
 
     complete = (spec.min_degree is not None and spec.max_degree is not None
                 and window.lo <= spec.min_degree and spec.max_degree <= window.hi)
 
     return FiniteDga(
-        spec.field, window, basis, diff, spec.mult, spec.unit,
-        {l: spec.aug(l) for d, ls in basis.items() if d == 0 for l in ls},
-        complete, name=f"{spec.name}[{window.lo},{window.hi}]", spec=spec,
-        truncated_products=truncated_products,
-        truncated_diff_sources=truncated_diff)
+        complex_from_labels(spec.field, window, basis, lambda l: spec.diff(l).items()),
+        spec.mult, spec.unit,
+        {l: spec.aug(l) for l in basis.get(0, ())},
+        complete, name=f"{spec.name}[{window.lo},{window.hi}]", spec=spec)
 
 
 def finite_dga_from_tables(field, window, basis, diff, mult_table, unit, aug,
                            complete, name=""):
-    """Build a FiniteDga from explicit finite tables (mult_table keyed by
-    label pairs; missing in-window pairs mean a zero product)."""
-    def mult_fn(a, b):
-        return mult_table.get((a, b), {})
-    present = sorted(d for d, ls in basis.items() if ls)
-    truncated = set()
-    for d1 in present:
-        for d2 in present:
-            if d1 + d2 not in window:
-                truncated.add(d1 + d2)
-    return FiniteDga(field, window, basis, diff, mult_fn, unit, aug, complete,
-                     name=name, truncated_products=truncated)
+    """Build a FiniteDga from explicit finite tables (diff and mult_table
+    map labels and label pairs to lincombs; missing entries are zero)."""
+    degree_of = {l: d for d, ls in basis.items() for l in ls}
+    for l, lc in diff.items():
+        if l not in degree_of:
+            raise StructuralError(f"differential given for unknown label {l!r}")
+        # the assembler only visits degrees whose successor is in the window
+        if lc and degree_of[l] + 1 not in window:
+            raise StructuralError(
+                f"d({l!r}) is nonzero but degree {degree_of[l] + 1} is outside {window!r}")
+    return FiniteDga(
+        complex_from_labels(field, window, basis, lambda l: diff.get(l, {}).items()),
+        lambda a, b: mult_table.get((a, b), {}), unit, aug, complete, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -607,24 +579,12 @@ def tensor_algebra(a, b, name=None):
     for d1, ls1 in a.basis.items():
         for d2, ls2 in b.basis.items():
             basis.setdefault(d1 + d2, []).extend((x, y) for x in ls1 for y in ls2)
-    basis = {d: tuple(ls) for d, ls in basis.items()}
 
-    diff = {}
-    for d, labels in basis.items():
-        for (x, y) in labels:
-            lc = {}
-            for m, c in a.diff(x).items():
-                lc[(m, y)] = c
-            sgn = field.one if a.degree(x) % 2 == 0 else field.neg(field.one)
-            for m, c in b.diff(y).items():
-                key = (x, m)
-                s = field.add(lc.get(key, field.zero), field.mul(sgn, c))
-                if field.is_zero(s):
-                    lc.pop(key, None)
-                else:
-                    lc[key] = s
-            if lc:
-                diff[(x, y)] = lc
+    def boundary(label):
+        x, y = label
+        sgn = field.one if a.degree(x) % 2 == 0 else field.neg(field.one)
+        return ([((m, y), c) for m, c in a.diff(x).items()]
+                + [((x, m), field.mul(sgn, c)) for m, c in b.diff(y).items()])
 
     def mult_fn(p, q):
         x, y = p
@@ -646,7 +606,8 @@ def tensor_algebra(a, b, name=None):
             if not field.is_zero(c):
                 aug[(x, y)] = c
 
-    return FiniteDga(field, window, basis, diff, mult_fn, (a.unit, b.unit), aug,
+    return FiniteDga(complex_from_labels(field, window, basis, boundary),
+                     mult_fn, (a.unit, b.unit), aug,
                      complete=True, name=name or f"{a.name}(x){b.name}")
 
 
@@ -663,9 +624,7 @@ def full_cohomology(fdga, representatives=True):
     if not fdga.complete:
         raise RefusalError("full_cohomology needs a complete slice")
     padded = fdga.window.padded(1)
-    slice_ = CochainComplexSlice(fdga.field, padded, fdga.basis,
-                                 {d: fdga.complex().d_at(d) for d in fdga.window.degrees()
-                                  if fdga.dim(d) and fdga.dim(d + 1)})
+    slice_ = CochainComplexSlice(fdga.field, padded, fdga.basis, fdga.complex().diff)
     return slice_.cohomology(representatives=representatives)
 
 
@@ -792,15 +751,10 @@ def connective_cover(fdga, name=None):
         if any(lbl in ls for d, ls in basis.items() if d < 0):
             raise StructuralError(f"degree-0 cover label {lbl!r} collides with the input basis")
 
-    diff = {}
-    for d, labels in basis.items():
-        if d >= 0:
-            continue
-        for l in labels:
-            old = fdga.diff(l)
-            if not old:
-                continue
-            diff[l] = express0(fdga.vector(old, 0)) if d + 1 == 0 else old
+    def boundary(l):
+        # only degrees below 0 are visited: 0 is the top of the window
+        old = fdga.diff(l)
+        return (express0(fdga.vector(old, 0)) if fdga.degree(l) == -1 else old).items()
 
     def mult_fn(x, y):
         prod = fdga.mult_lc(to_old({x: field.one}), to_old({y: field.one}))
@@ -812,8 +766,8 @@ def connective_cover(fdga, name=None):
 
     aug = {lbl: (field.one if lbl == "1" else field.zero) for lbl, _ in chosen}
 
-    return FiniteDga(field, window, basis, diff, mult_fn, "1", aug,
-                     complete=True, name=name or f"{fdga.name}|cover")
+    return FiniteDga(complex_from_labels(field, window, basis, boundary),
+                     mult_fn, "1", aug, complete=True, name=name or f"{fdga.name}|cover")
 
 
 def _apply_functional(field, fdga, vec):

@@ -5,15 +5,16 @@ degree -d in degree d.  The product is convolution against deconcatenation,
 which on the word basis is concatenation with the Koszul sign of the two
 functionals; the unit is the functional dual to the empty word and the
 augmentation is evaluation at the empty word.  The differential is the
-(signed) transpose of the bar differential, so the dual of a slice is again
-a finite dg algebra and the generic validators apply to it.
+signed transpose of the bar's matrices, d_d = (-1)^d (d_{-d-1})^T, and
+the dual of a slice is a FiniteDga over that complex, so the generic
+validators apply to it.
 
 Cohomology of the dual slice is Ext over the input algebra in every
 reliable degree; the resolution oracle in extres recomputes the same
 numbers without any bar construction.
 """
 
-from .exactla import Window, RefusalError
+from .exactla import Window, CochainComplexSlice, RefusalError, SparseMatrix
 from .dga import FiniteDga, cohomology_ring
 from .bar import bar_complex, weight_bound
 
@@ -23,15 +24,15 @@ class DualSlice:
 
     algebra is a FiniteDga whose labels are the bar words; window is the
     requested window (the algebra itself covers one padded degree more on
-    each side, so cohomology is reliable on all requested degrees)."""
+    each side, so cohomology is reliable on all requested degrees);
+    max_weight is the weight cap of the bar it was dualized from."""
 
-    def __init__(self, spec, window, bar, algebra):
+    def __init__(self, spec, window, algebra, max_weight):
         self.spec = spec
         self.window = window
-        self.bar = bar
         self.algebra = algebra
         self.field = spec.field
-        self.max_weight = bar.max_weight
+        self.max_weight = max_weight
 
     def dims(self):
         return self.algebra.dims()
@@ -67,25 +68,16 @@ def koszul_dual_slice(spec, window, max_weight=None):
     field = spec.field
     one, neg = field.one, field.neg
 
-    dual_window = window.padded(1)
-    basis = {}
-    for d in dual_window.degrees():
-        words = bar.basis.get(-d, ())
-        if words:
-            basis[d] = words
-
-    diff = {}
-    for d, words in basis.items():
-        if d + 1 not in dual_window:
-            continue
-        sources = basis.get(d + 1, ())
-        if not sources:
-            continue
-        mat = bar.complex.d_at(-d - 1)  # bar degree -d-1 -> -d
+    # d_d = (-1)^d (bar d_{-d-1})^T: bar degree -d-1 -> -d becomes dual d -> d+1
+    diffs = {}
+    for e, m in bar.complex.diff.items():
+        d = -e - 1
         sign = one if d % 2 == 0 else neg(one)
-        for (i, j), c in mat.entries.items():
-            lc = diff.setdefault(words[i], {})
-            lc[sources[j]] = field.mul(sign, c)
+        diffs[d] = SparseMatrix(
+            field, m.cols, m.rows,
+            (((j, i), field.mul(sign, c)) for (i, j), c in m.entries.items()))
+    complex_ = CochainComplexSlice(
+        field, window.padded(1), {-e: words for e, words in bar.basis.items()}, diffs)
 
     def word_degree(word):
         return -sum(spec.degree(l) - 1 for l in word)
@@ -95,10 +87,9 @@ def koszul_dual_slice(spec, window, max_weight=None):
         return {x + y: one if exp % 2 == 0 else neg(one)}
 
     algebra = FiniteDga(
-        field, dual_window, basis, diff, mult_fn,
-        unit=(), aug={(): one} if 0 in dual_window else {}, complete=False,
-        name=f"dual({spec.name})")
-    return DualSlice(spec, window, bar, algebra)
+        complex_, mult_fn, unit=(), aug={(): one} if 0 in complex_.window else {},
+        complete=False, name=f"dual({spec.name})")
+    return DualSlice(spec, window, algebra, bar.max_weight)
 
 
 def dual_cohomology_dims(spec, window, max_weight=None):

@@ -5,8 +5,11 @@ import os
 
 import pytest
 
-from koszul.exactla import QQ, Field, Window
-from koszul.dga import algebra_slice, square_zero, truncated_polynomial
+from koszul import __version__, cli
+from koszul.exactla import QQ, Field, Window, StructuralError
+from koszul.dga import (
+    algebra_slice, finite_dga_from_tables, square_zero, truncated_polynomial,
+)
 from koszul.cli import (
     main, parse_algebra_document, export_algebra_document, parse_field_name,
     DocumentError,
@@ -205,6 +208,42 @@ def test_validate_flags_broken_table(docs, capsys):
         name for name, v in report["result"]["checks"].items() if not v]
 
 
+# (basis entries, differential) of explicit tables whose differential is
+# malformed; the last case is on the top degree, which the assembler never
+# visits, so the builder has to refuse it itself
+BAD_DIFFERENTIALS = {
+    "unknown_label": ([["1", 0], ["t", -1]], {"zzz": [[1, "t"]]}),
+    "wrong_degree": ([["1", 0], ["t", -1], ["s", -2]], {"s": [[1, "1"]]}),
+    "top_degree": ([["1", 0], ["t", -1]], {"1": [[1, "t"]]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DIFFERENTIALS))
+def test_explicit_table_refuses_bad_differential(case, docs, capsys):
+    entries, differential = BAD_DIFFERENTIALS[case]
+    basis = {}
+    for label, d in entries:
+        basis.setdefault(d, []).append(label)
+    diff = {l: {m: QQ.of_int(c) for c, m in terms}
+            for l, terms in differential.items()}
+    with pytest.raises(StructuralError):
+        finite_dga_from_tables(QQ, Window(min(basis), max(basis)), basis, diff,
+                               {("1", "1"): {"1": QQ.one}}, "1", {"1": QQ.one},
+                               complete=True)
+    path = docs("bad.json", {
+        "basis": entries,
+        "differential": differential,
+        "multiplication": [["1", "1", [[1, "1"]]]],
+        "unit": "1",
+        "augmentation": {"1": "1"},
+    })
+    code, report, err = run(capsys, "validate", path, "--window=-2..0",
+                            "--no-cache")
+    assert code == 3
+    assert report is None
+    assert "structural failure" in err
+
+
 def test_parse_error_names_position(docs, capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"builder": }')
@@ -308,3 +347,24 @@ def test_corrupt_cache_entry_is_recomputed_and_rewritten(docs, capsys,
     assert r2["result"] == r1["result"]
     with open(entry, "r", encoding="utf-8") as fh:
         assert json.load(fh)["result"] == r1["result"]
+
+
+def test_cache_key_follows_the_engine_sources(docs, capsys, tmp_path,
+                                              monkeypatch):
+    assert cli._engine_key().startswith(__version__ + "+")
+    path = docs("cubic.json", {"builder": "truncated_polynomial", "m": 3,
+                               "d": 0})
+    cache = str(tmp_path / "cache")
+    argv = ("bar", path, "--window=-4..0", "--cache-dir", cache)
+    _, r1, _ = run(capsys, *argv)
+    _, warm, _ = run(capsys, *argv)
+    assert strip_duration(warm) == strip_duration(r1)
+    monkeypatch.setattr(cli, "_engine_key", lambda: __version__ + "+edited")
+    code, r2, _ = run(capsys, *argv)
+    assert code == 0
+    assert r2["input_hash"] != r1["input_hash"]  # recomputed, not served
+    assert r2["result"] == r1["result"]
+    assert sorted(os.listdir(cache)) == sorted(
+        [r1["input_hash"] + ".json", r2["input_hash"] + ".json"])
+    _, again, _ = run(capsys, *argv)
+    assert strip_duration(again) == strip_duration(r2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from koszul.exactla import Window, QQ, Field, RefusalError
 from koszul.dga import base_field_algebra, square_zero, truncated_polynomial, free_assoc
-from koszul.bar import bar_homology_dims
+from koszul.bar import bar_complex, bar_homology_dims
 from koszul.dual import (
     koszul_dual_slice, dual_cohomology_dims, dual_cohomology_ring,
     check_power_generation, bidual_cohomology,
@@ -41,6 +41,34 @@ def test_dual_slices_validate():
     for dual in duals:
         report = dual.validate()
         assert report, report.witnesses
+
+
+@pytest.mark.parametrize("field", (QQ, Field(32003)), ids=("Q", "F32003"))
+@pytest.mark.parametrize("spec_of, window", [
+    (lambda f: truncated_polynomial(f, 3, 0), Window(0, 9)),
+    (lambda f: square_zero(f, 1), Window(0, 12)),
+    (lambda f: free_assoc(f, [("u", 2)]), Window(-4, 0)),
+], ids=("cubic", "square_zero1", "free_u2"))
+def test_dual_differential_is_the_signed_transpose_of_the_bar(field, spec_of, window):
+    spec = spec_of(field)
+    dual = koszul_dual_slice(spec, window)
+    bar = bar_complex(spec, window.mirrored()).complex
+    c = dual.algebra.complex()
+    assert c.window == bar.window.mirrored()
+    for d in c.window.degrees():
+        assert c.basis.get(d, ()) == bar.basis.get(-d, ())
+        if d + 1 not in c.window:
+            continue
+        b = bar.d_at(-d - 1)
+        sign = field.one if d % 2 == 0 else field.neg(field.one)
+        want = {(j, i): field.mul(sign, v) for (i, j), v in b.entries.items()}
+        got = c.d_at(d)
+        assert (got.rows, got.cols) == (b.cols, b.rows)
+        assert got.entries == want
+        targets = c.basis.get(d + 1, ())
+        for k, word in enumerate(c.basis.get(d, ())):
+            column = {targets[j]: v for (j, i), v in want.items() if i == k}
+            assert dual.algebra.diff(word) == column
 
 
 def test_dual_unit_and_augmentation():
