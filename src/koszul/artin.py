@@ -277,33 +277,6 @@ class ArtinReport:
                 f"residue_is_k={self.residue_is_k}, verdict={self.verdict})")
 
 
-def _h0_classes(fdga, report=None):
-    """Representatives of H^0 with a coordinate functional modulo boundaries.
-
-    Returns (report, reps, coords) where reps is the list of representative
-    index vectors and coords maps any degree-0 cocycle vector to its class
-    coordinates."""
-    field = fdga.field
-    h = report if report is not None \
-        else full_cohomology(fdga, representatives=True)
-    reps = list(h.representatives.get(0, ()))
-    tracker = SpanTracker(field, track=True)
-    if -1 in fdga.window:
-        for k, col in enumerate(fdga.complex().d_at(-1).columns()):
-            if col:
-                tracker.insert(col, tag=("b", k))
-    for i, rep in enumerate(reps):
-        tracker.insert(rep, tag=("h", i))
-
-    def coords(vec):
-        residual, combo = tracker.reduce(vec)
-        if residual:
-            raise StructuralError("vector is not a degree-0 cocycle class")
-        return {tag[1]: c for tag, c in combo.items() if tag[0] == "h"}
-
-    return h, reps, coords
-
-
 def is_artin(fdga, window=None):
     """Artin verdict: connective cohomology, finite total dimension, H^0
     local with residue field k.
@@ -332,15 +305,15 @@ def is_artin(fdga, window=None):
     total = sum(h.dims.values())
     if 0 not in h.dims:
         return ArtinReport(fdga.name, connective, total, None, None, False)
-    h, reps, coords = _h0_classes(fdga, h)
+    reps = h.representatives[0]
 
     n = len(reps)
-    unit_coords = coords(fdga.vector({fdga.unit: field.one}, 0)) if n else {}
+    unit_coords = h.coords(0, fdga.vector({fdga.unit: field.one}, 0)) if n else {}
     residue_is_k = bool(unit_coords)
 
     # augmentation values and products of the chosen classes
     augs = [  # aug is a cocycle functional, so it descends to classes
-        _aug_of_vector(fdga, rep) for rep in reps]
+        fdga.aug_of_vector(rep) for rep in reps]
 
     def class_mult(u, v):
         out = {}
@@ -348,7 +321,7 @@ def is_artin(fdga, window=None):
             for j, cj in v.items():
                 prod = fdga.mult_lc(fdga.lincomb(reps[i], 0),
                                     fdga.lincomb(reps[j], 0))
-                pv = coords(fdga.vector(prod, 0)) if prod else {}
+                pv = h.coords(0, fdga.vector(prod, 0)) if prod else {}
                 for t, c in pv.items():
                     s = field.add(out.get(t, field.zero),
                                   field.mul(field.mul(ci, cj), c))
@@ -390,14 +363,6 @@ def is_artin(fdga, window=None):
                        residue_is_k, verdict)
 
 
-def _aug_of_vector(fdga, vec):
-    labels = fdga.labels(0)
-    total = fdga.field.zero
-    for i, c in vec.items():
-        total = fdga.field.add(total, fdga.field.mul(c, fdga.aug_of(labels[i])))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # square verification
 
@@ -421,16 +386,16 @@ class SquareVerdict:
 def _h0_surjective(m):
     """Does a map of complete slices induce a surjection on H^0?"""
     field = m.target.field
-    _, reps_src, _ = _h0_classes(m.source)
-    h_tgt, reps_tgt, coords_tgt = _h0_classes(m.target)
+    reps_src = full_cohomology(m.source).representatives.get(0, ())
+    h_tgt = full_cohomology(m.target)
     tracker = SpanTracker(field)
     rank = 0
     for rep in reps_src:
         image = m.apply(m.source.lincomb(rep, 0))
-        cv = coords_tgt(m.target.vector(image, 0)) if image else {}
+        cv = h_tgt.coords(0, m.target.vector(image, 0)) if image else {}
         if cv and tracker.insert(cv):
             rank += 1
-    return rank == len(reps_tgt)
+    return rank == len(h_tgt.representatives.get(0, ()))
 
 
 def _path_lift_space(f, g, p):

@@ -15,7 +15,7 @@ value is 1 while all other basis labels augment to 0.
 from .exactla import (
     Window, CochainComplexSlice, SpanTracker,
     RefusalError, StructuralError, complex_from_labels, vec_add_into,
-    vec_scale, CohomologyReport,
+    vec_scale,
 )
 
 # Linear combinations of basis labels are plain dicts {label: nonzero scalar};
@@ -171,6 +171,14 @@ class FiniteDga:
     def aug_of(self, label):
         return self.aug.get(label, self.field.zero)
 
+    def aug_of_vector(self, vec):
+        """The augmentation of a degree-0 index vector."""
+        field, labels = self.field, self.labels(0)
+        total = field.zero
+        for i, c in vec.items():
+            total = field.add(total, field.mul(c, self.aug_of(labels[i])))
+        return total
+
     # -- structure maps ---------------------------------------------------
 
     def diff(self, label):
@@ -274,13 +282,11 @@ class FiniteDga:
                 checks[name] = False
                 witnesses[name] = witness
 
-        checks["d_squared"] = True
-        for d, labels in sorted(self.basis.items()):
-            if d + 1 not in w or d + 2 not in w:
-                continue
-            for l in labels:
-                if self.diff_lc(self.diff(l)):
-                    record("d_squared", (l,))
+        failure = self._complex.d_squared_failure()
+        checks["d_squared"] = failure is None
+        if failure is not None:
+            d, j = failure
+            witnesses["d_squared"] = (self.basis[d][j],)
 
         checks["leibniz"] = True
         all_labels = [(d, l) for d, ls in sorted(self.basis.items()) for l in ls]
@@ -635,29 +641,15 @@ def cohomology_ring(fdga, full=False):
     The returned report's `ring` maps ((d1,i1),(d2,i2)) to the lincomb, over
     class indices (d3,i3), of the product of the chosen representatives.
     Pairs whose product degree is not reliable are listed in ring_skipped.
-    The constants depend on the representative choice; only dimensions and
-    structural facts derived from them (powers spanning, nilpotence) are
-    meaningful across implementations.
+    Each product is read off by the cohomology report's `coords`, so no
+    differential is eliminated again here.  The constants depend on the
+    representative choice; only dimensions and structural facts derived
+    from them (powers spanning, nilpotence) are meaningful across
+    implementations.
     """
-    field = fdga.field
     base = full_cohomology(fdga) if full else fdga.cohomology()
     reliable = sorted(base.dims)
     class_degrees = [d for d in reliable if base.dims[d] > 0]
-
-    trackers = {}
-
-    def tracker_at(d3):
-        t = trackers.get(d3)
-        if t is None:
-            t = SpanTracker(field, track=True)
-            if d3 - 1 in fdga.window:
-                for k, col in enumerate(fdga.complex().d_at(d3 - 1).columns()):
-                    if col:
-                        t.insert(col, tag=("b", k))
-            for i, rep in enumerate(base.representatives.get(d3, ())):
-                t.insert(rep, tag=("h", i))
-            trackers[d3] = t
-        return t
 
     ring = {}
     skipped = []
@@ -667,23 +659,14 @@ def cohomology_ring(fdga, full=False):
             if d3 not in base.dims:
                 skipped.append((d1, d2, d3))
                 continue
-            t = tracker_at(d3)
             for i1, r1 in enumerate(base.representatives[d1]):
                 for i2, r2 in enumerate(base.representatives[d2]):
                     prod = fdga.mult_lc(fdga.lincomb(r1, d1), fdga.lincomb(r2, d2))
                     vecp = fdga.vector(prod, d3) if prod else {}
-                    residual, combo = t.reduce(vecp)
-                    if residual:
-                        raise StructuralError(
-                            f"product of cocycles escapes cocycles at degree {d3}")
-                    value = {}
-                    for tag, c in combo.items():
-                        if tag[0] == "h":
-                            value[(d3, tag[1])] = c
-                    ring[((d1, i1), (d2, i2))] = value
-    return CohomologyReport(field, base.window, base.dims, base.unreliable,
-                            representatives=base.representatives,
-                            ring=ring, ring_skipped=skipped)
+                    ring[((d1, i1), (d2, i2))] = {
+                        (d3, i3): c for i3, c in base.coords(d3, vecp).items()}
+    base.ring, base.ring_skipped = ring, tuple(skipped)
+    return base
 
 
 def connective_cover(fdga, name=None):
@@ -712,14 +695,13 @@ def connective_cover(fdga, name=None):
     if d0.apply(unit_vec):
         raise StructuralError("unit is not a cocycle")
 
-    aug_of_vec = lambda v: _apply_functional(field, fdga, v)
     tracker = SpanTracker(field)
     chosen = []
     tracker.insert(unit_vec)
     chosen.append(("1", unit_vec))
     for v in kernel:
         adj = dict(v)
-        vec_add_into(field, adj, unit_vec, field.neg(aug_of_vec(v)))
+        vec_add_into(field, adj, unit_vec, field.neg(fdga.aug_of_vector(v)))
         if tracker.insert(adj):
             chosen.append((f"c{len(chosen)}", adj))
 
@@ -768,14 +750,6 @@ def connective_cover(fdga, name=None):
 
     return FiniteDga(complex_from_labels(field, window, basis, boundary),
                      mult_fn, "1", aug, complete=True, name=name or f"{fdga.name}|cover")
-
-
-def _apply_functional(field, fdga, vec):
-    labels = fdga.labels(0)
-    total = field.zero
-    for i, c in vec.items():
-        total = field.add(total, field.mul(c, fdga.aug_of(labels[i])))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -201,25 +201,25 @@ class SpanTracker:
     def insert(self, vec, tag=None):
         """Insert vec if independent of the current span; return True if it
         extended the span."""
-        field = self.field
-        v, combo = self.reduce(vec)
-        if not v:
+        residual, combo = self.reduce(vec)
+        if not residual:
             return False
-        lead = min(v)
-        lam = field.inv(v[lead])
-        pvec = vec_scale(field, lam, v)
+        self.add_pivot(residual, combo, tag)
+        return True
+
+    def add_pivot(self, residual, combo, tag=None):
+        """Make a new pivot, tagged tag, from the nonzero (residual, combo)
+        that `reduce` returned for the vector being inserted."""
+        field = self.field
+        lead = min(residual)
+        lam = field.inv(residual[lead])
         pcombo = None
         if self.track:
             pcombo = vec_scale(field, field.neg(lam), combo)
             pcombo[tag] = field.add(pcombo.get(tag, field.zero), lam)
             if field.is_zero(pcombo[tag]):
                 del pcombo[tag]
-        self.pivots[lead] = (pvec, pcombo)
-        return True
-
-    def contains(self, vec):
-        residual, _ = self.reduce(vec)
-        return not residual
+        self.pivots[lead] = (vec_scale(field, lam, residual), pcombo)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +272,6 @@ class SparseMatrix:
             self._by_col = cols
         return self._by_col
 
-    def row_vectors(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
     def apply(self, vec):
         """Matrix times a sparse column vector (dict col -> scalar)."""
         field = self.field
@@ -304,36 +298,35 @@ class SparseMatrix:
                 out[(i, j)] = v
         return SparseMatrix(field, self.rows, other.cols, out)
 
-    def rank(self):
-        tracker = SpanTracker(self.field)
-        source = self.row_vectors() if self.rows <= self.cols else self.columns()
-        for v in source:
-            if v:
-                tracker.insert(v)
-        return tracker.rank
+    def eliminate(self, track=False):
+        """Column elimination, the engine's one elimination.
 
-    def nullspace_basis(self):
-        """Basis of the kernel, as dict-vectors over column indices.
-
-        Column j is reduced against the pivot columns accepted so far; if it
-        is dependent the tracked combo turns into the kernel vector
-        e_j - sum(combo).  Basis size is cols - rank by construction.
+        Absorbs the columns into a SpanTracker in order, reducing each once;
+        returns (tracker, kernel).  The tracker's pivots span the image.
+        With track=True each pivot's combo is over column indices and kernel
+        lists e_j - combo for every column j that reduced to zero (a basis
+        of the kernel, cols - rank vectors); otherwise kernel is None.
         """
         field = self.field
-        tracker = SpanTracker(field, track=True)
-        kernel = []
+        tracker = SpanTracker(field, track)
+        kernel = [] if track else None
         for j, col in enumerate(self.columns()):
-            if not col:
-                kernel.append({j: field.one})
-                continue
             residual, combo = tracker.reduce(col)
             if residual:
-                tracker.insert(col, tag=j)
-            else:
+                tracker.add_pivot(residual, combo, tag=j)
+            elif track:
                 v = {j: field.one}
                 vec_add_into(field, v, combo, field.neg(field.one))
                 kernel.append(v)
-        return kernel
+        return tracker, kernel
+
+    def rank(self):
+        return self.eliminate()[0].rank
+
+    def nullspace_basis(self):
+        """Basis of the kernel, as dict-vectors over column indices: the
+        kernel of a tracked `eliminate`."""
+        return self.eliminate(track=True)[1]
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and other.field == self.field
@@ -433,41 +426,60 @@ class CochainComplexSlice:
             return SparseMatrix(self.field, self.dim(d + 1), self.dim(d))
         return m
 
+    def d_squared_failure(self):
+        """The first (degree d, column j) where d_{d+1} d_d is nonzero, over
+        the degrees d with d, d+1, d+2 in the window; None when d^2 = 0."""
+        for d in range(self.window.lo, self.window.hi - 1):
+            square = self.d_at(d + 1).compose(self.d_at(d))
+            if not square.is_zero():
+                return d, min(j for _, j in square.entries)
+        return None
+
     def validate_complex(self):
         """Check d^2 = 0 for every degree d with d, d+1, d+2 in the window."""
-        for d in range(self.window.lo, self.window.hi - 1):
-            if self.d_at(d + 1).compose(self.d_at(d)).is_zero():
-                continue
-            raise InvalidComplexError(d)
+        failure = self.d_squared_failure()
+        if failure is not None:
+            raise InvalidComplexError(failure[0])
 
     def cohomology(self, representatives=True):
         """Cohomology on the interior of the window.
 
         Reliable degrees are those d with d-1, d, d+1 all in the window; the
-        two boundary degrees are only flagged.  Validates d^2 = 0 first.
+        two boundary degrees are only flagged.  Validates d^2 = 0 first, then
+        eliminates each differential once.  Without representatives the dims
+        come from ranks by rank-nullity.  With them, the cycles at degree d
+        are the kernel of d_d, the boundaries are the pivots of d_{d-1}, and
+        the representatives are the cycles that extend the boundary span; the
+        tracker this leaves behind gives the report's class coordinates.
         """
         self.validate_complex()
-        field = self.field
-        dims, reps = {}, {}
-        for d in self.window.interior():
-            boundary_tracker = SpanTracker(field)
-            for col in self.d_at(d - 1).columns():
-                if col:
-                    boundary_tracker.insert(col)
-            cycles = self.d_at(d).nullspace_basis()
-            dims[d] = len(cycles) - boundary_tracker.rank
-            if representatives:
+        field, window = self.field, self.window
+        dims, reps, classes = {}, {}, {}
+        if not representatives:
+            ranks = {d: self.d_at(d).rank() for d in range(window.lo, window.hi)}
+            for d in window.interior():
+                dims[d] = self.dim(d) - ranks[d] - ranks[d - 1]
+        else:
+            below = self.d_at(window.lo).eliminate()[0]
+            for d in window.interior():
+                above, cycles = self.d_at(d).eliminate(track=True)
+                tracker = SpanTracker(field, track=True)
+                # boundaries carry no tag, so combos count representatives only
+                tracker.pivots ={lead: (vec, {}) for lead, (vec, _) in below.pivots.items()}
+                dims[d] = len(cycles) - tracker.rank
                 chosen = []
                 for z in cycles:
-                    if boundary_tracker.insert(z):
+                    if tracker.insert(z, tag=len(chosen)):
                         chosen.append(z)
                 if len(chosen) != dims[d]:
                     raise InvalidComplexError(d, "boundaries escape the cycle space")
                 reps[d] = tuple(chosen)
-        unreliable = frozenset({self.window.lo, self.window.hi})
+                classes[d] = tracker
+                below = above
+        unreliable = frozenset({window.lo, window.hi})
         return CohomologyReport(
-            field=field, window=self.window, dims=dims, unreliable=unreliable,
-            representatives=reps if representatives else None)
+            field=field, window=window, dims=dims, unreliable=unreliable,
+            representatives=reps if representatives else None, classes=classes)
 
     def euler_characteristic(self):
         """Alternating sum of basis dimensions over the whole window."""
@@ -514,11 +526,12 @@ class CohomologyReport:
     structure has been computed, `ring` maps ((d1, i1), (d2, i2)) to the
     lincomb {(d3, i3): scalar} of the product of the chosen representatives,
     and `ring_skipped` lists representative pairs whose product degree was
-    not reliable.
+    not reliable.  With representatives, `coords(d, vec)` gives the class
+    of a degree-d cocycle in their basis.
     """
 
     def __init__(self, field, window, dims, unreliable, representatives=None,
-                 ring=None, ring_skipped=()):
+                 ring=None, ring_skipped=(), classes=None):
         self.field = field
         self.window = window
         self.dims = dims
@@ -526,6 +539,7 @@ class CohomologyReport:
         self.representatives = representatives
         self.ring = ring
         self.ring_skipped = tuple(ring_skipped)
+        self._classes = classes or {}  # degree -> SpanTracker of boundaries + reps
 
     def dim(self, d):
         if d in self.unreliable or d not in self.dims:
@@ -533,6 +547,21 @@ class CohomologyReport:
                 raise RefusalError(f"degree {d} is at the window boundary and unreliable")
             return 0
         return self.dims[d]
+
+    def coords(self, d, vec):
+        """Class coordinates {i: scalar} of the degree-d cocycle vec modulo
+        boundaries: vec = sum(c_i * representatives[d][i]) + a boundary.
+
+        Raises StructuralError when vec is not a cocycle, and RefusalError
+        at a degree without representatives (unreliable, or cohomology was
+        taken without them)."""
+        tracker = self._classes.get(d)
+        if tracker is None:
+            raise RefusalError(f"no class representatives at degree {d}")
+        residual, combo = tracker.reduce(vec)
+        if residual:
+            raise StructuralError(f"vector is not a degree-{d} cocycle")
+        return combo
 
     def nonzero_dims(self):
         return {d: n for d, n in sorted(self.dims.items()) if n}
