@@ -5,9 +5,17 @@ Scalars are `fractions.Fraction` over the rationals and plain ints in
 resolutions) reduces to the Gaussian elimination in this module, so ranks
 and kernels here are exact by construction; there is no floating point
 anywhere in the package.
+
+The elimination (SpanTracker) and the d^2 check never do Fraction
+arithmetic.  Over F_p pivots are monic and the loops reduce mod a local
+p.  Over Q a vector is scaled by the lcm of its denominators, reduction
+is fraction-free (Bareiss 1968: v <- a*v - b*pivot with the leads divided
+by their gcd), and pivots are primitive integer vectors, not monic ones;
+values become Fractions only where they leave the tracker.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class EngineError(Exception):
@@ -145,37 +153,70 @@ QQ = Field()
 
 def vec_add_into(field, acc, vec, coeff):
     """acc += coeff * vec, in place, dropping zeros."""
-    if field.is_zero(coeff):
+    p = field.p
+    if p is None:
+        if not coeff:
+            return acc
+        zero = field.zero  # a Fraction, so new entries are Fractions
+        for i, v in vec.items():
+            s = acc.get(i, zero) + coeff * v
+            if s:
+                acc[i] = s
+            else:
+                acc.pop(i, None)
+        return acc
+    if not coeff % p:
         return acc
     for i, v in vec.items():
-        s = field.add(acc.get(i, field.zero), field.mul(coeff, v))
-        if field.is_zero(s):
-            acc.pop(i, None)
-        else:
+        s = (acc.get(i, 0) + coeff * v) % p
+        if s:
             acc[i] = s
+        else:
+            acc.pop(i, None)
     return acc
 
 
 def vec_scale(field, coeff, vec):
-    if field.is_zero(coeff):
-        return {}
-    return {i: field.mul(coeff, v) for i, v in vec.items()}
+    p = field.p
+    if p is None:
+        return {i: coeff * v for i, v in vec.items()} if coeff else {}
+    return {i: coeff * v % p for i, v in vec.items()} if coeff % p else {}
+
+
+def _integral(vec, scale=None):
+    """(D, D * vec) for a rational vec; D is the lcm of its denominators
+    unless a common multiple of them is given."""
+    if scale is None:
+        scale = lcm(*(x.denominator for x in vec.values()))
+    if scale == 1:
+        return 1, {i: x.numerator for i, x in vec.items()}
+    return scale, {i: x.numerator * (scale // x.denominator) for i, x in vec.items()}
 
 
 class SpanTracker:
     """Incremental row echelon over sparse dict-vectors.
 
-    Pivot rows are normalized (lead coefficient 1) and keyed by their lead
-    index.  With track=True every inserted vector gets a tag and `reduce`
-    reports the expression of the reducible part in terms of the tagged
-    inserts, which is how membership certificates, kernels and structure
-    constants are extracted everywhere downstream.
+    Pivots are keyed by their lead index.  Over F_p a pivot is monic (lead
+    coefficient 1).  Over Q the elimination never forms a Fraction: a
+    vector entering the tracker is scaled by the lcm D of its denominators,
+    a reduction step is v <- a*v - b*pivot with a, b the two leads divided
+    by their gcd, and a pivot is a primitive integer vector (content divided
+    out, lead positive).  Values leave the tracker as Fractions.
+
+    With track=True every inserted vector gets a tag and `reduce` reports
+    the expression of the reducible part in terms of the tagged inserts,
+    which is how membership certificates, kernels and structure constants
+    are extracted everywhere downstream.  Over Q a pivot's combo is integral
+    too: the tracker keeps each tag's scale D_t, and a pivot is
+    sum(combo[t] * D_t * insert_t), its content divided out jointly with
+    the combo's.
     """
 
     def __init__(self, field, track=False):
         self.field = field
         self.track = track
         self.pivots = {}  # lead index -> (vector, combo or None)
+        self._scale = {}  # tag -> D_t (over Q)
 
     @property
     def rank(self):
@@ -183,43 +224,136 @@ class SpanTracker:
 
     def reduce(self, vec):
         """Return (residual, combo): vec = sum(combo[t] * insert_t) + residual."""
-        field = self.field
-        v = dict(vec)
-        combo = {} if self.track else None
-        while v:
-            lead = min(v)
-            hit = self.pivots.get(lead)
-            if hit is None:
-                break
-            pvec, pcombo = hit
-            c = v[lead]
-            vec_add_into(field, v, pvec, field.neg(c))
-            if self.track:
-                vec_add_into(field, combo, pcombo, c)
-        return v, combo
+        return self._leave(*self._reduce(vec)[:3])
 
     def insert(self, vec, tag=None):
         """Insert vec if independent of the current span; return True if it
         extended the span."""
-        residual, combo = self.reduce(vec)
-        if not residual:
+        w, combo, s, scale = self._reduce(vec)
+        if not w:
             return False
-        self.add_pivot(residual, combo, tag)
+        self._add_pivot(w, combo, s, scale, tag)
         return True
 
-    def add_pivot(self, residual, combo, tag=None):
-        """Make a new pivot, tagged tag, from the nonzero (residual, combo)
-        that `reduce` returned for the vector being inserted."""
-        field = self.field
-        lead = min(residual)
-        lam = field.inv(residual[lead])
+    def _reduce(self, vec):
+        """Reduce vec against the pivots in ints; returns (w, combo, s, D).
+
+        Over Q, D is the lcm of vec's denominators and
+        s * vec = sum(combo[t] * D_t * insert_t) + w with w and combo
+        integral; over F_p, s = D = 1 and vec = sum(combo[t] * insert_t) + w.
+        """
+        pivots, track = self.pivots, self.track
+        combo = {} if track else None
+        p = self.field.p
+        if p is not None:
+            w = dict(vec)
+            while w:
+                lead = min(w)
+                hit = pivots.get(lead)
+                if hit is None:
+                    break
+                pvec, pcombo = hit
+                c = w[lead]
+                m = -c % p
+                for i, x in pvec.items():
+                    y = (w.get(i, 0) + m * x) % p
+                    if y:
+                        w[i] = y
+                    else:
+                        del w[i]
+                if track:
+                    for t, x in pcombo.items():
+                        y = (combo.get(t, 0) + c * x) % p
+                        if y:
+                            combo[t] = y
+                        else:
+                            combo.pop(t, None)
+            return w, combo, 1, 1
+        scale, w = _integral(vec)
+        s = scale
+        while w:
+            lead = min(w)
+            hit = pivots.get(lead)
+            if hit is None:
+                break
+            pvec, pcombo = hit
+            x, y = w[lead], pvec[lead]
+            g = gcd(x, y)
+            a, b = y // g, x // g  # a > 0: pivot leads are positive
+            if a != 1:
+                s *= a
+                for i in w:
+                    w[i] *= a
+                if track:
+                    for t in combo:
+                        combo[t] *= a
+            for i, z in pvec.items():
+                u = w.get(i, 0) - b * z
+                if u:
+                    w[i] = u
+                else:
+                    del w[i]
+            if track:
+                for t, z in pcombo.items():
+                    u = combo.get(t, 0) + b * z
+                    if u:
+                        combo[t] = u
+                    else:
+                        del combo[t]
+        return w, combo, s, scale
+
+    def _leave(self, w, combo, s):
+        """A raw (w, combo, s) from `_reduce` as field values."""
+        if self.field.p is not None:
+            return w, combo
+        residual = {i: Fraction(x, s) for i, x in w.items()}
+        if combo is not None:
+            scale = self._scale
+            combo = {t: Fraction(c * scale[t], s) for t, c in combo.items()}
+        return residual, combo
+
+    def _add_pivot(self, w, combo, s, scale, tag):
+        """Make a new pivot, tagged tag, from the nonzero raw reduction
+        (w, combo, s, scale) of the vector being inserted."""
+        lead = min(w)
+        p = self.field.p
         pcombo = None
+        if p is not None:
+            lam = pow(w[lead], p - 2, p)
+            if self.track:
+                neg = -lam % p
+                pcombo = {t: neg * c % p for t, c in combo.items()}
+                c = (pcombo.get(tag, 0) + lam) % p
+                if c:
+                    pcombo[tag] = c
+                else:
+                    pcombo.pop(tag, None)
+            self.pivots[lead] = ({i: lam * x % p for i, x in w.items()}, pcombo)
+            return
+        # w = s * vec - sum(combo[t] * D_t * insert_t); vec is insert_tag
         if self.track:
-            pcombo = vec_scale(field, field.neg(lam), combo)
-            pcombo[tag] = field.add(pcombo.get(tag, field.zero), lam)
-            if field.is_zero(pcombo[tag]):
-                del pcombo[tag]
-        self.pivots[lead] = (vec_scale(field, lam, residual), pcombo)
+            d_tag = self._scale.setdefault(tag, scale)
+            k = d_tag // gcd(d_tag, s)  # 1 unless tag was used before
+            if k != 1:
+                w = {i: k * x for i, x in w.items()}
+                combo = {t: k * c for t, c in combo.items()}
+                s *= k
+            pcombo = {t: -c for t, c in combo.items()}
+            c = pcombo.get(tag, 0) + s // d_tag
+            if c:
+                pcombo[tag] = c
+            else:
+                pcombo.pop(tag, None)
+            g = gcd(*w.values(), *pcombo.values())
+        else:
+            g = gcd(*w.values())
+        if w[lead] < 0:
+            g = -g
+        if g != 1:
+            w = {i: x // g for i, x in w.items()}
+            if pcombo is not None:
+                pcombo = {t: c // g for t, c in pcombo.items()}
+        self.pivots[lead] = (w, pcombo)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +445,13 @@ class SparseMatrix:
         tracker = SpanTracker(field, track)
         kernel = [] if track else None
         for j, col in enumerate(self.columns()):
-            residual, combo = tracker.reduce(col)
-            if residual:
-                tracker.add_pivot(residual, combo, tag=j)
+            w, combo, s, scale = tracker._reduce(col)
+            if w:
+                tracker._add_pivot(w, combo, s, scale, j)
             elif track:
                 v = {j: field.one}
-                vec_add_into(field, v, combo, field.neg(field.one))
+                for t, c in tracker._leave(w, combo, s)[1].items():
+                    v[t] = field.neg(c)
                 kernel.append(v)
         return tracker, kernel
 
@@ -428,11 +563,26 @@ class CochainComplexSlice:
 
     def d_squared_failure(self):
         """The first (degree d, column j) where d_{d+1} d_d is nonzero, over
-        the degrees d with d, d+1, d+2 in the window; None when d^2 = 0."""
+        the degrees d with d, d+1, d+2 in the window; None when d^2 = 0.
+
+        The product is taken in ints: over Q, d_{d+1} is scaled by the lcm
+        of all its denominators and each column of d_d by its own."""
+        p = self.field.p
         for d in range(self.window.lo, self.window.hi - 1):
-            square = self.d_at(d + 1).compose(self.d_at(d))
-            if not square.is_zero():
-                return d, min(j for _, j in square.entries)
+            outer, inner = self.d_at(d + 1), self.d_at(d)
+            if outer.is_zero() or inner.is_zero():
+                continue
+            cols = outer.columns()
+            if p is None:
+                scale = lcm(*(x.denominator for x in outer.entries.values()))
+                cols = [_integral(col, scale)[1] for col in cols]
+            for j, col in enumerate(inner.columns()):
+                acc = {}
+                for k, b in (col if p else _integral(col)[1]).items():
+                    for i, a in cols[k].items():
+                        acc[i] = acc.get(i, 0) + b * a
+                if any(x % p for x in acc.values()) if p else any(acc.values()):
+                    return d, j
         return None
 
     def validate_complex(self):

@@ -1,5 +1,6 @@
 """Fields, sparse matrices, complex slices."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -167,6 +168,247 @@ def test_span_tracker_combos():
     assert residual == {}
     assert combo == {"a": Fraction(2), "b": Fraction(1)}
     assert not t.insert({0: Fraction(1)}, tag="c")  # dependent
+    # a tag used twice sums the coefficients of both inserts, as it did
+    # with Fraction pivots, even when their denominators differ
+    t = SpanTracker(QQ, track=True)
+    assert t.insert({0: Fraction(1, 2)}, tag="a")
+    assert t.insert({1: Fraction(1, 3)}, tag="a")
+    assert t.reduce({0: Fraction(1), 1: Fraction(1)}) == ({}, {"a": Fraction(5)})
+
+
+# ---------------------------------------------------------------------------
+# elimination against plain dense Gauss-Jordan over Fractions
+
+ENTRIES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+           Fraction(2, 3), Fraction(-2, 3), Fraction(7, 3), Fraction(-7, 3)]
+
+
+def _in(field, x):
+    """The rational x as an element of field."""
+    return x if field.p is None else field.div(field.of_int(x.numerator),
+                                               field.of_int(x.denominator))
+
+
+def _sparse(field, dense, cols):
+    return SparseMatrix(field, len(dense), cols, {
+        (i, j): x for i, row in enumerate(dense) for j, x in enumerate(row)
+        if not field.is_zero(x)})
+
+
+def _gauss_jordan(field, dense, cols):
+    """Reduced row echelon form of a dense matrix (a list of rows):
+    (pivot columns, the nonzero rows)."""
+    rows = [list(row) for row in dense]
+    pivots = []
+    for j in range(cols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(rows)) if not field.is_zero(rows[i][j])), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = field.inv(rows[r][j])
+        rows[r] = [field.mul(inv, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not field.is_zero(row[j]):
+                c = row[j]
+                rows[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, rows[r])]
+        pivots.append(j)
+    return pivots, rows[:len(pivots)]
+
+
+def _reference_kernel(field, dense, cols):
+    """(rank, kernel): e_j - sum_r R[r][j] e_{pivot(r)} for each non-pivot
+    column j, which expresses column j in the independent columns before it."""
+    pivots, rref = _gauss_jordan(field, dense, cols)
+    kernel = []
+    for j in range(cols):
+        if j not in pivots:
+            v = {j: field.one}
+            for pc, row in zip(pivots, rref):
+                if not field.is_zero(row[j]):
+                    v[pc] = field.neg(row[j])
+            kernel.append(v)
+    return len(pivots), kernel
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """A rows x cols matrix (rows <= 8, cols <= 10) over Q or F_5, the
+    product of two random factors through a dimension below min(rows, cols),
+    so its rank is deficient by construction."""
+    field = draw(st.sampled_from([QQ, Field(5)]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    entry = st.sampled_from(ENTRIES).map(lambda x: _in(field, x))
+    left = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    if not inner:
+        return field, [[field.zero] * cols for _ in range(rows)], cols
+    return field, _dense_product(field, left, right, cols), cols
+
+
+@given(low_rank_matrices())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_dense_gauss_jordan(case):
+    field, dense, cols = case
+    m = _sparse(field, dense, cols)
+    rank, kernel = _reference_kernel(field, dense, cols)
+    assert m.rank() == rank
+    got = m.nullspace_basis()
+    assert got == kernel
+    scalar = Fraction if field.p is None else int
+    for v in got:
+        assert all(type(x) is scalar for x in v.values())
+        assert m.apply(v) == {}
+
+
+@st.composite
+def tracker_feeds(draw):
+    """Random inserts and probes in dimension <= 6 over Q or F_5; about
+    half the probes are combinations of the inserts."""
+    field = draw(st.sampled_from([QQ, Field(5)]))
+    n = draw(st.integers(1, 6))
+    entry = st.sampled_from(ENTRIES).map(lambda x: _in(field, x))
+
+    def vector():
+        v = {i: draw(entry) for i in draw(st.lists(st.integers(0, n - 1), max_size=n))}
+        return {i: x for i, x in v.items() if not field.is_zero(x)}
+
+    inserts = [vector() for _ in range(draw(st.integers(0, 6)))]
+    probes = []
+    for _ in range(draw(st.integers(1, 6))):
+        probe = vector()
+        if inserts and draw(st.booleans()):
+            probe = {}
+            for v in inserts:
+                vec_add_into(field, probe, v, draw(entry))
+        probes.append(probe)
+    return field, n, inserts, probes
+
+
+@given(tracker_feeds())
+@settings(max_examples=150, deadline=None)
+def test_span_tracker_certificates_are_exact(case):
+    field, n, inserts, probes = case
+    t = SpanTracker(field, track=True)
+    for k, v in enumerate(inserts):
+        t.insert(v, tag=k)
+
+    def rank_of(vectors):
+        dense = [[v.get(i, field.zero) for i in range(n)] for v in vectors]
+        return len(_gauss_jordan(field, dense, n)[0])
+
+    scalar = Fraction if field.p is None else int
+    base = rank_of(inserts)
+    assert t.rank == base
+    for vec, pcombo in t.pivots.values():  # integral (vec, combo) or monic
+        lead = vec[min(vec)]
+        if field.p is None:
+            assert all(type(x) is int for x in [*vec.values(), *pcombo.values()])
+            assert lead > 0 and math.gcd(*vec.values(), *pcombo.values()) == 1
+        else:
+            assert lead == 1
+    plain = SpanTracker(field)
+    for v in inserts:
+        plain.insert(v)
+    assert plain.rank == base
+    for vec, _ in plain.pivots.values():  # primitive integer or monic
+        assert vec[min(vec)] == 1 if field.p else math.gcd(*vec.values()) == 1
+    for probe in probes:
+        residual, combo = t.reduce(probe)
+        assert all(type(x) is scalar for x in [*residual.values(), *combo.values()])
+        total = dict(residual)
+        for tag, c in combo.items():
+            vec_add_into(field, total, inserts[tag], c)
+        assert total == probe
+        assert (residual == {}) == (rank_of(inserts + [probe]) == base)
+
+
+def test_hilbert_and_rational_rank_four_eliminate_exactly():
+    """Coefficient growth: the 8x8 Hilbert matrix has full rank, and with
+    a ninth Hilbert column one kernel vector; a 10x4 times 4x10 product
+    of rationals has rank 4.  Ranks and kernels equal plain Gauss-Jordan."""
+    hilbert = [[Fraction(1, i + j + 1) for j in range(9)] for i in range(8)]
+    square = [row[:8] for row in hilbert]
+    assert _sparse(QQ, square, 8).rank() == 8
+    assert _sparse(QQ, square, 8).nullspace_basis() == []
+    wide = _sparse(QQ, hilbert, 9)
+    (v,) = wide.nullspace_basis()
+    assert [v] == _reference_kernel(QQ, hilbert, 9)[1]
+    assert wide.apply(v) == {}
+
+    rng = random.Random(1968)
+    nonzero = [x for x in ENTRIES if x]
+    eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    left = eye + [[rng.choice(nonzero) for _ in range(4)] for _ in range(6)]
+    right = [row + [rng.choice(nonzero) for _ in range(6)] for row in eye]
+    dense = _dense_product(QQ, left, right, 10)
+    m = _sparse(QQ, dense, 10)
+    rank, kernel = _reference_kernel(QQ, dense, 10)
+    assert m.rank() == rank == 4
+    assert m.nullspace_basis() == kernel
+    assert all(m.apply(v) == {} for v in kernel)
+
+
+def _first_square_failure(c):
+    """The first nonzero column of d_{d+1} d_d, from the matrix product."""
+    for d in range(c.window.lo, c.window.hi - 1):
+        square = c.d_at(d + 1).compose(c.d_at(d))
+        if not square.is_zero():
+            return d, min(j for _, j in square.entries)
+    return None
+
+
+def _chain(field, dims, diffs):
+    """The complex with dims[k] basis labels at degree k and d_k = diffs[k]
+    (dense lists of rows)."""
+    basis = {d: tuple(f"e{d}_{i}" for i in range(n)) for d, n in enumerate(dims)}
+    return CochainComplexSlice(field, Window(0, len(dims) - 1), basis, {
+        d: _sparse(field, m, dims[d]) for d, m in enumerate(diffs)})
+
+
+def test_d_squared_failure_respects_denominators():
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    one, three, two = Fraction(1), Fraction(3), Fraction(2)
+    # d_1 d_0 = (3, -3) . (1/3, 1/3) = 0 on column 0, but (3, -3) . (1/3, 1)
+    # = -2 on column 1: it fails only through the denominators
+    fails = _chain(QQ, [3, 2, 1], [[[third, third, one], [third, one, third]],
+                                   [[three, -three]]])
+    assert fails.d_squared_failure() == _first_square_failure(fails) == (0, 1)
+    with pytest.raises(InvalidComplexError):
+        fails.cohomology()
+    # (2, -1) . (1/2, 1) = 0 and (2, -1) . (1, 2) = 0 cancel legitimately
+    cancels = _chain(QQ, [2, 2, 1], [[[half, one], [one, two]], [[two, -one]]])
+    assert cancels.d_squared_failure() is _first_square_failure(cancels) is None
+    assert cancels.cohomology().dims == {1: 0}
+    # the first failing degree wins: d_1 d_0 = 0, d_2 d_1 = (2/3, -1/3) != 0
+    later = _chain(QQ, [1, 2, 1, 1], [[[half], [one]], [[two, -one]], [[third]]])
+    assert later.d_squared_failure() == _first_square_failure(later) == (1, 0)
+    # over F_5, (2, 3) . (1, 1) = 5 vanishes
+    f5 = Field(5)
+    mod5 = _chain(f5, [1, 2, 1], [[[1], [1]], [[2, 3]]])
+    assert mod5.d_squared_failure() is _first_square_failure(mod5) is None
+
+
+@given(st.sampled_from([QQ, Field(5)]), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_d_squared_failure_matches_the_matrix_product(field, rnd):
+    """d_0's columns are combinations of d_1's kernel, some perturbed."""
+    n0, n1, n2 = rnd.randint(1, 4), rnd.randint(1, 4), rnd.randint(1, 3)
+    pick = lambda: _in(field, rnd.choice(ENTRIES))
+    d1 = [[pick() for _ in range(n1)] for _ in range(n2)]
+    kernel = _reference_kernel(field, d1, n1)[1]
+    cols = []
+    for _ in range(n0):
+        col = {}
+        for v in kernel:
+            vec_add_into(field, col, v, pick())
+        if rnd.random() < 0.3:
+            vec_add_into(field, col, {rnd.randrange(n1): field.one}, pick())
+        cols.append(col)
+    d0 = [[col.get(i, field.zero) for col in cols] for i in range(n1)]
+    c = _chain(field, [n0, n1, n2], [d0, d1])
+    assert c.d_squared_failure() == _first_square_failure(c)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ time with --trace 1."""
 
 import importlib
 import os
+from fractions import Fraction
 
-from koszul.dga import square_zero, truncated_polynomial
+from koszul.dga import finite_dga_from_tables, square_zero, truncated_polynomial
 from koszul.exactla import QQ, Field, Window
 
 KBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "kbench")
@@ -42,27 +43,48 @@ def test_tracer_installs_every_span_and_restores_the_engine(monkeypatch):
             "exactla.cohomology"} <= names
 
 
+def _probe_bar(monkeypatch, spec, window):
+    """The size probes of kbench/spans.py on the bar of spec: (summary,
+    pivot fill-in of the largest differential)."""
+    monkeypatch.syspath_prepend(KBENCH)
+    spans = importlib.import_module("spans")
+    importlib.import_module("koszul.cli")
+    bar = importlib.import_module("koszul.bar")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.run_job("probe", "call", lambda: bar.bar_homology_dims(spec, window))
+    finally:
+        tracer.uninstall()
+    _, summary, largest = spans.probe_slices(tracer.job)
+    return summary, spans.pivot_nnz(largest)
+
+
 def test_probes_read_the_same_sizes_on_a_fixed_bar(monkeypatch):
     """The benchmark's size probes on the bar of k[x]/x^3 over F_32003 on
     [-10, 0]: the differentials' nnz, their ranks, the largest one's shape
     and the pivot fill-in of its column elimination.  A change to
     SpanTracker or rank must not shift these per-layer metrics."""
-    monkeypatch.syspath_prepend(KBENCH)
-    spans = importlib.import_module("spans")
-    importlib.import_module("koszul.cli")
-    bar = importlib.import_module("koszul.bar")
     cubic = truncated_polynomial(Field(32003), 3, 0)
-
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        tracer.run_job("probe", "call",
-                       lambda: bar.bar_homology_dims(cubic, Window(-10, 0)))
-    finally:
-        tracer.uninstall()
-
-    _, summary, largest = spans.probe_slices(tracer.job)
+    summary, fill = _probe_bar(monkeypatch, cubic, Window(-10, 0))
     assert summary["nnz_total"] == 9217
     assert summary["rank_total"] == 1359
     assert summary["largest_d"] == [1024, 2048, 5120]
-    assert spans.pivot_nnz(largest) == 5345
+    assert fill == 5345
+
+
+def test_probes_read_the_same_sizes_on_a_fixed_bar_over_q(monkeypatch):
+    """The same probes over Q on the scaled cubic x.x = (2/3) y, whose
+    integer pivots must keep the supports that monic Fraction pivots had."""
+    one = QQ.one
+    mult = {("1", "1"): {"1": one}, ("1", "x"): {"x": one}, ("x", "1"): {"x": one},
+            ("1", "y"): {"y": one}, ("y", "1"): {"y": one},
+            ("x", "x"): {"y": Fraction(2, 3)}}
+    scaled = finite_dga_from_tables(
+        QQ, Window(0, 0), {0: ("1", "x", "y")}, diff={}, mult_table=mult,
+        unit="1", aug={"1": one}, complete=True).as_spec()
+    summary, fill = _probe_bar(monkeypatch, scaled, Window(-10, 0))
+    assert summary["nnz_total"] == 9217
+    assert summary["rank_total"] == 1359
+    assert summary["largest_d"] == [1024, 2048, 5120]
+    assert fill == 5345
