@@ -277,7 +277,22 @@ class ArtinReport:
                 f"residue_is_k={self.residue_is_k}, verdict={self.verdict})")
 
 
-def is_artin(fdga, window=None):
+def _is_nilpotent(field, ideal, mult):
+    """Whether the ideal spanned by the vectors `ideal` is nilpotent:
+    I^{k+1} = span(I^k . I) shrinks on every pass until it vanishes, or
+    stops shrinking at a nonzero power, which then never vanishes."""
+    span = ideal
+    while span:
+        tracker = SpanTracker(field)
+        nxt = [w for u in span for v in ideal
+               if (w := mult(u, v)) and tracker.insert(w)]
+        if len(nxt) >= len(span):
+            return False
+        span = nxt
+    return True
+
+
+def is_artin(fdga):
     """Artin verdict: connective cohomology, finite total dimension, H^0
     local with residue field k.
 
@@ -289,9 +304,6 @@ def is_artin(fdga, window=None):
     which is sound since interior cohomology of a slice agrees with the
     full algebra; total_dimension then counts window classes only.
     """
-    if window is not None and (window.lo < fdga.window.lo
-                               or window.hi > fdga.window.hi):
-        raise RefusalError("requested window exceeds the slice")
     field = fdga.field
     if fdga.complete:
         h = full_cohomology(fdga, representatives=True)
@@ -339,25 +351,7 @@ def is_artin(fdga, window=None):
         if v and tracker.insert(v):
             ideal.append(v)
 
-    h0_local = True
-    span = list(ideal)
-    for _ in range(n + 1):
-        if not span:
-            break
-        nxt_tracker = SpanTracker(field)
-        nxt = []
-        for u in span:
-            for v in ideal:
-                w = class_mult(u, v)
-                if w and nxt_tracker.insert(w):
-                    nxt.append(w)
-        if len(nxt) >= len(span):
-            h0_local = False
-            break
-        span = nxt
-    else:
-        h0_local = not span
-
+    h0_local = _is_nilpotent(field, ideal, class_mult)
     verdict = connective and h0_local and residue_is_k
     return ArtinReport(fdga.name, connective, total, h0_local,
                        residue_is_k, verdict)
@@ -675,7 +669,6 @@ def radical_filtration(r, module=None):
     if any(d != 0 for d in r.basis):
         raise RefusalError(f"{r.name} is not concentrated in degree 0")
     field = r.field
-    n = r.dim(0)
 
     # I = ker(aug), nilpotent required
     unit_vec = r.vector({r.unit: field.one}, 0)
@@ -691,18 +684,10 @@ def radical_filtration(r, module=None):
         return r.vector(r.mult_lc(r.lincomb(u, 0), r.lincomb(v, 0)), 0) \
             if u and v else {}
 
-    span = list(ideal)
-    for _ in range(n + 1):
-        if not span:
-            break
-        t = SpanTracker(field)
-        nxt = [w for u in span for v in ideal
-               if (w := r_mult_vec(u, v)) and t.insert(w)]
-        if len(nxt) >= len(span):
-            raise RefusalError(
-                f"{r.name}: augmentation ideal is not nilpotent; the residue "
-                "field does not generate")
-        span = nxt
+    if not _is_nilpotent(field, ideal, r_mult_vec):
+        raise RefusalError(
+            f"{r.name}: augmentation ideal is not nilpotent; the residue "
+            "field does not generate")
 
     if module is None:
         m_labels = list(r.labels(0))

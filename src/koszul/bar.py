@@ -136,10 +136,6 @@ class _WordEnumerator:
         return result
 
 
-def _shifted(spec, label):
-    return spec.degree(label) - 1
-
-
 class BarSlice:
     """The reduced bar complex of a spec, materialized on a window.
 
@@ -159,21 +155,10 @@ class BarSlice:
     def dims(self):
         return {d: len(ws) for d, ws in sorted(self.basis.items())}
 
-    def weights(self, d):
-        return tuple(len(w) for w in self.basis.get(d, ()))
-
     def homology_dims(self):
         """Cohomology dimensions on the requested (reliable) degrees."""
         rep = self.complex.cohomology(representatives=False)
         return {d: rep.dims.get(d, 0) for d in self.window.degrees()}
-
-    def deconcatenations(self, word):
-        """All splits of a word, including the empty ends (no signs)."""
-        return [(word[:i], word[i:]) for i in range(len(word) + 1)]
-
-    def counit(self, lc):
-        """Projection of a word lincomb onto the empty word."""
-        return lc.get((), self.field.zero)
 
     def __repr__(self):
         return f"BarSlice({self.spec.name}, window={self.window!r}, dims={self.dims()})"
@@ -262,15 +247,6 @@ class TwoSidedBarSlice:
     def homology_dims(self):
         rep = self.complex.cohomology(representatives=False)
         return {d: rep.dims.get(d, 0) for d in self.window.degrees()}
-
-    def weight_zero_dims(self):
-        """Dimensions of the weight-0 part, i.e. of M ox N, per degree."""
-        out = {}
-        for d, ws in self.basis.items():
-            n = sum(1 for w in ws if not w[1])
-            if n:
-                out[d] = n
-        return out
 
     def __repr__(self):
         return (f"TwoSidedBarSlice({self.left.name}, {self.spec.name}, "

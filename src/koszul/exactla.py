@@ -548,12 +548,26 @@ class CochainComplexSlice:
                     f"expected {nd1}x{nd}")
             if not m.is_zero():
                 self.diff[d] = m
+        self._index = {}  # degree -> label -> position, built by vector()
 
     def dim(self, d):
         return len(self.basis.get(d, ()))
 
     def dims(self):
         return {d: len(b) for d, b in sorted(self.basis.items())}
+
+    def vector(self, d, terms):
+        """Index vector of the sum of (label, scalar) terms, every label in
+        the degree-d basis; repeated labels add up."""
+        index = self._index.get(d)
+        if index is None:
+            index = self._index[d] = {l: i for i, l in enumerate(self.basis.get(d, ()))}
+        field = self.field
+        out = {}
+        for label, c in terms:
+            i = index[label]
+            out[i] = field.add(out.get(i, field.zero), c)
+        return {i: c for i, c in out.items() if not field.is_zero(c)}
 
     def d_at(self, d):
         m = self.diff.get(d)
@@ -630,13 +644,6 @@ class CochainComplexSlice:
         return CohomologyReport(
             field=field, window=window, dims=dims, unreliable=unreliable,
             representatives=reps if representatives else None, classes=classes)
-
-    def euler_characteristic(self):
-        """Alternating sum of basis dimensions over the whole window."""
-        total = 0
-        for d, labels in self.basis.items():
-            total += len(labels) if d % 2 == 0 else -len(labels)
-        return total
 
 
 def complex_from_labels(field, window, basis, boundary):

@@ -1,19 +1,28 @@
 """Ext dimensions via stepwise minimal semifree resolutions.
 
-Independent of the bar construction: the resolution of k adjoins free
-generators degree by degree from 0 downward, each stage killing exactly the
-remaining cohomology of (resolution -> k) at its top unprocessed degree.
-Over a local connective algebra the construction stays minimal, so
-Hom(resolution, k) has zero differential and Ext^i is a literal count of
-generators in degree -i.
+Independent of the bar construction: the resolution F of k adjoins free
+generators degree by degree from 0 downward.  Stage t is one complex, the
+cone of (F -> k) as built so far on the degrees t-1, t, t+1, assembled by
+`complex_from_labels`; its d_t is eliminated once for the cycles Z^t and
+its d_{t-1} once for the boundaries B^t.  The generators adjoined in degree
+t-1 are the cycles that extend B^t + U.Z^t, where U is a complement of m^2
+in the augmentation ideal m of A^0.  A^0 acts on H^t through the local ring
+H^0, so m.H^t = U.H^t (Nakayama), and the stage adjoins dim H^t/mH^t
+generators: the generator count of a minimal resolution, which depends on
+the algebra and not on the order its basis is listed in.  Hom(F, k) then
+has zero differential, and Ext^i is a literal count of generators in
+degree -i.
 """
 
 from .exactla import (
-    SpanTracker, RefusalError, StructuralError, matrix_from_columns,
+    SpanTracker, RefusalError, StructuralError, Window, complex_from_labels,
     vec_add_into,
 )
 from .dga import connective_cover
 from .artin import is_artin
+
+# the one label of the augmentation's target k in the degree-0 stage
+_K = "k"
 
 
 class ResolutionState:
@@ -22,9 +31,7 @@ class ResolutionState:
     gens is the ordered list (label, degree, delta): delta is the value of
     the differential on 1 (x) gen, a lincomb over (algebra label, earlier
     gen label) pairs.  The free module has basis a (x) g in degree
-    |a| + |g|, differential d(a (x) g) = da (x) g + (-1)^{|a|} a delta(g),
-    and comparison map epsilon_of (the augmentation against degree-0
-    generators).
+    |a| + |g|, and differential d(a (x) g) = da (x) g + (-1)^{|a|} a delta(g).
     """
 
     def __init__(self, algebra, depth):
@@ -56,49 +63,71 @@ class ResolutionState:
                 out.append((a, g))
         return tuple(out)
 
-    def diff_lc(self, lc):
+    def _terms(self, label):
+        """d(a (x) g) as (label, scalar) terms; repeated labels add up."""
         a_ = self.algebra
         field = a_.field
-        out = {}
-        for (a, g), c in lc.items():
-            for a2, c2 in a_.diff(a).items():
-                vec_add_into(field, out, {(a2, g): c2}, c)
-            sign = field.one if a_.degree(a) % 2 == 0 else field.neg(field.one)
-            coeff = field.mul(c, sign)
-            if field.is_zero(coeff):
-                continue
-            for (b, g2), c2 in self._delta[g].items():
-                for ab, c3 in a_.mult(a, b).items():
-                    vec_add_into(field, out, {(ab, g2): field.mul(c2, c3)},
-                                 coeff)
-        return out
+        a, g = label
+        for a2, c in a_.diff(a).items():
+            yield (a2, g), c
+        odd = a_.degree(a) % 2
+        for (b, g2), c in self._delta[g].items():
+            for ab, c2 in a_.mult(a, b).items():
+                c3 = field.mul(c, c2)
+                yield (ab, g2), field.neg(c3) if odd else c3
 
-    def epsilon_of(self, lc):
-        a_ = self.algebra
-        total = a_.field.zero
-        for (a, g), c in lc.items():
-            if self._degree[g] == 0 and a_.degree(a) == 0:
-                total = a_.field.add(total, a_.field.mul(c, a_.aug_of(a)))
-        return total
+    def diff_lc(self, lc):
+        field = self.algebra.field
+        out = {}
+        for p, c in lc.items():
+            for q, c2 in self._terms(p):
+                vec_add_into(field, out, {q: c2}, c)
+        return out
 
     def __repr__(self):
         return (f"ResolutionState({self.algebra.name}, gens="
                 f"{self.generator_degrees()}, depth={self.depth})")
 
 
+def _indecomposables(a):
+    """A complement U of m^2 in the augmentation ideal m of A^0, as a list
+    of lincombs over degree-0 labels."""
+    field = a.field
+    ideal = []
+    for l in a.labels(0):
+        if l != a.unit:
+            u = {l: field.one}
+            vec_add_into(field, u, {a.unit: field.one}, field.neg(a.aug_of(l)))
+            ideal.append(u)
+    tracker = SpanTracker(field)
+    for u in ideal:
+        for v in ideal:
+            tracker.insert(a.vector(a.mult_lc(u, v), 0))
+    return [u for u in ideal if tracker.insert(a.vector(u, 0))]
+
+
+def _act(a, u, z):
+    """u.z as (label, scalar) terms, for u a lincomb over A^0 and z one over
+    resolution labels."""
+    mul = a.field.mul
+    for s, c in u.items():
+        for (b, g), c2 in z.items():
+            for sb, c3 in a.mult(s, b).items():
+                yield (sb, g), mul(mul(c, c2), c3)
+
+
 def minimal_resolution(fdga, depth):
     """Resolve k over an Artin slice by adjoining generators from 0 down.
 
-    Works degree by degree: at stage t the defect space (cocycles modulo
-    boundaries, intersected with ker eps at t = 0) is computed exactly, and
-    one generator per surviving class is adjoined at t - 1.  Adjoining a
-    generator with differential z also makes every A^0-multiple of z a
-    boundary, so classes in the same cyclic module are never double-counted;
-    that, plus locality of H^0, is what keeps the resolution minimal, and
-    minimality is certified rather than assumed.  Positive-degree chains are
-    removed up front by the connective cover (a quasi-isomorphism whenever
-    the Artin verdict holds).  After the run the cone of (resolution -> k)
-    is acyclic in all degrees above -depth.
+    Stage t (t = 0, -1, ..., 1 - depth) is one complex, the cone of
+    (resolution -> k) on [t-1, t+1] with the augmentation as a one-label
+    target at t = 0.  Every cycle of d_t that extends B^t + U.Z^t, in kernel
+    order, becomes a generator in degree t-1 whose differential is that
+    cycle: dim H^t/mH^t generators whatever order the basis is listed in
+    (see the module docstring), and minimality is still certified rather
+    than assumed.  Positive-degree chains are removed up front by the
+    connective cover (a quasi-isomorphism whenever the Artin verdict holds).
+    After the run the cone is acyclic in all degrees above -depth.
     """
     report = is_artin(fdga)
     if not report.verdict:
@@ -111,64 +140,39 @@ def minimal_resolution(fdga, depth):
     a = connective_cover(fdga)
     field = a.field
     state = ResolutionState(a, depth)
-    counter = 1
-    a0 = a.labels(0)
+    complement = _indecomposables(a)
+
+    def boundary(p):  # the cone's d: d on the resolution, eps on degree 0
+        yield from state._terms(p)
+        if p[1] == "g0" and not field.is_zero(eps := a.aug_of(p[0])):
+            yield _K, eps
 
     for t in range(0, -depth, -1):
-        basis_t = state.basis(t)
-        if not basis_t:
+        basis = {d: state.basis(d) for d in (t - 1, t, t + 1)}
+        if not basis[t]:
             continue
-        basis_up = state.basis(t + 1)
-        idx_t = {p: i for i, p in enumerate(basis_t)}
-        idx_up = {p: i for i, p in enumerate(basis_up)}
-
-        nrows = len(basis_up) + (1 if t == 0 else 0)
-        cols = []
-        for p in basis_t:
-            image = state.diff_lc({p: field.one})
-            col = {idx_up[q]: c for q, c in image.items()}
-            if t == 0:
-                e = state.epsilon_of({p: field.one})
-                if not field.is_zero(e):
-                    col[len(basis_up)] = e
-            cols.append(col)
-        kernel = matrix_from_columns(field, nrows, cols).nullspace_basis()
-
-        boundaries = SpanTracker(field)
-        for p in state.basis(t - 1):
-            image = state.diff_lc({p: field.one})
-            vec = {idx_t[q]: c for q, c in image.items()}
-            if vec:
-                boundaries.insert(vec)
-
-        for v in kernel:
-            residual, _ = boundaries.reduce(v)
-            if not residual:
+        if t == 0:
+            basis[1] = (_K,)
+        stage = complex_from_labels(field, Window(t - 1, t + 1), basis, boundary)
+        cycles = stage.d_at(t).nullspace_basis()
+        span = stage.d_at(t - 1).eliminate()[0]
+        labels = basis[t]
+        lcs = [{labels[i]: c for i, c in z.items()} for z in cycles]
+        for u in complement:
+            for z in lcs:
+                span.insert(stage.vector(t, _act(a, u, z)))
+        for z, lc in zip(cycles, lcs):
+            if not span.insert(z):
                 continue
-            z = {basis_t[i]: c for i, c in v.items()}
-            for g2, s2, _ in state.gens:
-                if s2 != t:
-                    continue
-                alpha = field.zero
-                for (x, g), c in z.items():
-                    if g == g2 and a.degree(x) == 0:
-                        alpha = field.add(alpha, field.mul(c, a.aug_of(x)))
-                if not field.is_zero(alpha):
-                    raise StructuralError(
-                        f"resolution lost minimality at degree {t}: a defect "
-                        f"class has unit component on generator {g2!r}")
-            label = f"g{counter}"
-            counter += 1
-            state._adjoin(label, t - 1, z)
-            # d(s (x) new gen) = s z for every degree-0 s: the whole
-            # A^0-orbit of z becomes a boundary at this degree
-            for s in a0:
-                w = {}
-                for (b, g2), c in z.items():
-                    for sb, c2 in a.mult(s, b).items():
-                        vec_add_into(field, w, {idx_t[(sb, g2)]: c2}, c)
-                if w:
-                    boundaries.insert(w)
+            unit = {}  # degree-t generator -> unit coefficient in z
+            for (x, g), c in lc.items():
+                if state._degree[g] == t:
+                    vec_add_into(field, unit, {g: a.aug_of(x)}, c)
+            if unit:
+                raise StructuralError(
+                    f"resolution lost minimality at degree {t}: a defect "
+                    f"class has unit component on generator {next(iter(unit))!r}")
+            state._adjoin(f"g{len(state.gens)}", t - 1, lc)
     return state
 
 

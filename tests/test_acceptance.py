@@ -15,7 +15,7 @@ from koszul.exactla import QQ, Field, Window, SparseMatrix, RefusalError
 from koszul.dga import (
     base_field_algebra, square_zero, truncated_polynomial, free_assoc,
     opposite, algebra_slice, tensor_algebra, full_cohomology,
-    connective_cover,
+    connective_cover, finite_dga_from_tables,
 )
 from koszul.bar import two_sided_bar, derived_tensor_dims
 from koszul.dual import (
@@ -48,6 +48,19 @@ def trunc_slice(field, m):
     return algebra_slice(truncated_polynomial(field, m, 0), Window(0, 0))
 
 
+def cubic_listed(field, labels):
+    """k[x]/x^3 as an explicit table with its basis listed in this order."""
+    one = field.one
+    names = ("1", "x", "x^2")
+    power = {name: i for i, name in enumerate(names)}
+    mult = {(a, b): {names[power[a] + power[b]]: one}
+            for a in labels for b in labels if power[a] + power[b] < 3}
+    return finite_dga_from_tables(
+        field, Window(0, 0), {0: labels}, diff={}, mult_table=mult,
+        unit="1", aug={"1": one}, complete=True,
+        name=f"k[x]/x^3 as {labels}")
+
+
 def nonzero(dims):
     return {d: v for d, v in dims.items() if v}
 
@@ -62,6 +75,9 @@ def _oracle_members(field):
     for m in (2, 3):
         members.append((f"k[x]/x^{m}", trunc_slice(field, m),
                         truncated_polynomial(field, m, 0)))
+    # the resolution must not depend on the order the basis is listed in
+    shuffled = cubic_listed(field, ("1", "x^2", "x"))
+    members.append((shuffled.name, shuffled, shuffled.as_spec()))
     z = sq_slice(field, 1)
     fp = homotopy_fiber_product(unit_inclusion(k, z), unit_inclusion(k, z))
     members.append(("fiber product", fp, connective_cover(fp).as_spec()))

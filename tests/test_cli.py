@@ -123,6 +123,22 @@ def test_ext_agrees_with_dual(docs, capsys):
     assert dims_of(report, "ext_dims") == dims_of(report, "dual_dims")
 
 
+def test_ext_of_a_shuffled_table_agrees_with_dual(docs, capsys):
+    # k[x,y,z]/(x^2,y^2,z^2) with its basis out of degree order
+    monomials = ["1", "xz", "z", "y", "x", "yz", "xy", "xyz"]
+    bare = {m: "" if m == "1" else m for m in monomials}
+    mult = [[a, b, [["1", "".join(sorted(bare[a] + bare[b])) or "1"]]]
+            for a in monomials for b in monomials
+            if not set(bare[a]) & set(bare[b])]
+    path = docs("xyz.json", {
+        "basis": [[m, 0] for m in monomials], "differential": {},
+        "multiplication": mult, "unit": "1", "augmentation": {"1": "1"}})
+    code, report, _ = run(capsys, "ext", path, "--window=0..4", "--no-cache")
+    assert code == 0
+    assert report["result"]["agree"] is True
+    assert dims_of(report, "ext_dims") == {0: 1, 1: 3, 2: 6, 3: 10, 4: 15}
+
+
 def test_bidual_refuses_degree_zero_extension(docs, capsys):
     path = docs("sq0.json", {"builder": "square_zero", "n": 0})
     code, report, _ = run(capsys, "bidual", path, "--window=-2..1", "--no-cache")

@@ -1,8 +1,10 @@
 """Minimal resolutions and the Ext dimensions they count."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koszul.exactla import QQ, Field, Window, RefusalError
 from koszul.dga import (
@@ -22,6 +24,21 @@ def sq_slice(field, n):
 
 def trunc_slice(field, m):
     return algebra_slice(truncated_polynomial(field, m, 0), Window(0, 0))
+
+
+XYZ = ("x", "y", "z", "xy", "xz", "yz", "xyz")
+
+
+def xyz_table(field, order):
+    """k[x,y,z]/(x^2,y^2,z^2) as a table whose basis is 1, then order."""
+    one = field.one
+    labels = ("1",) + tuple(order)
+    bare = {m: "" if m == "1" else m for m in labels}
+    mult = {(a, b): {"".join(sorted(bare[a] + bare[b])) or "1": one}
+            for a in labels for b in labels if not set(bare[a]) & set(bare[b])}
+    return finite_dga_from_tables(
+        field, Window(0, 0), {0: labels}, diff={}, mult_table=mult,
+        unit="1", aug={"1": one}, complete=True, name="xyz")
 
 
 def test_resolution_of_k_is_a_single_generator():
@@ -130,3 +147,14 @@ def test_ext_dims_match_dual_cohomology():
     for a in (sq_slice(QQ, 1), trunc_slice(QQ, 3)):
         w = Window(0, 6)
         assert ext_dims(a, w) == dual_cohomology_dims(a.spec, w)
+
+
+@given(st.permutations(XYZ), st.sampled_from([QQ, Field(5)]))
+@settings(max_examples=25, deadline=None)
+def test_ext_dims_do_not_depend_on_the_basis_order(order, field):
+    a = xyz_table(field, order)
+    assert ext_dims(a, Window(0, 4)) == {d: comb(d + 2, 2) for d in range(5)}
+    res = minimal_resolution(a, 4)
+    for t in range(0, -5, -1):
+        for p in res.basis(t):
+            assert res.diff_lc(res.diff_lc({p: field.one})) == {}
