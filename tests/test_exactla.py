@@ -301,8 +301,9 @@ def test_span_tracker_certificates_are_exact(case):
     scalar = Fraction if field.p is None else int
     base = rank_of(inserts)
     assert t.rank == base
-    for vec, pcombo in t.pivots.values():  # integral (vec, combo) or monic
-        lead = vec[min(vec)]
+    for key, (vec, pcombo) in t.pivots.items():  # integral (vec, combo) or monic
+        assert key == max(vec)  # a pivot is keyed by its lead, its largest index
+        lead = vec[key]
         if field.p is None:
             assert all(type(x) is int for x in [*vec.values(), *pcombo.values()])
             assert lead > 0 and math.gcd(*vec.values(), *pcombo.values()) == 1
@@ -312,8 +313,9 @@ def test_span_tracker_certificates_are_exact(case):
     for v in inserts:
         plain.insert(v)
     assert plain.rank == base
-    for vec, _ in plain.pivots.values():  # primitive integer or monic
-        assert vec[min(vec)] == 1 if field.p else math.gcd(*vec.values()) == 1
+    for key, (vec, _) in plain.pivots.items():  # primitive integer or monic
+        assert key == max(vec)
+        assert vec[key] == 1 if field.p else math.gcd(*vec.values()) == 1
     for probe in probes:
         residual, combo = t.reduce(probe)
         assert all(type(x) is scalar for x in [*residual.values(), *combo.values()])

@@ -70,7 +70,7 @@ def test_probes_read_the_same_sizes_on_a_fixed_bar(monkeypatch):
     assert summary["nnz_total"] == 9217
     assert summary["rank_total"] == 1359
     assert summary["largest_d"] == [1024, 2048, 5120]
-    assert fill == 5345
+    assert fill == 2275
 
 
 def test_probes_read_the_same_sizes_on_a_fixed_bar_over_q(monkeypatch):
@@ -87,4 +87,4 @@ def test_probes_read_the_same_sizes_on_a_fixed_bar_over_q(monkeypatch):
     assert summary["nnz_total"] == 9217
     assert summary["rank_total"] == 1359
     assert summary["largest_d"] == [1024, 2048, 5120]
-    assert fill == 5345
+    assert fill == 2275
