@@ -14,11 +14,21 @@ Merging shortens a word by one letter and internal terms keep the length,
 so word length is a filtration.  On any fixed window only finitely many
 weights can contribute; weight_bound computes that cap, and inputs where no
 finite cap exists are refused rather than silently truncated.
+
+Each bar is assembled once, in ints.  Its letters are indexed by int and
+tabled once per bar with their degree parities, differentials and
+pairwise merges (the module differentials and actions too, for
+B(M, A, N)); words are enumerated as tuples of letter indices.  Over Q
+every structure constant is scaled by one common denominator D, and since
+each term of the differential carries exactly one of them, the
+differential is 1/D times an integer matrix, whose rank, kernel and d^2
+are those of the differential.  Over F_p, D = 1 and the ints are reduced
+mod p.
 """
 
 import math
 
-from .exactla import RefusalError, StructuralError, complex_from_labels
+from .exactla import CochainComplexSlice, RefusalError, SparseMatrix, StructuralError
 
 
 class ConvergenceError(RefusalError):
@@ -90,14 +100,39 @@ def _weight_cap(regime, w):
     return max(0, math.ceil(w.hi / g))
 
 
+class _Labels:
+    """Labels indexed by int on first sight: labels[i] is label i and
+    degrees[i] the degree it was listed in, None for a label that no listed
+    degree holds (it then sits in no basis element)."""
+
+    def __init__(self):
+        self.labels = []
+        self.degrees = []
+        self.index = {}
+
+    def __call__(self, label, degree=None):
+        i = self.index.get(label)
+        if i is None:
+            i = self.index[label] = len(self.labels)
+            self.labels.append(label)
+            self.degrees.append(degree)
+        return i
+
+
 class _WordEnumerator:
-    """Deterministic enumeration of bar words by (degree, weight cap)."""
+    """Deterministic enumeration of bar words by (degree, weight cap).
+
+    Words are tuples of letter indices into `letter` (a _Labels of the
+    letters, with their shifted degrees); label_words gives the same words
+    as tuples of labels, converted once."""
 
     def __init__(self, spec, regime):
         self.spec = spec
         self.regime = regime
+        self.letter = _Labels()
         self.letter_cache = {}
         self.memo = {}
+        self.label_memo = {}
 
     def letters(self, s):
         """Letters of shifted degree s, checking augmentation-adaptedness."""
@@ -110,17 +145,23 @@ class _WordEnumerator:
                         raise StructuralError(
                             f"{spec.name}: basis is not augmentation-adapted "
                             f"(aug({l!r}) != 0); re-present the algebra first")
-            self.letter_cache[s] = labels
+            self.letter_cache[s] = tuple(self.letter(l, s) for l in labels)
         return self.letter_cache[s]
 
     def words(self, d, cap):
+        kind, g = self.regime
+        # no word of degree d has more than -d letters (connective) or
+        # d // g (coconnected), so every larger cap lists the same words
+        if kind == "connective":
+            cap = min(cap, max(0, -d))
+        elif g is not None:
+            cap = min(cap, max(0, d // g))
         key = (d, cap)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         out = [()] if d == 0 else []
         if cap >= 1:
-            kind, g = self.regime
             if kind == "connective":
                 srange = range(d, 0)
             elif g is None:
@@ -134,6 +175,152 @@ class _WordEnumerator:
         result = tuple(out)
         self.memo[key] = result
         return result
+
+    def label_words(self, d, cap):
+        key = (d, cap)
+        hit = self.label_memo.get(key)
+        if hit is None:
+            hit = self.label_memo[key] = tuple(map(self.label_word, self.words(d, cap)))
+        return hit
+
+    def label_word(self, word):
+        return tuple(map(self.letter.labels.__getitem__, word))
+
+
+class _LetterTable:
+    """The letters of one bar in ints, tabled once.
+
+    For each letter the enumerator has listed: odd[a], the parity of its
+    degree; diff[a], its differential; and merge[a][b], the product with
+    letter b wherever [a|b] can sit inside a word of degree in [lo, hi]
+    (the words whose differential is assembled), each a list of (letter,
+    scalar) pairs.  A product that fails (it leaves the augmentation ideal,
+    or the spec raises StructuralError) is tabled as None and its error is
+    raised only when a column uses it.  Terms on labels that are no listed
+    letter get indices too, so that they miss every basis and are reported
+    there.
+
+    The module tables of a two-sided bar are added with `lincomb` and
+    `tabled`; `scale_to_ints` then turns every tabled scalar into an int.
+    """
+
+    def __init__(self, spec, enum, lo, hi):
+        self.field = spec.field
+        self.failures = {}
+        self.lincombs = []
+        letter = enum.letter
+        letters = list(zip(letter.labels, letter.degrees))
+        self.odd = [(s + 1) % 2 for _, s in letters]
+        self.diff = [self.lincomb(spec.diff(x), letter) for x, _ in letters]
+        # [a|b] sits in words of degree <= sa + sb (connective: the other
+        # letters are negative), or >= sa + sb (coconnected)
+        connective = enum.regime[0] == "connective"
+        self.merge = [
+            [self.tabled((a, b), lambda x=x, y=y: _merge(spec, x, y), letter)
+             if (lo <= sx + sy if connective else sx + sy <= hi) else []
+             for b, (y, sy) in enumerate(letters)]
+            for a, (x, sx) in enumerate(letters)]
+
+    def lincomb(self, lc, index):
+        """lc as a tabled list of (index(label), scalar) pairs."""
+        out = [(index(m), c) for m, c in lc.items()]
+        self.lincombs.append(out)
+        return out
+
+    def tabled(self, key, make, index):
+        """make() as a tabled lincomb, or None with the StructuralError it
+        raised recorded under key."""
+        try:
+            lc = make()
+        except StructuralError as exc:
+            self.failures[key] = exc
+            return None
+        return self.lincomb(lc, index)
+
+    def scale_to_ints(self):
+        """Rewrite every tabled lincomb as (index, int) pairs, zeros
+        dropped, and return the common scale D.  Over Q the ints are D times
+        the scalars, D the lcm of all their denominators: each term of the
+        bar differential carries exactly one structure constant, so the
+        differential is 1/D times an integer matrix.  Over F_p D is 1 and
+        the ints are the scalars mod p."""
+        p = self.field.p
+        if p is not None:
+            for lc in self.lincombs:
+                lc[:] = [(i, c % p) for i, c in lc if c % p]
+            return 1
+        scale = math.lcm(*(c.denominator for lc in self.lincombs for _, c in lc))
+        for lc in self.lincombs:
+            lc[:] = [(i, c.numerator * (scale // c.denominator)) for i, c in lc if c]
+        return scale
+
+    def terms(self, word, e):
+        """The bar differential of word (letter indices) as (word, int)
+        terms, and the parity of the degree up to its end; e is the parity
+        of whatever precedes the first letter (0 in the reduced bar, |m| in
+        B(M, A, N)).  Terms follow the module docstring's formula."""
+        out = []
+        diff, merge, odd = self.diff, self.merge, self.odd
+        last = len(word) - 1
+        for i, a in enumerate(word):
+            da = diff[a]
+            if da:
+                # -(-1)^{e_i} [..|da_i|..]
+                head, tail = word[:i], word[i + 1:]
+                for m, c in da:
+                    out.append((head + (m,) + tail, c if e else -c))
+            if i < last:
+                prod = merge[a][word[i + 1]]
+                if prod:
+                    # +(-1)^{e_i + |a_i|} [..|a_i a_{i+1}|..]
+                    head, tail = word[:i], word[i + 2:]
+                    flip = e ^ odd[a]
+                    for m, c in prod:
+                        out.append((head + (m,) + tail, -c if flip else c))
+                elif prod is None:
+                    raise self.failures[a, word[i + 1]]
+            e ^= 1 ^ odd[a]
+        return out, e
+
+
+def _merge(spec, x, y):
+    lc = spec.mult(x, y)
+    if spec.unit in lc:
+        raise StructuralError(f"merge {x!r}*{y!r} leaves the augmentation ideal")
+    return lc
+
+
+def _assemble(field, window, basis, keys, boundary, label_of, scale):
+    """The complex on window with basis[d] its labels and keys[d] their int
+    forms: column j of d_d sums the (key, int) terms of boundary(keys[d][j])
+    over the next degree's keys, and the matrix is 1/scale times those
+    ints (mod p over F_p).  A term outside the next degree's basis raises
+    StructuralError, naming the label and label_of(term)."""
+    p = field.p
+    diffs = {}
+    for d in window.degrees():
+        source = keys.get(d)
+        if d + 1 not in window or not source:
+            continue
+        targets = keys.get(d + 1, ())
+        index = dict(zip(targets, range(len(targets))))
+        cols = []
+        for j, key in enumerate(source):
+            col = {}
+            for term, c in boundary(key):
+                i = index.get(term)
+                if i is None:
+                    raise StructuralError(
+                        f"d({basis[d][j]!r}) has term {label_of(term)!r} outside the "
+                        f"degree {d + 1} basis")
+                col[i] = col.get(i, 0) + c
+            if p is not None:
+                col = {i: x % p for i, x in col.items() if x % p}
+            elif 0 in col.values():
+                col = {i: x for i, x in col.items() if x}
+            cols.append(col)
+        diffs[d] = SparseMatrix.from_int_columns(field, len(targets), cols, scale)
+    return CochainComplexSlice(field, window, basis, diffs)
 
 
 class BarSlice:
@@ -179,42 +366,13 @@ def bar_complex(spec, window, max_weight=None):
         raise RefusalError(f"negative weight cap {cap}")
 
     enum = _WordEnumerator(spec, regime)
-    basis = {d: enum.words(d, cap) for d in padded.degrees()}
-    complex_ = complex_from_labels(
-        spec.field, padded, basis, lambda word: _word_terms(spec, word, 0)[0])
+    keys = {d: enum.words(d, cap) for d in padded.degrees()}
+    basis = {d: enum.label_words(d, cap) for d in padded.degrees()}
+    table = _LetterTable(spec, enum, padded.lo, padded.hi)
+    scale = table.scale_to_ints()
+    complex_ = _assemble(spec.field, padded, basis, keys,
+                         lambda word: table.terms(word, 0)[0], enum.label_word, scale)
     return BarSlice(spec, window, complex_, cap)
-
-
-def _word_terms(spec, word, e):
-    """The internal-differential and merge terms of the bar differential of
-    `word`, as a list of (word, scalar) pairs, and the degree of everything
-    up to the end of the word.  e is the degree of whatever precedes the
-    first letter (0 in the reduced bar, |m| in B(M, A, N))."""
-    field = spec.field
-    one = field.one
-    minus = field.neg(one)
-    terms = []
-    w = len(word)
-    for i, a in enumerate(word):
-        deg = spec.degree(a)
-        da = spec.diff(a)
-        if da:
-            # -(-1)^{e_i} [..|da_i|..]
-            sign = minus if e % 2 == 0 else one
-            for m, c in da.items():
-                terms.append((word[:i] + (m,) + word[i + 1:], field.mul(sign, c)))
-        if i + 1 < w:
-            prod = spec.mult(a, word[i + 1])
-            if prod:
-                # +(-1)^{e_i + |a_i|} [..|a_i a_{i+1}|..]
-                sign = one if (e + deg) % 2 == 0 else minus
-                for m, c in prod.items():
-                    if m == spec.unit:
-                        raise StructuralError(
-                            f"merge {a!r}*{word[i + 1]!r} leaves the augmentation ideal")
-                    terms.append((word[:i] + (m,) + word[i + 2:], field.mul(sign, c)))
-        e += deg - 1
-    return terms, e
 
 
 def bar_homology_dims(spec, window, max_weight=None):
@@ -285,13 +443,14 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
         cap = max_weight
 
     enum = _WordEnumerator(spec, regime)
+    lindex, rindex = _Labels(), _Labels()
 
     # At total degree d the word degree e, the M degree dm and the N degree
     # dn satisfy dm + e + dn = d; the regime pins the sign of e and the
     # module bounds make each loop finite.
-    basis = {}
+    keys, basis = {}, {}
     for d in padded.degrees():
-        entries = []
+        ints, labels = [], []
         if kind == "connective":
             e_range = range(d - left.max_degree - right.max_degree, 1)
         else:
@@ -300,6 +459,7 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
             words = enum.words(e, cap)
             if not words:
                 continue
+            label_words = enum.label_words(e, cap)
             if kind == "connective":
                 dm_range = range(d - e - right.max_degree, left.max_degree + 1)
             else:
@@ -311,49 +471,63 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
                 ns = right.basis(d - e - dm)
                 if not ns:
                     continue
+                nis = [rindex(n, d - e - dm) for n in ns]
                 for m in ms:
-                    for word in words:
-                        for n in ns:
-                            entries.append((m, word, n))
-        basis[d] = entries
-    complex_ = complex_from_labels(
-        spec.field, padded, basis,
-        lambda label: _two_sided_terms(left, spec, right, label))
+                    mi = lindex(m, dm)
+                    for w, word in zip(words, label_words):
+                        for ni, n in zip(nis, ns):
+                            ints.append((mi, w, ni))
+                            labels.append((m, word, n))
+        keys[d], basis[d] = ints, labels
+
+    if kind == "connective":
+        e_lo, e_hi = padded.lo - left.max_degree - right.max_degree, 0
+    else:
+        e_lo, e_hi = 0, padded.hi - left.min_degree - right.min_degree
+    table = _LetterTable(spec, enum, e_lo, e_hi)
+    letters = list(enumerate(enum.letter.labels[:len(table.odd)]))
+    ms = list(enumerate(zip(lindex.labels, lindex.degrees)))
+    ns = list(enumerate(rindex.labels))
+    lodd = [dm % 2 for _, (_, dm) in ms]
+    ldiff = [table.lincomb(left.diff(m), lindex) for _, (m, _) in ms]
+    rdiff = [table.lincomb(right.diff(n), rindex) for _, n in ns]
+    ract = [[table.tabled(("m.a", mi, a), lambda m=m, x=x: left.right_act(m, x), lindex)
+             for a, x in letters] for mi, (m, _) in ms]
+    lact = [[table.tabled(("a.n", a, ni), lambda x=x, n=n: right.left_act(x, n), rindex)
+             for ni, n in ns] for a, x in letters]
+    scale = table.scale_to_ints()
+    odd = table.odd
+
+    def boundary(key):
+        """d(m; a_1..a_w; n): the module differentials and the outer merges
+        around the word's own terms."""
+        mi, word, ni = key
+        out = [((mm, word, ni), c) for mm, c in ldiff[mi]]
+        terms, p_last = table.terms(word, lodd[mi])
+        out += [((mi, ww, ni), c) for ww, c in terms]
+        # (-1)^{P_w} (m; A; dn)
+        out += [((mi, word, nn), -c if p_last else c) for nn, c in rdiff[ni]]
+        if word:
+            # -(-1)^{|m|} (m.a_1; a_2..; n)
+            prod = ract[mi][word[0]]
+            if prod is None:
+                raise table.failures["m.a", mi, word[0]]
+            rest = word[1:]
+            out += [((mm, rest, ni), c if lodd[mi] else -c) for mm, c in prod]
+            # +(-1)^{P_{w-1}} (m; a_1..a_{w-1}; a_w.n)
+            prod = lact[word[-1]][ni]
+            if prod is None:
+                raise table.failures["a.n", word[-1], ni]
+            rest, p_prev = word[:-1], p_last ^ 1 ^ odd[word[-1]]
+            out += [((mi, rest, nn), -c if p_prev else c) for nn, c in prod]
+        return out
+
+    def label_of(key):
+        mi, word, ni = key
+        return lindex.labels[mi], enum.label_word(word), rindex.labels[ni]
+
+    complex_ = _assemble(spec.field, padded, basis, keys, boundary, label_of, scale)
     return TwoSidedBarSlice(left, spec, right, window, complex_, cap)
-
-
-def _two_sided_terms(left, spec, right, label):
-    """The terms of the differential of B(M, A, N) on (m; a_1..a_w; n): the
-    module differentials and outer merges around the word's own terms."""
-    m, word, n = label
-    field = spec.field
-    one = field.one
-    minus = field.neg(one)
-    dm_deg = left.degree(m)
-
-    # (dm; A; n)
-    for mm, c in left.diff(m).items():
-        yield (mm, word, n), c
-
-    terms, p_last = _word_terms(spec, word, dm_deg)
-    for ww, c in terms:
-        yield (m, ww, n), c
-
-    # (-1)^{P_w} (m; A; dn)
-    sign_n = one if p_last % 2 == 0 else minus
-    for nn, c in right.diff(n).items():
-        yield (m, word, nn), field.mul(sign_n, c)
-
-    if word:
-        # -(-1)^{|m|} (m.a_1; a_2..; n)
-        sign_l = minus if dm_deg % 2 == 0 else one
-        for mm, c in left.right_act(m, word[0]).items():
-            yield (mm, word[1:], n), field.mul(sign_l, c)
-        # +(-1)^{P_{w-1}} (m; a_1..a_{w-1}; a_w.n)
-        p_prev = p_last - (spec.degree(word[-1]) - 1)
-        sign_r = one if p_prev % 2 == 0 else minus
-        for nn, c in right.left_act(word[-1], n).items():
-            yield (m, word[:-1], nn), field.mul(sign_r, c)
 
 
 def derived_tensor_dims(left, spec, right, window, max_weight=None):

@@ -189,7 +189,7 @@ class FiniteDga:
             lc = {}
             if m is not None:
                 targets = self.basis[d + 1]
-                lc = {targets[i]: c for i, c in m.columns()[self.index[label][1]].items()}
+                lc = {targets[i]: c for i, c in m.column(self.index[label][1]).items()}
             self._diff_memo[label] = lc
         return lc
 

@@ -5,16 +5,16 @@ degree -d in degree d.  The product is convolution against deconcatenation,
 which on the word basis is concatenation with the Koszul sign of the two
 functionals; the unit is the functional dual to the empty word and the
 augmentation is evaluation at the empty word.  The differential is the
-signed transpose of the bar's matrices, d_d = (-1)^d (d_{-d-1})^T, and
-the dual of a slice is a FiniteDga over that complex, so the generic
-validators apply to it.
+signed transpose of the bar's matrices, d_d = (-1)^d (d_{-d-1})^T, taken
+on their integer columns, and the dual of a slice is a FiniteDga over that
+complex, so the generic validators apply to it.
 
 Cohomology of the dual slice is Ext over the input algebra in every
 reliable degree; the resolution oracle in extres recomputes the same
 numbers without any bar construction.
 """
 
-from .exactla import Window, CochainComplexSlice, RefusalError, SparseMatrix
+from .exactla import Window, CochainComplexSlice, RefusalError
 from .dga import FiniteDga, cohomology_ring
 from .bar import bar_complex, weight_bound
 
@@ -69,13 +69,7 @@ def koszul_dual_slice(spec, window, max_weight=None):
     one, neg = field.one, field.neg
 
     # d_d = (-1)^d (bar d_{-d-1})^T: bar degree -d-1 -> -d becomes dual d -> d+1
-    diffs = {}
-    for e, m in bar.complex.diff.items():
-        d = -e - 1
-        sign = one if d % 2 == 0 else neg(one)
-        diffs[d] = SparseMatrix(
-            field, m.cols, m.rows,
-            (((j, i), field.mul(sign, c)) for (i, j), c in m.entries.items()))
+    diffs = {-e - 1: m.transpose(negate=e % 2 == 0) for e, m in bar.complex.diff.items()}
     complex_ = CochainComplexSlice(
         field, window.padded(1), {-e: words for e, words in bar.basis.items()}, diffs)
 

@@ -6,12 +6,17 @@ resolutions) reduces to the Gaussian elimination in this module, so ranks
 and kernels here are exact by construction; there is no floating point
 anywhere in the package.
 
-The elimination (SpanTracker) and the d^2 check never do Fraction
-arithmetic.  Over F_p pivots are monic and the loops reduce mod a local
-p.  Over Q a vector is scaled by the lcm of its denominators, reduction
-is fraction-free (Bareiss 1968: v <- a*v - b*pivot with the leads divided
-by their gcd), and pivots are primitive integer vectors, not monic ones;
-values become Fractions only where they leave the tracker.
+A SparseMatrix is stored as integer columns: over F_p its entries, over Q
+1/D times integer columns for one least denominator D per matrix.  Bar
+assembly (koszul.bar builds its columns in ints from a table of letters),
+the dual's signed transpose, the d^2 check and the elimination
+(SpanTracker) never do Fraction arithmetic.  Over F_p pivots are monic and
+the loops reduce mod a local p.  Over Q a vector is scaled by the lcm of
+its denominators (a matrix column arrives scaled already), reduction is
+fraction-free (Bareiss 1968: v <- a*v - b*pivot with the leads divided by
+their gcd), and pivots are primitive integer vectors, not monic ones;
+values become Fractions only where they leave the engine: the `entries`
+and `columns()` views of a matrix, and what leaves the tracker.
 
 A pivot's lead is the largest index of its vector, and reduction clears
 the largest index first.  The lead is a free parameter: rank, span
@@ -194,11 +199,9 @@ def vec_scale(field, coeff, vec):
     return {i: coeff * v % p for i, v in vec.items()} if coeff % p else {}
 
 
-def _integral(vec, scale=None):
-    """(D, D * vec) for a rational vec; D is the lcm of its denominators
-    unless a common multiple of them is given."""
-    if scale is None:
-        scale = lcm(*(x.denominator for x in vec.values()))
+def _integral(vec):
+    """(D, D * vec) for a rational vec, D the lcm of its denominators."""
+    scale = lcm(*(x.denominator for x in vec.values()))
     if scale == 1:
         return 1, {i: x.numerator for i, x in vec.items()}
     return scale, {i: x.numerator * (scale // x.denominator) for i, x in vec.items()}
@@ -259,11 +262,18 @@ class SpanTracker:
         s * vec = sum(combo[t] * D_t * insert_t) + w with w and combo
         integral; over F_p, s = D = 1 and vec = sum(combo[t] * insert_t) + w.
         """
+        if self.field.p is None:
+            scale, w = _integral(vec)
+            return self._reduce_ints(w, scale)
+        return self._reduce_ints(dict(vec), 1)
+
+    def _reduce_ints(self, w, scale):
+        """`_reduce` of the vector w / scale, w a dict of ints (ints mod p
+        and scale 1 over F_p) that the reduction consumes."""
         pivots, track = self.pivots, self.track
         combo = {} if track else None
         p = self.field.p
         if p is not None:
-            w = dict(vec)
             while w:
                 lead = max(w)
                 hit = pivots.get(lead)
@@ -286,7 +296,6 @@ class SpanTracker:
                         else:
                             combo.pop(t, None)
             return w, combo, 1, 1
-        scale, w = _integral(vec)
         s = scale
         while w:
             lead = max(w)
@@ -378,50 +387,107 @@ class SpanTracker:
 
 
 class SparseMatrix:
-    """Immutable sparse matrix; entries maps (row, col) to a nonzero scalar.
+    """Immutable sparse matrix, stored as its integer columns.
 
-    Duplicate coordinates are rejected and zero values are dropped, so the
-    stored support is canonical for a given matrix.
+    int_columns[j] maps row -> nonzero int.  Over F_p those are the entries,
+    in [0, p), and scale is 1.  Over Q the matrix is (1/scale) times its
+    integer columns, with scale the least such denominator, so equal
+    matrices store equal columns.  `entries` ((row, col) -> scalar) and
+    `columns()` are read-only views built on first use; over Q they hold
+    Fractions.  The constructor takes entries, rejects duplicate and
+    out-of-range coordinates and drops zeros.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_by_col")
+    __slots__ = ("field", "rows", "cols", "scale", "int_columns", "_entries", "_columns")
 
     def __init__(self, field, rows, cols, entries=()):
         if rows < 0 or cols < 0:
             raise StructuralError(f"negative shape ({rows}, {cols})")
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        stored = {}
+        columns = [{} for _ in range(cols)]
         items = entries.items() if isinstance(entries, dict) else entries
-        for key, value in items:
-            i, j = key
+        for (i, j), value in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise StructuralError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
-            if key in stored:
+            col = columns[j]
+            if i in col:
                 raise StructuralError(f"duplicate entry at ({i}, {j})")
-            if not field.is_zero(value):
-                stored[key] = value
-        self.entries = stored
-        self._by_col = None
+            col[i] = value
+        scale, ints = _integral_columns(field, columns)
+        self._store(field, rows, ints, scale)
 
-    def is_zero(self):
-        return not self.entries
+    @classmethod
+    def from_int_columns(cls, field, rows, columns, scale):
+        """The matrix (1/scale) * columns, each column a dict row -> nonzero
+        int (in [0, p) over F_p, where scale is 1).  The columns are kept,
+        not copied, and their rows are not checked."""
+        self = cls.__new__(cls)
+        self._store(field, rows, columns, scale)
+        return self
 
-    def transpose(self):
-        return SparseMatrix(
-            self.field, self.cols, self.rows,
-            (((j, i), v) for (i, j), v in self.entries.items()))
+    def _store(self, field, rows, columns, scale):
+        if scale != 1:
+            g = scale
+            for col in columns:
+                if col:
+                    g = gcd(g, *col.values())
+                    if g == 1:
+                        break
+            if g != 1:
+                scale //= g
+                columns = [{i: x // g for i, x in col.items()} for col in columns]
+        self.field = field
+        self.rows = rows
+        self.cols = len(columns)
+        self.scale = scale
+        self.int_columns = columns
+        self._entries = None
+        self._columns = None
+
+    @property
+    def entries(self):
+        """(row, col) -> nonzero scalar, column by column (cached)."""
+        if self._entries is None:
+            self._entries = {(i, j): x for j, col in enumerate(self.int_columns)
+                             for i, x in self._scalars(col).items()}
+        return self._entries
 
     def columns(self):
         """All columns at once, as a list of dict-vectors (cached; callers
         must not mutate the returned dicts)."""
-        if self._by_col is None:
-            cols = [dict() for _ in range(self.cols)]
-            for (i, j), v in self.entries.items():
-                cols[j][i] = v
-            self._by_col = cols
-        return self._by_col
+        if self.field.p is not None:
+            return self.int_columns
+        if self._columns is None:
+            self._columns = [self._scalars(col) for col in self.int_columns]
+        return self._columns
+
+    def column(self, j):
+        """Column j as a dict-vector (callers must not mutate it)."""
+        if self._columns is not None:
+            return self._columns[j]
+        return self._scalars(self.int_columns[j])
+
+    def _scalars(self, col):
+        """An integer column as field values."""
+        if self.field.p is not None:
+            return col
+        scale = self.scale
+        return {i: Fraction(x, scale) for i, x in col.items()}
+
+    def is_zero(self):
+        return not any(self.int_columns)
+
+    def transpose(self, negate=False):
+        """The transpose, or minus it; never leaves the integers."""
+        p = self.field.p
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.int_columns):
+            for i, x in col.items():
+                out[i][j] = x
+        if negate:
+            for col in out:
+                for i, x in col.items():
+                    col[i] = p - x if p else -x
+        return SparseMatrix.from_int_columns(self.field, self.cols, out, self.scale)
 
     def apply(self, vec):
         """Matrix times a sparse column vector (dict col -> scalar)."""
@@ -441,28 +507,25 @@ class SparseMatrix:
         if other.rows != self.cols:
             raise StructuralError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        out = {}
-        field = self.field
-        for j, col in enumerate(other.columns()):
-            image = self.apply(col)
-            for i, v in image.items():
-                out[(i, j)] = v
-        return SparseMatrix(field, self.rows, other.cols, out)
+        return matrix_from_columns(
+            self.field, self.rows, [self.apply(col) for col in other.columns()])
 
     def eliminate(self, track=False):
         """Column elimination, the engine's one elimination.
 
-        Absorbs the columns into a SpanTracker in order, reducing each once;
-        returns (tracker, kernel).  The tracker's pivots span the image.
-        With track=True each pivot's combo is over column indices and kernel
-        lists e_j - combo for every column j that reduced to zero (a basis
-        of the kernel, cols - rank vectors); otherwise kernel is None.
+        Absorbs the integer columns into a SpanTracker in order, reducing
+        each once; returns (tracker, kernel).  The tracker's pivots span the
+        image.  With track=True each pivot's combo is over column indices
+        and kernel lists e_j - combo for every column j that reduced to zero
+        (a basis of the kernel, cols - rank vectors); otherwise kernel is
+        None.
         """
         field = self.field
         tracker = SpanTracker(field, track)
         kernel = [] if track else None
-        for j, col in enumerate(self.columns()):
-            w, combo, s, scale = tracker._reduce(col)
+        scale = self.scale
+        for j, col in enumerate(self.int_columns):
+            w, combo, s, _ = tracker._reduce_ints(dict(col), scale)
             if w:
                 tracker._add_pivot(w, combo, s, scale, j)
             elif track:
@@ -483,19 +546,34 @@ class SparseMatrix:
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and other.field == self.field
                 and other.rows == self.rows and other.cols == self.cols
-                and other.entries == self.entries)
+                and other.scale == self.scale and other.int_columns == self.int_columns)
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        nnz = sum(map(len, self.int_columns))
+        return f"SparseMatrix({self.rows}x{self.cols}, {nnz} entries)"
+
+
+def _integral_columns(field, columns):
+    """(D, integer columns) for columns of field values, zeros dropped:
+    over Q the columns are 1/D times the integer ones, D the lcm of every
+    denominator; over F_p D is 1 and the ints are reduced mod p."""
+    p = field.p
+    if p is not None:
+        return 1, [{i: x % p for i, x in col.items() if x % p} for col in columns]
+    scale = lcm(*(x.denominator for col in columns for x in col.values()))
+    return scale, [{i: x.numerator * (scale // x.denominator) for i, x in col.items() if x}
+                   for col in columns]
 
 
 def matrix_from_columns(field, rows, columns):
     """Assemble a matrix whose j-th column is columns[j] (dict row -> scalar)."""
-    entries = {}
     for j, col in enumerate(columns):
-        for i, v in col.items():
-            entries[(i, j)] = v
-    return SparseMatrix(field, rows, len(columns), entries)
+        for i in col:
+            if not 0 <= i < rows:
+                raise StructuralError(
+                    f"entry ({i}, {j}) outside a {rows}x{len(columns)} matrix")
+    scale, ints = _integral_columns(field, columns)
+    return SparseMatrix.from_int_columns(field, rows, ints, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +674,17 @@ class CochainComplexSlice:
         """The first (degree d, column j) where d_{d+1} d_d is nonzero, over
         the degrees d with d, d+1, d+2 in the window; None when d^2 = 0.
 
-        The product is taken in ints: over Q, d_{d+1} is scaled by the lcm
-        of all its denominators and each column of d_d by its own."""
+        The product is taken on the integer columns (over Q it is 1/(D D')
+        times theirs), reduced mod p over F_p."""
         p = self.field.p
         for d in range(self.window.lo, self.window.hi - 1):
             outer, inner = self.d_at(d + 1), self.d_at(d)
             if outer.is_zero() or inner.is_zero():
                 continue
-            cols = outer.columns()
-            if p is None:
-                scale = lcm(*(x.denominator for x in outer.entries.values()))
-                cols = [_integral(col, scale)[1] for col in cols]
-            for j, col in enumerate(inner.columns()):
+            cols = outer.int_columns
+            for j, col in enumerate(inner.int_columns):
                 acc = {}
-                for k, b in (col if p else _integral(col)[1]).items():
+                for k, b in col.items():
                     for i, a in cols[k].items():
                         acc[i] = acc.get(i, 0) + b * a
                 if any(x % p for x in acc.values()) if p else any(acc.values()):
@@ -672,7 +747,7 @@ def complex_from_labels(field, window, basis, boundary):
     outside the next degree's basis raises StructuralError.
     """
     basis = {d: tuple(labels) for d, labels in basis.items() if labels}
-    zero, add = field.zero, field.add
+    add = field.add
     diffs = {}
     for d, labels in sorted(basis.items()):
         if d + 1 not in window:
@@ -686,7 +761,7 @@ def complex_from_labels(field, window, basis, boundary):
                 if i is None:
                     raise StructuralError(
                         f"d({label!r}) has term {term!r} outside the degree {d + 1} basis")
-                col[i] = add(col.get(i, zero), c)
+                col[i] = add(col[i], c) if i in col else c
             cols.append(col)
         diffs[d] = matrix_from_columns(field, len(target), cols)
     return CochainComplexSlice(field, window, basis, diffs)

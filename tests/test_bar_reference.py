@@ -1,0 +1,248 @@
+"""The letter-table bars against a plain assembly, the bars' two
+StructuralErrors, and dims-only answers that never read a matrix as
+Fractions.
+
+The reference boundaries below are written from the formulas in the
+docstrings of koszul.bar, in field arithmetic through spec.degree, diff
+and mult, and assembled by complex_from_labels.  Every differential of the
+table-built bar must have exactly their entries, scalar types included.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from koszul.bar import bar_complex, bar_homology_dims, derived_tensor_dims, two_sided_bar
+from koszul.dga import (
+    DgAlgebraSpec, algebra_slice, finite_dga_from_tables, free_assoc,
+    square_zero, tensor_algebra, truncated_polynomial,
+)
+from koszul.dgmod import DgModuleSpec, regular_module, trivial_module
+from koszul.dual import dual_cohomology_dims, koszul_dual_slice
+from koszul.exactla import (
+    QQ, Field, SparseMatrix, StructuralError, Window, complex_from_labels,
+)
+
+F32003 = Field(32003)
+
+
+def _sign(field, k):
+    return field.one if k % 2 == 0 else field.neg(field.one)
+
+
+def _word_boundary(spec, word, e):
+    """d[a_1|..|a_w] = - sum_i (-1)^{e_i} [..|da_i|..]
+                       + sum_{i<w} (-1)^{e_i + |a_i|} [..|a_i a_{i+1}|..],
+    e_i = e + sum_{j<i} (|a_j| - 1); returns the terms and e_w."""
+    field = spec.field
+    terms = []
+    for i, a in enumerate(word):
+        for m, c in spec.diff(a).items():
+            terms.append((word[:i] + (m,) + word[i + 1:],
+                          field.mul(field.neg(_sign(field, e)), c)))
+        if i + 1 < len(word):
+            for m, c in spec.mult(a, word[i + 1]).items():
+                terms.append((word[:i] + (m,) + word[i + 2:],
+                              field.mul(_sign(field, e + spec.degree(a)), c)))
+        e += spec.degree(a) - 1
+    return terms, e
+
+
+def _two_sided_boundary(left, spec, right, label):
+    """d(m; A; n) = (dm; A; n) + (m; dA; n) + (-1)^{P_w} (m; A; dn)
+                    - (-1)^{|m|} (m.a_1; a_2..; n)
+                    + (-1)^{P_{w-1}} (m; a_1..a_{w-1}; a_w.n)."""
+    field = spec.field
+    m, word, n = label
+    terms = [((mm, word, n), c) for mm, c in left.diff(m).items()]
+    inner, p_last = _word_boundary(spec, word, left.degree(m))
+    terms += [((m, w, n), c) for w, c in inner]
+    terms += [((m, word, nn), field.mul(_sign(field, p_last), c))
+              for nn, c in right.diff(n).items()]
+    if word:
+        terms += [((mm, word[1:], n), field.mul(field.neg(_sign(field, left.degree(m))), c))
+                  for mm, c in left.right_act(m, word[0]).items()]
+        p_prev = p_last - (spec.degree(word[-1]) - 1)
+        terms += [((m, word[:-1], nn), field.mul(_sign(field, p_prev), c))
+                  for nn, c in right.left_act(word[-1], n).items()]
+    return terms
+
+
+def _assert_same_complex(built, reference):
+    field = built.field
+    scalar = Fraction if field.p is None else int
+    assert built.basis == reference.basis
+    assert built.diff.keys() == reference.diff.keys()
+    for d, m in built.diff.items():
+        ref = reference.diff[d]
+        assert m.entries == ref.entries
+        assert all(type(x) is scalar for x in m.entries.values())
+        assert m == ref
+
+
+# -- algebras -----------------------------------------------------------------
+
+
+def _scaled_cubic(field, c):
+    one = field.one
+    mult = {("1", "1"): {"1": one}, ("1", "x"): {"x": one}, ("x", "1"): {"x": one},
+            ("1", "y"): {"y": one}, ("y", "1"): {"y": one}, ("x", "x"): {"y": c}}
+    return finite_dga_from_tables(
+        field, Window(0, 0), {0: ("1", "x", "y")}, diff={}, mult_table=mult,
+        unit="1", aug={"1": one}, complete=True).as_spec()
+
+
+def _cone(field, c):
+    """k{1, x, t}, |t| = -1, dt = c.x and every product of x and t zero: a
+    connective algebra whose letters have a differential."""
+    one = field.one
+    mult = {("1", l): {l: one} for l in ("1", "x", "t")}
+    mult.update({(l, "1"): {l: one} for l in ("x", "t")})
+    return finite_dga_from_tables(
+        field, Window(-1, 0), {-1: ("t",), 0: ("1", "x")}, diff={"t": {"x": c}},
+        mult_table=mult, unit="1", aug={"1": one}, complete=True).as_spec()
+
+
+def _exterior2(field):
+    one = algebra_slice(truncated_polynomial(field, 2, 0), Window(0, 0))
+    return tensor_algebra(one, one).as_spec()
+
+
+def _bidual_inner_spec(spec, window):
+    """The dual-as-spec that bidual_cohomology(spec, window) feeds to the
+    outer bar."""
+    outer_bar_window = window.mirrored().padded(1)
+    inner = koszul_dual_slice(spec, Window(-2, max(3, outer_bar_window.hi + 2)))
+    return inner.as_spec()
+
+
+BARS = [
+    pytest.param(lambda: truncated_polynomial(QQ, 3, 0), Window(-7, 0), id="cubic-Q"),
+    pytest.param(lambda: truncated_polynomial(F32003, 3, 0), Window(-7, 0), id="cubic-F32003"),
+    pytest.param(lambda: _scaled_cubic(QQ, Fraction(2, 3)), Window(-6, 0), id="scaled-2-over-3"),
+    pytest.param(lambda: _scaled_cubic(QQ, Fraction(3, 2)), Window(-6, 0), id="scaled-3-over-2"),
+    pytest.param(lambda: _cone(QQ, Fraction(-2, 3)), Window(-5, 0), id="cone-Q"),
+    pytest.param(lambda: _cone(F32003, 5), Window(-5, 0), id="cone-F32003"),
+    pytest.param(lambda: square_zero(QQ, 1), Window(-6, 0), id="square-zero-1"),
+    pytest.param(lambda: square_zero(QQ, 2), Window(-8, 0), id="square-zero-2"),
+    pytest.param(lambda: _exterior2(QQ), Window(-5, 0), id="exterior-2"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2)]), Window(-1, 6), id="free-u2"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2), ("v", 3)]), Window(-1, 5), id="free-u2-v3"),
+    pytest.param(lambda: _bidual_inner_spec(square_zero(QQ, 2), Window(-6, 1)),
+                 Window(-1, 6), id="bidual-inner-dual"),
+]
+
+
+@pytest.mark.parametrize("make, window", BARS)
+def test_bar_matches_the_plain_assembly(make, window):
+    spec = make()
+    built = bar_complex(spec, window)
+    reference = complex_from_labels(
+        spec.field, built.complex.window, built.basis,
+        lambda word: _word_boundary(spec, word, 0)[0])
+    _assert_same_complex(built.complex, reference)
+
+
+TWO_SIDED = [
+    pytest.param(lambda: square_zero(QQ, 1), "k", "k", Window(-4, 0), id="k-sq1-k"),
+    pytest.param(lambda: _scaled_cubic(QQ, Fraction(2, 3)), "k", "k", Window(-5, 0),
+                 id="k-scaled-k"),
+    pytest.param(lambda: square_zero(QQ, 1), "k", "reg", Window(-3, 1), id="k-sq1-reg"),
+    pytest.param(lambda: square_zero(QQ, 1), "reg", "k", Window(-3, 1), id="reg-sq1-k"),
+    pytest.param(lambda: _scaled_cubic(QQ, Fraction(3, 2)), "reg", "reg", Window(-3, 1),
+                 id="reg-scaled-reg"),
+    pytest.param(lambda: _cone(QQ, Fraction(2, 3)), "reg", "reg", Window(-3, 1),
+                 id="reg-cone-reg"),
+    pytest.param(lambda: _cone(F32003, 7), "k", "reg", Window(-3, 1), id="k-cone-reg-F32003"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2)]), "k", "k", Window(-1, 4), id="k-u2-k"),
+]
+
+
+@pytest.mark.parametrize("make, left, right, window", TWO_SIDED)
+def test_two_sided_bar_matches_the_plain_assembly(make, left, right, window):
+    spec = make()
+    modules = {"k": trivial_module(spec), "reg": regular_module(spec)}
+    lm, rm = modules[left], modules[right]
+    built = two_sided_bar(lm, spec, rm, window)
+    reference = complex_from_labels(
+        spec.field, built.complex.window, built.basis,
+        lambda label: _two_sided_boundary(lm, spec, rm, label))
+    _assert_same_complex(built.complex, reference)
+
+
+# -- the bars' StructuralErrors -------------------------------------------------
+
+
+def _bad_square(product):
+    """1 and one letter u in degree 3 (shifted degree 2), with u*u = product:
+    the word [u|u] first sits in a source of the differential when degree
+    5 is in the padded window."""
+    one = QQ.one
+
+    def mult(a, b):
+        if a == "1":
+            return {b: one}
+        if b == "1":
+            return {a: one}
+        return product
+
+    return DgAlgebraSpec(
+        QQ, "bad", basis=lambda d: {0: ("1",), 3: ("u",)}.get(d, ()),
+        degree=lambda l: 0 if l == "1" else 3, diff=lambda l: {}, mult=mult,
+        unit="1", aug=lambda l: one if l == "1" else QQ.zero,
+        min_degree=0, max_degree=3)
+
+
+@pytest.mark.parametrize("product, message", [
+    ({"1": QQ.one}, r"merge 'u'\*'u' leaves the augmentation ideal"),
+    ({"z": QQ.one}, r"d\(\('u', 'u'\)\) has term \('z',\) outside the degree 5 basis"),
+])
+def test_bad_merges_are_reported_only_where_a_column_uses_them(product, message):
+    spec = _bad_square(product)
+    # on [0, 3] the word [u|u] sits in degree 4 = the padded top, which no
+    # assembled differential leaves
+    assert bar_complex(spec, Window(0, 3)).homology_dims() == {0: 1, 1: 0, 2: 1, 3: 0}
+    with pytest.raises(StructuralError, match=message):
+        bar_complex(spec, Window(0, 4))
+
+
+def test_bad_merge_is_reported_by_the_two_sided_bar():
+    spec = _bad_square({"1": QQ.one})
+    k = trivial_module(spec)
+    assert two_sided_bar(k, spec, k, Window(0, 3)).homology_dims()[2] == 1
+    with pytest.raises(StructuralError, match="leaves the augmentation ideal"):
+        two_sided_bar(k, spec, k, Window(0, 4))
+
+
+def test_missing_module_action_is_reported_only_where_a_column_uses_it():
+    spec = square_zero(QQ, 1)
+    left_only = DgModuleSpec(
+        QQ, "k_left", spec, "left", basis=lambda d: ("[]",) if d == 0 else (),
+        degree=lambda l: 0, diff=lambda l: {},
+        left_act=lambda a, m: {m: spec.aug(a)} if spec.aug(a) else {},
+        min_degree=0, max_degree=0)
+    k = trivial_module(spec)
+    # weight 0 has no letters, so no column multiplies m by a letter
+    assert two_sided_bar(left_only, spec, k, Window(-1, 0), max_weight=0).homology_dims() \
+        == {-1: 0, 0: 1}
+    with pytest.raises(StructuralError, match="has no right action"):
+        two_sided_bar(left_only, spec, k, Window(-1, 0))
+
+
+# -- dims only, in ints -----------------------------------------------------------
+
+
+def test_dims_only_answers_never_build_a_fraction_view(monkeypatch):
+    """Bar, dual and derived-tensor dims over Q read only the integer
+    columns: assembly, the signed transpose, the d^2 check and the ranks."""
+    def refuse(*args):
+        raise AssertionError("a matrix was read as Fractions")
+
+    monkeypatch.setattr(SparseMatrix, "entries", property(refuse))
+    monkeypatch.setattr(SparseMatrix, "columns", refuse)
+    monkeypatch.setattr(SparseMatrix, "column", refuse)
+    spec = _scaled_cubic(QQ, Fraction(2, 3))
+    assert bar_homology_dims(spec, Window(-8, 0)) == dict.fromkeys(range(-8, 1), 1)
+    assert dual_cohomology_dims(spec, Window(0, 8)) == dict.fromkeys(range(9), 1)
+    k = trivial_module(spec)
+    assert derived_tensor_dims(k, spec, k, Window(-6, 0)) == dict.fromkeys(range(-6, 1), 1)

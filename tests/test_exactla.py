@@ -121,6 +121,42 @@ def test_apply_and_compose():
         n.compose(n)
 
 
+def test_rational_matrices_store_integer_columns_and_read_as_fractions():
+    """A Q matrix is 1/scale times integer columns, scale the least such
+    denominator; entries, columns(), transpose, compose, apply and ==
+    read it as Fractions."""
+    F = Fraction
+    entries = {(0, 0): F(1, 2), (1, 0): F(-2, 3), (1, 1): F(5, 6), (0, 2): F(3)}
+    m = SparseMatrix(QQ, 2, 3, entries)
+    assert m.scale == 6 and m.int_columns == [{0: 3, 1: -4}, {1: 5}, {0: 18}]
+    assert m.entries == entries
+    assert m.columns() == [{0: F(1, 2), 1: F(-2, 3)}, {1: F(5, 6)}, {0: F(3)}]
+    assert all(m.column(j) == col for j, col in enumerate(m.columns()))
+    assert m.transpose().entries == {(j, i): x for (i, j), x in entries.items()}
+    assert m.transpose(negate=True).entries == {(j, i): -x for (i, j), x in entries.items()}
+    assert m.apply({0: F(6), 2: F(1, 3)}) == {0: F(4), 1: F(-4)}
+    n = SparseMatrix(QQ, 3, 1, {(0, 0): F(2), (2, 0): F(1, 3)})
+    assert m.compose(n).entries == {(0, 0): F(2), (1, 0): F(-4, 3)}
+    for view in (m.entries, m.transpose().entries, m.apply({0: F(6)}),
+                 m.compose(n).entries, *m.columns()):
+        assert all(type(x) is F for x in view.values())
+    # the same matrix however it was given, and only that one
+    assert m == SparseMatrix(QQ, 2, 3, dict(reversed(list(entries.items()))))
+    assert m == matrix_from_columns(QQ, 2, m.columns())
+    assert m == SparseMatrix.from_int_columns(QQ, 2, [{0: 6, 1: -8}, {1: 10}, {0: 36}], 12)
+    assert m != SparseMatrix(QQ, 2, 3, {**entries, (0, 2): F(4)})
+    assert type(SparseMatrix(QQ, 1, 1, {(0, 0): 2}).entries[0, 0]) is F
+
+
+def test_prime_field_matrices_store_their_entries_mod_p():
+    f5 = Field(5)
+    m = SparseMatrix(f5, 1, 3, {(0, 0): 7, (0, 1): 5, (0, 2): -1})
+    assert m.scale == 1 and m.int_columns == [{0: 2}, {}, {0: 4}]
+    assert m.entries == {(0, 0): 2, (0, 2): 4}
+    assert m.columns() is m.int_columns
+    assert m.transpose(negate=True).entries == {(0, 0): 3, (2, 0): 1}
+
+
 def _random_sparse(rng, field, rows, cols, density=0.35):
     entries = {}
     for i in range(rows):
