@@ -333,14 +333,9 @@ def is_artin(fdga):
             for j, cj in v.items():
                 prod = fdga.mult_lc(fdga.lincomb(reps[i], 0),
                                     fdga.lincomb(reps[j], 0))
-                pv = h.coords(0, fdga.vector(prod, 0)) if prod else {}
-                for t, c in pv.items():
-                    s = field.add(out.get(t, field.zero),
-                                  field.mul(field.mul(ci, cj), c))
-                    if field.is_zero(s):
-                        out.pop(t, None)
-                    else:
-                        out[t] = s
+                if prod:
+                    vec_add_into(field, out, h.coords(0, fdga.vector(prod, 0)),
+                                 field.mul(ci, cj))
         return out
 
     ideal = []

@@ -28,7 +28,7 @@ mod p.
 
 import math
 
-from .exactla import CochainComplexSlice, RefusalError, SparseMatrix, StructuralError
+from .exactla import RefusalError, StructuralError, _integral_columns, complex_from_labels
 
 
 class ConvergenceError(RefusalError):
@@ -239,19 +239,15 @@ class _LetterTable:
 
     def scale_to_ints(self):
         """Rewrite every tabled lincomb as (index, int) pairs, zeros
-        dropped, and return the common scale D.  Over Q the ints are D times
-        the scalars, D the lcm of all their denominators: each term of the
-        bar differential carries exactly one structure constant, so the
-        differential is 1/D times an integer matrix.  Over F_p D is 1 and
-        the ints are the scalars mod p."""
-        p = self.field.p
-        if p is not None:
-            for lc in self.lincombs:
-                lc[:] = [(i, c % p) for i, c in lc if c % p]
-            return 1
-        scale = math.lcm(*(c.denominator for lc in self.lincombs for _, c in lc))
-        for lc in self.lincombs:
-            lc[:] = [(i, c.numerator * (scale // c.denominator)) for i, c in lc if c]
+        dropped, and return the common scale D, by `_integral_columns` on
+        the lincombs: over Q the ints are D times the scalars, D the lcm of
+        all their denominators, and each term of the bar differential
+        carries exactly one structure constant, so the differential is 1/D
+        times an integer matrix.  Over F_p D is 1 and the ints are the
+        scalars mod p."""
+        scale, ints = _integral_columns(self.field, [dict(lc) for lc in self.lincombs])
+        for lc, col in zip(self.lincombs, ints):
+            lc[:] = col.items()
         return scale
 
     def terms(self, word, e):
@@ -290,47 +286,17 @@ def _merge(spec, x, y):
     return lc
 
 
-def _assemble(field, window, basis, keys, boundary, label_of, scale):
-    """The complex on window with basis[d] its labels and keys[d] their int
-    forms: column j of d_d sums the (key, int) terms of boundary(keys[d][j])
-    over the next degree's keys, and the matrix is 1/scale times those
-    ints (mod p over F_p).  A term outside the next degree's basis raises
-    StructuralError, naming the label and label_of(term)."""
-    p = field.p
-    diffs = {}
-    for d in window.degrees():
-        source = keys.get(d)
-        if d + 1 not in window or not source:
-            continue
-        targets = keys.get(d + 1, ())
-        index = dict(zip(targets, range(len(targets))))
-        cols = []
-        for j, key in enumerate(source):
-            col = {}
-            for term, c in boundary(key):
-                i = index.get(term)
-                if i is None:
-                    raise StructuralError(
-                        f"d({basis[d][j]!r}) has term {label_of(term)!r} outside the "
-                        f"degree {d + 1} basis")
-                col[i] = col.get(i, 0) + c
-            if p is not None:
-                col = {i: x % p for i, x in col.items() if x % p}
-            elif 0 in col.values():
-                col = {i: x for i, x in col.items() if x}
-            cols.append(col)
-        diffs[d] = SparseMatrix.from_int_columns(field, len(targets), cols, scale)
-    return CochainComplexSlice(field, window, basis, diffs)
-
-
 class BarSlice:
-    """The reduced bar complex of a spec, materialized on a window.
+    """A bar complex materialized on a window: the reduced bar B(A) of spec,
+    or B(M, A, N) when left and right are the modules M and N, with words
+    (m; a_1..a_w; n), M acting on the right of itself (m.a) and N on the
+    left (a.n).
 
     The requested window is padded by one degree on each side before
     materializing, so cohomology is reliable on every requested degree.
     basis maps degree to the tuple of words (tuples of letters)."""
 
-    def __init__(self, spec, window, complex_, max_weight):
+    def __init__(self, spec, window, complex_, max_weight, left=None, right=None):
         self.spec = spec
         self.field = spec.field
         self.window = window
@@ -338,9 +304,11 @@ class BarSlice:
         self.basis = complex_.basis
         self.complex = complex_
         self.max_weight = max_weight
+        self.left = left
+        self.right = right
 
     def dims(self):
-        return {d: len(ws) for d, ws in sorted(self.basis.items())}
+        return self.complex.dims()
 
     def homology_dims(self):
         """Cohomology dimensions on the requested (reliable) degrees."""
@@ -348,7 +316,9 @@ class BarSlice:
         return {d: rep.dims.get(d, 0) for d in self.window.degrees()}
 
     def __repr__(self):
-        return f"BarSlice({self.spec.name}, window={self.window!r}, dims={self.dims()})"
+        names = self.spec.name if self.left is None else \
+            f"{self.left.name}, {self.spec.name}, {self.right.name}"
+        return f"BarSlice({names}, window={self.window!r}, dims={self.dims()})"
 
 
 def bar_complex(spec, window, max_weight=None):
@@ -370,8 +340,9 @@ def bar_complex(spec, window, max_weight=None):
     basis = {d: enum.label_words(d, cap) for d in padded.degrees()}
     table = _LetterTable(spec, enum, padded.lo, padded.hi)
     scale = table.scale_to_ints()
-    complex_ = _assemble(spec.field, padded, basis, keys,
-                         lambda word: table.terms(word, 0)[0], enum.label_word, scale)
+    complex_ = complex_from_labels(spec.field, padded, basis,
+                                   lambda word: table.terms(word, 0)[0], keys=keys,
+                                   label_of=enum.label_word, scale=scale)
     return BarSlice(spec, window, complex_, cap)
 
 
@@ -382,33 +353,6 @@ def bar_homology_dims(spec, window, max_weight=None):
 
 # ---------------------------------------------------------------------------
 # two-sided bar
-
-
-class TwoSidedBarSlice:
-    """B(M, A, N) on a window: words (m; a_1..a_w; n) with M acting on the
-    right of itself (m.a) and N on the left (a.n)."""
-
-    def __init__(self, left, spec, right, window, complex_, max_weight):
-        self.left = left
-        self.spec = spec
-        self.right = right
-        self.field = spec.field
-        self.window = window
-        self.padded = complex_.window
-        self.basis = complex_.basis
-        self.complex = complex_
-        self.max_weight = max_weight
-
-    def dims(self):
-        return {d: len(ws) for d, ws in sorted(self.basis.items())}
-
-    def homology_dims(self):
-        rep = self.complex.cohomology(representatives=False)
-        return {d: rep.dims.get(d, 0) for d in self.window.degrees()}
-
-    def __repr__(self):
-        return (f"TwoSidedBarSlice({self.left.name}, {self.spec.name}, "
-                f"{self.right.name}, window={self.window!r})")
 
 
 def two_sided_bar(left, spec, right, window, max_weight=None):
@@ -526,8 +470,9 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
         mi, word, ni = key
         return lindex.labels[mi], enum.label_word(word), rindex.labels[ni]
 
-    complex_ = _assemble(spec.field, padded, basis, keys, boundary, label_of, scale)
-    return TwoSidedBarSlice(left, spec, right, window, complex_, cap)
+    complex_ = complex_from_labels(spec.field, padded, basis, boundary, keys=keys,
+                                   label_of=label_of, scale=scale)
+    return BarSlice(spec, window, complex_, cap, left, right)
 
 
 def derived_tensor_dims(left, spec, right, window, max_weight=None):

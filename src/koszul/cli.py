@@ -637,9 +637,10 @@ def main(argv=None):
                 try:
                     with open(cache_path, "r", encoding="utf-8") as fh:
                         report = json.load(fh)
-                except ValueError:
-                    pass  # a corrupt entry is a miss; it is rewritten below
-                else:
+                except (OSError, ValueError):
+                    report = None
+                # anything but this request's report is a miss, rewritten below
+                if isinstance(report, dict) and report.get("input_hash") == digest:
                     _emit(report, time.monotonic() - start)
                     return 0
 
@@ -647,13 +648,9 @@ def main(argv=None):
         # documents stay raw for the command to interpret in context
         handles = []
         for role, raw in zip(roles, raws):
-            if role == "algebra" and args.command != "tensor":
+            if role in ("algebra", "ring"):
                 handles.append(parse_algebra_document(
                     raw, field, validate=args.command != "validate"))
-            elif role == "algebra":
-                handles.append(parse_algebra_document(raw, field))
-            elif role == "ring":
-                handles.append(parse_algebra_document(raw, field))
             else:
                 handles.append(raw)
 
@@ -689,9 +686,12 @@ def main(argv=None):
             code = 3
 
         if code == 0 and cache_path is not None:
-            os.makedirs(os.path.dirname(cache_path), exist_ok=True)
-            _write_atomic(cache_path,
-                          json.dumps(report, sort_keys=True, indent=2) + "\n")
+            try:
+                os.makedirs(os.path.dirname(cache_path), exist_ok=True)
+                _write_atomic(cache_path,
+                              json.dumps(report, sort_keys=True, indent=2) + "\n")
+            except OSError as e:  # the answer still goes out, uncached
+                sys.stderr.write(f"koszul: warning: report not cached: {e}\n")
         _emit(report, time.monotonic() - start)
         return code
     except DocumentError as e:

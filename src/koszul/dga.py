@@ -15,7 +15,6 @@ value is 1 while all other basis labels augment to 0.
 from .exactla import (
     Window, CochainComplexSlice, SpanTracker,
     RefusalError, StructuralError, complex_from_labels, vec_add_into,
-    vec_scale,
 )
 
 # Linear combinations of basis labels are plain dicts {label: nonzero scalar};
@@ -29,9 +28,6 @@ def lc_equal(field, a, b):
         if not field.is_zero(field.sub(a.get(k, zero), b.get(k, zero))):
             return False
     return True
-
-
-
 
 
 class DgAlgebraSpec:
@@ -554,11 +550,12 @@ def free_assoc(field, gens):
 def opposite(spec):
     """The opposite algebra: a *op b = (-1)^{|a||b|} b a."""
     field = spec.field
+    minus = field.neg(field.one)
 
     def mult(a, b):
         raw = spec.mult(b, a)
         if spec.degree(a) % 2 != 0 and spec.degree(b) % 2 != 0:
-            return vec_scale(field, field.neg(field.one), raw)
+            return {m: field.mul(minus, c) for m, c in raw.items()}
         return dict(raw)
 
     out = DgAlgebraSpec(

@@ -14,7 +14,7 @@ reliable degree; the resolution oracle in extres recomputes the same
 numbers without any bar construction.
 """
 
-from .exactla import Window, CochainComplexSlice, RefusalError
+from .exactla import Window, CochainComplexSlice, RefusalError, vec_add_into
 from .dga import FiniteDga, cohomology_ring
 from .bar import bar_complex, weight_bound
 
@@ -126,12 +126,7 @@ def check_power_generation(report, g):
     while (m + 1) * g in report.dims:
         nxt = {}
         for cls, c in power.items():
-            for cls2, c2 in report.ring.get((cls, gen), {}).items():
-                s = field.add(nxt.get(cls2, field.zero), field.mul(c, c2))
-                if field.is_zero(s):
-                    nxt.pop(cls2, None)
-                else:
-                    nxt[cls2] = s
+            vec_add_into(field, nxt, report.ring.get((cls, gen), {}), c)
         if not nxt:
             return False
         power = nxt

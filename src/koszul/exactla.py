@@ -8,9 +8,9 @@ anywhere in the package.
 
 A SparseMatrix is stored as integer columns: over F_p its entries, over Q
 1/D times integer columns for one least denominator D per matrix.  Bar
-assembly (koszul.bar builds its columns in ints from a table of letters),
-the dual's signed transpose, the d^2 check and the elimination
-(SpanTracker) never do Fraction arithmetic.  Over F_p pivots are monic and
+assembly (complex_from_labels sums the int terms koszul.bar reads off a
+table of letters), the dual's signed transpose, the d^2 check and the
+elimination (SpanTracker) never do Fraction arithmetic.  Over F_p pivots are monic and
 the loops reduce mod a local p.  Over Q a vector is scaled by the lcm of
 its denominators (a matrix column arrives scaled already), reduction is
 fraction-free (Bareiss 1968: v <- a*v - b*pivot with the leads divided by
@@ -192,21 +192,6 @@ def vec_add_into(field, acc, vec, coeff):
     return acc
 
 
-def vec_scale(field, coeff, vec):
-    p = field.p
-    if p is None:
-        return {i: coeff * v for i, v in vec.items()} if coeff else {}
-    return {i: coeff * v % p for i, v in vec.items()} if coeff % p else {}
-
-
-def _integral(vec):
-    """(D, D * vec) for a rational vec, D the lcm of its denominators."""
-    scale = lcm(*(x.denominator for x in vec.values()))
-    if scale == 1:
-        return 1, {i: x.numerator for i, x in vec.items()}
-    return scale, {i: x.numerator * (scale // x.denominator) for i, x in vec.items()}
-
-
 class SpanTracker:
     """Incremental row echelon over sparse dict-vectors.
 
@@ -263,7 +248,7 @@ class SpanTracker:
         integral; over F_p, s = D = 1 and vec = sum(combo[t] * insert_t) + w.
         """
         if self.field.p is None:
-            scale, w = _integral(vec)
+            scale, (w,) = _integral_columns(self.field, [vec])
             return self._reduce_ints(w, scale)
         return self._reduce_ints(dict(vec), 1)
 
@@ -561,6 +546,8 @@ def _integral_columns(field, columns):
     if p is not None:
         return 1, [{i: x % p for i, x in col.items() if x % p} for col in columns]
     scale = lcm(*(x.denominator for col in columns for x in col.values()))
+    if scale == 1:
+        return 1, [{i: x.numerator for i, x in col.items() if x} for col in columns]
     return scale, [{i: x.numerator * (scale // x.denominator) for i, x in col.items() if x}
                    for col in columns]
 
@@ -738,32 +725,49 @@ class CochainComplexSlice:
             representatives=reps if representatives else None, classes=classes)
 
 
-def complex_from_labels(field, window, basis, boundary):
+def complex_from_labels(field, window, basis, boundary, keys=None, label_of=None,
+                        scale=None):
     """The cochain complex on window with basis[d] the labels of degree d.
 
-    boundary(label) gives the terms of d(label) as (label', scalar) pairs,
-    label' in the next degree's basis; repeated labels are summed.  Only
-    differentials that stay inside the window are assembled.  A term
-    outside the next degree's basis raises StructuralError.
+    boundary(key) gives the terms of d(key) as (key', scalar) pairs, key' in
+    the next degree's keys; repeated keys are summed.  Keys are the labels
+    unless keys[d] lists other forms of basis[d], position for position.
+    Only differentials that stay inside the window are assembled.  A term
+    outside the next degree's keys raises StructuralError, naming the
+    label and label_of(term) (the term itself by default).
+
+    The scalars are field values unless scale is given: then they are ints
+    and each matrix is 1/scale times their sums (reduced mod p over F_p,
+    where scale is 1).  The bars assemble this way, in ints.
     """
     basis = {d: tuple(labels) for d, labels in basis.items() if labels}
-    add = field.add
+    if keys is None:
+        keys = basis
+    p = field.p
     diffs = {}
     for d, labels in sorted(basis.items()):
         if d + 1 not in window:
             continue
-        target = {l: i for i, l in enumerate(basis.get(d + 1, ()))}
+        targets = keys.get(d + 1, ())
+        index = dict(zip(targets, range(len(targets))))
         cols = []
-        for label in labels:
+        for label, key in zip(labels, keys[d]):
             col = {}
-            for term, c in boundary(label):
-                i = target.get(term)
+            for term, c in boundary(key):
+                i = index.get(term)
                 if i is None:
+                    name = term if label_of is None else label_of(term)
                     raise StructuralError(
-                        f"d({label!r}) has term {term!r} outside the degree {d + 1} basis")
-                col[i] = add(col[i], c) if i in col else c
+                        f"d({label!r}) has term {name!r} outside the degree {d + 1} basis")
+                col[i] = col[i] + c if i in col else c
             cols.append(col)
-        diffs[d] = matrix_from_columns(field, len(target), cols)
+        if scale is None or p is not None:  # field values, or ints mod p
+            s, cols = _integral_columns(field, cols)
+        else:  # ints over Q: only zeros to drop
+            s = scale
+            cols = [{i: x for i, x in col.items() if x} if 0 in col.values() else col
+                    for col in cols]
+        diffs[d] = SparseMatrix.from_int_columns(field, len(targets), cols, s)
     return CochainComplexSlice(field, window, basis, diffs)
 
 

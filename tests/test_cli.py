@@ -384,3 +384,41 @@ def test_cache_key_follows_the_engine_sources(docs, capsys, tmp_path,
         [r1["input_hash"] + ".json", r2["input_hash"] + ".json"])
     _, again, _ = run(capsys, *argv)
     assert strip_duration(again) == strip_duration(r2)
+
+
+@pytest.mark.parametrize("content", ['"x"', "[1, 2]", "7", "null", "{}", "another report"])
+def test_cache_entry_that_is_not_this_report_is_a_miss(content, docs, capsys,
+                                                       tmp_path):
+    path = docs("sq1.json", {"builder": "square_zero", "n": 1})
+    cache = str(tmp_path / "cache")
+    argv = ("bar", path, "--window=-3..0", "--cache-dir", cache)
+    code1, r1, _ = run(capsys, *argv)
+    entry = os.path.join(cache, r1["input_hash"] + ".json")
+    if content == "another report":
+        _, other, _ = run(capsys, "bar", path, "--window=-4..0", "--cache-dir", cache)
+        with open(os.path.join(cache, other["input_hash"] + ".json"),
+                  encoding="utf-8") as fh:
+            content = fh.read()
+    with open(entry, "w", encoding="utf-8") as fh:
+        fh.write(content)
+    code2, r2, _ = run(capsys, *argv)
+    assert code1 == code2 == 0
+    assert strip_duration(r2) == strip_duration(r1)
+    with open(entry, "r", encoding="utf-8") as fh:
+        assert json.load(fh) == strip_duration(r1)
+
+
+@pytest.mark.parametrize("blocker", ["cache dir is a file", "entry is a directory"])
+def test_unusable_cache_still_emits_the_report(blocker, docs, capsys, tmp_path):
+    path = docs("sq1.json", {"builder": "square_zero", "n": 1})
+    argv = ("bar", path, "--window=-3..0")
+    _, fresh, _ = run(capsys, *argv, "--no-cache")
+    cache = tmp_path / "unusable"
+    if blocker == "cache dir is a file":
+        cache.write_text("")
+    else:
+        (cache / (fresh["input_hash"] + ".json")).mkdir(parents=True)
+    code, report, err = run(capsys, *argv, "--cache-dir", str(cache))
+    assert code == 0
+    assert strip_duration(report) == strip_duration(fresh)
+    assert len(err.splitlines()) == 1 and "warning" in err
