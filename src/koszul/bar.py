@@ -16,19 +16,32 @@ weights can contribute; weight_bound computes that cap, and inputs where no
 finite cap exists are refused rather than silently truncated.
 
 Each bar is assembled once, in ints.  Its letters are indexed by int and
-tabled once per bar with their degree parities, differentials and
-pairwise merges (the module differentials and actions too, for
-B(M, A, N)); words are enumerated as tuples of letter indices.  Over Q
-every structure constant is scaled by one common denominator D, and since
-each term of the differential carries exactly one of them, the
-differential is 1/D times an integer matrix, whose rank, kernel and d^2
-are those of the differential.  Over F_p, D = 1 and the ints are reduced
-mod p.
+tabled once per bar with their differentials and pairwise merges (the
+module differentials and actions too, for B(M, A, N)).  Over Q every
+structure constant is scaled by one common denominator D, and since each
+term of the differential carries exactly one of them, the differential is
+1/D times an integer matrix, whose rank, kernel and d^2 are those of the
+differential.  Over F_p, D = 1 and the ints are reduced mod p.
+
+No term of the differential is built as a word and looked up.  The
+words of degree d with at most c letters come in one block per first
+letter a, and the block of a lists [a|t] for the words t of degree
+d - s_a with at most c - 1 letters (s_a = |a| - 1), in their order; a
+word's position is its block's offset plus its tail's position.  The
+differential is a coderivation,
+
+  d[a|t] = -[da|t] + (-1)^{|a|} [ab|r] + (-1)^{s_a} [a|dt],  t = [b|r],
+
+so the column of [a|t] is the tail's column moved into the block of a,
+plus the head terms, whose rows are a block's offset plus the position of
+t or r.  Each list's columns are built once, from its tails' columns.
 """
 
 import math
 
-from .exactla import RefusalError, StructuralError, _integral_columns, complex_from_labels
+from .exactla import (
+    CochainComplexSlice, RefusalError, SparseMatrix, StructuralError, _integral_columns,
+)
 
 
 class ConvergenceError(RefusalError):
@@ -120,11 +133,17 @@ class _Labels:
 
 
 class _WordEnumerator:
-    """Deterministic enumeration of bar words by (degree, weight cap).
+    """Bar words by (degree, weight cap), as blocks.
 
-    Words are tuples of letter indices into `letter` (a _Labels of the
-    letters, with their shifted degrees); label_words gives the same words
-    as tuples of labels, converted once."""
+    words(d, cap) lists the words of degree d with at most cap letters: the
+    empty word when d == 0, then one block per letter a (by shifted degree,
+    then in listing order) holding [a|t] for every t of words(d - s_a,
+    cap - 1).  Only the block structure is stored (`blocks`); the labels
+    (`label_words`), the positions of the same words in a list with a larger
+    cap (`positions`) and those of each word without its last letter
+    (`prefixes`) are built block by block from the tails'.  Letters are
+    indexed by int in `letter` (a _Labels of them, with their shifted
+    degrees)."""
 
     def __init__(self, spec, regime):
         self.spec = spec
@@ -133,6 +152,8 @@ class _WordEnumerator:
         self.letter_cache = {}
         self.memo = {}
         self.label_memo = {}
+        self.position_memo = {}
+        self.prefix_memo = {}
 
     def letters(self, s):
         """Letters of shifted degree s, checking augmentation-adaptedness."""
@@ -148,20 +169,29 @@ class _WordEnumerator:
             self.letter_cache[s] = tuple(self.letter(l, s) for l in labels)
         return self.letter_cache[s]
 
-    def words(self, d, cap):
+    def clamp(self, d, cap):
+        """cap lowered to the most letters a word of degree d can have:
+        -d (connective) or d // g (coconnected); every larger cap lists the
+        same words.  A word [a|t] of degree d has one letter more than t, so
+        the clamp at d, less one, is at least the clamp at d - s_a: the
+        block of a is words(d - s_a, cap - 1) whatever the clamp."""
         kind, g = self.regime
-        # no word of degree d has more than -d letters (connective) or
-        # d // g (coconnected), so every larger cap lists the same words
         if kind == "connective":
-            cap = min(cap, max(0, -d))
-        elif g is not None:
-            cap = min(cap, max(0, d // g))
+            return min(cap, max(0, -d))
+        return 0 if g is None else min(cap, max(0, d // g))
+
+    def blocks(self, d, cap):
+        """(size, blocks, offset) of words(d, cap): its length, its nonempty
+        blocks as (letter, shifted degree, offset), and offset[letter]."""
+        cap = self.clamp(d, cap)
         key = (d, cap)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        out = [()] if d == 0 else []
+        size = 1 if d == 0 else 0
+        blocks, offset = [], {}
         if cap >= 1:
+            kind, g = self.regime
             if kind == "connective":
                 srange = range(d, 0)
             elif g is None:
@@ -169,48 +199,100 @@ class _WordEnumerator:
             else:
                 srange = range(g, d + 1)
             for s in srange:
-                for letter in self.letters(s):
-                    for rest in self.words(d - s, cap - 1):
-                        out.append((letter,) + rest)
-        result = tuple(out)
-        self.memo[key] = result
-        return result
+                for a in self.letters(s):
+                    n = self.blocks(d - s, cap - 1)[0]
+                    if n:
+                        blocks.append((a, s, size))
+                        offset[a] = size
+                        size += n
+        hit = self.memo[key] = (size, blocks, offset)
+        return hit
 
     def label_words(self, d, cap):
+        """words(d, cap) as tuples of labels."""
+        cap = self.clamp(d, cap)
         key = (d, cap)
         hit = self.label_memo.get(key)
         if hit is None:
-            hit = self.label_memo[key] = tuple(map(self.label_word, self.words(d, cap)))
+            out = [()] if d == 0 else []
+            labels = self.letter.labels
+            for a, s, _ in self.blocks(d, cap)[1]:
+                out += map((labels[a],).__add__, self.label_words(d - s, cap - 1))
+            hit = self.label_memo[key] = tuple(out)
         return hit
 
-    def label_word(self, word):
-        return tuple(map(self.letter.labels.__getitem__, word))
+    def positions(self, d, small, big):
+        """The position in words(d, big) of each word of words(d, small),
+        small <= big, or None when the clamps make them one list."""
+        small, big = self.clamp(d, small), self.clamp(d, big)
+        if small == big:
+            return None
+        key = (d, small, big)
+        hit = self.position_memo.get(key)
+        if hit is None:
+            hit = [0] if d == 0 else []
+            offset = self.blocks(d, big)[2]
+            for a, s, _ in self.blocks(d, small)[1]:
+                base = offset[a]
+                inner = self.positions(d - s, small - 1, big - 1)
+                if inner is None:
+                    inner = range(self.blocks(d - s, small - 1)[0])
+                hit += [base + i for i in inner]
+            self.position_memo[key] = hit
+        return hit
+
+    def prefixes(self, d, cap):
+        """For each word of words(d, cap): None for the empty word, else
+        (z, i) with z its last letter and i the position of the word
+        without z in words(d - s_z, cap)."""
+        cap = self.clamp(d, cap)
+        key = (d, cap)
+        hit = self.prefix_memo.get(key)
+        if hit is None:
+            hit = [None] if d == 0 else []
+            degrees = self.letter.degrees
+            for a, s, _ in self.blocks(d, cap)[1]:
+                if d == s:  # the block is [a] alone
+                    hit.append((a, 0))
+                    continue
+                offset = {}
+                for z, i in self.prefixes(d - s, cap - 1):
+                    base = offset.get(z)
+                    if base is None:
+                        base = offset[z] = self.blocks(d - degrees[z], cap)[2][a]
+                    hit.append((z, base + i))
+            self.prefix_memo[key] = hit
+        return hit
 
 
 class _LetterTable:
-    """The letters of one bar in ints, tabled once.
+    """The letters of one bar in ints, tabled once, and the bar
+    differential assembled from them block by block.
 
-    For each letter the enumerator has listed: odd[a], the parity of its
-    degree; diff[a], its differential; and merge[a][b], the product with
-    letter b wherever [a|b] can sit inside a word of degree in [lo, hi]
-    (the words whose differential is assembled), each a list of (letter,
-    scalar) pairs.  A product that fails (it leaves the augmentation ideal,
-    or the spec raises StructuralError) is tabled as None and its error is
-    raised only when a column uses it.  Terms on labels that are no listed
-    letter get indices too, so that they miss every basis and are reported
-    there.
+    For each letter the enumerator has listed: diff[a], its differential,
+    and merge[a][b], the product with letter b wherever [a|b] can sit inside
+    a word of degree in [lo, hi] (the words whose differential is
+    assembled), each a list of (letter, scalar) pairs.  A product that fails
+    (it leaves the augmentation ideal, or the spec raises StructuralError)
+    is tabled as None and its error is raised only when a column uses it.
+    Terms on labels that are no listed letter get indices too, so that they
+    miss every basis and are reported there.
 
     The module tables of a two-sided bar are added with `lincomb` and
     `tabled`; `scale_to_ints` then turns every tabled scalar into an int.
+    The table is built after the enumerator has listed every word the bar
+    holds, so that every letter is indexed with its degree.
     """
 
     def __init__(self, spec, enum, lo, hi):
         self.field = spec.field
+        self.enum = enum
         self.failures = {}
         self.lincombs = []
+        self.memo = {}
+        self.rows = []  # rows[i] is i: one int object per row, shared by every column
         letter = enum.letter
         letters = list(zip(letter.labels, letter.degrees))
-        self.odd = [(s + 1) % 2 for _, s in letters]
         self.diff = [self.lincomb(spec.diff(x), letter) for x, _ in letters]
         # [a|b] sits in words of degree <= sa + sb (connective: the other
         # letters are negative), or >= sa + sb (coconnected)
@@ -250,33 +332,126 @@ class _LetterTable:
             lc[:] = col.items()
         return scale
 
-    def terms(self, word, e):
-        """The bar differential of word (letter indices) as (word, int)
-        terms, and the parity of the degree up to its end; e is the parity
-        of whatever precedes the first letter (0 in the reduced bar, |m| in
-        B(M, A, N)).  Terms follow the module docstring's formula."""
-        out = []
-        diff, merge, odd = self.diff, self.merge, self.odd
-        last = len(word) - 1
-        for i, a in enumerate(word):
-            da = diff[a]
-            if da:
-                # -(-1)^{e_i} [..|da_i|..]
-                head, tail = word[:i], word[i + 1:]
-                for m, c in da:
-                    out.append((head + (m,) + tail, c if e else -c))
-            if i < last:
-                prod = merge[a][word[i + 1]]
-                if prod:
-                    # +(-1)^{e_i + |a_i|} [..|a_i a_{i+1}|..]
-                    head, tail = word[:i], word[i + 2:]
-                    flip = e ^ odd[a]
-                    for m, c in prod:
-                        out.append((head + (m,) + tail, -c if flip else c))
-                elif prod is None:
-                    raise self.failures[a, word[i + 1]]
-            e ^= 1 ^ odd[a]
-        return out, e
+    def columns(self, d, cap):
+        """The differential of words(d, cap) as (columns, errors).
+
+        columns[j] maps rows of words(d + 1, cap) to nonzero ints (in
+        [0, p) over F_p) and follows the module docstring's recursion: the
+        tail's column, moved into the block of the first letter a, plus the
+        head terms -[da|t] and (-1)^{|a|} [ab|r], summed into it.
+        errors[j] = (failure, term) for a column that uses a failing merge
+        (failure, its leftmost one's StructuralError) or has a term outside
+        words(d + 1, cap) (term, the first one's labels); a failure is
+        raised before any term is looked up, as the letters are read left
+        to right.  Memoized by the clamps of cap at d and at d + 1, which
+        fix both lists.
+        """
+        enum = self.enum
+        key = (d, enum.clamp(d, cap), enum.clamp(d + 1, cap))
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        size, _, target = enum.blocks(d + 1, cap)
+        rows = self.rows
+        if len(rows) < size:
+            rows += range(len(rows), size)
+        p = self.field.p
+        degrees, labels = enum.letter.degrees, enum.letter.labels
+        cols = [{}] if d == 0 else []
+        errors = {}
+        for a, s, off in enum.blocks(d, cap)[1]:
+            tails, tail_errors = self.columns(d - s, cap - 1)
+            # (-1)^{s_a} [a|dt]: the tail's target is the block of a in
+            # words(d + 1, cap), absent only when every tail column is empty
+            base = target.get(a)
+            block = _moved(tails, () if base is None else
+                           rows[base:base + enum.blocks(d + 1 - s, cap - 1)[0]], s % 2, p)
+            head = {}  # tail position -> (failure, term outside the target)
+            # -[da|t]: t keeps its position, in the block of each letter of da
+            for m, c in self.diff[a]:
+                at = target.get(m) if degrees[m] == s + 1 else None
+                if at is None:
+                    for i, t in enumerate(enum.label_words(d - s, cap - 1)):
+                        head.setdefault(i, (None, (labels[m],) + t))
+                    continue
+                _add_run(block, rows[at:at + len(block)], -c if p is None else p - c, p)
+            # (-1)^{|a|} [ab|r], for t = [b|r]: one run per block b of the tails
+            for b, sb, off_b in (enum.blocks(d - s, cap - 1)[1] if d != s else ()):
+                prod = self.merge[a][b]
+                n = enum.blocks(d - s - sb, cap - 2)[0]
+                if not prod:
+                    if prod is None:
+                        for i in range(off_b, off_b + n):
+                            head[i] = (self.failures[a, b], head.get(i, (None, None))[1])
+                    continue
+                # the merge drops a letter: r's position among cap - 1 letters
+                moved = enum.positions(d - s - sb, cap - 2, cap - 1)
+                for m, c in prod:
+                    at = target.get(m) if degrees[m] == s + sb + 1 else None
+                    if at is None:
+                        for i, r in enumerate(enum.label_words(d - s - sb, cap - 2), off_b):
+                            f, term = head.get(i, (None, None))
+                            head[i] = (f, (labels[m],) + r if term is None else term)
+                        continue
+                    _add_run(block[off_b:off_b + n],
+                             rows[at:at + n] if moved is None else [rows[at + i] for i in moved],
+                             c if s % 2 else (-c if p is None else p - c), p)
+            if head or tail_errors:
+                first = (labels[a],)
+                for i in head.keys() | tail_errors.keys():
+                    failure, term = head.get(i, (None, None))
+                    tail_failure, tail_term = tail_errors.get(i, (None, None))
+                    if term is None and tail_term is not None:
+                        term = first + tail_term
+                    errors[off + i] = (failure or tail_failure, term)
+            cols += block
+        hit = self.memo[key] = (cols, errors)
+        return hit
+
+
+def _moved(cols, rows, negate, p):
+    """Copies of cols with row i renamed rows[i], negated (mod p over F_p,
+    where p is not None) when negate is true."""
+    out = []
+    for col in cols:
+        new = {}
+        if not negate:
+            for i, x in col.items():
+                new[rows[i]] = x
+        elif p is None:
+            for i, x in col.items():
+                new[rows[i]] = -x
+        else:
+            for i, x in col.items():
+                new[rows[i]] = p - x
+        out.append(new)
+    return out
+
+
+def _add_run(cols, rows, c, p):
+    """cols[k][rows[k]] += c for every k, reduced mod p over F_p (p is None
+    over Q), a zero sum deleted."""
+    for col, row in zip(cols, rows):
+        x = col.get(row)
+        if x is None:
+            col[row] = c
+        else:
+            x = x + c if p is None else (x + c) % p
+            if x:
+                col[row] = x
+            else:
+                del col[row]
+
+
+def _first_error(errors, labels, d):
+    """The StructuralError of the first column with errors, as
+    complex_from_labels would raise it."""
+    j = min(errors)
+    failure, term = errors[j]
+    if failure is not None:
+        return failure
+    return StructuralError(
+        f"d({labels[j]!r}) has term {term!r} outside the degree {d + 1} basis")
 
 
 def _merge(spec, x, y):
@@ -336,13 +511,17 @@ def bar_complex(spec, window, max_weight=None):
         raise RefusalError(f"negative weight cap {cap}")
 
     enum = _WordEnumerator(spec, regime)
-    keys = {d: enum.words(d, cap) for d in padded.degrees()}
     basis = {d: enum.label_words(d, cap) for d in padded.degrees()}
     table = _LetterTable(spec, enum, padded.lo, padded.hi)
     scale = table.scale_to_ints()
-    complex_ = complex_from_labels(spec.field, padded, basis,
-                                   lambda word: table.terms(word, 0)[0], keys=keys,
-                                   label_of=enum.label_word, scale=scale)
+    diffs = {}
+    for d, words in basis.items():
+        if words and d + 1 in padded:
+            cols, errors = table.columns(d, cap)
+            if errors:
+                raise _first_error(errors, words, d)
+            diffs[d] = SparseMatrix.from_int_columns(spec.field, len(basis[d + 1]), cols, scale)
+    complex_ = CochainComplexSlice(spec.field, padded, basis, diffs)
     return BarSlice(spec, window, complex_, cap)
 
 
@@ -391,19 +570,21 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
 
     # At total degree d the word degree e, the M degree dm and the N degree
     # dn satisfy dm + e + dn = d; the regime pins the sign of e and the
-    # module bounds make each loop finite.
-    keys, basis = {}, {}
+    # module bounds make each loop finite.  Degree d lists one block per
+    # (e, dm), m by m, then word by word, then n by n: where[d, e, dm] is
+    # the block's offset, the positions of its m's and n's and their counts.
+    basis, blocks, where = {}, {}, {}
     for d in padded.degrees():
-        ints, labels = [], []
+        labels, blocks[d] = [], []
         if kind == "connective":
             e_range = range(d - left.max_degree - right.max_degree, 1)
         else:
             e_range = range(0, d - left.min_degree - right.min_degree + 1)
         for e in e_range:
-            words = enum.words(e, cap)
-            if not words:
+            nw = enum.blocks(e, cap)[0]
+            if not nw:
                 continue
-            label_words = enum.label_words(e, cap)
+            words = enum.label_words(e, cap)
             if kind == "connective":
                 dm_range = range(d - e - right.max_degree, left.max_degree + 1)
             else:
@@ -416,62 +597,112 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
                 if not ns:
                     continue
                 nis = [rindex(n, d - e - dm) for n in ns]
-                for m in ms:
-                    mi = lindex(m, dm)
-                    for w, word in zip(words, label_words):
-                        for ni, n in zip(nis, ns):
-                            ints.append((mi, w, ni))
-                            labels.append((m, word, n))
-        keys[d], basis[d] = ints, labels
+                mis = [lindex(m, dm) for m in ms]
+                where[d, e, dm] = (len(labels), dict(zip(mis, range(len(mis)))),
+                                   dict(zip(nis, range(len(nis)))), nw, len(nis))
+                blocks[d].append((e, dm, mis, nis))
+                labels += [(m, w, n) for m in ms for w in words for n in ns]
+        basis[d] = labels
 
     if kind == "connective":
         e_lo, e_hi = padded.lo - left.max_degree - right.max_degree, 0
     else:
         e_lo, e_hi = 0, padded.hi - left.min_degree - right.min_degree
     table = _LetterTable(spec, enum, e_lo, e_hi)
-    letters = list(enumerate(enum.letter.labels[:len(table.odd)]))
-    ms = list(enumerate(zip(lindex.labels, lindex.degrees)))
+    letters = list(enumerate(enum.letter.labels[:len(table.diff)]))
+    ms = list(enumerate(lindex.labels))
     ns = list(enumerate(rindex.labels))
-    lodd = [dm % 2 for _, (_, dm) in ms]
-    ldiff = [table.lincomb(left.diff(m), lindex) for _, (m, _) in ms]
+    ldiff = [table.lincomb(left.diff(m), lindex) for _, m in ms]
     rdiff = [table.lincomb(right.diff(n), rindex) for _, n in ns]
     ract = [[table.tabled(("m.a", mi, a), lambda m=m, x=x: left.right_act(m, x), lindex)
-             for a, x in letters] for mi, (m, _) in ms]
+             for a, x in letters] for mi, m in ms]
     lact = [[table.tabled(("a.n", a, ni), lambda x=x, n=n: right.left_act(x, n), rindex)
              for ni, n in ns] for a, x in letters]
     scale = table.scale_to_ints()
-    odd = table.odd
+    p = spec.field.p
+    degrees = enum.letter.degrees
 
-    def boundary(key):
-        """d(m; a_1..a_w; n): the module differentials and the outer merges
-        around the word's own terms."""
-        mi, word, ni = key
-        out = [((mm, word, ni), c) for mm, c in ldiff[mi]]
-        terms, p_last = table.terms(word, lodd[mi])
-        out += [((mi, ww, ni), c) for ww, c in terms]
-        # (-1)^{P_w} (m; A; dn)
-        out += [((mi, word, nn), -c if p_last else c) for nn, c in rdiff[ni]]
-        if word:
-            # -(-1)^{|m|} (m.a_1; a_2..; n)
-            prod = ract[mi][word[0]]
-            if prod is None:
-                raise table.failures["m.a", mi, word[0]]
-            rest = word[1:]
-            out += [((mm, rest, ni), c if lodd[mi] else -c) for mm, c in prod]
-            # +(-1)^{P_{w-1}} (m; a_1..a_{w-1}; a_w.n)
-            prod = lact[word[-1]][ni]
-            if prod is None:
-                raise table.failures["a.n", word[-1], ni]
-            rest, p_prev = word[:-1], p_last ^ 1 ^ odd[word[-1]]
-            out += [((mi, rest, nn), -c if p_prev else c) for nn, c in prod]
-        return out
+    def neg(c):
+        return -c if p is None else p - c
 
-    def label_of(key):
-        mi, word, ni = key
-        return lindex.labels[mi], enum.label_word(word), rindex.labels[ni]
+    def put(extra, missing, c, d, e, dm, mi, w, ni):
+        """Add (row, c) to extra for (m, word w of words(e, cap), n) in the
+        degree-d basis, or its labels to missing when it is not there."""
+        hit = where.get((d, e, dm))
+        if hit is not None:
+            base, mpos, npos, nw, nn = hit
+            i, j = mpos.get(mi), npos.get(ni)
+            if i is not None and j is not None:
+                extra.append((base + (i * nw + w) * nn + j, c))
+                return
+        missing.append((lindex.labels[mi], enum.label_words(e, cap)[w], rindex.labels[ni]))
 
-    complex_ = complex_from_labels(spec.field, padded, basis, boundary, keys=keys,
-                                   label_of=label_of, scale=scale)
+    diffs = {}
+    for d, labels in basis.items():
+        if not labels or d + 1 not in padded:
+            continue
+        cols, errors = [], {}
+        for e, dm, mis, nis in blocks[d]:
+            wcols, werrors = table.columns(e, cap)
+            # each word's first letter a and the position of its tail in
+            # words(e - s_a, cap); its last letter z and the position of
+            # the rest in words(e - s_z, cap)
+            firsts = [None] if e == 0 else []
+            for a, s, _ in enum.blocks(e, cap)[1]:
+                moved = enum.positions(e - s, cap - 1, cap)
+                firsts += [(a, s, i) for i in moved or range(enum.blocks(e - s, cap - 1)[0])]
+            lasts = enum.prefixes(e, cap)
+            # (m; dA; n) sits in the block (e + 1, dm) of degree d + 1
+            up = where.get((d + 1, e + 1, dm))
+            p_last = (dm + e) % 2
+            for mi in mis:
+                for w, wcol in enumerate(wcols):
+                    word_failure, word_term = werrors.get(w, (None, None))
+                    for ni in nis:
+                        # the terms beside the word's own as (row, int), and
+                        # the labels of those outside the next basis, in
+                        # the order of the docstring's formula
+                        failure, extra, missing = word_failure, [], []
+                        # (dm; A; n)
+                        for mm, c in ldiff[mi]:
+                            put(extra, missing, c, d + 1, e, dm + 1, mm, w, ni)
+                        if word_term is not None:
+                            missing.append((lindex.labels[mi], word_term, rindex.labels[ni]))
+                        # (-1)^{P_w} (m; A; dn)
+                        for nn, c in rdiff[ni]:
+                            put(extra, missing, neg(c) if p_last else c, d + 1, e, dm, mi, w, nn)
+                        if firsts[w] is not None:
+                            # -(-1)^{|m|} (m.a_1; a_2..; n)
+                            a, s, i = firsts[w]
+                            prod = ract[mi][a]
+                            if prod is None:
+                                failure = failure or table.failures["m.a", mi, a]
+                            for mm, c in prod or ():
+                                put(extra, missing, c if dm % 2 else neg(c),
+                                    d + 1, e - s, dm + s + 1, mm, i, ni)
+                            # +(-1)^{P_{w-1}} (m; a_1..a_{w-1}; a_w.n)
+                            z, i = lasts[w]
+                            prod = lact[z][ni]
+                            if prod is None:
+                                failure = failure or table.failures["a.n", z, ni]
+                            p_prev = p_last ^ degrees[z] % 2
+                            for nn, c in prod or ():
+                                put(extra, missing, neg(c) if p_prev else c,
+                                    d + 1, e - degrees[z], dm, mi, i, nn)
+                        if failure is not None or missing:
+                            errors[len(cols)] = (failure, missing[0] if missing else None)
+                        col = {}
+                        if wcol:  # (-1)^{|m|} (m; dA; n), in the block (e + 1, dm)
+                            base, mpos, npos, nw, nn = up
+                            at = base + mpos[mi] * nw * nn + npos[ni]
+                            col = {at + r * nn: neg(x) if dm % 2 else x for r, x in wcol.items()}
+                        for at, c in extra:
+                            _add_run((col,), (at,), c, p)
+                        cols.append(col)
+        if errors:
+            raise _first_error(errors, labels, d)
+        diffs[d] = SparseMatrix.from_int_columns(spec.field, len(basis[d + 1]), cols, scale)
+    complex_ = CochainComplexSlice(spec.field, padded, basis, diffs)
     return BarSlice(spec, window, complex_, cap, left, right)
 
 

@@ -8,15 +8,16 @@ anywhere in the package.
 
 A SparseMatrix is stored as integer columns: over F_p its entries, over Q
 1/D times integer columns for one least denominator D per matrix.  Bar
-assembly (complex_from_labels sums the int terms koszul.bar reads off a
-table of letters), the dual's signed transpose, the d^2 check and the
-elimination (SpanTracker) never do Fraction arithmetic.  Over F_p pivots are monic and
-the loops reduce mod a local p.  Over Q a vector is scaled by the lcm of
-its denominators (a matrix column arrives scaled already), reduction is
-fraction-free (Bareiss 1968: v <- a*v - b*pivot with the leads divided by
-their gcd), and pivots are primitive integer vectors, not monic ones;
-values become Fractions only where they leave the engine: the `entries`
-and `columns()` views of a matrix, and what leaves the tracker.
+assembly (koszul.bar builds each bar's integer columns block by block and
+hands them to SparseMatrix.from_int_columns), the dual's signed transpose,
+the d^2 check and the elimination (SpanTracker) never do Fraction
+arithmetic.  Over F_p pivots are monic and the loops reduce mod a local
+p.  Over Q a vector is scaled by the lcm of its denominators (a matrix
+column arrives scaled already), reduction is fraction-free (Bareiss 1968:
+v <- a*v - b*pivot with the leads divided by their gcd), and pivots are
+primitive integer vectors, not monic ones; values become Fractions only
+where they leave the engine: the `entries` and `columns()` views of a
+matrix, and what leaves the tracker.
 
 A pivot's lead is the largest index of its vector, and reduction clears
 the largest index first.  The lead is a free parameter: rank, span
@@ -725,49 +726,34 @@ class CochainComplexSlice:
             representatives=reps if representatives else None, classes=classes)
 
 
-def complex_from_labels(field, window, basis, boundary, keys=None, label_of=None,
-                        scale=None):
+def complex_from_labels(field, window, basis, boundary):
     """The cochain complex on window with basis[d] the labels of degree d.
 
-    boundary(key) gives the terms of d(key) as (key', scalar) pairs, key' in
-    the next degree's keys; repeated keys are summed.  Keys are the labels
-    unless keys[d] lists other forms of basis[d], position for position.
-    Only differentials that stay inside the window are assembled.  A term
-    outside the next degree's keys raises StructuralError, naming the
-    label and label_of(term) (the term itself by default).
-
-    The scalars are field values unless scale is given: then they are ints
-    and each matrix is 1/scale times their sums (reduced mod p over F_p,
-    where scale is 1).  The bars assemble this way, in ints.
+    boundary(label) gives the terms of d(label) as (label', scalar) pairs,
+    label' in the next degree's basis; repeated labels are summed.  Only
+    differentials that stay inside the window are assembled.  A term
+    outside the next degree's basis raises StructuralError, naming the
+    label and the term.
     """
     basis = {d: tuple(labels) for d, labels in basis.items() if labels}
-    if keys is None:
-        keys = basis
-    p = field.p
     diffs = {}
     for d, labels in sorted(basis.items()):
         if d + 1 not in window:
             continue
-        targets = keys.get(d + 1, ())
+        targets = basis.get(d + 1, ())
         index = dict(zip(targets, range(len(targets))))
         cols = []
-        for label, key in zip(labels, keys[d]):
+        for label in labels:
             col = {}
-            for term, c in boundary(key):
+            for term, c in boundary(label):
                 i = index.get(term)
                 if i is None:
-                    name = term if label_of is None else label_of(term)
                     raise StructuralError(
-                        f"d({label!r}) has term {name!r} outside the degree {d + 1} basis")
+                        f"d({label!r}) has term {term!r} outside the degree {d + 1} basis")
                 col[i] = col[i] + c if i in col else c
             cols.append(col)
-        if scale is None or p is not None:  # field values, or ints mod p
-            s, cols = _integral_columns(field, cols)
-        else:  # ints over Q: only zeros to drop
-            s = scale
-            cols = [{i: x for i, x in col.items() if x} if 0 in col.values() else col
-                    for col in cols]
-        diffs[d] = SparseMatrix.from_int_columns(field, len(targets), cols, s)
+        scale, cols = _integral_columns(field, cols)
+        diffs[d] = SparseMatrix.from_int_columns(field, len(targets), cols, scale)
     return CochainComplexSlice(field, window, basis, diffs)
 
 

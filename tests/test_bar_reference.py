@@ -1,11 +1,13 @@
-"""The letter-table bars against a plain assembly, the bars' two
+"""The block-built bars against a plain assembly, the bars' two
 StructuralErrors, and dims-only answers that never read a matrix as
 Fractions.
 
 The reference boundaries below are written from the formulas in the
-docstrings of koszul.bar, in field arithmetic through spec.degree, diff
-and mult, and assembled by complex_from_labels.  Every differential of the
-table-built bar must have exactly their entries, scalar types included.
+docstrings of koszul.bar, word by word in field arithmetic through
+spec.degree, diff and mult, and assembled by complex_from_labels.  Every
+differential of the block-built bar must have exactly their entries,
+scalar types included: with binding weight caps, with sums of residues
+that wrap to zero mod p, and with regular modules on both sides.
 """
 
 from fractions import Fraction
@@ -23,7 +25,7 @@ from koszul.exactla import (
     QQ, Field, SparseMatrix, StructuralError, Window, complex_from_labels,
 )
 
-F32003 = Field(32003)
+F5, F32003 = Field(5), Field(32003)
 
 
 def _sign(field, k):
@@ -68,6 +70,16 @@ def _two_sided_boundary(left, spec, right, label):
     return terms
 
 
+def _reference_bar(spec, built):
+    return complex_from_labels(spec.field, built.complex.window, built.basis,
+                               lambda word: _word_boundary(spec, word, 0)[0])
+
+
+def _reference_two_sided(left, spec, right, built):
+    return complex_from_labels(spec.field, built.complex.window, built.basis,
+                               lambda label: _two_sided_boundary(left, spec, right, label))
+
+
 def _assert_same_complex(built, reference):
     field = built.field
     scalar = Fraction if field.p is None else int
@@ -108,6 +120,20 @@ def _exterior2(field):
     return tensor_algebra(one, one).as_spec()
 
 
+def _rebased_cubic(field):
+    """k[x]/x^3 on the basis 1, u = x, v = x + x^2, where u*u = v - u: a
+    merge of two degree-0 letters has a term on the first one, so the
+    merge and the tail's terms of [u|u|..] hit the same words and cancel
+    (over F_p as residues adding up to p)."""
+    one, neg = field.one, field.neg(field.one)
+    mult = {("1", l): {l: one} for l in ("1", "u", "v")}
+    mult.update({(l, "1"): {l: one} for l in ("u", "v")})
+    mult.update({(a, b): {"v": one, "u": neg} for a in "uv" for b in "uv"})
+    return finite_dga_from_tables(
+        field, Window(0, 0), {0: ("1", "u", "v")}, diff={}, mult_table=mult,
+        unit="1", aug={"1": one}, complete=True).as_spec()
+
+
 def _bidual_inner_spec(spec, window):
     """The dual-as-spec that bidual_cohomology(spec, window) feeds to the
     outer bar."""
@@ -130,6 +156,8 @@ BARS = [
     pytest.param(lambda: free_assoc(QQ, [("u", 2), ("v", 3)]), Window(-1, 5), id="free-u2-v3"),
     pytest.param(lambda: _bidual_inner_spec(square_zero(QQ, 2), Window(-6, 1)),
                  Window(-1, 6), id="bidual-inner-dual"),
+    pytest.param(lambda: _rebased_cubic(QQ), Window(-6, 0), id="rebased-Q"),
+    pytest.param(lambda: _rebased_cubic(F5), Window(-6, 0), id="rebased-F5"),
 ]
 
 
@@ -137,10 +165,53 @@ BARS = [
 def test_bar_matches_the_plain_assembly(make, window):
     spec = make()
     built = bar_complex(spec, window)
-    reference = complex_from_labels(
-        spec.field, built.complex.window, built.basis,
-        lambda word: _word_boundary(spec, word, 0)[0])
-    _assert_same_complex(built.complex, reference)
+    _assert_same_complex(built.complex, _reference_bar(spec, built))
+
+
+CAPPED = [
+    pytest.param(lambda: truncated_polynomial(QQ, 3, 0), Window(-7, 0), id="cubic-Q"),
+    pytest.param(lambda: _rebased_cubic(F5), Window(-6, 0), id="rebased-F5"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2), ("v", 3)]), Window(-1, 5), id="free-u2-v3"),
+]
+
+
+@pytest.mark.parametrize("drop", [1, 2])
+@pytest.mark.parametrize("make, window", CAPPED)
+def test_bar_under_a_binding_weight_cap_matches_the_plain_assembly(make, window, drop):
+    # below the computed cap a word list with c letters is not the one with
+    # c - 1, so a merged word's tail moves to a new position
+    spec = make()
+    cap = bar_complex(spec, window).max_weight - drop
+    built = bar_complex(spec, window, max_weight=cap)
+    assert built.max_weight == cap
+    _assert_same_complex(built.complex, _reference_bar(spec, built))
+
+
+def _wrapping_sums(spec, built, boundary):
+    """How many columns of the plain assembly sum repeated terms to a
+    nonzero multiple of p, as residues in [0, p)."""
+    p = spec.field.p
+    count = 0
+    for labels in built.basis.values():
+        for label in labels:
+            sums = {}
+            for term, c in boundary(label):
+                sums.setdefault(term, []).append(c)
+            count += any(len(cs) > 1 and sum(cs) and sum(cs) % p == 0 for cs in sums.values())
+    return count
+
+
+def test_f5_sums_that_wrap_to_zero_leave_no_entry():
+    spec = _rebased_cubic(F5)
+    built = bar_complex(spec, Window(-6, 0))
+    assert _wrapping_sums(spec, built, lambda word: _word_boundary(spec, word, 0)[0])
+    assert all(x for m in built.complex.diff.values() for col in m.int_columns
+               for x in col.values())
+    _assert_same_complex(built.complex, _reference_bar(spec, built))
+    reg = regular_module(spec)
+    two = two_sided_bar(reg, spec, reg, Window(-3, 1))
+    assert _wrapping_sums(spec, two, lambda label: _two_sided_boundary(reg, spec, reg, label))
+    _assert_same_complex(two.complex, _reference_two_sided(reg, spec, reg, two))
 
 
 TWO_SIDED = [
@@ -155,6 +226,9 @@ TWO_SIDED = [
                  id="reg-cone-reg"),
     pytest.param(lambda: _cone(F32003, 7), "k", "reg", Window(-3, 1), id="k-cone-reg-F32003"),
     pytest.param(lambda: free_assoc(QQ, [("u", 2)]), "k", "k", Window(-1, 4), id="k-u2-k"),
+    pytest.param(lambda: truncated_polynomial(F32003, 3, 0), "reg", "reg", Window(-4, 1),
+                 id="reg-cubic-reg-F32003"),
+    pytest.param(lambda: _rebased_cubic(F5), "reg", "reg", Window(-3, 1), id="reg-rebased-reg-F5"),
 ]
 
 
@@ -164,10 +238,19 @@ def test_two_sided_bar_matches_the_plain_assembly(make, left, right, window):
     modules = {"k": trivial_module(spec), "reg": regular_module(spec)}
     lm, rm = modules[left], modules[right]
     built = two_sided_bar(lm, spec, rm, window)
-    reference = complex_from_labels(
-        spec.field, built.complex.window, built.basis,
-        lambda label: _two_sided_boundary(lm, spec, rm, label))
-    _assert_same_complex(built.complex, reference)
+    _assert_same_complex(built.complex, _reference_two_sided(lm, spec, rm, built))
+
+
+@pytest.mark.parametrize("drop", [1, 2])
+@pytest.mark.parametrize("modules", ["k", "reg"])
+def test_two_sided_bar_under_a_binding_weight_cap_matches_the_plain_assembly(modules, drop):
+    spec = truncated_polynomial(F32003, 3, 0)
+    module = trivial_module(spec) if modules == "k" else regular_module(spec)
+    window = Window(-4, 0)
+    cap = two_sided_bar(module, spec, module, window).max_weight - drop
+    built = two_sided_bar(module, spec, module, window, max_weight=cap)
+    assert built.max_weight == cap
+    _assert_same_complex(built.complex, _reference_two_sided(module, spec, module, built))
 
 
 # -- the bars' StructuralErrors -------------------------------------------------
@@ -214,6 +297,60 @@ def test_bad_merge_is_reported_by_the_two_sided_bar():
         two_sided_bar(k, spec, k, Window(0, 4))
 
 
+def _behind_a_harmless_letter(product, du=None):
+    """1, h in degree 3 and u in degree 4 (shifted degrees 2 and 3), every
+    product of letters zero but u*u = product, and du the differential of
+    u: [u|u] sits in degree 6, and in degree 8 the first word holding it is
+    [h|u|u], where it is the tail's merge."""
+    one = QQ.one
+    basis = {0: ("1",), 3: ("h",), 4: ("u",)}
+
+    def mult(a, b):
+        if a == "1":
+            return {b: one}
+        if b == "1":
+            return {a: one}
+        return product if a == b == "u" else {}
+
+    return DgAlgebraSpec(
+        QQ, "behind", basis=lambda d: basis.get(d, ()),
+        degree={"1": 0, "h": 3, "u": 4}.__getitem__,
+        diff=lambda l: (du or {}) if l == "u" else {}, mult=mult,
+        unit="1", aug=lambda l: one if l == "1" else QQ.zero, min_degree=0, max_degree=4)
+
+
+@pytest.mark.parametrize("product, message, two_sided_message", [
+    ({"1": QQ.one}, r"merge 'u'\*'u' leaves the augmentation ideal",
+     r"merge 'u'\*'u' leaves the augmentation ideal"),
+    ({"z": QQ.one}, r"d\(\('h', 'u', 'u'\)\) has term \('h', 'z'\) outside the degree 9 basis",
+     r"d\(\('\[\]', \('h', 'u', 'u'\), '\[\]'\)\) has term "
+     r"\('\[\]', \('h', 'z'\), '\[\]'\) outside the degree 9 basis"),
+], ids=["failing-merge", "term-outside"])
+def test_bad_merge_behind_a_harmless_first_letter(product, message, two_sided_message):
+    spec = _behind_a_harmless_letter(product)
+    k = trivial_module(spec)
+    # on [0, 5] [u|u] sits in the padded top degree 6, which no assembled
+    # differential leaves; every differential there is zero
+    dims = {0: 1, 1: 0, 2: 1, 3: 1, 4: 1, 5: 2}
+    assert bar_complex(spec, Window(0, 5)).homology_dims() == dims
+    assert two_sided_bar(k, spec, k, Window(0, 5)).homology_dims() == dims
+    # on [8, 9] degree 6 is not assembled but [h|u|u] is
+    with pytest.raises(StructuralError, match=message):
+        bar_complex(spec, Window(8, 9))
+    with pytest.raises(StructuralError, match=two_sided_message):
+        two_sided_bar(k, spec, k, Window(8, 9))
+
+
+@pytest.mark.parametrize("window, message", [
+    (Window(0, 3), r"d\(\('u',\)\) has term \('q',\) outside the degree 4 basis"),
+    (Window(5, 6), r"d\(\('h', 'u'\)\) has term \('h', 'q'\) outside the degree 6 basis"),
+], ids=["first-letter", "behind-a-harmless-letter"])
+def test_letter_differential_outside_the_basis_names_the_whole_word(window, message):
+    spec = _behind_a_harmless_letter({}, du={"q": QQ.one})
+    with pytest.raises(StructuralError, match=message):
+        bar_complex(spec, window)
+
+
 def test_missing_module_action_is_reported_only_where_a_column_uses_it():
     spec = square_zero(QQ, 1)
     left_only = DgModuleSpec(
@@ -227,6 +364,28 @@ def test_missing_module_action_is_reported_only_where_a_column_uses_it():
         == {-1: 0, 0: 1}
     with pytest.raises(StructuralError, match="has no right action"):
         two_sided_bar(left_only, spec, k, Window(-1, 0))
+    right_only = DgModuleSpec(
+        QQ, "k_right", spec, "right", basis=lambda d: ("[]",) if d == 0 else (),
+        degree=lambda l: 0, diff=lambda l: {},
+        right_act=lambda m, a: {m: spec.aug(a)} if spec.aug(a) else {},
+        min_degree=0, max_degree=0)
+    assert two_sided_bar(k, spec, right_only, Window(-1, 0), max_weight=0).homology_dims() \
+        == {-1: 0, 0: 1}
+    with pytest.raises(StructuralError, match="has no left action"):
+        two_sided_bar(k, spec, right_only, Window(-1, 0))
+
+
+def test_module_term_outside_the_basis_is_named_with_its_word():
+    spec = square_zero(QQ, 1)
+    bogus = DgModuleSpec(
+        QQ, "bogus", spec, "bi", basis=lambda d: ("[]",) if d == 0 else (),
+        degree=lambda l: 0, diff=lambda l: {"?": QQ.one},
+        left_act=lambda a, m: {}, right_act=lambda m, a: {}, min_degree=0, max_degree=0)
+    k = trivial_module(spec)
+    # with no letters the first column is the empty word's, in degree 0
+    with pytest.raises(StructuralError, match=r"d\(\('\[\]', \(\), '\[\]'\)\) has term "
+                       r"\('\?', \(\), '\[\]'\) outside the degree 1 basis"):
+        two_sided_bar(bogus, spec, k, Window(-1, 0), max_weight=0)
 
 
 # -- dims only, in ints -----------------------------------------------------------

@@ -650,34 +650,3 @@ def test_complex_from_labels_sums_terms_and_stops_at_the_window():
     terms["a"] = [("w", 1)]
     with pytest.raises(StructuralError, match="'w'"):
         complex_from_labels(f5, Window(0, 2), basis, lambda l: terms[l])
-
-
-@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
-def test_complex_from_labels_assembles_int_terms_with_a_scale(field):
-    # the bars' form: keys stand in for the labels, terms carry ints, and
-    # each matrix is 1/scale times the summed ints (scale 1 over F_p)
-    scale = 6 if field.p is None else 1
-    basis = {0: ("a", "b"), 1: ("x", "y"), 2: ("z",)}
-    keys = {0: (0, 1), 1: (10, 11), 2: (20,)}
-    terms = {0: [(10, 3), (11, 5), (10, 2)], 1: [(11, 5), (10, 4), (11, -5)],
-             10: [(20, 2)], 11: [(20, -3)], 20: []}
-
-    def build():
-        return complex_from_labels(field, Window(0, 2), basis, lambda k: terms[k],
-                                   keys=keys, label_of=lambda k: f"<{k}>", scale=scale)
-
-    def scaled(sums):
-        return {ij: Fraction(x, scale) if field.p is None else x % field.p
-                for ij, x in sums.items()}
-
-    c = build()
-    assert c.basis == basis
-    # a's two terms on x are summed; b's two terms on y cancel
-    assert c.d_at(0) == SparseMatrix(field, 2, 2, scaled({(0, 0): 5, (1, 0): 5, (0, 1): 4}))
-    assert c.d_at(1) == SparseMatrix(field, 1, 2, scaled({(0, 0): 2, (0, 1): -3}))
-    # zero sums are dropped, mod 5 too: a's column is empty over F_5
-    assert c.d_at(0).int_columns == ([{0: 5, 1: 5}, {0: 4}] if field.p is None
-                                     else [{}, {0: 4}])
-    terms[1] = [(10, 1), (21, 1)]
-    with pytest.raises(StructuralError, match=r"d\('b'\) has term '<21>' outside the degree 1"):
-        build()
