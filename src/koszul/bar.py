@@ -1,4 +1,5 @@
-"""Reduced bar constructions over a degree window.
+"""Bar constructions over a degree window: the reduced bar B(A) and the
+two-sided bar B(M, A, N).
 
 A bar word [a_1|...|a_w] over the augmentation ideal has degree
 sum(|a_i| - 1); the number of letters is its weight.  The differential is
@@ -23,24 +24,33 @@ term of the differential carries exactly one of them, the differential is
 1/D times an integer matrix, whose rank, kernel and d^2 are those of the
 differential.  Over F_p, D = 1 and the ints are reduced mod p.
 
-No term of the differential is built as a word and looked up.  The
-words of degree d with at most c letters come in one block per first
-letter a, and the block of a lists [a|t] for the words t of degree
+Both bars are built from chains [a_1|..|a_w; n]: words that end in an
+element n of a base module N, a left module over A, of degree
+sum(|a_i| - 1) + |n|.  They span the one-sided bar B(A, N), and the
+reduced bar is the case N = k, whose chains are its words.  No term of the
+differential is built as a chain and looked up.  The chains of degree d
+with at most c letters list the base elements of degree d first, then one
+block per first letter a, which lists [a|t] for the chains t of degree
 d - s_a with at most c - 1 letters (s_a = |a| - 1), in their order; a
-word's position is its block's offset plus its tail's position.  The
+chain's position is its block's offset plus its tail's position.  The
 differential is a coderivation,
 
+  d[;n]  = [;dn],
   d[a|t] = -[da|t] + (-1)^{|a|} [ab|r] + (-1)^{s_a} [a|dt],  t = [b|r],
+  d[a|t] = -[da|t] + [;a.n] + (-1)^{s_a} [a|dt],             t = [;n],
 
 so the column of [a|t] is the tail's column moved into the block of a,
 plus the head terms, whose rows are a block's offset plus the position of
-t or r.  Each list's columns are built once, from its tails' columns.
+t or r, or the position of a.n among the base elements.  Each list's
+columns are built once, from its tails' columns.  Over N = k, d1 = 0 and
+a.1 = 0, so these are the word formulas above.  B(M, A, N) = M ox B(A, N)
+is one more block level: see two_sided_bar.
 """
 
 import math
 
 from .exactla import (
-    CochainComplexSlice, RefusalError, SparseMatrix, StructuralError, _integral_columns,
+    CochainComplexSlice, RefusalError, SparseMatrix, StructuralError, Window, _integral_columns,
 )
 
 
@@ -132,28 +142,52 @@ class _Labels:
         return i
 
 
-class _WordEnumerator:
-    """Bar words by (degree, weight cap), as blocks.
+class _Ground:
+    """k as the base of the reduced bar's chains: one element, in degree 0,
+    with d1 = 0 and a.1 = aug(a)1 = 0 for every letter a."""
 
-    words(d, cap) lists the words of degree d with at most cap letters: the
-    empty word when d == 0, then one block per letter a (by shifted degree,
-    then in listing order) holding [a|t] for every t of words(d - s_a,
-    cap - 1).  Only the block structure is stored (`blocks`); the labels
-    (`label_words`), the positions of the same words in a list with a larger
-    cap (`positions`) and those of each word without its last letter
-    (`prefixes`) are built block by block from the tails'.  Letters are
-    indexed by int in `letter` (a _Labels of them, with their shifted
-    degrees)."""
+    min_degree = max_degree = 0
 
-    def __init__(self, spec, regime):
+    def basis(self, d):
+        return ("1",) if d == 0 else ()
+
+    def diff(self, n):
+        return {}
+
+    def left_act(self, a, n):
+        return {}
+
+
+class _ChainEnumerator:
+    """Bar chains [a_1|..|a_w; n] by (degree, weight cap), as blocks.
+
+    A chain ends in an element n of the base module `right` (a left module
+    over spec; _Ground, k, for the reduced bar) and has degree
+    sum(s_i) + |n|.  chains(d, cap) lists the chains of degree d with at
+    most cap letters: the base elements of degree d, then one block per
+    letter a (by shifted degree, then in listing order) holding [a|t] for
+    every t of chains(d - s_a, cap - 1).  Only the block structure is
+    stored (`blocks`); the labels (`label_chains`) and the positions of the
+    same chains in a list with a larger cap (`positions`) are built block
+    by block from the tails'.  Letters and base elements are indexed by int
+    in `letter` and `element` (_Labels of them, with their shifted degrees
+    and degrees)."""
+
+    def __init__(self, spec, regime, right=None):
         self.spec = spec
         self.regime = regime
+        self.right = _Ground() if right is None else right
+        # the base's degree bound that the regime makes binding: the top
+        # (connective, letters of negative degree) or the bottom
+        self.reach = self.right.max_degree if regime[0] == "connective" else self.right.min_degree
+        # the labels base element n adds to a chain's: none for k, whose chains are words
+        self.end = (lambda n: ()) if right is None else (lambda n: (self.element.labels[n],))
         self.letter = _Labels()
+        self.element = _Labels()
         self.letter_cache = {}
         self.memo = {}
         self.label_memo = {}
         self.position_memo = {}
-        self.prefix_memo = {}
 
     def letters(self, s):
         """Letters of shifted degree s, checking augmentation-adaptedness."""
@@ -170,34 +204,37 @@ class _WordEnumerator:
         return self.letter_cache[s]
 
     def clamp(self, d, cap):
-        """cap lowered to the most letters a word of degree d can have:
-        -d (connective) or d // g (coconnected); every larger cap lists the
-        same words.  A word [a|t] of degree d has one letter more than t, so
-        the clamp at d, less one, is at least the clamp at d - s_a: the
-        block of a is words(d - s_a, cap - 1) whatever the clamp."""
+        """cap lowered to the most letters a chain of degree d can have:
+        max|n| - d (connective) or (d - min|n|) // g (coconnected); every
+        larger cap lists the same chains.  A chain [a|t] of degree d has one
+        letter more than t, so the clamp at d, less one, is at least the
+        clamp at d - s_a: the block of a is chains(d - s_a, cap - 1)
+        whatever the clamp."""
         kind, g = self.regime
         if kind == "connective":
-            return min(cap, max(0, -d))
-        return 0 if g is None else min(cap, max(0, d // g))
+            return min(cap, max(0, self.reach - d))
+        return 0 if g is None else min(cap, max(0, (d - self.reach) // g))
 
     def blocks(self, d, cap):
-        """(size, blocks, offset) of words(d, cap): its length, its nonempty
-        blocks as (letter, shifted degree, offset), and offset[letter]."""
+        """(size, blocks, offset, base) of chains(d, cap): its length, its
+        nonempty blocks as (letter, shifted degree, offset), offset[letter],
+        and its base elements, which come first."""
         cap = self.clamp(d, cap)
         key = (d, cap)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        size = 1 if d == 0 else 0
+        base = tuple(self.element(n, d) for n in self.right.basis(d))
+        size = len(base)
         blocks, offset = [], {}
         if cap >= 1:
             kind, g = self.regime
             if kind == "connective":
-                srange = range(d, 0)
+                srange = range(d - self.reach, 0)
             elif g is None:
                 srange = range(0)
             else:
-                srange = range(g, d + 1)
+                srange = range(g, d - self.reach + 1)
             for s in srange:
                 for a in self.letters(s):
                     n = self.blocks(d - s, cap - 1)[0]
@@ -205,24 +242,25 @@ class _WordEnumerator:
                         blocks.append((a, s, size))
                         offset[a] = size
                         size += n
-        hit = self.memo[key] = (size, blocks, offset)
+        hit = self.memo[key] = (size, blocks, offset, base)
         return hit
 
-    def label_words(self, d, cap):
-        """words(d, cap) as tuples of labels."""
+    def label_chains(self, d, cap):
+        """chains(d, cap) as tuples of labels: the letters', then end(n)."""
         cap = self.clamp(d, cap)
         key = (d, cap)
         hit = self.label_memo.get(key)
         if hit is None:
-            out = [()] if d == 0 else []
+            _, blocks, _, base = self.blocks(d, cap)
+            out = list(map(self.end, base))
             labels = self.letter.labels
-            for a, s, _ in self.blocks(d, cap)[1]:
-                out += map((labels[a],).__add__, self.label_words(d - s, cap - 1))
+            for a, s, _ in blocks:
+                out += map((labels[a],).__add__, self.label_chains(d - s, cap - 1))
             hit = self.label_memo[key] = tuple(out)
         return hit
 
     def positions(self, d, small, big):
-        """The position in words(d, big) of each word of words(d, small),
+        """The position in chains(d, big) of each chain of chains(d, small),
         small <= big, or None when the clamps make them one list."""
         small, big = self.clamp(d, small), self.clamp(d, big)
         if small == big:
@@ -230,7 +268,7 @@ class _WordEnumerator:
         key = (d, small, big)
         hit = self.position_memo.get(key)
         if hit is None:
-            hit = [0] if d == 0 else []
+            hit = list(range(len(self.blocks(d, small)[3])))
             offset = self.blocks(d, big)[2]
             for a, s, _ in self.blocks(d, small)[1]:
                 base = offset[a]
@@ -241,67 +279,53 @@ class _WordEnumerator:
             self.position_memo[key] = hit
         return hit
 
-    def prefixes(self, d, cap):
-        """For each word of words(d, cap): None for the empty word, else
-        (z, i) with z its last letter and i the position of the word
-        without z in words(d - s_z, cap)."""
-        cap = self.clamp(d, cap)
-        key = (d, cap)
-        hit = self.prefix_memo.get(key)
-        if hit is None:
-            hit = [None] if d == 0 else []
-            degrees = self.letter.degrees
-            for a, s, _ in self.blocks(d, cap)[1]:
-                if d == s:  # the block is [a] alone
-                    hit.append((a, 0))
-                    continue
-                offset = {}
-                for z, i in self.prefixes(d - s, cap - 1):
-                    base = offset.get(z)
-                    if base is None:
-                        base = offset[z] = self.blocks(d - degrees[z], cap)[2][a]
-                    hit.append((z, base + i))
-            self.prefix_memo[key] = hit
-        return hit
-
 
 class _LetterTable:
-    """The letters of one bar in ints, tabled once, and the bar
-    differential assembled from them block by block.
+    """The letters of one bar in ints, tabled once, and the differential of
+    its chains assembled from them block by block.
 
     For each letter the enumerator has listed: diff[a], its differential,
-    and merge[a][b], the product with letter b wherever [a|b] can sit inside
-    a word of degree in [lo, hi] (the words whose differential is
-    assembled), each a list of (letter, scalar) pairs.  A product that fails
-    (it leaves the augmentation ideal, or the spec raises StructuralError)
-    is tabled as None and its error is raised only when a column uses it.
-    Terms on labels that are no listed letter get indices too, so that they
-    miss every basis and are reported there.
+    merge[a][b], the product with letter b wherever [a|b] can sit inside a
+    chain of degree in [lo, hi] (the chains whose differential is
+    assembled), and act[a][n], its action on each listed base element n;
+    and base_diff[n], the differential of n.  Each is a list of (index,
+    scalar) pairs.  A product that fails (it leaves the augmentation ideal,
+    or the spec raises StructuralError) is tabled as None and its error is
+    raised only when a column uses it.  Terms on labels that are no listed
+    letter or base element get indices too, so that they miss every basis
+    and are reported there.
 
-    The module tables of a two-sided bar are added with `lincomb` and
+    The M level of a two-sided bar adds its tables with `lincomb` and
     `tabled`; `scale_to_ints` then turns every tabled scalar into an int.
-    The table is built after the enumerator has listed every word the bar
-    holds, so that every letter is indexed with its degree.
+    The table is built after the enumerator has listed every chain the bar
+    holds, so that every letter and base element is indexed with its
+    degree.
     """
 
-    def __init__(self, spec, enum, lo, hi):
+    def __init__(self, spec, enum, lo, hi, size):
         self.field = spec.field
         self.enum = enum
         self.failures = {}
         self.lincombs = []
         self.memo = {}
-        self.rows = []  # rows[i] is i: one int object per row, shared by every column
-        letter = enum.letter
+        # rows[i] is i, through the largest basis, which holds every list a
+        # column lands in: one int object per row, shared by every column
+        self.rows = list(range(size))
+        letter, element, right, reach = enum.letter, enum.element, enum.right, enum.reach
         letters = list(zip(letter.labels, letter.degrees))
+        elements = list(element.labels)
         self.diff = [self.lincomb(spec.diff(x), letter) for x, _ in letters]
-        # [a|b] sits in words of degree <= sa + sb (connective: the other
-        # letters are negative), or >= sa + sb (coconnected)
+        # [a|b] sits in chains of degree <= sa + sb + max|n| (connective:
+        # the other letters are negative), or >= sa + sb + min|n| (coconnected)
         connective = enum.regime[0] == "connective"
         self.merge = [
             [self.tabled((a, b), lambda x=x, y=y: _merge(spec, x, y), letter)
-             if (lo <= sx + sy if connective else sx + sy <= hi) else []
+             if (lo <= sx + sy + reach if connective else sx + sy + reach <= hi) else []
              for b, (y, sy) in enumerate(letters)]
             for a, (x, sx) in enumerate(letters)]
+        self.base_diff = [self.lincomb(right.diff(n), element) for n in elements]
+        self.act = [[self.tabled(("a.n", a, i), lambda x=x, n=n: right.left_act(x, n), element)
+                     for i, n in enumerate(elements)] for a, (x, _) in enumerate(letters)]
 
     def lincomb(self, lc, index):
         """lc as a tabled list of (index(label), scalar) pairs."""
@@ -333,77 +357,91 @@ class _LetterTable:
         return scale
 
     def columns(self, d, cap):
-        """The differential of words(d, cap) as (columns, errors).
+        """The differential of chains(d, cap) as (columns, errors).
 
-        columns[j] maps rows of words(d + 1, cap) to nonzero ints (in
-        [0, p) over F_p) and follows the module docstring's recursion: the
-        tail's column, moved into the block of the first letter a, plus the
-        head terms -[da|t] and (-1)^{|a|} [ab|r], summed into it.
-        errors[j] = (failure, term) for a column that uses a failing merge
-        (failure, its leftmost one's StructuralError) or has a term outside
-        words(d + 1, cap) (term, the first one's labels); a failure is
-        raised before any term is looked up, as the letters are read left
-        to right.  Memoized by the clamps of cap at d and at d + 1, which
-        fix both lists.
+        columns[j] maps rows of chains(d + 1, cap) to nonzero ints (in
+        [0, p) over F_p) and follows the module docstring's recursion: a
+        base element's column [;dn], and for [a|t] the tail's column, moved
+        into the block of a, plus the head terms -[da|t] and (-1)^{|a|}
+        [ab|r] (t = [b|r]) or [;a.n] (t = [;n]), summed into it.
+        errors[j] = (failure, term) for a column that uses a failing
+        product (failure, its leftmost one's StructuralError) or has a term
+        outside chains(d + 1, cap) (term, the first one's labels); a
+        failure is raised before any term is looked up, as the letters are
+        read left to right.  Memoized by the clamps of cap at d and at
+        d + 1, which fix both lists.
         """
         enum = self.enum
         key = (d, enum.clamp(d, cap), enum.clamp(d + 1, cap))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        size, _, target = enum.blocks(d + 1, cap)
+        _, _, target, upper = enum.blocks(d + 1, cap)
         rows = self.rows
-        if len(rows) < size:
-            rows += range(len(rows), size)
         p = self.field.p
         degrees, labels = enum.letter.degrees, enum.letter.labels
-        cols = [{}] if d == 0 else []
-        errors = {}
-        for a, s, off in enum.blocks(d, cap)[1]:
+        # [;dn] and [;a.n] land on the base elements of degree d + 1, listed first
+        elements = dict(zip(upper, rows))
+        _, blocks, _, bare = enum.blocks(d, cap)  # bare: the n of the chains [;n]
+        cols, errors = [], {}
+        for j, n in enumerate(bare):
+            col = {}
+            for x, c in self.base_diff[n]:
+                if x in elements:
+                    _add_run((col,), (elements[x],), c, p)
+                else:
+                    errors.setdefault(j, (None, enum.end(x)))
+            cols.append(col)
+        for a, s, off in blocks:
             tails, tail_errors = self.columns(d - s, cap - 1)
+            _, tail_blocks, _, tail_bare = enum.blocks(d - s, cap - 1)
             # (-1)^{s_a} [a|dt]: the tail's target is the block of a in
-            # words(d + 1, cap), absent only when every tail column is empty
+            # chains(d + 1, cap), absent only when every tail column is empty
             base = target.get(a)
             block = _moved(tails, () if base is None else
                            rows[base:base + enum.blocks(d + 1 - s, cap - 1)[0]], s % 2, p)
-            head = {}  # tail position -> (failure, term outside the target)
+            # tail position -> its first failing product, its first term outside the target
+            failed, outside = {}, {}
             # -[da|t]: t keeps its position, in the block of each letter of da
             for m, c in self.diff[a]:
                 at = target.get(m) if degrees[m] == s + 1 else None
                 if at is None:
-                    for i, t in enumerate(enum.label_words(d - s, cap - 1)):
-                        head.setdefault(i, (None, (labels[m],) + t))
+                    for i, t in enumerate(enum.label_chains(d - s, cap - 1)):
+                        outside.setdefault(i, (labels[m],) + t)
                     continue
                 _add_run(block, rows[at:at + len(block)], -c if p is None else p - c, p)
+            # [;a.n], for t = [;n]: the tails' base elements come first
+            for i, n in enumerate(tail_bare):
+                prod = self.act[a][n]
+                if prod is None:
+                    failed[i] = self.failures["a.n", a, n]
+                    continue
+                for x, c in prod:
+                    if x in elements:
+                        _add_run(block[i:i + 1], (elements[x],), c, p)
+                    else:
+                        outside.setdefault(i, enum.end(x))
             # (-1)^{|a|} [ab|r], for t = [b|r]: one run per block b of the tails
-            for b, sb, off_b in (enum.blocks(d - s, cap - 1)[1] if d != s else ()):
+            for b, sb, off_b in tail_blocks:
                 prod = self.merge[a][b]
                 n = enum.blocks(d - s - sb, cap - 2)[0]
                 if not prod:
                     if prod is None:
-                        for i in range(off_b, off_b + n):
-                            head[i] = (self.failures[a, b], head.get(i, (None, None))[1])
+                        failed.update(dict.fromkeys(range(off_b, off_b + n), self.failures[a, b]))
                     continue
                 # the merge drops a letter: r's position among cap - 1 letters
                 moved = enum.positions(d - s - sb, cap - 2, cap - 1)
                 for m, c in prod:
                     at = target.get(m) if degrees[m] == s + sb + 1 else None
                     if at is None:
-                        for i, r in enumerate(enum.label_words(d - s - sb, cap - 2), off_b):
-                            f, term = head.get(i, (None, None))
-                            head[i] = (f, (labels[m],) + r if term is None else term)
+                        for i, r in enumerate(enum.label_chains(d - s - sb, cap - 2), off_b):
+                            outside.setdefault(i, (labels[m],) + r)
                         continue
                     _add_run(block[off_b:off_b + n],
                              rows[at:at + n] if moved is None else [rows[at + i] for i in moved],
                              c if s % 2 else (-c if p is None else p - c), p)
-            if head or tail_errors:
-                first = (labels[a],)
-                for i in head.keys() | tail_errors.keys():
-                    failure, term = head.get(i, (None, None))
-                    tail_failure, tail_term = tail_errors.get(i, (None, None))
-                    if term is None and tail_term is not None:
-                        term = first + tail_term
-                    errors[off + i] = (failure or tail_failure, term)
+            if failed or outside or tail_errors:
+                _join_errors(errors, off, failed, outside, tail_errors, (labels[a],).__add__)
             cols += block
         hit = self.memo[key] = (cols, errors)
         return hit
@@ -443,15 +481,16 @@ def _add_run(cols, rows, c, p):
                 del col[row]
 
 
-def _first_error(errors, labels, d):
-    """The StructuralError of the first column with errors, as
-    complex_from_labels would raise it."""
-    j = min(errors)
-    failure, term = errors[j]
-    if failure is not None:
-        return failure
-    return StructuralError(
-        f"d({labels[j]!r}) has term {term!r} outside the degree {d + 1} basis")
+def _join_errors(errors, off, failed, outside, tail_errors, name):
+    """errors[off + i] for each tail position i with an error: the head's
+    failing product, else the tail's (the leftmost one), and the head's
+    term outside the target, else the tail's, named whole by name(term)."""
+    for i in failed.keys() | outside.keys() | tail_errors.keys():
+        tail_failure, tail_term = tail_errors.get(i, (None, None))
+        term = outside.get(i)
+        if term is None and tail_term is not None:
+            term = name(tail_term)
+        errors[off + i] = (failed.get(i) or tail_failure, term)
 
 
 def _merge(spec, x, y):
@@ -496,6 +535,32 @@ class BarSlice:
         return f"BarSlice({names}, window={self.window!r}, dims={self.dims()})"
 
 
+def _checked_cap(cap, max_weight):
+    """max_weight when given, else the computed cap; refused when negative."""
+    cap = cap if max_weight is None else max_weight
+    if cap < 0:
+        raise RefusalError(f"negative weight cap {cap}")
+    return cap
+
+
+def _bar_slice(spec, window, padded, basis, columns, scale, cap, left=None, right=None):
+    """The BarSlice whose differential leaving degree d is columns(d), 1/scale
+    times its int columns; the first column with errors raises its failure,
+    else its term outside the basis, as complex_from_labels would."""
+    diffs = {}
+    for d, labels in basis.items():
+        if labels and d + 1 in padded:
+            cols, errors = columns(d)
+            if errors:
+                j = min(errors)
+                failure, term = errors[j]
+                raise failure or StructuralError(
+                    f"d({labels[j]!r}) has term {term!r} outside the degree {d + 1} basis")
+            diffs[d] = SparseMatrix.from_int_columns(spec.field, len(basis[d + 1]), cols, scale)
+    complex_ = CochainComplexSlice(spec.field, padded, basis, diffs)
+    return BarSlice(spec, window, complex_, cap, left, right)
+
+
 def bar_complex(spec, window, max_weight=None):
     """Materialize the reduced bar complex of spec over the padded window;
     d^2 = 0 is checked when its cohomology is taken.
@@ -506,23 +571,12 @@ def bar_complex(spec, window, max_weight=None):
     """
     padded = window.padded(1)
     regime = _regime(spec, padded)
-    cap = _weight_cap(regime, padded) if max_weight is None else max_weight
-    if cap < 0:
-        raise RefusalError(f"negative weight cap {cap}")
-
-    enum = _WordEnumerator(spec, regime)
-    basis = {d: enum.label_words(d, cap) for d in padded.degrees()}
-    table = _LetterTable(spec, enum, padded.lo, padded.hi)
+    cap = _checked_cap(_weight_cap(regime, padded), max_weight)
+    enum = _ChainEnumerator(spec, regime)
+    basis = {d: enum.label_chains(d, cap) for d in padded.degrees()}
+    table = _LetterTable(spec, enum, padded.lo, padded.hi, max(map(len, basis.values())))
     scale = table.scale_to_ints()
-    diffs = {}
-    for d, words in basis.items():
-        if words and d + 1 in padded:
-            cols, errors = table.columns(d, cap)
-            if errors:
-                raise _first_error(errors, words, d)
-            diffs[d] = SparseMatrix.from_int_columns(spec.field, len(basis[d + 1]), cols, scale)
-    complex_ = CochainComplexSlice(spec.field, padded, basis, diffs)
-    return BarSlice(spec, window, complex_, cap)
+    return _bar_slice(spec, window, padded, basis, lambda d: table.columns(d, cap), scale, cap)
 
 
 def bar_homology_dims(spec, window, max_weight=None):
@@ -535,175 +589,120 @@ def bar_homology_dims(spec, window, max_weight=None):
 
 
 def two_sided_bar(left, spec, right, window, max_weight=None):
-    """Materialize B(left, spec, right) over the padded window.
+    """Materialize B(left, spec, right) = left ox B(spec, right) over the
+    padded window.
 
     left must be a right module over spec (an object with basis/degree/diff/
-    right_act and degree bounds), right a left module (left_act).  The
-    differential combines the internal differentials, the bar merges and the
-    two outer merges m.a_1 and a_w.n; d^2 = 0 is checked when its cohomology
-    is taken.
+    right_act and degree bounds), right a left module (left_act).  On the
+    chains c of B(spec, right) (module docstring) the differential is
+
+      d(m; c) = (dm; c) + (-1)^{|m|} (m; dc) - (-1)^{|m|} (m.a_1; t),
+      c = [a_1|t],
+
+    which combines the internal differentials, the bar merges and the two
+    outer merges m.a_1 and a_w.n.  Degree d lists (m; c) by (|m|, m, c):
+    one block per m, by degree and then in left's listing order, holding
+    the chains of degree d - |m| in their order; its labels are
+    (m, (a_1, .., a_w), n).  d^2 = 0 is checked when its cohomology is
+    taken.
     """
     padded = window.padded(1)
     regime = _regime(spec, padded)
-    kind, g = regime
+    connective = regime[0] == "connective"
+    bound = "max_degree" if connective else "min_degree"
+    if getattr(left, bound) is None or getattr(right, bound) is None:
+        raise ConvergenceError(
+            f"two-sided bar over a {regime[0]} algebra needs modules bounded "
+            f"{'above' if connective else 'below'}", [])
+    # the chains of degree d - |m| reach down to lo (connective: letters
+    # have negative degree) or up to hi (coconnected); the cap is the most
+    # letters a chain there can have
+    lo = padded.lo - (left.max_degree if connective else 0)
+    hi = padded.hi - (0 if connective else left.min_degree)
+    if not connective:  # the smallest letter degree, up to the largest a chain can hold
+        regime = _regime(spec, Window(padded.lo, max(padded.hi, hi - right.min_degree)))
+    enum = _ChainEnumerator(spec, regime, right)
+    cap = _checked_cap(enum.clamp(lo if connective else hi, math.inf), max_weight)
 
-    if kind == "connective":
-        if left.max_degree is None or right.max_degree is None:
-            raise ConvergenceError(
-                "two-sided bar over a connective algebra needs modules bounded above",
-                [])
-        cap = max(0, left.max_degree + right.max_degree - padded.lo)
-    else:
-        if left.min_degree is None or right.min_degree is None:
-            raise ConvergenceError(
-                "two-sided bar over a coconnected algebra needs modules bounded below",
-                [])
-        if g is None:
-            cap = 0
-        else:
-            cap = max(0, (padded.hi - left.min_degree - right.min_degree) // g)
-    if max_weight is not None:
-        cap = max_weight
-
-    enum = _WordEnumerator(spec, regime)
-    lindex, rindex = _Labels(), _Labels()
-
-    # At total degree d the word degree e, the M degree dm and the N degree
-    # dn satisfy dm + e + dn = d; the regime pins the sign of e and the
-    # module bounds make each loop finite.  Degree d lists one block per
-    # (e, dm), m by m, then word by word, then n by n: where[d, e, dm] is
-    # the block's offset, the positions of its m's and n's and their counts.
-    basis, blocks, where = {}, {}, {}
+    # degree d holds the chains of degree d - |m| once per m, and the module
+    # bounds make the range of |m| finite.  offsets[d][m] is the offset of
+    # m's block
+    lindex = _Labels()
+    basis, offsets = {}, {}
     for d in padded.degrees():
-        labels, blocks[d] = [], []
-        if kind == "connective":
-            e_range = range(d - left.max_degree - right.max_degree, 1)
-        else:
-            e_range = range(0, d - left.min_degree - right.min_degree + 1)
-        for e in e_range:
-            nw = enum.blocks(e, cap)[0]
-            if not nw:
+        labels, offsets[d] = [], {}
+        for dm in (range(d - right.max_degree, left.max_degree + 1) if connective
+                   else range(left.min_degree, d - right.min_degree + 1)):
+            ms = left.basis(dm)
+            chains = enum.label_chains(d - dm, cap) if ms else ()
+            if not chains:
                 continue
-            words = enum.label_words(e, cap)
-            if kind == "connective":
-                dm_range = range(d - e - right.max_degree, left.max_degree + 1)
-            else:
-                dm_range = range(left.min_degree, d - e - right.min_degree + 1)
-            for dm in dm_range:
-                ms = left.basis(dm)
-                if not ms:
-                    continue
-                ns = right.basis(d - e - dm)
-                if not ns:
-                    continue
-                nis = [rindex(n, d - e - dm) for n in ns]
-                mis = [lindex(m, dm) for m in ms]
-                where[d, e, dm] = (len(labels), dict(zip(mis, range(len(mis)))),
-                                   dict(zip(nis, range(len(nis)))), nw, len(nis))
-                blocks[d].append((e, dm, mis, nis))
-                labels += [(m, w, n) for m in ms for w in words for n in ns]
+            split = [(c[:-1], c[-1]) for c in chains]
+            for m in ms:
+                offsets[d][lindex(m, dm)] = len(labels)
+                labels += [(m, w, n) for w, n in split]
         basis[d] = labels
 
-    if kind == "connective":
-        e_lo, e_hi = padded.lo - left.max_degree - right.max_degree, 0
-    else:
-        e_lo, e_hi = 0, padded.hi - left.min_degree - right.min_degree
-    table = _LetterTable(spec, enum, e_lo, e_hi)
+    table = _LetterTable(spec, enum, lo, hi, max(map(len, basis.values())))
     letters = list(enumerate(enum.letter.labels[:len(table.diff)]))
     ms = list(enumerate(lindex.labels))
-    ns = list(enumerate(rindex.labels))
     ldiff = [table.lincomb(left.diff(m), lindex) for _, m in ms]
-    rdiff = [table.lincomb(right.diff(n), rindex) for _, n in ns]
     ract = [[table.tabled(("m.a", mi, a), lambda m=m, x=x: left.right_act(m, x), lindex)
              for a, x in letters] for mi, m in ms]
-    lact = [[table.tabled(("a.n", a, ni), lambda x=x, n=n: right.left_act(x, n), rindex)
-             for ni, n in ns] for a, x in letters]
     scale = table.scale_to_ints()
     p = spec.field.p
-    degrees = enum.letter.degrees
+    mlabels, mdegrees = lindex.labels, lindex.degrees
 
-    def neg(c):
-        return -c if p is None else p - c
-
-    def put(extra, missing, c, d, e, dm, mi, w, ni):
-        """Add (row, c) to extra for (m, word w of words(e, cap), n) in the
-        degree-d basis, or its labels to missing when it is not there."""
-        hit = where.get((d, e, dm))
-        if hit is not None:
-            base, mpos, npos, nw, nn = hit
-            i, j = mpos.get(mi), npos.get(ni)
-            if i is not None and j is not None:
-                extra.append((base + (i * nw + w) * nn + j, c))
-                return
-        missing.append((lindex.labels[mi], enum.label_words(e, cap)[w], rindex.labels[ni]))
-
-    diffs = {}
-    for d, labels in basis.items():
-        if not labels or d + 1 not in padded:
-            continue
+    def columns(d):
+        """The columns of degree d: (m; dc) is c's column moved into the
+        block of m, and (dm; c) and (m.a_1; t) are runs of head terms."""
+        rows = table.rows
+        target = offsets[d + 1]
         cols, errors = [], {}
-        for e, dm, mis, nis in blocks[d]:
-            wcols, werrors = table.columns(e, cap)
-            # each word's first letter a and the position of its tail in
-            # words(e - s_a, cap); its last letter z and the position of
-            # the rest in words(e - s_z, cap)
-            firsts = [None] if e == 0 else []
-            for a, s, _ in enum.blocks(e, cap)[1]:
-                moved = enum.positions(e - s, cap - 1, cap)
-                firsts += [(a, s, i) for i in moved or range(enum.blocks(e - s, cap - 1)[0])]
-            lasts = enum.prefixes(e, cap)
-            # (m; dA; n) sits in the block (e + 1, dm) of degree d + 1
-            up = where.get((d + 1, e + 1, dm))
-            p_last = (dm + e) % 2
-            for mi in mis:
-                for w, wcol in enumerate(wcols):
-                    word_failure, word_term = werrors.get(w, (None, None))
-                    for ni in nis:
-                        # the terms beside the word's own as (row, int), and
-                        # the labels of those outside the next basis, in
-                        # the order of the docstring's formula
-                        failure, extra, missing = word_failure, [], []
-                        # (dm; A; n)
-                        for mm, c in ldiff[mi]:
-                            put(extra, missing, c, d + 1, e, dm + 1, mm, w, ni)
-                        if word_term is not None:
-                            missing.append((lindex.labels[mi], word_term, rindex.labels[ni]))
-                        # (-1)^{P_w} (m; A; dn)
-                        for nn, c in rdiff[ni]:
-                            put(extra, missing, neg(c) if p_last else c, d + 1, e, dm, mi, w, nn)
-                        if firsts[w] is not None:
-                            # -(-1)^{|m|} (m.a_1; a_2..; n)
-                            a, s, i = firsts[w]
-                            prod = ract[mi][a]
-                            if prod is None:
-                                failure = failure or table.failures["m.a", mi, a]
-                            for mm, c in prod or ():
-                                put(extra, missing, c if dm % 2 else neg(c),
-                                    d + 1, e - s, dm + s + 1, mm, i, ni)
-                            # +(-1)^{P_{w-1}} (m; a_1..a_{w-1}; a_w.n)
-                            z, i = lasts[w]
-                            prod = lact[z][ni]
-                            if prod is None:
-                                failure = failure or table.failures["a.n", z, ni]
-                            p_prev = p_last ^ degrees[z] % 2
-                            for nn, c in prod or ():
-                                put(extra, missing, neg(c) if p_prev else c,
-                                    d + 1, e - degrees[z], dm, mi, i, nn)
-                        if failure is not None or missing:
-                            errors[len(cols)] = (failure, missing[0] if missing else None)
-                        col = {}
-                        if wcol:  # (-1)^{|m|} (m; dA; n), in the block (e + 1, dm)
-                            base, mpos, npos, nw, nn = up
-                            at = base + mpos[mi] * nw * nn + npos[ni]
-                            col = {at + r * nn: neg(x) if dm % 2 else x for r, x in wcol.items()}
-                        for at, c in extra:
-                            _add_run((col,), (at,), c, p)
-                        cols.append(col)
-        if errors:
-            raise _first_error(errors, labels, d)
-        diffs[d] = SparseMatrix.from_int_columns(spec.field, len(basis[d + 1]), cols, scale)
-    complex_ = CochainComplexSlice(spec.field, padded, basis, diffs)
-    return BarSlice(spec, window, complex_, cap, left, right)
+        for mi, off in offsets[d].items():
+            dm = mdegrees[mi]
+            chain_cols, chain_errors = table.columns(d - dm, cap)
+            # (-1)^{|m|} (m; dc), in the block of m
+            base = target.get(mi)
+            block = _moved(chain_cols, () if base is None else
+                           rows[base:base + enum.blocks(d + 1 - dm, cap)[0]], dm % 2, p)
+            # chain position -> its failing m.a_1, its first term outside the target
+            failed, outside = {}, {}
+            # (dm; c): c keeps its position, in the block of each term of dm
+            for x, c in ldiff[mi]:
+                at = target.get(x) if mdegrees[x] == dm + 1 else None
+                if at is None:
+                    for i, t in enumerate(enum.label_chains(d - dm, cap)):
+                        outside.setdefault(i, (mlabels[x], t[:-1], t[-1]))
+                    continue
+                _add_run(block, rows[at:at + len(block)], c, p)
+            # -(-1)^{|m|} (m.a; t), for c = [a|t]: one run per block a of the chains
+            for a, s, off_a in enum.blocks(d - dm, cap)[1]:
+                prod = ract[mi][a]
+                n = enum.blocks(d - dm - s, cap - 1)[0]
+                if not prod:
+                    if prod is None:
+                        failed.update(dict.fromkeys(range(off_a, off_a + n),
+                                                    table.failures["m.a", mi, a]))
+                    continue
+                # t keeps its letters under m.a: its position among cap letters
+                moved = enum.positions(d - dm - s, cap - 1, cap)
+                for x, c in prod:
+                    at = target.get(x) if mdegrees[x] == dm + s + 1 else None
+                    if at is None:
+                        for i, t in enumerate(enum.label_chains(d - dm - s, cap - 1), off_a):
+                            outside.setdefault(i, (mlabels[x], t[:-1], t[-1]))
+                        continue
+                    _add_run(block[off_a:off_a + n],
+                             rows[at:at + n] if moved is None else [rows[at + i] for i in moved],
+                             c if dm % 2 else (-c if p is None else p - c), p)
+            if failed or outside or chain_errors:
+                _join_errors(errors, off, failed, outside, chain_errors,
+                             lambda t, m=mlabels[mi]: (m, t[:-1], t[-1]))
+            cols += block
+        return cols, errors
+
+    return _bar_slice(spec, window, padded, basis, columns, scale, cap, left, right)
 
 
 def derived_tensor_dims(left, spec, right, window, max_weight=None):

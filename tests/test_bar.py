@@ -4,7 +4,7 @@ truncation stability, deconcatenation algebra, refusals."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszul.exactla import Window, QQ, Field, StructuralError
+from koszul.exactla import Window, QQ, Field, RefusalError, StructuralError
 from koszul.dga import (
     DgAlgebraSpec, square_zero, truncated_polynomial, free_assoc,
     tensor_algebra, algebra_slice,
@@ -239,6 +239,16 @@ def test_two_sided_truncation_stability():
     base = two_sided_bar(k, spec, reg, w)
     again = derived_tensor_dims(k, spec, reg, w, max_weight=base.max_weight + 2)
     assert again == base.homology_dims()
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec, k, window: bar_complex(spec, window, max_weight=-1),
+    lambda spec, k, window: two_sided_bar(k, spec, k, window, max_weight=-1),
+], ids=["reduced", "two-sided"])
+def test_negative_weight_cap_is_refused(build):
+    spec = truncated_polynomial(QQ, 3, 0)
+    with pytest.raises(RefusalError, match="negative weight cap -1"):
+        build(spec, trivial_module(spec), Window(-3, 0))
 
 
 def test_two_sided_needs_module_bounds():

@@ -229,6 +229,12 @@ TWO_SIDED = [
     pytest.param(lambda: truncated_polynomial(F32003, 3, 0), "reg", "reg", Window(-4, 1),
                  id="reg-cubic-reg-F32003"),
     pytest.param(lambda: _rebased_cubic(F5), "reg", "reg", Window(-3, 1), id="reg-rebased-reg-F5"),
+    # modules that span several degrees, where (|m|, m, chain) is the listing order
+    pytest.param(lambda: square_zero(QQ, 1), "reg", "reg", Window(-3, 1), id="reg-sq1-reg"),
+    pytest.param(lambda: square_zero(F5, 1), "reg", "reg", Window(-4, 1), id="reg-sq1-reg-F5"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2)]), "reg", "reg", Window(-1, 6), id="reg-u2-reg"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2), ("v", 3)]), "reg", "k", Window(0, 7),
+                 id="reg-u2-v3-k"),
 ]
 
 
@@ -241,16 +247,91 @@ def test_two_sided_bar_matches_the_plain_assembly(make, left, right, window):
     _assert_same_complex(built.complex, _reference_two_sided(lm, spec, rm, built))
 
 
+CAPPED_TWO_SIDED = [
+    pytest.param(lambda: truncated_polynomial(F32003, 3, 0), "k", Window(-4, 0), id="k"),
+    pytest.param(lambda: truncated_polynomial(F32003, 3, 0), "reg", Window(-4, 0), id="reg"),
+    # letters of shifted degrees -1 and -2 and modules in degrees -1 and 0:
+    # m.a_1 moves t into the list with one more letter, at a new position
+    pytest.param(lambda: _cone(QQ, Fraction(2, 3)), "reg", Window(-4, 1), id="reg-cone-Q"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2), ("v", 3)]), "reg", Window(0, 6),
+                 id="reg-u2-v3-Q"),
+]
+
+
 @pytest.mark.parametrize("drop", [1, 2])
-@pytest.mark.parametrize("modules", ["k", "reg"])
-def test_two_sided_bar_under_a_binding_weight_cap_matches_the_plain_assembly(modules, drop):
-    spec = truncated_polynomial(F32003, 3, 0)
+@pytest.mark.parametrize("make, modules, window", CAPPED_TWO_SIDED)
+def test_two_sided_bar_under_a_binding_weight_cap_matches_the_plain_assembly(
+        make, modules, window, drop):
+    spec = make()
     module = trivial_module(spec) if modules == "k" else regular_module(spec)
-    window = Window(-4, 0)
     cap = two_sided_bar(module, spec, module, window).max_weight - drop
     built = two_sided_bar(module, spec, module, window, max_weight=cap)
     assert built.max_weight == cap
     _assert_same_complex(built.complex, _reference_two_sided(module, spec, module, built))
+
+
+def test_two_sided_listing_order():
+    # degree d lists (m; c) by (|m|, m, c), c a chain [a_1|..|a_w; n] of
+    # degree d - |m| in the chain order: its base elements n, then its
+    # blocks by first letter.  Here M and N both span degrees -1 and 0.
+    sq1 = square_zero(QQ, 1)
+    reg = regular_module(sq1)
+    built = two_sided_bar(reg, sq1, reg, Window(-1, 0))
+    assert built.basis[-2] == (("e", (), "e"), ("1", ("e",), "1"))
+    # M spans degrees 0 to 8, N = k: each m holds the reduced bar's words
+    # of degree d - |m|, in their order
+    spec = free_assoc(QQ, [("u", 2), ("v", 3)])
+    reg = regular_module(spec)
+    built = two_sided_bar(reg, spec, trivial_module(spec), Window(0, 7))
+    words = bar_complex(spec, Window(0, 7)).basis
+    assert built.basis == {d: tuple((m, w, "[]") for dm in range(d + 1) for m in reg.basis(dm)
+                                    for w in words.get(d - dm, ()))
+                           for d in built.basis}
+    # M and N in one degree: m, then the word, then n
+    cubic = truncated_polynomial(QQ, 3, 0)
+    reg = regular_module(cubic)
+    built = two_sided_bar(reg, cubic, reg, Window(-4, 0))
+    words = bar_complex(cubic, Window(-4, 0)).basis
+    assert built.basis == {d: tuple((m, w, n) for m in reg.basis(0) for w in words[d]
+                                    for n in reg.basis(0))
+                           for d in words}
+
+
+def _shifted_k(spec, n):
+    """k in degree n, acting on both sides through the augmentation."""
+    field = spec.field
+
+    def act(a):
+        c = spec.aug(a)
+        return {} if field.is_zero(c) else {"s": c}
+
+    return DgModuleSpec(
+        field, f"k[{n}]", spec, "bi", basis=lambda d: ("s",) if d == n else (),
+        degree=lambda l: n, diff=lambda l: {}, left_act=lambda a, m: act(a),
+        right_act=lambda m, a: act(a), min_degree=n, max_degree=n)
+
+
+@pytest.mark.parametrize("make, window, n", [
+    pytest.param(lambda: truncated_polynomial(QQ, 3, 0), Window(-1, 0), 2, id="cubic-up-2"),
+    pytest.param(lambda: _cone(QQ, Fraction(2, 3)), Window(-4, 0), 3, id="cone-up-3"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2), ("v", 3)]), Window(-1, 5), -2,
+                 id="u2-v3-down-2"),
+    # the letter u (degree 5) lies above the padded window [-3, -1], but
+    # [u; s] has degree -1 there
+    pytest.param(lambda: free_assoc(QQ, [("u", 5)]), Window(4, 4), -6, id="u5-down-6"),
+])
+def test_a_base_in_degree_n_shifts_the_two_sided_bar_by_n(make, window, n):
+    # B(k, A, k[n]) is B(k, A, k) moved up by n, matrix by matrix: the
+    # chains' letters, and so the weight cap and the merges tabled, depend
+    # on where the base module lies
+    spec = make()
+    k = trivial_module(spec)
+    plain = two_sided_bar(k, spec, k, window)
+    moved = two_sided_bar(k, spec, _shifted_k(spec, n), Window(window.lo + n, window.hi + n))
+    assert moved.max_weight == plain.max_weight
+    assert moved.basis == {d + n: tuple((m, w, "s") for m, w, _ in labels)
+                           for d, labels in plain.basis.items()}
+    assert moved.complex.diff == {d + n: m for d, m in plain.complex.diff.items()}
 
 
 # -- the bars' StructuralErrors -------------------------------------------------
@@ -351,6 +432,38 @@ def test_letter_differential_outside_the_basis_names_the_whole_word(window, mess
         bar_complex(spec, window)
 
 
+def test_the_leftmost_failing_product_is_raised():
+    """A = k{1, v, u} in degree 0 with v*v = 1 and every other product of
+    letters zero, and M = k.m with m.v failing: the column (m; [v|v]; n)
+    uses both failing products, and raises m.v, the leftmost one."""
+    one = QQ.one
+
+    def mult(a, b):
+        if a == "1":
+            return {b: one}
+        if b == "1":
+            return {a: one}
+        return {"1": one} if a == b == "v" else {}
+
+    spec = DgAlgebraSpec(
+        QQ, "vv", basis=lambda d: ("1", "v", "u") if d == 0 else (), degree=lambda l: 0,
+        diff=lambda l: {}, mult=mult, unit="1", aug=lambda l: one if l == "1" else QQ.zero,
+        min_degree=0, max_degree=0)
+
+    def act(m, a):
+        if a == "v":
+            raise StructuralError("m.v is undefined")
+        return {m: one} if a == "1" else {}
+
+    left = DgModuleSpec(
+        QQ, "m", spec, "right", basis=lambda d: ("m",) if d == 0 else (),
+        degree=lambda l: 0, diff=lambda l: {}, right_act=act, min_degree=0, max_degree=0)
+    with pytest.raises(StructuralError, match=r"merge 'v'\*'v' leaves the augmentation ideal"):
+        bar_complex(spec, Window(-1, 0))
+    with pytest.raises(StructuralError, match=r"m\.v is undefined"):
+        two_sided_bar(left, spec, trivial_module(spec), Window(-1, 0))
+
+
 def test_missing_module_action_is_reported_only_where_a_column_uses_it():
     spec = square_zero(QQ, 1)
     left_only = DgModuleSpec(
@@ -386,6 +499,18 @@ def test_module_term_outside_the_basis_is_named_with_its_word():
     with pytest.raises(StructuralError, match=r"d\(\('\[\]', \(\), '\[\]'\)\) has term "
                        r"\('\?', \(\), '\[\]'\) outside the degree 1 basis"):
         two_sided_bar(bogus, spec, k, Window(-1, 0), max_weight=0)
+    # the same differential on the right: the term of the bare chain's dn
+    with pytest.raises(StructuralError, match=r"d\(\('\[\]', \(\), '\[\]'\)\) has term "
+                       r"\('\[\]', \(\), '\?'\) outside the degree 1 basis"):
+        two_sided_bar(k, spec, bogus, Window(-1, 0), max_weight=0)
+    # an action outside the basis: e.n is the head term of [e; n]
+    acting = DgModuleSpec(
+        QQ, "acting", spec, "left", basis=lambda d: ("[]",) if d == 0 else (),
+        degree=lambda l: 0, diff=lambda l: {}, left_act=lambda a, m: {"?": QQ.one},
+        min_degree=0, max_degree=0)
+    with pytest.raises(StructuralError, match=r"d\(\('\[\]', \('e',\), '\[\]'\)\) has term "
+                       r"\('\[\]', \(\), '\?'\) outside the degree -1 basis"):
+        two_sided_bar(k, spec, acting, Window(-1, 0))
 
 
 # -- dims only, in ints -----------------------------------------------------------

@@ -176,6 +176,17 @@ def test_tensor_refusal_carries_generator_degrees(docs, capsys):
     assert report["flags"]["refusal"]
 
 
+def test_tensor_refuses_a_negative_weight_cap_as_bar_does(docs, capsys):
+    alg = docs("cubic.json", {"builder": "truncated_polynomial", "m": 3, "d": 0})
+    k = docs("k.json", {"module": "trivial"})
+    for argv in (("bar", alg), ("tensor", k, alg, k)):
+        code, report, _ = run(capsys, *argv, "--window=-3..0", "--max-weight=-1",
+                              "--no-cache")
+        assert code == 2
+        assert report["flags"]["refusal"] == "negative weight cap -1"
+        assert report["result"] is None
+
+
 def test_square_verdict_for_small_extension(docs, capsys):
     path = docs("sq.json", {"square": "small_extension",
                             "algebra": {"builder": "square_zero", "n": 0},
