@@ -503,7 +503,10 @@ def _add_common(sub, window_required=True, window=True):
                           "~/.cache/koszul)")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, each returns a fresh namespace."""
     parser = _Parser(prog="koszul",
                      description="Exact Koszul duality computations on degree "
                                  "windows; JSON documents in, JSON reports out.")

@@ -1,6 +1,7 @@
 """The block-built bars against a plain assembly, the bars' two
-StructuralErrors, and dims-only answers that never read a matrix as
-Fractions.
+StructuralErrors, dims-only answers that never read a matrix as Fractions,
+and dims-only (cleared) ranks and dims against the plain ones on every
+complex built here.
 
 The reference boundaries below are written from the formulas in the
 docstrings of koszul.bar, word by word in field arithmetic through
@@ -22,7 +23,8 @@ from koszul.dga import (
 from koszul.dgmod import DgModuleSpec, regular_module, trivial_module
 from koszul.dual import dual_cohomology_dims, koszul_dual_slice
 from koszul.exactla import (
-    QQ, Field, SparseMatrix, StructuralError, Window, complex_from_labels,
+    QQ, CochainComplexSlice, Field, InvalidComplexError, SparseMatrix, StructuralError,
+    Window, complex_from_labels,
 )
 
 F5, F32003 = Field(5), Field(32003)
@@ -90,6 +92,14 @@ def _assert_same_complex(built, reference):
         assert m.entries == ref.entries
         assert all(type(x) is scalar for x in m.entries.values())
         assert m == ref
+
+
+def _assert_clearing_agrees(c):
+    """The dims-only path's cleared ranks are the plain ranks, and its dims
+    are the representatives path's."""
+    window = c.window
+    assert c._cleared_ranks() == {d: c.d_at(d).rank() for d in range(window.lo, window.hi)}
+    assert c.cohomology(representatives=False).dims == c.cohomology().dims
 
 
 # -- algebras -----------------------------------------------------------------
@@ -168,6 +178,13 @@ def test_bar_matches_the_plain_assembly(make, window):
     _assert_same_complex(built.complex, _reference_bar(spec, built))
 
 
+@pytest.mark.parametrize("make, window", BARS)
+def test_clearing_agrees_on_the_bar_and_its_dual(make, window):
+    spec = make()
+    _assert_clearing_agrees(bar_complex(spec, window).complex)
+    _assert_clearing_agrees(koszul_dual_slice(spec, window.mirrored()).algebra.complex())
+
+
 CAPPED = [
     pytest.param(lambda: truncated_polynomial(QQ, 3, 0), Window(-7, 0), id="cubic-Q"),
     pytest.param(lambda: _rebased_cubic(F5), Window(-6, 0), id="rebased-F5"),
@@ -185,6 +202,7 @@ def test_bar_under_a_binding_weight_cap_matches_the_plain_assembly(make, window,
     built = bar_complex(spec, window, max_weight=cap)
     assert built.max_weight == cap
     _assert_same_complex(built.complex, _reference_bar(spec, built))
+    _assert_clearing_agrees(built.complex)
 
 
 def _wrapping_sums(spec, built, boundary):
@@ -208,10 +226,12 @@ def test_f5_sums_that_wrap_to_zero_leave_no_entry():
     assert all(x for m in built.complex.diff.values() for col in m.int_columns
                for x in col.values())
     _assert_same_complex(built.complex, _reference_bar(spec, built))
+    _assert_clearing_agrees(built.complex)
     reg = regular_module(spec)
     two = two_sided_bar(reg, spec, reg, Window(-3, 1))
     assert _wrapping_sums(spec, two, lambda label: _two_sided_boundary(reg, spec, reg, label))
     _assert_same_complex(two.complex, _reference_two_sided(reg, spec, reg, two))
+    _assert_clearing_agrees(two.complex)
 
 
 TWO_SIDED = [
@@ -245,6 +265,7 @@ def test_two_sided_bar_matches_the_plain_assembly(make, left, right, window):
     lm, rm = modules[left], modules[right]
     built = two_sided_bar(lm, spec, rm, window)
     _assert_same_complex(built.complex, _reference_two_sided(lm, spec, rm, built))
+    _assert_clearing_agrees(built.complex)
 
 
 CAPPED_TWO_SIDED = [
@@ -268,6 +289,7 @@ def test_two_sided_bar_under_a_binding_weight_cap_matches_the_plain_assembly(
     built = two_sided_bar(module, spec, module, window, max_weight=cap)
     assert built.max_weight == cap
     _assert_same_complex(built.complex, _reference_two_sided(module, spec, module, built))
+    _assert_clearing_agrees(built.complex)
 
 
 def test_two_sided_listing_order():
@@ -332,6 +354,7 @@ def test_a_base_in_degree_n_shifts_the_two_sided_bar_by_n(make, window, n):
     assert moved.basis == {d + n: tuple((m, w, "s") for m, w, _ in labels)
                            for d, labels in plain.basis.items()}
     assert moved.complex.diff == {d + n: m for d, m in plain.complex.diff.items()}
+    _assert_clearing_agrees(moved.complex)
 
 
 # -- the bars' StructuralErrors -------------------------------------------------
@@ -530,3 +553,41 @@ def test_dims_only_answers_never_build_a_fraction_view(monkeypatch):
     assert dual_cohomology_dims(spec, Window(0, 8)) == dict.fromkeys(range(9), 1)
     k = trivial_module(spec)
     assert derived_tensor_dims(k, spec, k, Window(-6, 0)) == dict.fromkeys(range(-6, 1), 1)
+
+
+# -- clearing needs d^2 = 0 first ---------------------------------------------------
+
+
+def _non_associative():
+    """k{1, x, y} in degree 0 with x*x = y, x*y = y and y*x = 0: (xx)x = 0
+    but x(xx) = y, so d^2 != 0 on the bar's words of three letters."""
+    one = QQ.one
+    table = {("x", "x"): {"y": one}, ("x", "y"): {"y": one}}
+
+    def mult(a, b):
+        if a == "1":
+            return {b: one}
+        if b == "1":
+            return {a: one}
+        return table.get((a, b), {})
+
+    return DgAlgebraSpec(
+        QQ, "non-associative", basis=lambda d: ("1", "x", "y") if d == 0 else (),
+        degree=lambda l: 0, diff=lambda l: {}, mult=mult, unit="1",
+        aug=lambda l: one if l == "1" else QQ.zero, min_degree=0, max_degree=0)
+
+
+@pytest.mark.parametrize("dims_only, degree", [
+    (lambda spec: bar_homology_dims(spec, Window(-2, 0)), -3),
+    (lambda spec: derived_tensor_dims(
+        trivial_module(spec), spec, trivial_module(spec), Window(-3, 0)), -4),
+    (lambda spec: dual_cohomology_dims(spec, Window(0, 2)), 1),
+], ids=["bar", "two-sided", "dual"])
+def test_d_squared_failure_is_raised_before_any_clearing(monkeypatch, dims_only, degree):
+    def refuse(self):
+        raise AssertionError("clearing ran before d^2 = 0 was checked")
+
+    monkeypatch.setattr(CochainComplexSlice, "_cleared_ranks", refuse)
+    with pytest.raises(InvalidComplexError) as info:
+        dims_only(_non_associative())
+    assert info.value.degree == degree

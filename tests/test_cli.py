@@ -316,6 +316,31 @@ def test_field_flag_selects_prime_field(docs, capsys):
     assert dims_of(report) == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
 
 
+def test_the_shared_parser_keeps_no_option_between_calls(docs, capsys, tmp_path):
+    """The parser is built once per process; neither a call's flags nor a
+    failed parse carry over into the next call."""
+    assert cli._build_parser() is cli._build_parser()
+    path = docs("sq1.json", {"builder": "square_zero", "n": 1})
+    code, report, _ = run(capsys, "dual", path, "--window=0..4", "--ring",
+                          "--power-gen", "2", "--max-weight", "6",
+                          "--field", "Fp:5", "--no-cache")
+    assert code == 0
+    assert report["options"] == {"ring": True, "power_gen": 2, "max_weight": 6}
+    assert report["field"] == "Fp:5"
+    with pytest.raises(SystemExit) as exc:
+        main(["tensor", path, path, path, "--window=-2..0", "--strict-via-kos", "two"])
+    assert exc.value.code == 4
+    code, report, _ = run(capsys, "bar", path, "--window=-3..0")
+    assert code == 0
+    assert report["options"] == {"max_weight": None}
+    assert report["field"] == "Q"
+    # --no-cache did not stick: this report was cached
+    assert os.listdir(tmp_path / "cache") == [report["input_hash"] + ".json"]
+    code, report, _ = run(capsys, "dual", path, "--window=0..4")
+    assert code == 0
+    assert report["options"] == {"ring": False, "power_gen": None, "max_weight": None}
+
+
 # -- cache ----------------------------------------------------------------------
 
 

@@ -546,19 +546,29 @@ def _dense_product(field, a, b, cols):
 
 
 @st.composite
-def split_complexes(draw):
-    """A complex with known cohomology: on a window of 3 or 4 degrees, a
-    direct sum of isolated k's and contractible pairs k -> k (unit
-    coefficient), with each degree's basis changed by a random product P_d
-    of elementary operations.  The differential is P_{d+1} D_d P_d^{-1},
-    so d^2 = 0 by construction.  Returns (complex, isolated k's by degree,
-    pairs by source degree, P by degree)."""
+def split_complexes(draw, lengths=(2, 3), shapes=None):
+    """A complex with known cohomology: on a window of lengths[0] + 1 to
+    lengths[1] + 1 degrees, a direct sum of isolated k's and contractible
+    pairs k -> k (unit coefficient), with each degree's basis changed by a
+    random product P_d of elementary operations with integer coefficients.
+    The differential is P_{d+1} D_d P_d^{-1}, so d^2 = 0 by construction.
+    With shapes, one of "<", "=", ">" is drawn from it and isolated k's are
+    added at an end of the window until dim(lo) compares so with dim(hi).
+    Returns (complex, isolated k's by degree, pairs by source degree, P by
+    degree)."""
     field = draw(st.sampled_from([QQ, Field(5)]))
     lo = draw(st.integers(-2, 1))
-    window = Window(lo, lo + draw(st.integers(2, 3)))
+    window = Window(lo, lo + draw(st.integers(*lengths)))
     iso = {d: draw(st.integers(0, 2)) for d in window.degrees()}
     pairs = {d: draw(st.integers(0, 2)) for d in range(window.lo, window.hi)}
     pairs[window.hi] = 0
+    if shapes:
+        shape = draw(st.sampled_from(shapes))
+        gap = iso[window.lo] + pairs[window.lo] - iso[window.hi] - pairs[window.hi - 1]
+        if shape == "<" and gap >= 0 or shape == "=" and gap > 0:
+            iso[window.hi] += gap + (shape == "<")
+        elif shape == ">" and gap <= 0 or shape == "=" and gap < 0:
+            iso[window.lo] += (shape == ">") - gap
     # original basis at d: isolated k's, then pair targets, then pair sources
     n = {d: iso[d] + pairs.get(d - 1, 0) + pairs[d] for d in window.degrees()}
     rnd = draw(st.randoms(use_true_random=False))
@@ -629,6 +639,20 @@ def test_cohomology_of_conjugated_split_complexes(case, rnd):
                 full.coords(d, column)
     with pytest.raises(RefusalError):  # boundary degrees have no classes
         full.coords(window.lo, {})
+
+
+@given(split_complexes(lengths=(1, 5), shapes=("<", "=", ">")))
+@settings(max_examples=120, deadline=None)
+def test_cleared_ranks_are_the_plain_ranks(case):
+    """Clearing runs on columns bottom-up when dim(lo) <= dim(hi), else on
+    rows top-down; either way each rank is the plain rank of d_d."""
+    c, iso, pairs, _ = case
+    window = c.window
+    ranks = c._cleared_ranks()
+    assert ranks == {d: c.d_at(d).rank() for d in range(window.lo, window.hi)} \
+        == {d: pairs[d] for d in range(window.lo, window.hi)}
+    assert c.cohomology(representatives=False).dims == c.cohomology().dims \
+        == {d: iso[d] for d in window.interior()}
 
 
 def test_matrix_from_columns_roundtrip():
