@@ -17,8 +17,9 @@ weights can contribute; weight_bound computes that cap, and inputs where no
 finite cap exists are refused rather than silently truncated.
 
 Each bar is assembled once, in ints.  Its letters are indexed by int and
-tabled once per bar with their differentials and pairwise merges (the
-module differentials and actions too, for B(M, A, N)).  Over Q every
+tabled once per bar with their differentials d(sa) = -s(da) and pairwise
+merges (the module differentials and actions too, for B(M, A, N)); a
+product that fails is tabled as its error.  Over Q every
 structure constant is scaled by one common denominator D, and since each
 term of the differential carries exactly one of them, the differential is
 1/D times an integer matrix, whose rank, kernel and d^2 are those of the
@@ -44,7 +45,9 @@ plus the head terms, whose rows are a block's offset plus the position of
 t or r, or the position of a.n among the base elements.  Each list's
 columns are built once, from its tails' columns.  Over N = k, d1 = 0 and
 a.1 = 0, so these are the word formulas above.  B(M, A, N) = M ox B(A, N)
-is one more block level: see two_sided_bar.
+is one more block level (see two_sided_bar), and one routine builds the
+blocks of both: with -[da|t] = [d(sa)|t] and (-1)^{|a|} = -(-1)^{s_a},
+the head terms of [a|t] and of (m; c) have the same signs.
 """
 
 import math
@@ -284,28 +287,33 @@ class _LetterTable:
     """The letters of one bar in ints, tabled once, and the differential of
     its chains assembled from them block by block.
 
-    For each letter the enumerator has listed: diff[a], its differential,
-    merge[a][b], the product with letter b wherever [a|b] can sit inside a
-    chain of degree in [lo, hi] (the chains whose differential is
-    assembled), and act[a][n], its action on each listed base element n;
-    and base_diff[n], the differential of n.  Each is a list of (index,
-    scalar) pairs.  A product that fails (it leaves the augmentation ideal,
-    or the spec raises StructuralError) is tabled as None and its error is
-    raised only when a column uses it.  Terms on labels that are no listed
-    letter or base element get indices too, so that they miss every basis
-    and are reported there.
+    For each letter the enumerator has listed: diff[a], the differential
+    d(sa) = -s(da) of its suspension, merge[a][b], the product with letter
+    b wherever [a|b] can sit inside a chain of degree in [lo, hi] (the
+    chains whose differential is assembled), and act[a][n], its action on
+    each listed base element n; and base_diff[n], the differential of n.
+    Each is a list of (index, scalar) pairs.  A product that fails (it
+    leaves the augmentation ideal, or the spec raises StructuralError) is
+    tabled as its StructuralError, raised only when a column uses it.
+    Terms on labels that are no listed letter or base element get indices
+    too, so that they miss every basis and are reported there.
 
-    The M level of a two-sided bar adds its tables with `lincomb` and
-    `tabled`; `scale_to_ints` then turns every tabled scalar into an int.
-    The table is built after the enumerator has listed every chain the bar
-    holds, so that every letter and base element is indexed with its
-    degree.
+    One routine, _block, assembles the block of a head h of shift s, on
+    the chains t of its tails, for a letter a (s = s_a) and for an m of
+    B(M, A, N) (s = |m|), whose tables two_sided_bar adds with `lincomb`
+    and `tabled`:
+
+      d(h; t) = (dh; t) + (-1)^s (h; dt) - (-1)^s (hb; r),  t = [b|r],
+
+    plus [;a.n] for a letter and t = [;n].  `scale_to_ints` then turns
+    every tabled scalar into an int.  The table is built after the
+    enumerator has listed every chain the bar holds, so that every letter
+    and base element is indexed with its degree.
     """
 
     def __init__(self, spec, enum, lo, hi, size):
         self.field = spec.field
         self.enum = enum
-        self.failures = {}
         self.lincombs = []
         self.memo = {}
         # rows[i] is i, through the largest basis, which holds every list a
@@ -314,18 +322,21 @@ class _LetterTable:
         letter, element, right, reach = enum.letter, enum.element, enum.right, enum.reach
         letters = list(zip(letter.labels, letter.degrees))
         elements = list(element.labels)
-        self.diff = [self.lincomb(spec.diff(x), letter) for x, _ in letters]
+        self.diff = [self.lincomb({m: -c for m, c in spec.diff(x).items()}, letter)
+                     for x, _ in letters]
         # [a|b] sits in chains of degree <= sa + sb + max|n| (connective:
         # the other letters are negative), or >= sa + sb + min|n| (coconnected)
         connective = enum.regime[0] == "connective"
         self.merge = [
-            [self.tabled((a, b), lambda x=x, y=y: _merge(spec, x, y), letter)
+            [self.tabled(lambda x=x, y=y: _merge(spec, x, y), letter)
              if (lo <= sx + sy + reach if connective else sx + sy + reach <= hi) else []
-             for b, (y, sy) in enumerate(letters)]
-            for a, (x, sx) in enumerate(letters)]
+             for y, sy in letters]
+            for x, sx in letters]
         self.base_diff = [self.lincomb(right.diff(n), element) for n in elements]
-        self.act = [[self.tabled(("a.n", a, i), lambda x=x, n=n: right.left_act(x, n), element)
-                     for i, n in enumerate(elements)] for a, (x, _) in enumerate(letters)]
+        self.act = [[self.tabled(lambda x=x, n=n: right.left_act(x, n), element)
+                     for n in elements] for x, _ in letters]
+        # the letters as heads (see _block): a chain's label is its letters'
+        self.level = (letter, self.diff, self.merge, lambda a, t: (a,) + t)
 
     def lincomb(self, lc, index):
         """lc as a tabled list of (index(label), scalar) pairs."""
@@ -333,15 +344,12 @@ class _LetterTable:
         self.lincombs.append(out)
         return out
 
-    def tabled(self, key, make, index):
-        """make() as a tabled lincomb, or None with the StructuralError it
-        raised recorded under key."""
+    def tabled(self, make, index):
+        """make() as a tabled lincomb, or the StructuralError it raised."""
         try:
-            lc = make()
+            return self.lincomb(make(), index)
         except StructuralError as exc:
-            self.failures[key] = exc
-            return None
-        return self.lincomb(lc, index)
+            return exc
 
     def scale_to_ints(self):
         """Rewrite every tabled lincomb as (index, int) pairs, zeros
@@ -361,9 +369,7 @@ class _LetterTable:
 
         columns[j] maps rows of chains(d + 1, cap) to nonzero ints (in
         [0, p) over F_p) and follows the module docstring's recursion: a
-        base element's column [;dn], and for [a|t] the tail's column, moved
-        into the block of a, plus the head terms -[da|t] and (-1)^{|a|}
-        [ab|r] (t = [b|r]) or [;a.n] (t = [;n]), summed into it.
+        base element's column [;dn], then one _block per letter.
         errors[j] = (failure, term) for a column that uses a failing
         product (failure, its leftmost one's StructuralError) or has a term
         outside chains(d + 1, cap) (term, the first one's labels); a
@@ -377,11 +383,9 @@ class _LetterTable:
         if hit is not None:
             return hit
         _, _, target, upper = enum.blocks(d + 1, cap)
-        rows = self.rows
         p = self.field.p
-        degrees, labels = enum.letter.degrees, enum.letter.labels
         # [;dn] and [;a.n] land on the base elements of degree d + 1, listed first
-        elements = dict(zip(upper, rows))
+        elements = dict(zip(upper, self.rows))
         _, blocks, _, bare = enum.blocks(d, cap)  # bare: the n of the chains [;n]
         cols, errors = [], {}
         for j, n in enumerate(bare):
@@ -392,59 +396,80 @@ class _LetterTable:
                 else:
                     errors.setdefault(j, (None, enum.end(x)))
             cols.append(col)
-        for a, s, off in blocks:
-            tails, tail_errors = self.columns(d - s, cap - 1)
-            _, tail_blocks, _, tail_bare = enum.blocks(d - s, cap - 1)
-            # (-1)^{s_a} [a|dt]: the tail's target is the block of a in
-            # chains(d + 1, cap), absent only when every tail column is empty
-            base = target.get(a)
-            block = _moved(tails, () if base is None else
-                           rows[base:base + enum.blocks(d + 1 - s, cap - 1)[0]], s % 2, p)
-            # tail position -> its first failing product, its first term outside the target
-            failed, outside = {}, {}
-            # -[da|t]: t keeps its position, in the block of each letter of da
-            for m, c in self.diff[a]:
-                at = target.get(m) if degrees[m] == s + 1 else None
-                if at is None:
-                    for i, t in enumerate(enum.label_chains(d - s, cap - 1)):
-                        outside.setdefault(i, (labels[m],) + t)
-                    continue
-                _add_run(block, rows[at:at + len(block)], -c if p is None else p - c, p)
-            # [;a.n], for t = [;n]: the tails' base elements come first
-            for i, n in enumerate(tail_bare):
-                prod = self.act[a][n]
-                if prod is None:
-                    failed[i] = self.failures["a.n", a, n]
-                    continue
-                for x, c in prod:
-                    if x in elements:
-                        _add_run(block[i:i + 1], (elements[x],), c, p)
-                    else:
-                        outside.setdefault(i, enum.end(x))
-            # (-1)^{|a|} [ab|r], for t = [b|r]: one run per block b of the tails
-            for b, sb, off_b in tail_blocks:
-                prod = self.merge[a][b]
-                n = enum.blocks(d - s - sb, cap - 2)[0]
-                if not prod:
-                    if prod is None:
-                        failed.update(dict.fromkeys(range(off_b, off_b + n), self.failures[a, b]))
-                    continue
-                # the merge drops a letter: r's position among cap - 1 letters
-                moved = enum.positions(d - s - sb, cap - 2, cap - 1)
-                for m, c in prod:
-                    at = target.get(m) if degrees[m] == s + sb + 1 else None
-                    if at is None:
-                        for i, r in enumerate(enum.label_chains(d - s - sb, cap - 2), off_b):
-                            outside.setdefault(i, (labels[m],) + r)
-                        continue
-                    _add_run(block[off_b:off_b + n],
-                             rows[at:at + n] if moved is None else [rows[at + i] for i in moved],
-                             c if s % 2 else (-c if p is None else p - c), p)
-            if failed or outside or tail_errors:
-                _join_errors(errors, off, failed, outside, tail_errors, (labels[a],).__add__)
-            cols += block
+        for a, s, _ in blocks:
+            self._block(cols, errors, self.level, a, s, d, cap - 1, target, self.act[a], elements)
         hit = self.memo[key] = (cols, errors)
         return hit
+
+    def _block(self, cols, errors, level, h, s, d, tcap, target, act=None, elements=None):
+        """Append to cols the columns of head h's block in the list of
+        degree d, and their errors to errors (as in columns): (h; t) for
+        the chains t of chains(d - s, tcap).  level = (index, diff, merge,
+        name) holds the heads' _Labels, their tabled differentials and
+        products with each letter, and name(head label, tail labels), the
+        label of (h; t).  target maps a head to its block's offset in the
+        list of degree d + 1.  A letter also passes act, its tabled a.n,
+        and elements, the row of each base element of degree d + 1."""
+        enum, rows, p = self.enum, self.rows, self.field.p
+        index, diff, merge, name = level
+        labels, degrees = index.labels, index.degrees
+        tails, tail_errors = self.columns(d - s, tcap)
+        _, tail_blocks, _, tail_bare = enum.blocks(d - s, tcap)
+        # (-1)^s (h; dt): the tail's target is the block of h in the list of
+        # degree d + 1, absent only when every tail column is empty
+        base = target.get(h)
+        block = _moved(tails, () if base is None else
+                       rows[base:base + enum.blocks(d + 1 - s, tcap)[0]], s % 2, p)
+        # tail position -> its first failing product, its first term outside the target
+        failed, outside = {}, {}
+        # (dh; t): t keeps its position, in the block of each term of dh
+        for x, c in diff[h]:
+            at = target.get(x) if degrees[x] == s + 1 else None
+            if at is None:
+                for i, t in enumerate(enum.label_chains(d - s, tcap)):
+                    outside.setdefault(i, name(labels[x], t))
+                continue
+            _add_run(block, rows[at:at + len(block)], c, p)
+        # [;h.n], for t = [;n]: the tails' base elements come first
+        for i, n in enumerate(tail_bare if act else ()):
+            prod = act[n]
+            if isinstance(prod, StructuralError):
+                failed[i] = prod
+                continue
+            for x, c in prod:
+                if x in elements:
+                    _add_run(block[i:i + 1], (elements[x],), c, p)
+                else:
+                    outside.setdefault(i, enum.end(x))
+        # -(-1)^s (hb; r), for t = [b|r]: one run per block b of the tails
+        for b, sb, off_b in tail_blocks:
+            prod = merge[h][b]
+            n = enum.blocks(d - s - sb, tcap - 1)[0]
+            if isinstance(prod, StructuralError):
+                failed.update(dict.fromkeys(range(off_b, off_b + n), prod))
+                continue
+            if not prod:
+                continue
+            # r's position among tcap letters: a merge hb drops b, h = m keeps r
+            moved = enum.positions(d - s - sb, tcap - 1, tcap)
+            for x, c in prod:
+                at = target.get(x) if degrees[x] == s + sb + 1 else None
+                if at is None:
+                    for i, r in enumerate(enum.label_chains(d - s - sb, tcap - 1), off_b):
+                        outside.setdefault(i, name(labels[x], r))
+                    continue
+                _add_run(block[off_b:off_b + n],
+                         rows[at:at + n] if moved is None else [rows[at + i] for i in moved],
+                         c if s % 2 else (-c if p is None else p - c), p)
+        # errors: the head's failing product, else the tail's (the leftmost
+        # one), and the head's term outside the target, else the tail's
+        for i in failed.keys() | outside.keys() | tail_errors.keys():
+            tail_failure, tail_term = tail_errors.get(i, (None, None))
+            term = outside.get(i)
+            if term is None and tail_term is not None:
+                term = name(labels[h], tail_term)
+            errors[len(cols) + i] = (failed.get(i) or tail_failure, term)
+        cols += block
 
 
 def _moved(cols, rows, negate, p):
@@ -479,18 +504,6 @@ def _add_run(cols, rows, c, p):
                 col[row] = x
             else:
                 del col[row]
-
-
-def _join_errors(errors, off, failed, outside, tail_errors, name):
-    """errors[off + i] for each tail position i with an error: the head's
-    failing product, else the tail's (the leftmost one), and the head's
-    term outside the target, else the tail's, named whole by name(term)."""
-    for i in failed.keys() | outside.keys() | tail_errors.keys():
-        tail_failure, tail_term = tail_errors.get(i, (None, None))
-        term = outside.get(i)
-        if term is None and tail_term is not None:
-            term = name(tail_term)
-        errors[off + i] = (failed.get(i) or tail_failure, term)
 
 
 def _merge(spec, x, y):
@@ -644,62 +657,21 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
         basis[d] = labels
 
     table = _LetterTable(spec, enum, lo, hi, max(map(len, basis.values())))
-    letters = list(enumerate(enum.letter.labels[:len(table.diff)]))
-    ms = list(enumerate(lindex.labels))
-    ldiff = [table.lincomb(left.diff(m), lindex) for _, m in ms]
-    ract = [[table.tabled(("m.a", mi, a), lambda m=m, x=x: left.right_act(m, x), lindex)
-             for a, x in letters] for mi, m in ms]
+    # the ms as heads (see _LetterTable._block): dm, m.a and the labels
+    # (m, word, n).  ms is a copy, as lincomb indexes terms outside M's basis
+    ms, letters = list(lindex.labels), enum.letter.labels[:len(table.diff)]
+    level = (lindex, [table.lincomb(left.diff(m), lindex) for m in ms],
+             [[table.tabled(lambda m=m, x=x: left.right_act(m, x), lindex) for x in letters]
+              for m in ms],
+             lambda m, t: (m, t[:-1], t[-1]))
     scale = table.scale_to_ints()
-    p = spec.field.p
-    mlabels, mdegrees = lindex.labels, lindex.degrees
 
     def columns(d):
-        """The columns of degree d: (m; dc) is c's column moved into the
-        block of m, and (dm; c) and (m.a_1; t) are runs of head terms."""
-        rows = table.rows
-        target = offsets[d + 1]
+        """The columns of degree d: one block per m, (m; c) for the chains c
+        of degree d - |m|."""
         cols, errors = [], {}
-        for mi, off in offsets[d].items():
-            dm = mdegrees[mi]
-            chain_cols, chain_errors = table.columns(d - dm, cap)
-            # (-1)^{|m|} (m; dc), in the block of m
-            base = target.get(mi)
-            block = _moved(chain_cols, () if base is None else
-                           rows[base:base + enum.blocks(d + 1 - dm, cap)[0]], dm % 2, p)
-            # chain position -> its failing m.a_1, its first term outside the target
-            failed, outside = {}, {}
-            # (dm; c): c keeps its position, in the block of each term of dm
-            for x, c in ldiff[mi]:
-                at = target.get(x) if mdegrees[x] == dm + 1 else None
-                if at is None:
-                    for i, t in enumerate(enum.label_chains(d - dm, cap)):
-                        outside.setdefault(i, (mlabels[x], t[:-1], t[-1]))
-                    continue
-                _add_run(block, rows[at:at + len(block)], c, p)
-            # -(-1)^{|m|} (m.a; t), for c = [a|t]: one run per block a of the chains
-            for a, s, off_a in enum.blocks(d - dm, cap)[1]:
-                prod = ract[mi][a]
-                n = enum.blocks(d - dm - s, cap - 1)[0]
-                if not prod:
-                    if prod is None:
-                        failed.update(dict.fromkeys(range(off_a, off_a + n),
-                                                    table.failures["m.a", mi, a]))
-                    continue
-                # t keeps its letters under m.a: its position among cap letters
-                moved = enum.positions(d - dm - s, cap - 1, cap)
-                for x, c in prod:
-                    at = target.get(x) if mdegrees[x] == dm + s + 1 else None
-                    if at is None:
-                        for i, t in enumerate(enum.label_chains(d - dm - s, cap - 1), off_a):
-                            outside.setdefault(i, (mlabels[x], t[:-1], t[-1]))
-                        continue
-                    _add_run(block[off_a:off_a + n],
-                             rows[at:at + n] if moved is None else [rows[at + i] for i in moved],
-                             c if dm % 2 else (-c if p is None else p - c), p)
-            if failed or outside or chain_errors:
-                _join_errors(errors, off, failed, outside, chain_errors,
-                             lambda t, m=mlabels[mi]: (m, t[:-1], t[-1]))
-            cols += block
+        for mi in offsets[d]:
+            table._block(cols, errors, level, mi, lindex.degrees[mi], d, cap, offsets[d + 1])
         return cols, errors
 
     return _bar_slice(spec, window, padded, basis, columns, scale, cap, left, right)

@@ -80,13 +80,23 @@ class DgAlgebraSpec:
 
 class ValidationReport:
     """Outcome of the axiom checks, one verdict per named axiom plus the
-    first witnessing basis tuple for each failure."""
+    first witnessing basis tuple for each failure.  Each listed axiom holds
+    until fail(name, witness) records a witness against it."""
 
-    def __init__(self, subject, checks, witnesses):
+    def __init__(self, subject, axioms):
         self.subject = subject
-        self.checks = dict(checks)
-        self.witnesses = dict(witnesses)
-        self.ok = all(self.checks.values())
+        self.checks = dict.fromkeys(axioms, True)
+        self.witnesses = {}
+
+    def fail(self, name, witness):
+        """Mark axiom name as failing; only its first witness is kept."""
+        if self.checks[name]:
+            self.checks[name] = False
+            self.witnesses[name] = witness
+
+    @property
+    def ok(self):
+        return all(self.checks.values())
 
     def __bool__(self):
         return self.ok
@@ -271,20 +281,13 @@ class FiniteDga:
         window.
         """
         field, w = self.field, self.window
-        checks, witnesses = {}, {}
-
-        def record(name, witness):
-            if checks.get(name, True):
-                checks[name] = False
-                witnesses[name] = witness
-
+        report = ValidationReport(self.name or "dg algebra", [
+            "d_squared", "leibniz", "associativity", "unit", "augmentation"])
         failure = self._complex.d_squared_failure()
-        checks["d_squared"] = failure is None
         if failure is not None:
             d, j = failure
-            witnesses["d_squared"] = (self.basis[d][j],)
+            report.fail("d_squared", (self.basis[d][j],))
 
-        checks["leibniz"] = True
         all_labels = [(d, l) for d, ls in sorted(self.basis.items()) for l in ls]
         for d1, a in all_labels:
             if d1 + 1 not in w:
@@ -297,9 +300,8 @@ class FiniteDga:
                 sign = field.one if d1 % 2 == 0 else field.neg(field.one)
                 vec_add_into(field, rhs, self.mult_lc({a: sign}, self.diff(b)), field.one)
                 if not lc_equal(field, lhs, rhs):
-                    record("leibniz", (a, b))
+                    report.fail("leibniz", (a, b))
 
-        checks["associativity"] = True
         for d1, a in all_labels:
             for d2, b in all_labels:
                 if d1 + d2 not in w:
@@ -310,24 +312,20 @@ class FiniteDga:
                     left = self.mult_lc(self.mult(a, b), {c: field.one})
                     right = self.mult_lc({a: field.one}, self.mult(b, c))
                     if not lc_equal(field, left, right):
-                        record("associativity", (a, b, c))
+                        report.fail("associativity", (a, b, c))
 
-        checks["unit"] = True
         if 0 in w:
             if self.unit not in self.index or self.index[self.unit][0] != 0:
-                record("unit", (self.unit,))
+                report.fail("unit", (self.unit,))
             else:
                 for d, a in all_labels:
                     if (not lc_equal(field, self.mult(self.unit, a), {a: field.one})
                             or not lc_equal(field, self.mult(a, self.unit), {a: field.one})):
-                        record("unit", (a,))
+                        report.fail("unit", (a,))
 
-        checks["augmentation"] = True
         if 0 in w and self.unit in self.index:
-            if field.is_zero(field.sub(self.aug_of(self.unit), field.one)):
-                pass
-            else:
-                record("augmentation", (self.unit,))
+            if not field.is_zero(field.sub(self.aug_of(self.unit), field.one)):
+                report.fail("augmentation", (self.unit,))
             zero_labels = self.labels(0)
             for a in zero_labels:
                 for b in zero_labels:
@@ -336,15 +334,15 @@ class FiniteDga:
                         got = field.add(got, field.mul(c, self.aug_of(m)))
                     want = field.mul(self.aug_of(a), self.aug_of(b))
                     if not field.is_zero(field.sub(got, want)):
-                        record("augmentation", (a, b))
+                        report.fail("augmentation", (a, b))
             for l in self.labels(-1):
                 got = field.zero
                 for m, c in self.diff(l).items():
                     got = field.add(got, field.mul(c, self.aug_of(m)))
                 if not field.is_zero(got):
-                    record("augmentation", (l,))
+                    report.fail("augmentation", (l,))
 
-        return ValidationReport(self.name or "dg algebra", checks, witnesses)
+        return report
 
     def __repr__(self):
         return f"FiniteDga({self.name}, window={self.window!r}, dims={self.dims()})"
@@ -776,32 +774,24 @@ class DgaMap:
         # evaluation of a path object is the standing example)
         field = self.target.field
         src, tgt = self.source, self.target
-        checks, witnesses = {}, {}
-
-        def record(name, witness):
-            if checks.get(name, True):
-                checks[name] = False
-                witnesses[name] = witness
-
-        checks["degree"] = True
+        report = ValidationReport(self.name or "dga map", [
+            "degree", "chain", "multiplicative", "unit"] + ["augmentation"] * check_augmentation)
         for l, lc in self.images.items():
             d = src.degree(l)
             for m in lc:
                 if m not in tgt.index or tgt.index[m][0] != d:
-                    record("degree", (l, m))
+                    report.fail("degree", (l, m))
 
         all_labels = [(d, l) for d, ls in sorted(src.basis.items()) for l in ls]
 
-        checks["chain"] = True
         for d, l in all_labels:
             if d + 1 not in src.window or d + 1 not in tgt.window:
                 continue
             lhs = self.apply(src.diff(l))
             rhs = tgt.diff_lc(self.apply({l: field.one}))
             if not lc_equal(field, lhs, rhs):
-                record("chain", (l,))
+                report.fail("chain", (l,))
 
-        checks["multiplicative"] = True
         for d1, a in all_labels:
             for d2, b in all_labels:
                 if d1 + d2 not in src.window or d1 + d2 not in tgt.window:
@@ -809,24 +799,22 @@ class DgaMap:
                 lhs = self.apply(src.mult(a, b))
                 rhs = tgt.mult_lc(self.apply({a: field.one}), self.apply({b: field.one}))
                 if not lc_equal(field, lhs, rhs):
-                    record("multiplicative", (a, b))
+                    report.fail("multiplicative", (a, b))
 
-        checks["unit"] = True
         if 0 in src.window and 0 in tgt.window and src.unit in src.index:
             if not lc_equal(field, self.apply({src.unit: field.one}),
                              {tgt.unit: field.one}):
-                record("unit", (src.unit,))
+                report.fail("unit", (src.unit,))
 
         if check_augmentation:
-            checks["augmentation"] = True
             for a in src.labels(0):
                 got = field.zero
                 for m, c in self.apply({a: field.one}).items():
                     got = field.add(got, field.mul(c, tgt.aug_of(m)))
                 if not field.is_zero(field.sub(got, src.aug_of(a))):
-                    record("augmentation", (a,))
+                    report.fail("augmentation", (a,))
 
-        return ValidationReport(self.name or "dga map", checks, witnesses)
+        return report
 
     def __repr__(self):
         return f"DgaMap({self.source.name} -> {self.target.name})"

@@ -147,7 +147,6 @@ def laurent_module(field, g, name=None):
         diff=lambda l: {},
         left_act=lambda a, m: shift(a, m),
         right_act=lambda m, b: shift(b, m))
-    mod.laurent_degree = g
     return mod
 
 
@@ -249,25 +248,22 @@ def validate_module(mod, window):
     only the enumeration of elements is bounded by the window.
     """
     field = mod.field
-    checks, witnesses = {}, {}
-
-    def record(name, witness):
-        if checks.get(name, True):
-            checks[name] = False
-            witnesses[name] = witness
-
+    left, right = mod.side in ("left", "bi"), mod.side in ("right", "bi")
+    report = ValidationReport(mod.name, ["d_squared"]
+                              + ["left_leibniz", "left_associative", "left_unit"] * left
+                              + ["right_leibniz", "right_associative", "right_unit"] * right
+                              + ["bimodule"] * (left and right))
     mod_labels = [(d, m) for d in window.degrees() for m in mod.basis(d)]
 
     def alg_labels(spec):
         return [(d, a) for d in window.degrees() for a in spec.basis(d)]
 
-    checks["d_squared"] = True
     for d, m in mod_labels:
         out = {}
         for x, c in mod.diff(m).items():
             vec_add_into(field, out, mod.diff(x), c)
         if out:
-            record("d_squared", (m,))
+            report.fail("d_squared", (m,))
 
     def act_lc(act, lc):
         out = {}
@@ -275,11 +271,8 @@ def validate_module(mod, window):
             vec_add_into(field, out, act(x), c)
         return out
 
-    if mod.side in ("left", "bi"):
+    if left:
         A = mod.algebra
-        checks["left_leibniz"] = True
-        checks["left_associative"] = True
-        checks["left_unit"] = True
         for da, a in alg_labels(A):
             for dm, m in mod_labels:
                 lhs = act_lc(mod.diff, mod.left_act(a, m))
@@ -288,7 +281,7 @@ def validate_module(mod, window):
                 vec_add_into(field, rhs,
                              act_lc(lambda x: mod.left_act(a, x), mod.diff(m)), sign)
                 if not lc_equal(field, lhs, rhs):
-                    record("left_leibniz", (a, m))
+                    report.fail("left_leibniz", (a, m))
         for da, a in alg_labels(A):
             for db, b in alg_labels(A):
                 ab = A.mult(a, b)
@@ -298,16 +291,13 @@ def validate_module(mod, window):
                     for x, c in ab.items():
                         vec_add_into(field, rhs, mod.left_act(x, m), c)
                     if not lc_equal(field, lhs, rhs):
-                        record("left_associative", (a, b, m))
+                        report.fail("left_associative", (a, b, m))
         for dm, m in mod_labels:
             if not lc_equal(field, mod.left_act(A.unit, m), {m: field.one}):
-                record("left_unit", (m,))
+                report.fail("left_unit", (m,))
 
-    if mod.side in ("right", "bi"):
+    if right:
         B = mod.right_algebra
-        checks["right_leibniz"] = True
-        checks["right_associative"] = True
-        checks["right_unit"] = True
         for db, b in alg_labels(B):
             for dm, m in mod_labels:
                 lhs = act_lc(mod.diff, mod.right_act(m, b))
@@ -316,7 +306,7 @@ def validate_module(mod, window):
                 vec_add_into(field, rhs,
                              act_lc(lambda x: mod.right_act(m, x), B.diff(b)), sign)
                 if not lc_equal(field, lhs, rhs):
-                    record("right_leibniz", (m, b))
+                    report.fail("right_leibniz", (m, b))
         for db, b in alg_labels(B):
             for dc, c_ in alg_labels(B):
                 bc = B.mult(b, c_)
@@ -326,23 +316,22 @@ def validate_module(mod, window):
                     for x, cc in bc.items():
                         vec_add_into(field, rhs, mod.right_act(m, x), cc)
                     if not lc_equal(field, lhs, rhs):
-                        record("right_associative", (m, b, c_))
+                        report.fail("right_associative", (m, b, c_))
         for dm, m in mod_labels:
             if not lc_equal(field, mod.right_act(m, B.unit), {m: field.one}):
-                record("right_unit", (m,))
+                report.fail("right_unit", (m,))
 
-    if mod.side == "bi":
+    if left and right:
         A, B = mod.algebra, mod.right_algebra
-        checks["bimodule"] = True
         for da, a in alg_labels(A):
             for db, b in alg_labels(B):
                 for dm, m in mod_labels:
                     lhs = act_lc(lambda x: mod.right_act(x, b), mod.left_act(a, m))
                     rhs = act_lc(lambda x: mod.left_act(a, x), mod.right_act(m, b))
                     if not lc_equal(field, lhs, rhs):
-                        record("bimodule", (a, m, b))
+                        report.fail("bimodule", (a, m, b))
 
-    return ValidationReport(mod.name, checks, witnesses)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -536,6 +536,19 @@ def test_module_term_outside_the_basis_is_named_with_its_word():
         two_sided_bar(k, spec, acting, Window(-1, 0))
 
 
+def test_right_action_outside_the_basis_is_named_with_its_word():
+    """m.e is the head term of (m; [e]; n) that drops the letter e, so a
+    right action outside M's basis is named by its whole (m, word, n) label."""
+    spec = square_zero(QQ, 1)
+    acting = DgModuleSpec(
+        QQ, "acting", spec, "right", basis=lambda d: ("[]",) if d == 0 else (),
+        degree=lambda l: 0, diff=lambda l: {}, right_act=lambda m, a: {"?": QQ.one},
+        min_degree=0, max_degree=0)
+    with pytest.raises(StructuralError, match=r"d\(\('\[\]', \('e',\), '\[\]'\)\) has term "
+                       r"\('\?', \(\), '\[\]'\) outside the degree -1 basis"):
+        two_sided_bar(acting, spec, trivial_module(spec), Window(-1, 0))
+
+
 # -- dims only, in ints -----------------------------------------------------------
 
 
