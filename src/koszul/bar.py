@@ -48,9 +48,21 @@ a.1 = 0, so these are the word formulas above.  B(M, A, N) = M ox B(A, N)
 is one more block level (see two_sided_bar), and one routine builds the
 blocks of both: with -[da|t] = [d(sa)|t] and (-1)^{|a|} = -(-1)^{s_a},
 the head terms of [a|t] and of (m; c) have the same signs.
+
+d^2 = 0 is certified from the same table, not from the matrices.  Since d
+is a coderivation, d^2 vanishes on the window once it vanishes on the
+segments of one to three letters that its chains can hold (d_A^2, the
+Leibniz defect and the associator, and the module defects of
+B(M, A, N)); see _LetterTable.certify.  A bar that passes is marked
+(CochainComplexSlice.certified_by) and its cohomology skips the matrix
+check; one that fails keeps the matrix check, which finds the failure and
+raises as before.  The certificate does not see the assembly, so a sign
+bug there would go unseen at run time: the test suite runs the matrix
+check on every certified bar it builds.
 """
 
 import math
+from functools import partial
 
 from .exactla import (
     CochainComplexSlice, RefusalError, SparseMatrix, StructuralError, Window, _integral_columns,
@@ -306,14 +318,17 @@ class _LetterTable:
       d(h; t) = (dh; t) + (-1)^s (h; dt) - (-1)^s (hb; r),  t = [b|r],
 
     plus [;a.n] for a letter and t = [;n].  `scale_to_ints` then turns
-    every tabled scalar into an int.  The table is built after the
-    enumerator has listed every chain the bar holds, so that every letter
-    and base element is indexed with its degree.
+    every tabled scalar into an int, and `certify` checks d^2 = 0 on those
+    ints.  The table is built after the enumerator has listed every chain
+    the bar holds, so that every letter and base element is indexed with
+    its degree.
     """
 
     def __init__(self, spec, enum, lo, hi, size):
         self.field = spec.field
         self.enum = enum
+        self.lo, self.hi = lo, hi
+        self.connective = enum.regime[0] == "connective"
         self.lincombs = []
         self.memo = {}
         # rows[i] is i, through the largest basis, which holds every list a
@@ -324,12 +339,9 @@ class _LetterTable:
         elements = list(element.labels)
         self.diff = [self.lincomb({m: -c for m, c in spec.diff(x).items()}, letter)
                      for x, _ in letters]
-        # [a|b] sits in chains of degree <= sa + sb + max|n| (connective:
-        # the other letters are negative), or >= sa + sb + min|n| (coconnected)
-        connective = enum.regime[0] == "connective"
         self.merge = [
             [self.tabled(lambda x=x, y=y: _merge(spec, x, y), letter)
-             if (lo <= sx + sy + reach if connective else sx + sy + reach <= hi) else []
+             if self.reaches(sx + sy + reach, hi) else []
              for y, sy in letters]
             for x, sx in letters]
         self.base_diff = [self.lincomb(right.diff(n), element) for n in elements]
@@ -337,6 +349,13 @@ class _LetterTable:
                      for n in elements] for x, _ in letters]
         # the letters as heads (see _block): a chain's label is its letters'
         self.level = (letter, self.diff, self.merge, lambda a, t: (a,) + t)
+
+    def reaches(self, e, top):
+        """Whether a chain of degree in [lo, top] can hold a segment whose
+        chains have degree at most e (connective: the other letters are
+        negative) or at least e (coconnected), e the segment's shifted
+        degree plus max|n| or min|n|, or |n| when it ends in n."""
+        return self.lo <= e if self.connective else e <= top
 
     def lincomb(self, lc, index):
         """lc as a tabled list of (index(label), scalar) pairs."""
@@ -363,6 +382,114 @@ class _LetterTable:
         for lc, col in zip(self.lincombs, ints):
             lc[:] = col.items()
         return scale
+
+    def certify(self, cap, heads=None):
+        """Whether d^2 = 0 on every chain of a degree where it is checked
+        (lo to hi - 2), read from the tabled ints of `scale_to_ints` alone.
+
+        d is a coderivation, so d^2 is one too: its terms on a chain are
+        those of its defects on segments of the chain, and terms from two
+        disjoint segments cancel in pairs (Loday-Vallette, Algebraic
+        Operads, 1.1 and 2.2).  For a head h (a letter, or an m of
+        B(M, A, N) when heads = (level, shift), level as in _block and
+        shift = max|m| or min|m|) the defects are dh^2, the Leibniz defect
+        of (h, a) and (ha)b - h(ab); at the base they are dn^2, the Leibniz
+        defect of a.n and a.(b.n) - (ab).n.  Each is checked on every
+        segment with at most cap letters that `reaches` lo or hi - 2, an m
+        counting as |m| - shift, and must vanish exactly: its ints have
+        scale D^2 over Q and are reduced mod p over F_p.  A needed entry
+        that is missing, tabled as a StructuralError, or a merge the table
+        left out (its [] is not a zero product) fails the certificate, as
+        does a nonzero defect.
+        """
+        enum, top = self.enum, self.hi - 2
+        reach, nl, nn = enum.reach, len(self.diff), len(self.base_diff)
+        letters = list(enumerate(enum.letter.degrees[:nl]))
+        by = {}  # shifted degree -> its letters
+        for a, s in letters:
+            by.setdefault(s, []).append(a)
+
+        def fits(e, k):
+            return k <= cap and self.reaches(e, top)
+
+        def diff(a):
+            return self.diff[a] if a < nl else None
+
+        def merge(h, b):
+            ok = h < nl and b < nl and self.reaches(letters[h][1] + letters[b][1] + reach, self.hi)
+            return self.merge[h][b] if ok else None
+
+        def base_diff(n):
+            return self.base_diff[n] if n < nn else None
+
+        def act(a, n):
+            return self.act[a][n] if a < nl and n < nn else None
+
+        def pairs(e, k):
+            """The (a, b) of every segment [a|b] that fits after e."""
+            for s1, l1 in by.items():
+                for s2, l2 in by.items():
+                    if fits(e + s1 + s2, k):
+                        yield from ((a, b) for a in l1 for b in l2)
+
+        def level(index, hdiff, product, shift, k):
+            """The defects of the heads h, with k letters each (1 or 0) and
+            hdiff[h] their tabled differential (d(sa) or dm), as (sign,
+            lincomb, row) parts (see _vanishes)."""
+            def dh(h):
+                return hdiff[h] if h < len(hdiff) else None
+
+            for h, s in enumerate(index.degrees[:len(hdiff)]):
+                e = s - shift + reach
+                if fits(e, k):
+                    yield (1, hdiff[h], dh),
+                for a, sa in letters:
+                    if fits(e + sa, k + 1):
+                        yield ((1, product(h, a), dh), (-1, hdiff[h], partial(product, b=a)),
+                               (_sign(s), diff(a), partial(product, h)))
+                for a, b in pairs(e, k + 2):
+                    yield ((1, product(h, a), partial(product, b=b)),
+                           (-1, merge(a, b), partial(product, h)))
+
+        def base():
+            """The defects at the base elements n, as level's."""
+            for n, e in enumerate(enum.element.degrees[:nn]):
+                if fits(e, 0):
+                    yield (1, base_diff(n), base_diff),
+                for a, sa in letters:
+                    if fits(sa + e, 1):
+                        yield ((1, act(a, n), base_diff), (1, diff(a), partial(act, n=n)),
+                               (_sign(sa), base_diff(n), partial(act, a)))
+                for a, b in pairs(e, 2):
+                    yield ((1, act(b, n), partial(act, a)), (-1, merge(a, b), partial(act, n=n)))
+
+        defects = [level(enum.letter, self.diff, merge, 0, 1), base()]
+        if heads is not None:
+            (index, mdiff, mact, _), shift = heads
+
+            def ma(h, b):
+                return mact[h][b] if h < len(mdiff) and b < nl else None
+
+            defects.append(level(index, mdiff, ma, shift, 0))
+        return all(self._vanishes(parts) for group in defects for parts in group)
+
+    def _vanishes(self, parts):
+        """Whether the sum over parts (sign, lc, row) of sign * c * row(x),
+        for the (x, c) of lc, is zero; False when lc or a row is missing
+        (None) or failed."""
+        acc = {}
+        for sign, lc, row in parts:
+            if lc is None or isinstance(lc, StructuralError):
+                return False
+            for x, c in lc:
+                r = row(x)
+                if r is None or isinstance(r, StructuralError):
+                    return False
+                c *= sign
+                for y, e in r:
+                    acc[y] = acc.get(y, 0) + c * e
+        p = self.field.p
+        return not any(v % p for v in acc.values()) if p else not any(acc.values())
 
     def columns(self, d, cap):
         """The differential of chains(d, cap) as (columns, errors).
@@ -506,6 +633,11 @@ def _add_run(cols, rows, c, p):
                 del col[row]
 
 
+def _sign(k):
+    """(-1)^k, an int."""
+    return -1 if k % 2 else 1
+
+
 def _merge(spec, x, y):
     lc = spec.mult(x, y)
     if spec.unit in lc:
@@ -556,10 +688,13 @@ def _checked_cap(cap, max_weight):
     return cap
 
 
-def _bar_slice(spec, window, padded, basis, columns, scale, cap, left=None, right=None):
+def _bar_slice(spec, window, padded, basis, columns, scale, cap, certified,
+               left=None, right=None):
     """The BarSlice whose differential leaving degree d is columns(d), 1/scale
     times its int columns; the first column with errors raises its failure,
-    else its term outside the basis, as complex_from_labels would."""
+    else its term outside the basis, as complex_from_labels would.  When
+    certified (its letter table's certificate passed) the complex is
+    marked so, and cohomology() skips the matrix check of d^2 = 0."""
     diffs = {}
     for d, labels in basis.items():
         if labels and d + 1 in padded:
@@ -571,12 +706,15 @@ def _bar_slice(spec, window, padded, basis, columns, scale, cap, left=None, righ
                     f"d({labels[j]!r}) has term {term!r} outside the degree {d + 1} basis")
             diffs[d] = SparseMatrix.from_int_columns(spec.field, len(basis[d + 1]), cols, scale)
     complex_ = CochainComplexSlice(spec.field, padded, basis, diffs)
+    if certified:
+        complex_.certified_by = "letters"
     return BarSlice(spec, window, complex_, cap, left, right)
 
 
 def bar_complex(spec, window, max_weight=None):
     """Materialize the reduced bar complex of spec over the padded window;
-    d^2 = 0 is checked when its cohomology is taken.
+    d^2 = 0 is certified from its letter table, or else checked on its
+    matrices when its cohomology is taken.
 
     max_weight overrides the computed cap (expert use: a smaller cap computes
     a filtration stage, a larger one changes nothing).  Refuses inputs with
@@ -589,7 +727,8 @@ def bar_complex(spec, window, max_weight=None):
     basis = {d: enum.label_chains(d, cap) for d in padded.degrees()}
     table = _LetterTable(spec, enum, padded.lo, padded.hi, max(map(len, basis.values())))
     scale = table.scale_to_ints()
-    return _bar_slice(spec, window, padded, basis, lambda d: table.columns(d, cap), scale, cap)
+    return _bar_slice(spec, window, padded, basis, lambda d: table.columns(d, cap), scale, cap,
+                      table.certify(cap))
 
 
 def bar_homology_dims(spec, window, max_weight=None):
@@ -616,7 +755,8 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
     outer merges m.a_1 and a_w.n.  Degree d lists (m; c) by (|m|, m, c):
     one block per m, by degree and then in left's listing order, holding
     the chains of degree d - |m| in their order; its labels are
-    (m, (a_1, .., a_w), n).  d^2 = 0 is checked when its cohomology is
+    (m, (a_1, .., a_w), n).  d^2 = 0 is certified from the letter and
+    module tables, or else checked on the matrices when its cohomology is
     taken.
     """
     padded = window.padded(1)
@@ -674,7 +814,9 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
             table._block(cols, errors, level, mi, lindex.degrees[mi], d, cap, offsets[d + 1])
         return cols, errors
 
-    return _bar_slice(spec, window, padded, basis, columns, scale, cap, left, right)
+    shift = left.max_degree if connective else left.min_degree
+    return _bar_slice(spec, window, padded, basis, columns, scale, cap,
+                      table.certify(cap, (level, shift)), left, right)
 
 
 def derived_tensor_dims(left, spec, right, window, max_weight=None):

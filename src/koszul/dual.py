@@ -72,6 +72,8 @@ def koszul_dual_slice(spec, window, max_weight=None):
     diffs = {-e - 1: m.transpose(negate=e % 2 == 0) for e, m in bar.complex.diff.items()}
     complex_ = CochainComplexSlice(
         field, window.padded(1), {-e: words for e, words in bar.basis.items()}, diffs)
+    # a signed transpose has d^2 = 0 exactly where the bar has
+    complex_.certified_by = bar.complex.certified_by and "transpose"
 
     def word_degree(word):
         return -sum(spec.degree(l) - 1 for l in word)

@@ -30,9 +30,15 @@ Markowitz-style order by row count, because it cuts fill-in: over F_p the
 bar of k[x]/x^3 on [-14, 0] stores 89 194 pivot entries against 353 396
 under the smallest index.
 
+cohomology() first makes sure that d^2 = 0: by the matrix check
+(validate_complex multiplies d_{d+1} d_d on the integer columns), unless
+`certified_by` names another check that established it.  The bars set it
+when their letter table passes its certificate (koszul.bar), and the dual
+of a certified bar inherits it.
+
 Dims-only cohomology takes its ranks with clearing (Chen and Kerber,
 "Persistent homology computation with a twist", 2011; Bauer's Ripser).
-Once d^2 = 0 is checked, a pivot v of d_{d-1} lies in its image, so
+Once d^2 = 0 is known, a pivot v of d_{d-1} lies in its image, so
 d_d v = 0 and column lead(v) of d_d is a combination of earlier columns:
 it is skipped.  The same holds for rows: a pivot of the rows of d_{d+1}
 clears the row of d_d at its lead.  Clearing starts at the end of the
@@ -653,6 +659,9 @@ class CochainComplexSlice:
             if not m.is_zero():
                 self.diff[d] = m
         self._index = {}  # degree -> label -> position, built by vector()
+        # what established d^2 = 0 without the matrix check: "letters" (a
+        # bar's letter table), "transpose" (the dual of such a bar), or None
+        self.certified_by = None
 
     def dim(self, d):
         return len(self.basis.get(d, ()))
@@ -710,17 +719,20 @@ class CochainComplexSlice:
         """Cohomology on the interior of the window.
 
         Reliable degrees are those d with d-1, d, d+1 all in the window; the
-        two boundary degrees are only flagged.  Validates d^2 = 0 first.
+        two boundary degrees are only flagged.  Validates d^2 = 0 first, by
+        the matrix check unless certified_by is set (see the module
+        docstring).
         Without representatives the dims come by rank-nullity from ranks
         taken with clearing (see the module docstring), which skips the
         columns or rows that d^2 = 0 shows to be dependent; it is exact only
-        because the check ran first.  With them, each differential is
+        because d^2 = 0 is known first.  With them, each differential is
         eliminated once: the cycles at degree d
         are the kernel of d_d, the boundaries are the pivots of d_{d-1}, and
         the representatives are the cycles that extend the boundary span; the
         tracker this leaves behind gives the report's class coordinates.
         """
-        self.validate_complex()
+        if self.certified_by is None:
+            self.validate_complex()
         field, window = self.field, self.window
         dims, reps, classes = {}, {}, {}
         if not representatives:

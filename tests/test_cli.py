@@ -361,6 +361,21 @@ def test_cache_round_trip_is_byte_identical_minus_duration(docs, capsys,
     assert len(os.listdir(cache)) == 1
 
 
+def test_the_d_squared_mark_stays_out_of_reports_and_cache(docs, capsys, tmp_path):
+    """Which check established d^2 = 0 (CochainComplexSlice.certified_by)
+    enters neither a report nor a cache entry."""
+    path = docs("sq1.json", {"builder": "square_zero", "n": 1})
+    cache = tmp_path / "cache"
+    text = []
+    for argv in (("bar", "--window=-4..0"), ("dual", "--window=0..4")):
+        code, report, _ = run(capsys, argv[0], path, argv[1], "--cache-dir", str(cache))
+        assert code == 0
+        text.append(json.dumps(report))
+    text += [entry.read_text() for entry in cache.iterdir()]
+    assert len(text) == 4
+    assert not any(word in t for t in text for word in ("certified", "letters", "transpose"))
+
+
 def test_cache_distinguishes_windows(docs, capsys, tmp_path):
     path = docs("sq1.json", {"builder": "square_zero", "n": 1})
     cache = str(tmp_path / "cache")
