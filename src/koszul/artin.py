@@ -6,7 +6,9 @@ Both evaluations are degreewise surjective dg algebra maps, so the strict
 limit of X -> Z <- Y through the path object computes the homotopy fiber
 product; that strict limit is itself a finite dg algebra here, which keeps
 every later computation (cohomology, duals, resolutions) inside the same
-machinery.
+machinery.  It is the sub-dg-algebra of X x path(Z) x Y spanned by the
+kernel of the constraints, built by the same constructor as the connective
+cover (dga._subalgebra), on a unit-first, augmentation-adapted basis.
 """
 
 from .exactla import (
@@ -14,7 +16,7 @@ from .exactla import (
     complex_from_labels, matrix_from_columns, vec_add_into,
 )
 from .dga import (
-    FiniteDga, DgaMap, base_field_algebra, square_zero,
+    DgaMap, _subalgebra, base_field_algebra, square_zero,
     algebra_slice, finite_dga_from_tables, tensor_algebra, full_cohomology,
     lc_equal,
 )
@@ -102,10 +104,11 @@ def homotopy_fiber_product(f, g, name=None):
     """The fiber product of f: X -> Z and g: Y -> Z through the path object.
 
     Computes, degree by degree, the kernel of (x,p,y) -> (ev0(p) - f(x),
-    ev1(p) - g(y)) inside X x path(Z) x Y, then restricts the componentwise
-    dg algebra structure to it.  The result is a complete validated-by-use
-    FiniteDga with a unit-first, augmentation-adapted basis; express_triple
-    rewrites any triple satisfying the constraints in the chosen basis.
+    ev1(p) - g(y)) inside X x path(Z) x Y, and takes the sub-dg-algebra of
+    the componentwise structure that the kernels span (dga._subalgebra).
+    The result is a complete validated-by-use FiniteDga with a unit-first,
+    augmentation-adapted basis; fp.fp_express(x_lc, p_lc, y_lc, d) rewrites
+    any triple satisfying the constraints in the chosen basis.
     """
     x, y = f.source, g.source
     if g.target is not f.target:
@@ -155,50 +158,6 @@ def homotopy_fiber_product(f, g, name=None):
             cols.append(col)
         return matrix_from_columns(field, 2 * zdim, cols)
 
-    unit_vec = {}
-    if 0 in hull:
-        idx0 = amb_index[0]
-        unit_vec = {idx0[("x", x.unit)]: field.one,
-                    idx0[("p", p.unit)]: field.one,
-                    idx0[("y", y.unit)]: field.one}
-
-    def aug_ambient(vec):
-        labels = amb_labels[0]
-        total = field.zero
-        for i, c in vec.items():
-            part, l = labels[i]
-            if part == "x":
-                total = field.add(total, field.mul(c, x.aug_of(l)))
-        return total
-
-    trackers = {}
-    vectors = {}
-    basis = {}
-    label_degree = {}
-    for d in hull.degrees():
-        tracker = SpanTracker(field, track=True)
-        chosen = []
-        if d == 0 and unit_vec:
-            if constraint_columns(0).apply(unit_vec):
-                raise StructuralError("the unit triple violates the constraints")
-            tracker.insert(unit_vec, tag="1")
-            chosen.append("1")
-            vectors["1"] = unit_vec
-        kernel = constraint_columns(d).nullspace_basis() if amb_labels[d] else []
-        for v in kernel:
-            if d == 0:
-                v = dict(v)
-                vec_add_into(field, v, unit_vec, field.neg(aug_ambient(v)))
-            label = f"v({d},{len(chosen)})"
-            if tracker.insert(v, tag=label):
-                chosen.append(label)
-                vectors[label] = v
-        trackers[d] = tracker
-        if chosen:
-            basis[d] = tuple(chosen)
-            for label in chosen:
-                label_degree[label] = d
-
     def split(vec, d):
         xs, ps, ys = {}, {}, {}
         labels = amb_labels[d]
@@ -218,37 +177,28 @@ def homotopy_fiber_product(f, g, name=None):
             out[idx[("y", l)]] = c
         return out
 
-    def express(vec, d):
-        residual, combo = trackers[d].reduce(vec)
-        if residual:
-            raise StructuralError(
-                f"vector at degree {d} is not in the fiber product")
-        return dict(combo)
+    def diff(vec, d):
+        xs, ps, ys = split(vec, d)
+        return join(x.diff_lc(xs), p.diff_lc(ps), y.diff_lc(ys), d + 1)
 
-    def boundary(label):
-        d = label_degree[label]
-        xs, ps, ys = split(vectors[label], d)
-        image = join(x.diff_lc(xs), p.diff_lc(ps), y.diff_lc(ys), d + 1)
-        return express(image, d + 1).items() if image else ()
+    def mult(v1, d1, v2, d2):
+        (x1, p1, y1), (x2, p2, y2) = split(v1, d1), split(v2, d2)
+        return join(x.mult_lc(x1, x2), p.mult_lc(p1, p2), y.mult_lc(y1, y2), d1 + d2)
 
-    def mult_fn(l1, l2):
-        d1 = label_degree[l1]
-        d2 = label_degree[l2]
-        x1, p1, y1 = split(vectors[l1], d1)
-        x2, p2, y2 = split(vectors[l2], d2)
-        prod = join(x.mult_lc(x1, x2), p.mult_lc(p1, p2), y.mult_lc(y1, y2),
-                    d1 + d2)
-        return express(prod, d1 + d2) if prod else {}
+    unit_vec = {}
+    if 0 in hull:
+        unit_vec = join({x.unit: field.one}, {p.unit: field.one}, {y.unit: field.one}, 0)
+        if constraint_columns(0).apply(unit_vec):
+            raise StructuralError("the unit triple violates the constraints")
+    kernels = {d: constraint_columns(d).nullspace_basis()
+               for d in hull.degrees() if amb_labels[d]}
 
-    fp = FiniteDga(
-        complex_from_labels(field, hull, basis, boundary), mult_fn, unit="1",
-        aug={"1": field.one}, complete=True,
-        name=name or f"fp({x.name} -> {z.name} <- {y.name})")
-
-    def express_triple(x_lc, p_lc, y_lc, d):
-        return {l: c for l, c in express(join(x_lc, p_lc, y_lc, d), d).items()}
-
-    fp.fp_express = express_triple
+    fp, express = _subalgebra(
+        field, hull, unit_vec, kernels,
+        lambda v: x.aug_of_vector(x.vector(split(v, 0)[0], 0)), diff, mult,
+        lambda d, i: f"v({d},{i})",
+        name or f"fp({x.name} -> {z.name} <- {y.name})")
+    fp.fp_express = lambda xs, ps, ys, d: express(join(xs, ps, ys, d), d)
     return fp
 
 
@@ -421,12 +371,7 @@ def _path_lift_space(f, g, p):
     nrows = 0
 
     def add(row, col, c):
-        cur = cols[col].get(row, field.zero)
-        s = field.add(cur, c)
-        if field.is_zero(s):
-            cols[col].pop(row, None)
-        else:
-            cols[col][row] = s
+        vec_add_into(field, cols[col], {row: c}, field.one)
 
     def unknown(l, m):
         return offsets[l] + z_index[m]

@@ -453,11 +453,7 @@ def cmd_series(args, field, handles):
     fdga = _require_complete(ring_h)
     module = None
     if len(handles) > 1 and handles[1] is not None:
-        raw = handles[1]
-        if isinstance(raw, dict) and raw.get("module") == "regular":
-            module = None
-        else:
-            module = parse_module_document(raw, ring_h, field)
+        module = parse_module_document(handles[1], ring_h, field)
     series = radical_filtration(fdga, module=module)
     return {
         "radical_dims": list(series.radical_dims),

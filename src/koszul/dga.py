@@ -685,66 +685,77 @@ def connective_cover(fdga, name=None):
         raise RefusalError("window must contain degree 0")
 
     d0 = fdga.complex().d_at(0)
-    kernel = d0.nullspace_basis()
     unit_vec = fdga.vector({fdga.unit: field.one}, 0)
     if d0.apply(unit_vec):
         raise StructuralError("unit is not a cocycle")
+    spans = {d: [{i: field.one} for i in range(len(ls))]
+             for d, ls in fdga.basis.items() if d < 0}
+    spans[0] = d0.nullspace_basis()
 
-    tracker = SpanTracker(field)
-    chosen = []
-    tracker.insert(unit_vec)
-    chosen.append(("1", unit_vec))
-    for v in kernel:
-        adj = dict(v)
-        vec_add_into(field, adj, unit_vec, field.neg(fdga.aug_of_vector(v)))
-        if tracker.insert(adj):
-            chosen.append((f"c{len(chosen)}", adj))
+    def mult(v1, d1, v2, d2):
+        prod = fdga.mult_lc(fdga.lincomb(v1, d1), fdga.lincomb(v2, d2))
+        return fdga.vector(prod, d1 + d2)
 
-    zero_tracker = SpanTracker(field, track=True)
-    for lbl, v in chosen:
-        zero_tracker.insert(v, tag=lbl)
+    # the cover's top degree is 0, so its boundary only meets degrees below 0
+    cover, _ = _subalgebra(
+        field, Window(min(fdga.window.lo, 0), 0), unit_vec, spans,
+        fdga.aug_of_vector, lambda v, d: fdga.complex().d_at(d).apply(v), mult,
+        lambda d, i: fdga.labels(d)[i] if d < 0 else f"c{i}",
+        name or f"{fdga.name}|cover")
+    return cover
 
-    def express0(vec):
-        residual, combo = zero_tracker.reduce(vec)
+
+def _subalgebra(field, window, unit, spans, aug, diff, mult, label, name):
+    """The complete sub-dg-algebra of an ambient algebra that the vectors
+    spans[d] span in each degree d of window, and express(vec, d), the
+    coordinates of an ambient vector in its basis.
+
+    Vectors are dicts over the ambient's degree-d basis indices: unit is
+    the ambient unit, aug(vec) the augmentation of a degree-0 vector,
+    diff(vec, d) and mult(v1, d1, v2, d2) the ambient structure.  The
+    degree-0 basis is the unit, labeled "1", then each spanning vector v
+    less aug(v) times the unit, so "1" alone augments to 1; in other
+    degrees it is the spanning vectors.  A vector is kept when it extends
+    the span so far, and is labeled label(d, i), i its index in the degree's
+    basis.  A label that is already taken is refused before any assembly.
+    """
+    trackers, vectors, basis = {}, {}, {}
+    for d in window.degrees():
+        tracker = trackers[d] = SpanTracker(field, track=True)
+        candidates = spans.get(d, ())
+        if d == 0:
+            candidates = [unit] + [vec_add_into(field, dict(v), unit, field.neg(aug(v)))
+                                   for v in candidates]
+        chosen = []
+        for v in candidates:
+            lbl = label(d, len(chosen)) if d or chosen else "1"
+            if tracker.insert(v, tag=lbl):
+                if lbl in vectors:
+                    raise StructuralError(f"{name}: degree-{d} label {lbl!r} is already taken")
+                chosen.append(lbl)
+                vectors[lbl] = (d, v)
+        if chosen:
+            basis[d] = chosen
+
+    def express(vec, d):
+        if not vec:
+            return {}
+        residual, combo = trackers[d].reduce(vec)
         if residual:
-            raise StructuralError("vector outside the degree-0 kernel")
+            raise StructuralError(f"{name}: a degree-{d} vector is outside the subalgebra")
         return dict(combo)
 
-    window = Window(min(fdga.window.lo, 0), 0)
-    basis = {d: ls for d, ls in fdga.basis.items() if d < 0}
-    basis[0] = tuple(lbl for lbl, _ in chosen)
-    vec_of = dict(chosen)
+    def boundary(lbl):
+        d, v = vectors[lbl]
+        return express(diff(v, d), d + 1).items()
 
-    def to_old(lc):
-        out = {}
-        for l, c in lc.items():
-            if l in vec_of:
-                vec_add_into(field, out, fdga.lincomb(vec_of[l], 0), c)
-            else:
-                vec_add_into(field, out, {l: field.one}, c)
-        return out
+    def product(l1, l2):
+        (d1, v1), (d2, v2) = vectors[l1], vectors[l2]
+        return express(mult(v1, d1, v2, d2), d1 + d2)
 
-    for lbl, _ in chosen:
-        if any(lbl in ls for d, ls in basis.items() if d < 0):
-            raise StructuralError(f"degree-0 cover label {lbl!r} collides with the input basis")
-
-    def boundary(l):
-        # only degrees below 0 are visited: 0 is the top of the window
-        old = fdga.diff(l)
-        return (express0(fdga.vector(old, 0)) if fdga.degree(l) == -1 else old).items()
-
-    def mult_fn(x, y):
-        prod = fdga.mult_lc(to_old({x: field.one}), to_old({y: field.one}))
-        dx = 0 if x in vec_of else fdga.degree(x)
-        dy = 0 if y in vec_of else fdga.degree(y)
-        if dx + dy == 0:
-            return express0(fdga.vector(prod, 0))
-        return prod
-
-    aug = {lbl: (field.one if lbl == "1" else field.zero) for lbl, _ in chosen}
-
-    return FiniteDga(complex_from_labels(field, window, basis, boundary),
-                     mult_fn, "1", aug, complete=True, name=name or f"{fdga.name}|cover")
+    sub = FiniteDga(complex_from_labels(field, window, basis, boundary), product,
+                    "1", {"1": field.one}, complete=True, name=name)
+    return sub, express
 
 
 # ---------------------------------------------------------------------------

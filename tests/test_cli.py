@@ -207,6 +207,18 @@ def test_series_of_truncated_cubic(docs, capsys):
     assert report["result"]["factors"] == ["k", "k", "k"]
 
 
+@pytest.mark.parametrize("field", ["Q", "Fp:5"])
+def test_series_over_the_regular_module_is_the_default(docs, capsys, field):
+    ring = docs("quartic.json", {"builder": "truncated_polynomial", "m": 4, "d": 0})
+    regular = docs("regular.json", {"module": "regular"})
+    code, default, _ = run(capsys, "series", ring, "--field", field, "--no-cache")
+    assert code == 0
+    code, explicit, _ = run(capsys, "series", ring, regular, "--field", field, "--no-cache")
+    assert code == 0
+    assert explicit["result"] == default["result"]
+    assert default["result"]["radical_dims"] == [4, 3, 2, 1, 0]
+
+
 def test_validate_reports_axioms(docs, capsys):
     path = docs("sq1.json", {"builder": "square_zero", "n": 1})
     code, report, _ = run(capsys, "validate", path, "--window=-1..0",
