@@ -36,15 +36,23 @@ cohomology() first makes sure that d^2 = 0: by the matrix check
 when their letter table passes its certificate (koszul.bar), and the dual
 of a certified bar inherits it.
 
-Dims-only cohomology takes its ranks with clearing (Chen and Kerber,
-"Persistent homology computation with a twist", 2011; Bauer's Ripser).
-Once d^2 = 0 is known, a pivot v of d_{d-1} lies in its image, so
-d_d v = 0 and column lead(v) of d_d is a combination of earlier columns:
-it is skipped.  The same holds for rows: a pivot of the rows of d_{d+1}
-clears the row of d_d at its lead.  Clearing starts at the end of the
-window whose outer space is smaller, since that differential is
-eliminated in full: columns bottom-up when dim C^lo <= dim C^hi (the
-dual), rows top-down otherwise (the bar).  Each rank is the plain rank.
+cohomology() eliminates with clearing (Chen and Kerber, "Persistent
+homology computation with a twist", 2011; de Silva, Morozov and
+Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011; Bauer's
+Ripser).  Once d^2 = 0 is known, a pivot v of d_{d-1} lies in its image,
+so d_d v = 0 and column lead(v) of d_d is a combination of earlier
+columns: `eliminate` skips it.  The tracker's pivots and combos are
+those of the full elimination, since the column would have reduced to
+zero.  With representatives only its kernel vector z goes, and z was
+never chosen: it lies in the span of v and the kernel vectors of earlier
+columns, a span the class tracker holds before z would be offered.  So
+every cycle left extends the boundary span, and the representatives,
+class coordinates and ring constants are unchanged.  Dims-only ranks
+clear the same way, and also on rows: a pivot of the rows of d_{d+1}
+clears the row of d_d at its lead.  They start at the end of the window
+whose outer space is smaller, since that differential is eliminated in
+full: columns bottom-up when dim C^lo <= dim C^hi (the dual), rows
+top-down otherwise (the bar).  Each rank is the plain rank.
 """
 
 from fractions import Fraction
@@ -512,7 +520,7 @@ class SparseMatrix:
         return matrix_from_columns(
             self.field, self.rows, [self.apply(col) for col in other.columns()])
 
-    def eliminate(self, track=False):
+    def eliminate(self, track=False, skip=()):
         """Column elimination, the engine's one elimination.
 
         Absorbs the integer columns into a SpanTracker in order, reducing
@@ -521,12 +529,20 @@ class SparseMatrix:
         and kernel lists e_j - combo for every column j that reduced to zero
         (a basis of the kernel, cols - rank vectors); otherwise kernel is
         None.
+
+        The columns whose indices are in skip are neither reduced nor listed
+        in the kernel.  Pass only columns already known to be combinations
+        of earlier ones (clearing, in `cohomology`): such a column would
+        reduce to zero, so the tracker is the one the full elimination
+        leaves, and kernel lacks exactly the skipped columns' vectors.
         """
         field = self.field
         tracker = SpanTracker(field, track)
         kernel = [] if track else None
         scale = self.scale
         for j, col in enumerate(self.int_columns):
+            if j in skip:
+                continue
             w, combo, s, _ = tracker._reduce_ints(dict(col), scale)
             if w:
                 tracker._add_pivot(w, combo, s, scale, j)
@@ -571,7 +587,8 @@ def _integral_columns(field, columns):
 
 def _pivot_leads(field, vectors):
     """The pivot leads of integer vectors (dicts the reduction consumes)
-    absorbed in order by an untracked SpanTracker; its pivots are dropped."""
+    absorbed in order by an untracked SpanTracker; its pivots are dropped.
+    The row branch of `_cleared_ranks` uses it on rows it gathers itself."""
     tracker = SpanTracker(field)
     for w in vectors:
         w, _, s, _ = tracker._reduce_ints(w, 1)
@@ -720,16 +737,17 @@ class CochainComplexSlice:
 
         Reliable degrees are those d with d-1, d, d+1 all in the window; the
         two boundary degrees are only flagged.  Validates d^2 = 0 first, by
-        the matrix check unless certified_by is set (see the module
-        docstring).
-        Without representatives the dims come by rank-nullity from ranks
-        taken with clearing (see the module docstring), which skips the
-        columns or rows that d^2 = 0 shows to be dependent; it is exact only
-        because d^2 = 0 is known first.  With them, each differential is
-        eliminated once: the cycles at degree d
-        are the kernel of d_d, the boundaries are the pivots of d_{d-1}, and
-        the representatives are the cycles that extend the boundary span; the
-        tracker this leaves behind gives the report's class coordinates.
+        the matrix check unless certified_by is set: both paths clear (see
+        the module docstring), skipping the columns or rows that d^2 = 0
+        shows to be dependent, which is exact only once d^2 = 0 is known.
+        Without representatives the dims come by rank-nullity from the
+        cleared ranks.  With them, each differential is eliminated once,
+        tracked, skipping the columns at the leads of d_{d-1}'s pivots.  The
+        boundaries at degree d are those pivots; the cycles are the kernel
+        vectors of the columns left, and each extends the boundary span, so
+        they are the representatives and dims[d] is their number (a cycle
+        that does not raises InvalidComplexError).  The class tracker this
+        leaves behind gives the report's class coordinates.
         """
         if self.certified_by is None:
             self.validate_complex()
@@ -742,11 +760,13 @@ class CochainComplexSlice:
         else:
             below = self.d_at(window.lo).eliminate()[0]
             for d in window.interior():
-                above, cycles = self.d_at(d).eliminate(track=True)
+                # a column at a boundary pivot's lead is cleared: its cycle
+                # lies in the boundaries plus the earlier cycles
+                above, cycles = self.d_at(d).eliminate(track=True, skip=below.pivots)
                 tracker = SpanTracker(field, track=True)
                 # boundaries carry no tag, so combos count representatives only
                 tracker.pivots = {lead: (vec, {}) for lead, (vec, _) in below.pivots.items()}
-                dims[d] = len(cycles) - tracker.rank
+                dims[d] = len(cycles)
                 chosen = []
                 for z in cycles:
                     if tracker.insert(z, tag=len(chosen)):
@@ -768,18 +788,16 @@ class CochainComplexSlice:
         by_rows = self.dim(lo) > self.dim(hi)
         ranks, cleared = {}, set()
         for d in range(hi - 1, lo - 1, -1) if by_rows else range(lo, hi):
-            ints = self.d_at(d).int_columns
             if by_rows:  # the kept rows of d_d, gathered without a transpose
                 rows = {i: {} for i in range(self.dim(d + 1)) if i not in cleared}
-                for j, col in enumerate(ints):
+                for j, col in enumerate(self.d_at(d).int_columns):
                     for i, x in col.items():
                         row = rows.get(i)
                         if row is not None:
                             row[j] = x
-                vecs = (rows.pop(i) for i in list(rows))
+                cleared = _pivot_leads(self.field, (rows.pop(i) for i in list(rows)))
             else:
-                vecs = (dict(col) for j, col in enumerate(ints) if j not in cleared)
-            cleared = _pivot_leads(self.field, vecs)
+                cleared = self.d_at(d).eliminate(skip=cleared)[0].pivots
             ranks[d] = len(cleared)
         return ranks
 

@@ -23,8 +23,8 @@ from koszul.dga import (
 from koszul.dgmod import DgModuleSpec, regular_module, trivial_module
 from koszul.dual import dual_cohomology_dims, koszul_dual_slice
 from koszul.exactla import (
-    QQ, CochainComplexSlice, Field, InvalidComplexError, SparseMatrix, StructuralError,
-    Window, complex_from_labels,
+    QQ, CochainComplexSlice, Field, InvalidComplexError, SpanTracker, SparseMatrix,
+    StructuralError, Window, complex_from_labels,
 )
 
 F5, F32003 = Field(5), Field(32003)
@@ -590,17 +590,62 @@ def _non_associative():
         aug=lambda l: one if l == "1" else QQ.zero, min_degree=0, max_degree=0)
 
 
-@pytest.mark.parametrize("dims_only, degree", [
-    (lambda spec: bar_homology_dims(spec, Window(-2, 0)), -3),
+@pytest.mark.parametrize("dims_only, complex_of, degree", [
+    (lambda spec: bar_homology_dims(spec, Window(-2, 0)),
+     lambda spec: bar_complex(spec, Window(-2, 0)).complex, -3),
     (lambda spec: derived_tensor_dims(
-        trivial_module(spec), spec, trivial_module(spec), Window(-3, 0)), -4),
-    (lambda spec: dual_cohomology_dims(spec, Window(0, 2)), 1),
+        trivial_module(spec), spec, trivial_module(spec), Window(-3, 0)),
+     lambda spec: two_sided_bar(
+        trivial_module(spec), spec, trivial_module(spec), Window(-3, 0)).complex, -4),
+    (lambda spec: dual_cohomology_dims(spec, Window(0, 2)),
+     lambda spec: koszul_dual_slice(spec, Window(0, 2)).algebra.complex(), 1),
 ], ids=["bar", "two-sided", "dual"])
-def test_d_squared_failure_is_raised_before_any_clearing(monkeypatch, dims_only, degree):
-    def refuse(self):
+def test_d_squared_failure_is_raised_before_any_clearing(
+        monkeypatch, dims_only, complex_of, degree):
+    """Dims-only answers clear in `_cleared_ranks`, representatives by the
+    skip of `eliminate`; neither may run before the d^2 check has named the
+    failing degree."""
+    def refuse(*args):
         raise AssertionError("clearing ran before d^2 = 0 was checked")
 
+    eliminate = SparseMatrix.eliminate
+
+    def eliminate_without_skips(self, track=False, skip=()):
+        if skip:
+            refuse()
+        return eliminate(self, track)
+
     monkeypatch.setattr(CochainComplexSlice, "_cleared_ranks", refuse)
-    with pytest.raises(InvalidComplexError) as info:
-        dims_only(_non_associative())
-    assert info.value.degree == degree
+    monkeypatch.setattr(SparseMatrix, "eliminate", eliminate_without_skips)
+    for answer in (dims_only, lambda spec: complex_of(spec).cohomology()):
+        with pytest.raises(InvalidComplexError) as info:
+            answer(_non_associative())
+        assert info.value.degree == degree
+
+
+# -- class trackers are seeded with monic pivots ------------------------------------
+
+
+@pytest.mark.parametrize("complex_of", [
+    pytest.param(lambda: koszul_dual_slice(
+        truncated_polynomial(F32003, 3, 0), Window(0, 8)).algebra.complex(), id="dual-cubic"),
+    pytest.param(lambda: bar_complex(_cone(F32003, 5), Window(-5, 0)).complex, id="cone"),
+])
+def test_class_trackers_are_seeded_with_monic_pivots(monkeypatch, complex_of):
+    """Over F_p a reduction step clears a lead only against a monic pivot,
+    so a boundary pivot seeded into a class tracker as it came (not monic)
+    would make `insert` loop forever.  The pivots are checked before every
+    insert, so such a change fails here and does not hang."""
+    insert = SpanTracker.insert
+
+    def checked_insert(self, vec, tag=None):
+        for lead, (pvec, _) in self.pivots.items():
+            assert pvec[lead] == 1, f"pivot at {lead} is not monic"
+        return insert(self, vec, tag)
+
+    monkeypatch.setattr(SpanTracker, "insert", checked_insert)
+    report = complex_of().cohomology()
+    # boundaries carry no tag: the seeded pivots are those with an empty combo
+    seeds = [pvec[lead] for tracker in report._classes.values()
+             for lead, (pvec, combo) in tracker.pivots.items() if not combo]
+    assert seeds and set(seeds) == {1}
