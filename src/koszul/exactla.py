@@ -11,13 +11,18 @@ A SparseMatrix is stored as integer columns: over F_p its entries, over Q
 assembly (koszul.bar builds each bar's integer columns block by block and
 hands them to SparseMatrix.from_int_columns), the dual's signed transpose,
 the d^2 check and the elimination (SpanTracker) never do Fraction
-arithmetic.  Over F_p pivots are monic and the loops reduce mod a local
-p.  Over Q a vector is scaled by the lcm of its denominators (a matrix
-column arrives scaled already), reduction is fraction-free (Bareiss 1968:
-v <- a*v - b*pivot with the leads divided by their gcd), and pivots are
-primitive integer vectors, not monic ones; values become Fractions only
-where they leave the engine: the `entries` and `columns()` views of a
-matrix, and what leaves the tracker.
+arithmetic.  Over F_p the loops reduce mod a local p.  A tracked
+elimination keeps monic pivots, since each combo is scaled with its
+pivot; an untracked one (the dims-only ranks) stores each pivot raw,
+with the inverse of its lead, so no pivot is rebuilt just to be monic.
+The class trackers behind representatives are seeded with raw pivots,
+and SpanTracker.as_boundaries, the one place that does so, makes them
+monic.  Over Q a vector is scaled by the lcm of its denominators (a
+matrix column arrives scaled already), reduction is fraction-free
+(Bareiss 1968: v <- a*v - b*pivot with the leads divided by their gcd),
+and pivots are primitive integer vectors, not monic ones; values become
+Fractions only where they leave the engine: the `entries` and
+`columns()` views of a matrix, and what leaves the tracker.
 
 A pivot's lead is the largest index of its vector, and reduction clears
 the largest index first.  The lead is a free parameter: rank, span
@@ -226,12 +231,16 @@ class SpanTracker:
     on the order of the inserts and on the span (see the module
     docstring); the largest index is the rule that cuts fill-in.
 
-    Over F_p a pivot is monic (lead coefficient 1).  Over Q the elimination
-    never forms a Fraction: a vector entering the tracker is scaled by the
-    lcm D of its denominators, a reduction step is v <- a*v - b*pivot with
-    a, b the two leads divided by their gcd, and a pivot is a primitive
-    integer vector (content divided out, lead positive).  Values leave the
-    tracker as Fractions.
+    Over F_p a tracked pivot is monic (lead coefficient 1), as its combo
+    is scaled with it; an untracked one is stored raw, as the reduction
+    left it, next to the inverse of its lead, and a reduction step scales
+    by that inverse.  `as_boundaries` is the one place where raw pivots
+    are made monic, for the tracked tracker they seed.  Over Q the
+    elimination never forms a Fraction: a vector entering the tracker is
+    scaled by the lcm D of its denominators, a reduction step is
+    v <- a*v - b*pivot with a, b the two leads divided by their gcd, and a
+    pivot is a primitive integer vector (content divided out, lead
+    positive).  Values leave the tracker as Fractions.
 
     With track=True every inserted vector gets a tag and `reduce` reports
     the expression of the reducible part in terms of the tagged inserts,
@@ -245,7 +254,9 @@ class SpanTracker:
     def __init__(self, field, track=False):
         self.field = field
         self.track = track
-        self.pivots = {}  # lead index -> (vector, combo or None)
+        # lead index -> (vector, combo) when tracked; untracked, (vector,
+        # 1/lead) over F_p and (vector, None) over Q
+        self.pivots = {}
         self._scale = {}  # tag -> D_t (over Q)
 
     @property
@@ -264,6 +275,22 @@ class SpanTracker:
             return False
         self._add_pivot(w, combo, s, scale, tag)
         return True
+
+    def as_boundaries(self):
+        """A tracked SpanTracker seeded with this one's pivots as untagged
+        boundaries (empty combos), so that its combos count only the
+        vectors inserted later: the class tracker of `cohomology`.  Over F_p
+        a tracked reduction needs monic pivots, and this is the one place
+        where the raw pivots of an untracked tracker are made monic."""
+        seeded = SpanTracker(self.field, track=True)
+        p = self.field.p
+        if p is None or self.track:
+            seeded.pivots = {lead: (vec, {}) for lead, (vec, _) in self.pivots.items()}
+        else:
+            seeded.pivots = {
+                lead: (vec if lam == 1 else {i: lam * x % p for i, x in vec.items()}, {})
+                for lead, (vec, lam) in self.pivots.items()}
+        return seeded
 
     def _reduce(self, vec):
         """Reduce vec against the pivots in ints; returns (w, combo, s, D).
@@ -289,9 +316,9 @@ class SpanTracker:
                 hit = pivots.get(lead)
                 if hit is None:
                     break
-                pvec, pcombo = hit
+                pvec, extra = hit  # a monic pivot's combo, or a raw one's 1/lead
                 c = w[lead]
-                m = -c % p
+                m = -c % p if track else -c * extra % p
                 for i, x in pvec.items():
                     y = (w.get(i, 0) + m * x) % p
                     if y:
@@ -299,7 +326,7 @@ class SpanTracker:
                     else:
                         del w[i]
                 if track:
-                    for t, x in pcombo.items():
+                    for t, x in extra.items():
                         y = (combo.get(t, 0) + c * x) % p
                         if y:
                             combo[t] = y
@@ -355,16 +382,23 @@ class SpanTracker:
         p = self.field.p
         pcombo = None
         if p is not None:
-            lam = pow(w[lead], p - 2, p)
-            if self.track:
-                neg = -lam % p
-                pcombo = {t: neg * c % p for t, c in combo.items()}
-                c = (pcombo.get(tag, 0) + lam) % p
-                if c:
-                    pcombo[tag] = c
-                else:
-                    pcombo.pop(tag, None)
-            self.pivots[lead] = ({i: lam * x % p for i, x in w.items()}, pcombo)
+            # 1 and p - 1, the leads of every pivot of the bars and their
+            # duals, are their own inverses
+            c = w[lead]
+            lam = c if c == 1 or c == p - 1 else pow(c, p - 2, p)
+            if not self.track:  # raw: stored as it is, with 1/lead
+                self.pivots[lead] = (w, lam)
+                return
+            neg = -lam % p
+            pcombo = {t: neg * c % p for t, c in combo.items()}
+            c = (pcombo.get(tag, 0) + lam) % p
+            if c:
+                pcombo[tag] = c
+            else:
+                pcombo.pop(tag, None)
+            if lam != 1:
+                w = {i: lam * x % p for i, x in w.items()}
+            self.pivots[lead] = (w, pcombo)
             return
         # w = s * vec - sum(combo[t] * D_t * insert_t); vec is insert_tag
         if self.track:
@@ -586,11 +620,16 @@ def _integral_columns(field, columns):
 
 
 def _pivot_leads(field, vectors):
-    """The pivot leads of integer vectors (dicts the reduction consumes)
-    absorbed in order by an untracked SpanTracker; its pivots are dropped.
-    The row branch of `_cleared_ranks` uses it on rows it gathers itself."""
+    """The pivot leads of a list of integer vectors (dicts the reduction
+    consumes, None for a vector left out) absorbed in order by an untracked
+    SpanTracker; its pivots are dropped, and each slot of the list is set
+    to None once read.  The row branch of `_cleared_ranks` uses it on rows
+    it gathers itself."""
     tracker = SpanTracker(field)
-    for w in vectors:
+    for k, w in enumerate(vectors):
+        if w is None:
+            continue
+        vectors[k] = None
         w, _, s, _ = tracker._reduce_ints(w, 1)
         if w:
             tracker._add_pivot(w, None, s, 1, None)
@@ -763,9 +802,7 @@ class CochainComplexSlice:
                 # a column at a boundary pivot's lead is cleared: its cycle
                 # lies in the boundaries plus the earlier cycles
                 above, cycles = self.d_at(d).eliminate(track=True, skip=below.pivots)
-                tracker = SpanTracker(field, track=True)
-                # boundaries carry no tag, so combos count representatives only
-                tracker.pivots = {lead: (vec, {}) for lead, (vec, _) in below.pivots.items()}
+                tracker = below.as_boundaries()
                 dims[d] = len(cycles)
                 chosen = []
                 for z in cycles:
@@ -789,13 +826,13 @@ class CochainComplexSlice:
         ranks, cleared = {}, set()
         for d in range(hi - 1, lo - 1, -1) if by_rows else range(lo, hi):
             if by_rows:  # the kept rows of d_d, gathered without a transpose
-                rows = {i: {} for i in range(self.dim(d + 1)) if i not in cleared}
+                rows = [None if i in cleared else {} for i in range(self.dim(d + 1))]
                 for j, col in enumerate(self.d_at(d).int_columns):
                     for i, x in col.items():
-                        row = rows.get(i)
+                        row = rows[i]
                         if row is not None:
                             row[j] = x
-                cleared = _pivot_leads(self.field, (rows.pop(i) for i in list(rows)))
+                cleared = _pivot_leads(self.field, rows)
             else:
                 cleared = self.d_at(d).eliminate(skip=cleared)[0].pivots
             ranks[d] = len(cleared)

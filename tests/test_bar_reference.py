@@ -626,16 +626,26 @@ def test_d_squared_failure_is_raised_before_any_clearing(
 # -- class trackers are seeded with monic pivots ------------------------------------
 
 
-@pytest.mark.parametrize("complex_of", [
+@pytest.mark.parametrize("complex_of, first_leads", [
     pytest.param(lambda: koszul_dual_slice(
-        truncated_polynomial(F32003, 3, 0), Window(0, 8)).algebra.complex(), id="dual-cubic"),
-    pytest.param(lambda: bar_complex(_cone(F32003, 5), Window(-5, 0)).complex, id="cone"),
+        truncated_polynomial(F32003, 3, 0), Window(0, 8)).algebra.complex(), set(),
+        id="dual-cubic"),
+    pytest.param(lambda: bar_complex(_cone(F32003, 5), Window(-5, 0)).complex, {32003 - 5},
+                 id="cone"),
+    pytest.param(lambda: bar_complex(_cone(F32003, 1), Window(-5, 0)).complex, {32003 - 1},
+                 id="cone-lead-p-1"),
 ])
-def test_class_trackers_are_seeded_with_monic_pivots(monkeypatch, complex_of):
-    """Over F_p a reduction step clears a lead only against a monic pivot,
-    so a boundary pivot seeded into a class tracker as it came (not monic)
-    would make `insert` loop forever.  The pivots are checked before every
-    insert, so such a change fails here and does not hang."""
+def test_class_trackers_are_seeded_with_monic_pivots(monkeypatch, complex_of, first_leads):
+    """Over F_p a tracked reduction step clears a lead only against a monic
+    pivot, so a boundary pivot seeded into a class tracker as it came from
+    the untracked elimination of the window's first differential (raw, not
+    monic) would make `insert` loop forever.  The pivots are checked before
+    every insert, so such a change fails here and does not hang.  That first
+    elimination leaves pivots with lead -5 on the cone with c = 5 and with
+    lead p - 1, which is its own inverse, with c = 1."""
+    c = complex_of()
+    first = c.d_at(c.window.lo).eliminate()[0]
+    assert {pvec[lead] for lead, (pvec, _) in first.pivots.items()} == first_leads
     insert = SpanTracker.insert
 
     def checked_insert(self, vec, tag=None):
@@ -644,7 +654,7 @@ def test_class_trackers_are_seeded_with_monic_pivots(monkeypatch, complex_of):
         return insert(self, vec, tag)
 
     monkeypatch.setattr(SpanTracker, "insert", checked_insert)
-    report = complex_of().cohomology()
+    report = c.cohomology()
     # boundaries carry no tag: the seeded pivots are those with an empty combo
     seeds = [pvec[lead] for tracker in report._classes.values()
              for lead, (pvec, combo) in tracker.pivots.items() if not combo]

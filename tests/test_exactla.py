@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from koszul.exactla import (
     Field, QQ, SparseMatrix, SpanTracker, Window, CochainComplexSlice,
     InvalidComplexError, RefusalError, StructuralError, matrix_from_columns,
-    complex_from_labels, vec_add_into,
+    complex_from_labels, vec_add_into, _pivot_leads,
 )
 
 
@@ -349,9 +349,16 @@ def test_span_tracker_certificates_are_exact(case):
     for v in inserts:
         plain.insert(v)
     assert plain.rank == base
-    for key, (vec, _) in plain.pivots.items():  # primitive integer or monic
+    # untracked pivots are primitive integer vectors over Q; over F_p they
+    # are stored raw, with the inverse of their lead, and lead where the
+    # tracked ones do
+    assert set(plain.pivots) == set(t.pivots)
+    for key, (vec, extra) in plain.pivots.items():
         assert key == max(vec)
-        assert vec[key] == 1 if field.p else math.gcd(*vec.values()) == 1
+        if field.p is None:
+            assert extra is None and math.gcd(*vec.values()) == 1
+        else:
+            assert vec[key] != 0 and extra * vec[key] % field.p == 1
     for probe in probes:
         residual, combo = t.reduce(probe)
         assert all(type(x) is scalar for x in [*residual.values(), *combo.values()])
@@ -546,7 +553,7 @@ def _dense_product(field, a, b, cols):
 
 
 @st.composite
-def split_complexes(draw, lengths=(2, 3), shapes=None):
+def split_complexes(draw, lengths=(2, 3), shapes=None, fields=(QQ, Field(5))):
     """A complex with known cohomology: on a window of lengths[0] + 1 to
     lengths[1] + 1 degrees, a direct sum of isolated k's and contractible
     pairs k -> k (unit coefficient), with each degree's basis changed by a
@@ -556,7 +563,7 @@ def split_complexes(draw, lengths=(2, 3), shapes=None):
     added at an end of the window until dim(lo) compares so with dim(hi).
     Returns (complex, isolated k's by degree, pairs by source degree, P by
     degree)."""
-    field = draw(st.sampled_from([QQ, Field(5)]))
+    field = draw(st.sampled_from(fields))
     lo = draw(st.integers(-2, 1))
     window = Window(lo, lo + draw(st.integers(*lengths)))
     iso = {d: draw(st.integers(0, 2)) for d in window.degrees()}
@@ -655,6 +662,86 @@ def test_cleared_ranks_are_the_plain_ranks(case):
         == {d: iso[d] for d in window.interior()}
 
 
+# -- raw F_p pivots --------------------------------------------------------------
+# The bars and their duals only ever produce pivots with leads 1 and p - 1,
+# the two self-inverse ones; these tests reach the stored inverses.
+
+PRIMES = (Field(5), Field(7), Field(32003))
+
+
+@st.composite
+def raw_lead_matrices(draw):
+    """A random sparse matrix over F_5, F_7 or F_32003 with every entry in
+    [2, p - 2] (so no entry is 1 or p - 1, and neither is the lead of the
+    first pivot), and probes, about half of them in the column span."""
+    field = draw(st.sampled_from(PRIMES))
+    p = field.p
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    entry = st.integers(2, p - 2)
+    entries = {(i, j): draw(entry) for i, j in draw(st.lists(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)), min_size=1, max_size=20))}
+    m = SparseMatrix(field, rows, cols, entries)
+    probes = []
+    for _ in range(draw(st.integers(1, 4))):
+        probe = {i: draw(entry) for i in draw(st.lists(st.integers(0, rows - 1), max_size=rows))}
+        if draw(st.booleans()):
+            probe = m.apply({j: draw(entry) for j in range(cols)})
+        probes.append(probe)
+    return m, probes
+
+
+@given(raw_lead_matrices())
+@settings(max_examples=150, deadline=None)
+def test_raw_pivots_lead_and_reduce_as_monic_ones(case):
+    """An untracked F_p tracker stores each pivot raw, with the inverse of
+    its lead; a tracked one stores it monic.  Both lead at the same
+    indices, a raw pivot is its lead times the monic one, `as_boundaries`
+    makes it monic, and both trackers leave the same residual of a probe,
+    empty exactly when the probe lies in the column span."""
+    m, probes = case
+    field, p = m.field, m.field.p
+    plain, tracked = m.eliminate()[0], m.eliminate(track=True)[0]
+    inserted = SpanTracker(field)
+    for col in m.int_columns:
+        inserted.insert(col)
+    leads = set(tracked.pivots)
+    assert set(plain.pivots) == set(inserted.pivots) == leads
+    assert _pivot_leads(field, [dict(col) for col in m.int_columns]) == leads
+    assert any(vec[lead] not in (1, p - 1) for lead, (vec, _) in plain.pivots.items())
+    for lead, (vec, lam) in plain.pivots.items():
+        assert lam * vec[lead] % p == 1
+        assert {i: lam * x % p for i, x in vec.items()} == tracked.pivots[lead][0]
+    assert {lead: vec for lead, (vec, _) in plain.as_boundaries().pivots.items()} \
+        == {lead: vec for lead, (vec, _) in tracked.pivots.items()}
+    dense = [[m.int_columns[j].get(i, 0) for j in range(m.cols)] for i in range(m.rows)]
+    rank = len(_gauss_jordan(field, dense, m.cols)[0])
+    assert plain.rank == rank
+    for probe in probes:
+        residual = plain.reduce(probe)[0]
+        assert residual == tracked.reduce(probe)[0] == inserted.reduce(probe)[0]
+        spanned = len(_gauss_jordan(field, [row + [probe.get(i, 0)] for i, row
+                                            in enumerate(dense)], m.cols + 1)[0]) == rank
+        assert (residual == {}) == spanned
+
+
+@given(split_complexes(lengths=(1, 5), shapes=("<", "=", ">"), fields=PRIMES))
+@settings(max_examples=80, deadline=None)
+def test_cleared_ranks_over_f_p_are_the_gauss_jordan_ranks(case):
+    """Both branches of `_cleared_ranks` reduce raw pivots over F_5, F_7
+    and F_32003, whose conjugated differentials have leads other than
+    1 and p - 1; each rank is the dense Gauss-Jordan rank of d_d."""
+    c, _, pairs, _ = case
+    field, window = c.field, c.window
+
+    def reference_rank(m):
+        dense = [[m.int_columns[j].get(i, 0) for j in range(m.cols)] for i in range(m.rows)]
+        return len(_gauss_jordan(field, dense, m.cols)[0])
+
+    assert c._cleared_ranks() == {d: reference_rank(c.d_at(d))
+                                  for d in range(window.lo, window.hi)} \
+        == {d: pairs[d] for d in range(window.lo, window.hi)}
+
+
 def _plain_representatives(c):
     """The representatives loop of `cohomology` without clearing: every
     column of each d_d is eliminated, and the boundaries are subtracted from
@@ -664,8 +751,7 @@ def _plain_representatives(c):
     reps, classes = {}, {}
     for d in window.interior():
         above, cycles = c.d_at(d).eliminate(track=True)
-        tracker = SpanTracker(field, track=True)
-        tracker.pivots = {lead: (vec, {}) for lead, (vec, _) in below.pivots.items()}
+        tracker = below.as_boundaries()
         chosen = []
         for z in cycles:
             if tracker.insert(z, tag=len(chosen)):
