@@ -382,8 +382,8 @@ class SpanTracker:
         p = self.field.p
         pcombo = None
         if p is not None:
-            # 1 and p - 1, the leads of every pivot of the bars and their
-            # duals, are their own inverses
+            # 1 and p - 1 are their own inverses, and the only leads met on
+            # the bars and duals of k[x]/x^3 and k[x, y]/(x^2, y^2)
             c = w[lead]
             lam = c if c == 1 or c == p - 1 else pow(c, p - 2, p)
             if not self.track:  # raw: stored as it is, with 1/lead

@@ -663,8 +663,9 @@ def test_cleared_ranks_are_the_plain_ranks(case):
 
 
 # -- raw F_p pivots --------------------------------------------------------------
-# The bars and their duals only ever produce pivots with leads 1 and p - 1,
-# the two self-inverse ones; these tests reach the stored inverses.
+# The bars and duals of k[x]/x^3 and k[x, y]/(x^2, y^2) only produce pivots
+# with leads 1 and p - 1, the two self-inverse ones; these tests reach the
+# stored inverses.
 
 PRIMES = (Field(5), Field(7), Field(32003))
 
