@@ -30,11 +30,10 @@ element n of a base module N, a left module over A, of degree
 sum(|a_i| - 1) + |n|.  They span the one-sided bar B(A, N), and the
 reduced bar is the case N = k, whose chains are its words.  No term of the
 differential is built as a chain and looked up.  The chains of degree d
-with at most c letters list the base elements of degree d first, then one
-block per first letter a, which lists [a|t] for the chains t of degree
-d - s_a with at most c - 1 letters (s_a = |a| - 1), in their order; a
-chain's position is its block's offset plus its tail's position.  The
-differential is a coderivation,
+list the base elements of degree d first, then one block per first letter
+a, which lists [a|t] for the chains t of degree d - s_a (s_a = |a| - 1),
+in their order; a chain's position is its block's offset plus its tail's
+position.  The differential is a coderivation,
 
   d[;n]  = [;dn],
   d[a|t] = -[da|t] + (-1)^{|a|} [ab|r] + (-1)^{s_a} [a|dt],  t = [b|r],
@@ -174,19 +173,19 @@ class _Ground:
 
 
 class _ChainEnumerator:
-    """Bar chains [a_1|..|a_w; n] by (degree, weight cap), as blocks.
+    """Bar chains [a_1|..|a_w; n] by degree, as blocks.
 
     A chain ends in an element n of the base module `right` (a left module
     over spec; _Ground, k, for the reduced bar) and has degree
-    sum(s_i) + |n|.  chains(d, cap) lists the chains of degree d with at
-    most cap letters: the base elements of degree d, then one block per
-    letter a (by shifted degree, then in listing order) holding [a|t] for
-    every t of chains(d - s_a, cap - 1).  Only the block structure is
-    stored (`blocks`); the labels (`label_chains`) and the positions of the
-    same chains in a list with a larger cap (`positions`) are built block
-    by block from the tails'.  Letters and base elements are indexed by int
-    in `letter` and `element` (_Labels of them, with their shifted degrees
-    and degrees)."""
+    sum(s_i) + |n|.  chains(d) lists the chains of degree d: the base
+    elements of degree d, then one block per letter a (by shifted degree,
+    then in listing order) holding [a|t] for every t of chains(d - s_a).
+    The regime bounds the letters a chain of degree d can hold
+    (`most_letters`), so the lists are finite with no cap passed.  Only the
+    block structure is stored (`blocks`); the labels (`label_chains`) are
+    built block by block from the tails'.  Letters and base elements are
+    indexed by int in `letter` and `element` (_Labels of them, with their
+    shifted degrees and degrees)."""
 
     def __init__(self, spec, regime, right=None):
         self.spec = spec
@@ -202,7 +201,6 @@ class _ChainEnumerator:
         self.letter_cache = {}
         self.memo = {}
         self.label_memo = {}
-        self.position_memo = {}
 
     def letters(self, s):
         """Letters of shifted degree s, checking augmentation-adaptedness."""
@@ -218,80 +216,54 @@ class _ChainEnumerator:
             self.letter_cache[s] = tuple(self.letter(l, s) for l in labels)
         return self.letter_cache[s]
 
-    def clamp(self, d, cap):
-        """cap lowered to the most letters a chain of degree d can have:
-        max|n| - d (connective) or (d - min|n|) // g (coconnected); every
-        larger cap lists the same chains.  A chain [a|t] of degree d has one
-        letter more than t, so the clamp at d, less one, is at least the
-        clamp at d - s_a: the block of a is chains(d - s_a, cap - 1)
-        whatever the clamp."""
+    def most_letters(self, d):
+        """The most letters a chain of degree d can have: max|n| - d
+        (connective) or (d - min|n|) // g (coconnected), and at least 0."""
         kind, g = self.regime
         if kind == "connective":
-            return min(cap, max(0, self.reach - d))
-        return 0 if g is None else min(cap, max(0, (d - self.reach) // g))
+            return max(0, self.reach - d)
+        return 0 if g is None else max(0, (d - self.reach) // g)
 
-    def blocks(self, d, cap):
-        """(size, blocks, offset, base) of chains(d, cap): its length, its
+    def blocks(self, d):
+        """(size, blocks, offset, base) of chains(d): its length, its
         nonempty blocks as (letter, shifted degree, offset), offset[letter],
-        and its base elements, which come first."""
-        cap = self.clamp(d, cap)
-        key = (d, cap)
-        hit = self.memo.get(key)
+        and its base elements, which come first.  A letter of shifted
+        degree s is tried only where chains(d - s) can hold a base element
+        (d - s <= max|n| connective, d - s >= min|n| coconnected), so the
+        recursion ends where no letter fits."""
+        hit = self.memo.get(d)
         if hit is not None:
             return hit
         base = tuple(self.element(n, d) for n in self.right.basis(d))
         size = len(base)
         blocks, offset = [], {}
-        if cap >= 1:
-            kind, g = self.regime
-            if kind == "connective":
-                srange = range(d - self.reach, 0)
-            elif g is None:
-                srange = range(0)
-            else:
-                srange = range(g, d - self.reach + 1)
-            for s in srange:
-                for a in self.letters(s):
-                    n = self.blocks(d - s, cap - 1)[0]
-                    if n:
-                        blocks.append((a, s, size))
-                        offset[a] = size
-                        size += n
-        hit = self.memo[key] = (size, blocks, offset, base)
+        kind, g = self.regime
+        if kind == "connective":
+            srange = range(d - self.reach, 0)
+        elif g is None:
+            srange = range(0)
+        else:
+            srange = range(g, d - self.reach + 1)
+        for s in srange:
+            for a in self.letters(s):
+                n = self.blocks(d - s)[0]
+                if n:
+                    blocks.append((a, s, size))
+                    offset[a] = size
+                    size += n
+        hit = self.memo[d] = (size, blocks, offset, base)
         return hit
 
-    def label_chains(self, d, cap):
-        """chains(d, cap) as tuples of labels: the letters', then end(n)."""
-        cap = self.clamp(d, cap)
-        key = (d, cap)
-        hit = self.label_memo.get(key)
+    def label_chains(self, d):
+        """chains(d) as tuples of labels: the letters', then end(n)."""
+        hit = self.label_memo.get(d)
         if hit is None:
-            _, blocks, _, base = self.blocks(d, cap)
+            _, blocks, _, base = self.blocks(d)
             out = list(map(self.end, base))
             labels = self.letter.labels
             for a, s, _ in blocks:
-                out += map((labels[a],).__add__, self.label_chains(d - s, cap - 1))
-            hit = self.label_memo[key] = tuple(out)
-        return hit
-
-    def positions(self, d, small, big):
-        """The position in chains(d, big) of each chain of chains(d, small),
-        small <= big, or None when the clamps make them one list."""
-        small, big = self.clamp(d, small), self.clamp(d, big)
-        if small == big:
-            return None
-        key = (d, small, big)
-        hit = self.position_memo.get(key)
-        if hit is None:
-            hit = list(range(len(self.blocks(d, small)[3])))
-            offset = self.blocks(d, big)[2]
-            for a, s, _ in self.blocks(d, small)[1]:
-                base = offset[a]
-                inner = self.positions(d - s, small - 1, big - 1)
-                if inner is None:
-                    inner = range(self.blocks(d - s, small - 1)[0])
-                hit += [base + i for i in inner]
-            self.position_memo[key] = hit
+                out += map((labels[a],).__add__, self.label_chains(d - s))
+            hit = self.label_memo[d] = tuple(out)
         return hit
 
 
@@ -383,7 +355,7 @@ class _LetterTable:
             lc[:] = col.items()
         return scale
 
-    def certify(self, cap, heads=None):
+    def certify(self, heads=None):
         """Whether d^2 = 0 on every chain of a degree where it is checked
         (lo to hi - 2), read from the tabled ints of `scale_to_ints` alone.
 
@@ -395,12 +367,14 @@ class _LetterTable:
         shift = max|m| or min|m|) the defects are dh^2, the Leibniz defect
         of (h, a) and (ha)b - h(ab); at the base they are dn^2, the Leibniz
         defect of a.n and a.(b.n) - (ab).n.  Each is checked on every
-        segment with at most cap letters that `reaches` lo or hi - 2, an m
-        counting as |m| - shift, and must vanish exactly: its ints have
-        scale D^2 over Q and are reduced mod p over F_p.  A needed entry
-        that is missing, tabled as a StructuralError, or a merge the table
-        left out (its [] is not a zero product) fails the certificate, as
-        does a nonzero defect.
+        segment that `reaches` lo or hi - 2, an m counting as |m| - shift,
+        and must vanish exactly: its ints have scale D^2 over Q and are
+        reduced mod p over F_p.  No letter count is checked: a segment of
+        k letters that reaches has k <= max|n| - lo (connective, s_a <= -1)
+        or k <= (hi - 2 - min|n|) / g (coconnected, s_a >= g), so k is at
+        most the bar's weight cap.  A needed entry that is missing, tabled
+        as a StructuralError, or a merge the table left out (its [] is not a
+        zero product) fails the certificate, as does a nonzero defect.
         """
         enum, top = self.enum, self.hi - 2
         reach, nl, nn = enum.reach, len(self.diff), len(self.base_diff)
@@ -408,9 +382,6 @@ class _LetterTable:
         by = {}  # shifted degree -> its letters
         for a, s in letters:
             by.setdefault(s, []).append(a)
-
-        def fits(e, k):
-            return k <= cap and self.reaches(e, top)
 
         def diff(a):
             return self.diff[a] if a < nl else None
@@ -425,52 +396,52 @@ class _LetterTable:
         def act(a, n):
             return self.act[a][n] if a < nl and n < nn else None
 
-        def pairs(e, k):
-            """The (a, b) of every segment [a|b] that fits after e."""
+        def pairs(e):
+            """The (a, b) of every segment [a|b] that reaches after e."""
             for s1, l1 in by.items():
                 for s2, l2 in by.items():
-                    if fits(e + s1 + s2, k):
+                    if self.reaches(e + s1 + s2, top):
                         yield from ((a, b) for a in l1 for b in l2)
 
-        def level(index, hdiff, product, shift, k):
-            """The defects of the heads h, with k letters each (1 or 0) and
-            hdiff[h] their tabled differential (d(sa) or dm), as (sign,
-            lincomb, row) parts (see _vanishes)."""
+        def level(index, hdiff, product, shift):
+            """The defects of the heads h, with hdiff[h] their tabled
+            differential (d(sa) or dm), as (sign, lincomb, row) parts (see
+            _vanishes)."""
             def dh(h):
                 return hdiff[h] if h < len(hdiff) else None
 
             for h, s in enumerate(index.degrees[:len(hdiff)]):
                 e = s - shift + reach
-                if fits(e, k):
+                if self.reaches(e, top):
                     yield (1, hdiff[h], dh),
                 for a, sa in letters:
-                    if fits(e + sa, k + 1):
+                    if self.reaches(e + sa, top):
                         yield ((1, product(h, a), dh), (-1, hdiff[h], partial(product, b=a)),
                                (_sign(s), diff(a), partial(product, h)))
-                for a, b in pairs(e, k + 2):
+                for a, b in pairs(e):
                     yield ((1, product(h, a), partial(product, b=b)),
                            (-1, merge(a, b), partial(product, h)))
 
         def base():
             """The defects at the base elements n, as level's."""
             for n, e in enumerate(enum.element.degrees[:nn]):
-                if fits(e, 0):
+                if self.reaches(e, top):
                     yield (1, base_diff(n), base_diff),
                 for a, sa in letters:
-                    if fits(sa + e, 1):
+                    if self.reaches(sa + e, top):
                         yield ((1, act(a, n), base_diff), (1, diff(a), partial(act, n=n)),
                                (_sign(sa), base_diff(n), partial(act, a)))
-                for a, b in pairs(e, 2):
+                for a, b in pairs(e):
                     yield ((1, act(b, n), partial(act, a)), (-1, merge(a, b), partial(act, n=n)))
 
-        defects = [level(enum.letter, self.diff, merge, 0, 1), base()]
+        defects = [level(enum.letter, self.diff, merge, 0), base()]
         if heads is not None:
             (index, mdiff, mact, _), shift = heads
 
             def ma(h, b):
                 return mact[h][b] if h < len(mdiff) and b < nl else None
 
-            defects.append(level(index, mdiff, ma, shift, 0))
+            defects.append(level(index, mdiff, ma, shift))
         return all(self._vanishes(parts) for group in defects for parts in group)
 
     def _vanishes(self, parts):
@@ -491,29 +462,27 @@ class _LetterTable:
         p = self.field.p
         return not any(v % p for v in acc.values()) if p else not any(acc.values())
 
-    def columns(self, d, cap):
-        """The differential of chains(d, cap) as (columns, errors).
+    def columns(self, d):
+        """The differential of chains(d) as (columns, errors).
 
-        columns[j] maps rows of chains(d + 1, cap) to nonzero ints (in
+        columns[j] maps rows of chains(d + 1) to nonzero ints (in
         [0, p) over F_p) and follows the module docstring's recursion: a
         base element's column [;dn], then one _block per letter.
         errors[j] = (failure, term) for a column that uses a failing
         product (failure, its leftmost one's StructuralError) or has a term
-        outside chains(d + 1, cap) (term, the first one's labels); a
-        failure is raised before any term is looked up, as the letters are
-        read left to right.  Memoized by the clamps of cap at d and at
-        d + 1, which fix both lists.
+        outside chains(d + 1) (term, the first one's labels); a failure is
+        raised before any term is looked up, as the letters are read left
+        to right.  Memoized by d.
         """
-        enum = self.enum
-        key = (d, enum.clamp(d, cap), enum.clamp(d + 1, cap))
-        hit = self.memo.get(key)
+        hit = self.memo.get(d)
         if hit is not None:
             return hit
-        _, _, target, upper = enum.blocks(d + 1, cap)
+        enum = self.enum
+        _, _, target, upper = enum.blocks(d + 1)
         p = self.field.p
         # [;dn] and [;a.n] land on the base elements of degree d + 1, listed first
         elements = dict(zip(upper, self.rows))
-        _, blocks, _, bare = enum.blocks(d, cap)  # bare: the n of the chains [;n]
+        _, blocks, _, bare = enum.blocks(d)  # bare: the n of the chains [;n]
         cols, errors = [], {}
         for j, n in enumerate(bare):
             col = {}
@@ -524,14 +493,14 @@ class _LetterTable:
                     errors.setdefault(j, (None, enum.end(x)))
             cols.append(col)
         for a, s, _ in blocks:
-            self._block(cols, errors, self.level, a, s, d, cap - 1, target, self.act[a], elements)
-        hit = self.memo[key] = (cols, errors)
+            self._block(cols, errors, self.level, a, s, d, target, self.act[a], elements)
+        hit = self.memo[d] = (cols, errors)
         return hit
 
-    def _block(self, cols, errors, level, h, s, d, tcap, target, act=None, elements=None):
+    def _block(self, cols, errors, level, h, s, d, target, act=None, elements=None):
         """Append to cols the columns of head h's block in the list of
         degree d, and their errors to errors (as in columns): (h; t) for
-        the chains t of chains(d - s, tcap).  level = (index, diff, merge,
+        the chains t of chains(d - s).  level = (index, diff, merge,
         name) holds the heads' _Labels, their tabled differentials and
         products with each letter, and name(head label, tail labels), the
         label of (h; t).  target maps a head to its block's offset in the
@@ -540,20 +509,20 @@ class _LetterTable:
         enum, rows, p = self.enum, self.rows, self.field.p
         index, diff, merge, name = level
         labels, degrees = index.labels, index.degrees
-        tails, tail_errors = self.columns(d - s, tcap)
-        _, tail_blocks, _, tail_bare = enum.blocks(d - s, tcap)
+        tails, tail_errors = self.columns(d - s)
+        _, tail_blocks, _, tail_bare = enum.blocks(d - s)
         # (-1)^s (h; dt): the tail's target is the block of h in the list of
         # degree d + 1, absent only when every tail column is empty
         base = target.get(h)
         block = _moved(tails, () if base is None else
-                       rows[base:base + enum.blocks(d + 1 - s, tcap)[0]], s % 2, p)
+                       rows[base:base + enum.blocks(d + 1 - s)[0]], s % 2, p)
         # tail position -> its first failing product, its first term outside the target
         failed, outside = {}, {}
         # (dh; t): t keeps its position, in the block of each term of dh
         for x, c in diff[h]:
             at = target.get(x) if degrees[x] == s + 1 else None
             if at is None:
-                for i, t in enumerate(enum.label_chains(d - s, tcap)):
+                for i, t in enumerate(enum.label_chains(d - s)):
                     outside.setdefault(i, name(labels[x], t))
                 continue
             _add_run(block, rows[at:at + len(block)], c, p)
@@ -571,22 +540,20 @@ class _LetterTable:
         # -(-1)^s (hb; r), for t = [b|r]: one run per block b of the tails
         for b, sb, off_b in tail_blocks:
             prod = merge[h][b]
-            n = enum.blocks(d - s - sb, tcap - 1)[0]
+            n = enum.blocks(d - s - sb)[0]
             if isinstance(prod, StructuralError):
                 failed.update(dict.fromkeys(range(off_b, off_b + n), prod))
                 continue
             if not prod:
                 continue
-            # r's position among tcap letters: a merge hb drops b, h = m keeps r
-            moved = enum.positions(d - s - sb, tcap - 1, tcap)
+            # r keeps its position, in the block of each term of hb
             for x, c in prod:
                 at = target.get(x) if degrees[x] == s + sb + 1 else None
                 if at is None:
-                    for i, r in enumerate(enum.label_chains(d - s - sb, tcap - 1), off_b):
+                    for i, r in enumerate(enum.label_chains(d - s - sb), off_b):
                         outside.setdefault(i, name(labels[x], r))
                     continue
-                _add_run(block[off_b:off_b + n],
-                         rows[at:at + n] if moved is None else [rows[at + i] for i in moved],
+                _add_run(block[off_b:off_b + n], rows[at:at + n],
                          c if s % 2 else (-c if p is None else p - c), p)
         # errors: the head's failing product, else the tail's (the leftmost
         # one), and the head's term outside the target, else the tail's
@@ -653,7 +620,8 @@ class BarSlice:
 
     The requested window is padded by one degree on each side before
     materializing, so cohomology is reliable on every requested degree.
-    basis maps degree to the tuple of words (tuples of letters)."""
+    basis maps degree to the tuple of words (tuples of letters), and
+    max_weight is the weight cap, a bound on the letters of every chain."""
 
     def __init__(self, spec, window, complex_, max_weight, left=None, right=None):
         self.spec = spec
@@ -680,14 +648,6 @@ class BarSlice:
         return f"BarSlice({names}, window={self.window!r}, dims={self.dims()})"
 
 
-def _checked_cap(cap, max_weight):
-    """max_weight when given, else the computed cap; refused when negative."""
-    cap = cap if max_weight is None else max_weight
-    if cap < 0:
-        raise RefusalError(f"negative weight cap {cap}")
-    return cap
-
-
 def _bar_slice(spec, window, padded, basis, columns, scale, cap, certified,
                left=None, right=None):
     """The BarSlice whose differential leaving degree d is columns(d), 1/scale
@@ -711,36 +671,35 @@ def _bar_slice(spec, window, padded, basis, columns, scale, cap, certified,
     return BarSlice(spec, window, complex_, cap, left, right)
 
 
-def bar_complex(spec, window, max_weight=None):
+def bar_complex(spec, window):
     """Materialize the reduced bar complex of spec over the padded window;
     d^2 = 0 is certified from its letter table, or else checked on its
     matrices when its cohomology is taken.
 
-    max_weight overrides the computed cap (expert use: a smaller cap computes
-    a filtration stage, a larger one changes nothing).  Refuses inputs with
-    no finite weight bound, naming the offending generator degrees.
+    Every chain of each degree of the padded window is listed; inputs
+    with no finite weight bound are refused, naming the offending
+    generator degrees.
     """
     padded = window.padded(1)
     regime = _regime(spec, padded)
-    cap = _checked_cap(_weight_cap(regime, padded), max_weight)
     enum = _ChainEnumerator(spec, regime)
-    basis = {d: enum.label_chains(d, cap) for d in padded.degrees()}
+    basis = {d: enum.label_chains(d) for d in padded.degrees()}
     table = _LetterTable(spec, enum, padded.lo, padded.hi, max(map(len, basis.values())))
     scale = table.scale_to_ints()
-    return _bar_slice(spec, window, padded, basis, lambda d: table.columns(d, cap), scale, cap,
-                      table.certify(cap))
+    return _bar_slice(spec, window, padded, basis, table.columns, scale,
+                      _weight_cap(regime, padded), table.certify())
 
 
-def bar_homology_dims(spec, window, max_weight=None):
+def bar_homology_dims(spec, window):
     """Bar cohomology dimensions on the requested degrees."""
-    return bar_complex(spec, window, max_weight=max_weight).homology_dims()
+    return bar_complex(spec, window).homology_dims()
 
 
 # ---------------------------------------------------------------------------
 # two-sided bar
 
 
-def two_sided_bar(left, spec, right, window, max_weight=None):
+def two_sided_bar(left, spec, right, window):
     """Materialize B(left, spec, right) = left ox B(spec, right) over the
     padded window.
 
@@ -768,14 +727,12 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
             f"two-sided bar over a {regime[0]} algebra needs modules bounded "
             f"{'above' if connective else 'below'}", [])
     # the chains of degree d - |m| reach down to lo (connective: letters
-    # have negative degree) or up to hi (coconnected); the cap is the most
-    # letters a chain there can have
+    # have negative degree) or up to hi (coconnected)
     lo = padded.lo - (left.max_degree if connective else 0)
     hi = padded.hi - (0 if connective else left.min_degree)
     if not connective:  # the smallest letter degree, up to the largest a chain can hold
         regime = _regime(spec, Window(padded.lo, max(padded.hi, hi - right.min_degree)))
     enum = _ChainEnumerator(spec, regime, right)
-    cap = _checked_cap(enum.clamp(lo if connective else hi, math.inf), max_weight)
 
     # degree d holds the chains of degree d - |m| once per m, and the module
     # bounds make the range of |m| finite.  offsets[d][m] is the offset of
@@ -787,7 +744,7 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
         for dm in (range(d - right.max_degree, left.max_degree + 1) if connective
                    else range(left.min_degree, d - right.min_degree + 1)):
             ms = left.basis(dm)
-            chains = enum.label_chains(d - dm, cap) if ms else ()
+            chains = enum.label_chains(d - dm) if ms else ()
             if not chains:
                 continue
             split = [(c[:-1], c[-1]) for c in chains]
@@ -811,15 +768,17 @@ def two_sided_bar(left, spec, right, window, max_weight=None):
         of degree d - |m|."""
         cols, errors = [], {}
         for mi in offsets[d]:
-            table._block(cols, errors, level, mi, lindex.degrees[mi], d, cap, offsets[d + 1])
+            table._block(cols, errors, level, mi, lindex.degrees[mi], d, offsets[d + 1])
         return cols, errors
 
     shift = left.max_degree if connective else left.min_degree
+    # the weight cap: the most letters a chain of degree d - |m| can have
+    cap = enum.most_letters(lo if connective else hi)
     return _bar_slice(spec, window, padded, basis, columns, scale, cap,
-                      table.certify(cap, (level, shift)), left, right)
+                      table.certify((level, shift)), left, right)
 
 
-def derived_tensor_dims(left, spec, right, window, max_weight=None):
+def derived_tensor_dims(left, spec, right, window):
     """Cohomology dimensions of B(left, spec, right) on the requested window
     (this computes the derived tensor product of the two modules over spec)."""
-    return two_sided_bar(left, spec, right, window, max_weight=max_weight).homology_dims()
+    return two_sided_bar(left, spec, right, window).homology_dims()

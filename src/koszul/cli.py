@@ -341,8 +341,7 @@ def cmd_validate(args, field, handles):
 
 
 def cmd_bar(args, field, handles):
-    dims = bar_homology_dims(handles[0].spec, args.window,
-                             max_weight=args.max_weight)
+    dims = bar_homology_dims(handles[0].spec, args.window)
     return {"dims": _dims_list(dims, args.window)}, 0
 
 
@@ -350,8 +349,7 @@ def cmd_dual(args, field, handles):
     spec = handles[0].spec
     result = {}
     if args.ring or args.power_gen is not None:
-        report = dual_cohomology_ring(spec, args.window,
-                                      max_weight=args.max_weight)
+        report = dual_cohomology_ring(spec, args.window)
         result["dims"] = _dims_list(report.dims, args.window)
         if args.ring:
             ring = []
@@ -367,8 +365,7 @@ def cmd_dual(args, field, handles):
             result["power_generated"] = check_power_generation(
                 report, args.power_gen)
     else:
-        dims = dual_cohomology_dims(spec, args.window,
-                                    max_weight=args.max_weight)
+        dims = dual_cohomology_dims(spec, args.window)
         result["dims"] = _dims_list(dims, args.window)
     return result, 0
 
@@ -381,8 +378,7 @@ def cmd_ext(args, field, handles):
     else:
         dual_spec = handle.spec
     ext = ext_dims(fdga, args.window)
-    dual = dual_cohomology_dims(dual_spec, args.window,
-                                max_weight=args.max_weight)
+    dual = dual_cohomology_dims(dual_spec, args.window)
     agree = all(ext.get(d, 0) == dual.get(d, 0) for d in args.window.degrees())
     return {
         "ext_dims": _dims_list(ext, args.window),
@@ -393,8 +389,7 @@ def cmd_ext(args, field, handles):
 
 def cmd_bidual(args, field, handles):
     handle = handles[0]
-    bidual = bidual_cohomology(handle.spec, args.window,
-                               max_weight=args.max_weight)
+    bidual = bidual_cohomology(handle.spec, args.window)
     inner = algebra_slice(handle.spec, args.window.padded(1))
     input_dims = inner.cohomology(representatives=False).dims
     agree = all(bidual.get(d, 0) == input_dims.get(d, 0)
@@ -410,8 +405,7 @@ def cmd_tensor(args, field, handles):
     left_h, alg_h, right_h = handles
     left = parse_module_document(left_h, alg_h, field)
     right = parse_module_document(right_h, alg_h, field)
-    derived = derived_tensor_dims(left, alg_h.spec, right, args.window,
-                                  max_weight=args.max_weight)
+    derived = derived_tensor_dims(left, alg_h.spec, right, args.window)
     result = {"derived_dims": _dims_list(derived, args.window)}
     if args.strict_via_kos is not None:
         kos = koszul_complex(field, args.strict_via_kos)
@@ -490,8 +484,6 @@ def _add_common(sub, window_required=True, window=True):
                          help="degree window, e.g. --window=0..8 or --window=-4..1")
     sub.add_argument("--field", default=None, metavar="Q|Fp:P",
                      help="ground field (default Q)")
-    sub.add_argument("--max-weight", type=int, default=None,
-                     help="override the bar weight bound (expert)")
     sub.add_argument("--no-cache", action="store_true",
                      help="skip the report cache entirely")
     sub.add_argument("--cache-dir", default=None, metavar="PATH",
@@ -576,7 +568,7 @@ _DOC_ARGS = {
     "series": ["ring", "module"],
 }
 
-_OPTION_KEYS = ("ring", "power_gen", "strict_via_kos", "max_weight")
+_OPTION_KEYS = ("ring", "power_gen", "strict_via_kos")
 
 
 def _resolve_field(args, raws):

@@ -55,7 +55,7 @@ class DualSlice:
         return f"DualSlice({self.spec.name}, window={self.window!r})"
 
 
-def koszul_dual_slice(spec, window, max_weight=None):
+def koszul_dual_slice(spec, window):
     """Materialize the Koszul dual of spec on a window.
 
     Runs the bar construction on the mirrored window and dualizes: label
@@ -64,7 +64,7 @@ def koszul_dual_slice(spec, window, max_weight=None):
     the Koszul sign of their degrees.  Convergence refusals propagate from
     the bar side.
     """
-    bar = bar_complex(spec, window.mirrored(), max_weight=max_weight)
+    bar = bar_complex(spec, window.mirrored())
     field = spec.field
     one, neg = field.one, field.neg
 
@@ -88,19 +88,19 @@ def koszul_dual_slice(spec, window, max_weight=None):
     return DualSlice(spec, window, algebra, bar.max_weight)
 
 
-def dual_cohomology_dims(spec, window, max_weight=None):
+def dual_cohomology_dims(spec, window):
     """Ext dims of spec on the requested degrees, via the dual slice."""
-    return koszul_dual_slice(spec, window, max_weight=max_weight).homology_dims()
+    return koszul_dual_slice(spec, window).homology_dims()
 
 
-def dual_cohomology_ring(spec, window, max_weight=None):
+def dual_cohomology_ring(spec, window):
     """Cohomology of the dual slice with structure constants.
 
     The constants depend on the chosen cocycle representatives; only
     basis-independent statements (dimensions, powers being nonzero or
     spanning, nilpotence) are stable answers.
     """
-    dual = koszul_dual_slice(spec, window, max_weight=max_weight)
+    dual = koszul_dual_slice(spec, window)
     return cohomology_ring(dual.algebra)
 
 
@@ -136,7 +136,7 @@ def check_power_generation(report, g):
     return True
 
 
-def bidual_cohomology(spec, window, max_weight=None):
+def bidual_cohomology(spec, window):
     """Cohomology dims of the double dual on the requested window.
 
     The inner dual is computed on a window deep enough that every product
@@ -167,5 +167,5 @@ def bidual_cohomology(spec, window, max_weight=None):
             f"non-convergent biduality: dual of {spec.name} has generators in "
             "degree <= 1, the outer weight filtration does not stabilize")
 
-    outer = koszul_dual_slice(dual_spec, window, max_weight=max_weight)
+    outer = koszul_dual_slice(dual_spec, window)
     return outer.homology_dims()

@@ -270,10 +270,10 @@ class SpanTracker:
     def insert(self, vec, tag=None):
         """Insert vec if independent of the current span; return True if it
         extended the span."""
-        w, combo, s, scale = self._reduce(vec)
+        w, combo, s, lead, scale = self._reduce(vec)
         if not w:
             return False
-        self._add_pivot(w, combo, s, scale, tag)
+        self._add_pivot(lead, w, combo, s, scale, tag)
         return True
 
     def as_boundaries(self):
@@ -293,7 +293,8 @@ class SpanTracker:
         return seeded
 
     def _reduce(self, vec):
-        """Reduce vec against the pivots in ints; returns (w, combo, s, D).
+        """Reduce vec against the pivots in ints; returns (w, combo, s,
+        lead, D), lead as in `_reduce_ints`.
 
         Over Q, D is the lcm of vec's denominators and
         s * vec = sum(combo[t] * D_t * insert_t) + w with w and combo
@@ -301,12 +302,19 @@ class SpanTracker:
         """
         if self.field.p is None:
             scale, (w,) = _integral_columns(self.field, [vec])
-            return self._reduce_ints(w, scale)
-        return self._reduce_ints(dict(vec), 1)
+            return *self._reduce_ints(w, scale), scale
+        return *self._reduce_ints(dict(vec), 1), 1
 
     def _reduce_ints(self, w, scale):
         """`_reduce` of the vector w / scale, w a dict of ints (ints mod p
-        and scale 1 over F_p) that the reduction consumes."""
+        and scale 1 over F_p) that the reduction consumes; returns (w,
+        combo, s, lead), lead the largest index of w, where no pivot
+        leads, or None when w is zero.
+
+        Over F_p a step whose pivot leaves the lead in w (its second slot
+        is not the kind the tracker expects: a raw pivot in a tracked
+        tracker, or a wrong inverse) raises StructuralError, as the loop
+        would never end."""
         pivots, track = self.pivots, self.track
         combo = {} if track else None
         p = self.field.p
@@ -315,7 +323,7 @@ class SpanTracker:
                 lead = max(w)
                 hit = pivots.get(lead)
                 if hit is None:
-                    break
+                    return w, combo, 1, lead
                 pvec, extra = hit  # a monic pivot's combo, or a raw one's 1/lead
                 c = w[lead]
                 m = -c % p if track else -c * extra % p
@@ -325,6 +333,8 @@ class SpanTracker:
                         w[i] = y
                     else:
                         del w[i]
+                if lead in w:
+                    raise StructuralError(f"the pivot at {lead} did not clear its lead")
                 if track:
                     for t, x in extra.items():
                         y = (combo.get(t, 0) + c * x) % p
@@ -332,13 +342,13 @@ class SpanTracker:
                             combo[t] = y
                         else:
                             combo.pop(t, None)
-            return w, combo, 1, 1
+            return w, combo, 1, None
         s = scale
         while w:
             lead = max(w)
             hit = pivots.get(lead)
             if hit is None:
-                break
+                return w, combo, s, lead
             pvec, pcombo = hit
             x, y = w[lead], pvec[lead]
             g = gcd(x, y)
@@ -363,7 +373,7 @@ class SpanTracker:
                         combo[t] = u
                     else:
                         del combo[t]
-        return w, combo, s, scale
+        return w, combo, s, None
 
     def _leave(self, w, combo, s):
         """A raw (w, combo, s) from `_reduce` as field values."""
@@ -375,10 +385,9 @@ class SpanTracker:
             combo = {t: Fraction(c * scale[t], s) for t, c in combo.items()}
         return residual, combo
 
-    def _add_pivot(self, w, combo, s, scale, tag):
+    def _add_pivot(self, lead, w, combo, s, scale, tag):
         """Make a new pivot, tagged tag, from the nonzero raw reduction
-        (w, combo, s, scale) of the vector being inserted."""
-        lead = max(w)
+        (w, combo, s, lead) of the vector being inserted, at scale."""
         p = self.field.p
         pcombo = None
         if p is not None:
@@ -577,9 +586,9 @@ class SparseMatrix:
         for j, col in enumerate(self.int_columns):
             if j in skip:
                 continue
-            w, combo, s, _ = tracker._reduce_ints(dict(col), scale)
+            w, combo, s, lead = tracker._reduce_ints(dict(col), scale)
             if w:
-                tracker._add_pivot(w, combo, s, scale, j)
+                tracker._add_pivot(lead, w, combo, s, scale, j)
             elif track:
                 v = {j: field.one}
                 for t, c in tracker._leave(w, combo, s)[1].items():
@@ -630,9 +639,9 @@ def _pivot_leads(field, vectors):
         if w is None:
             continue
         vectors[k] = None
-        w, _, s, _ = tracker._reduce_ints(w, 1)
+        w, _, s, lead = tracker._reduce_ints(w, 1)
         if w:
-            tracker._add_pivot(w, None, s, 1, None)
+            tracker._add_pivot(lead, w, None, s, 1, None)
     return set(tracker.pivots)
 
 

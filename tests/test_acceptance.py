@@ -266,10 +266,17 @@ def test_criterion_10a_builder_slices_validate():
     ok("10a", f"{len(slices)} builder slices and 4 module builders validate")
 
 
+def _on(dims, w):
+    return {d: dims.get(d, 0) for d in w.degrees()}
+
+
 def _dual_stable(spec, w):
+    # the dual's bar runs on the mirrored window: two more degrees on top
+    # raise its weight cap by two
     base = koszul_dual_slice(spec, w)
-    again = dual_cohomology_dims(spec, w, max_weight=base.max_weight + 2)
-    assert again == base.homology_dims(), spec.name
+    wide = koszul_dual_slice(spec, Window(w.lo, w.hi + 2))
+    assert wide.max_weight == base.max_weight + 2, spec.name
+    assert _on(wide.homology_dims(), w) == base.homology_dims(), spec.name
 
 
 def test_criterion_10b_truncation_stability():
@@ -278,33 +285,31 @@ def test_criterion_10b_truncation_stability():
         _dual_stable(square_zero(QQ, n), Window(0, 4 * (n + 1)))
     # criterion 2 ring
     w = Window(0, 10)
-    cap = koszul_dual_slice(square_zero(QQ, 1), w).max_weight
-    report = dual_cohomology_ring(square_zero(QQ, 1), w, max_weight=cap + 2)
+    report = dual_cohomology_ring(square_zero(QQ, 1), Window(0, 12))
+    assert _on(report.dims, w) == dual_cohomology_dims(square_zero(QQ, 1), w)
     assert check_power_generation(report, 2) is True
     # criterion 3 dual sides
     for _, _, spec in _oracle_members(QQ):
         _dual_stable(spec, Window(0, 10))
-    # criterion 5 two-sided bars
+    # criterion 5 two-sided bars, coconnected: two more degrees on top
     for n in (1, 2, 3):
         base_alg = free_assoc(QQ, [("u", n + 1)])
         k = trivial_module(base_alg)
         w = Window(0, n + 1)
         base = two_sided_bar(k, base_alg, k, w)
-        again = derived_tensor_dims(k, base_alg, k, w,
-                                    max_weight=base.max_weight + 2)
-        assert again == base.homology_dims()
-    # criterion 6 biduals: the inner dual and the outer bar cap
+        wide = two_sided_bar(k, base_alg, k, Window(0, n + 3))
+        assert wide.max_weight > base.max_weight
+        assert _on(wide.homology_dims(), w) == base.homology_dims()
+    # criterion 6 biduals: the inner dual, and the outer bar, which is
+    # coconnected on the mirrored window: two more degrees at the bottom
     for n in (1, 2, 3):
         spec = square_zero(QQ, n)
         w = Window(-4, 1)
         inner_window = Window(-2, max(3, w.mirrored().padded(1).hi + 2))
         _dual_stable(spec, inner_window)
-        inner = koszul_dual_slice(spec, inner_window)
-        outer_cap = koszul_dual_slice(inner.as_spec(), w).max_weight
-        assert bidual_cohomology(spec, w, max_weight=outer_cap + 2) \
-            == bidual_cohomology(spec, w)
-    ok("10b", "raising every bar weight cap by 2 changes no dimensions in "
-              "criteria 1-6")
+        assert _on(bidual_cohomology(spec, Window(-6, 1)), w) == bidual_cohomology(spec, w)
+    ok("10b", "widening each window by two degrees on the side that raises "
+              "its bar weight cap changes no dimensions in criteria 1-6")
 
 
 def _rank_nullspace_roundtrip(field, seed, count):

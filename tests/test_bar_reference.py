@@ -7,8 +7,9 @@ The reference boundaries below are written from the formulas in the
 docstrings of koszul.bar, word by word in field arithmetic through
 spec.degree, diff and mult, and assembled by complex_from_labels.  Every
 differential of the block-built bar must have exactly their entries,
-scalar types included: with binding weight caps, with sums of residues
-that wrap to zero mod p, and with regular modules on both sides.
+scalar types included: with sums of residues that wrap to zero mod p, and
+with regular modules on both sides.  The bars' bases are checked against
+a brute-force listing of every word of each degree.
 """
 
 from fractions import Fraction
@@ -185,26 +186,6 @@ def test_clearing_agrees_on_the_bar_and_its_dual(make, window):
     _assert_clearing_agrees(koszul_dual_slice(spec, window.mirrored()).algebra.complex())
 
 
-CAPPED = [
-    pytest.param(lambda: truncated_polynomial(QQ, 3, 0), Window(-7, 0), id="cubic-Q"),
-    pytest.param(lambda: _rebased_cubic(F5), Window(-6, 0), id="rebased-F5"),
-    pytest.param(lambda: free_assoc(QQ, [("u", 2), ("v", 3)]), Window(-1, 5), id="free-u2-v3"),
-]
-
-
-@pytest.mark.parametrize("drop", [1, 2])
-@pytest.mark.parametrize("make, window", CAPPED)
-def test_bar_under_a_binding_weight_cap_matches_the_plain_assembly(make, window, drop):
-    # below the computed cap a word list with c letters is not the one with
-    # c - 1, so a merged word's tail moves to a new position
-    spec = make()
-    cap = bar_complex(spec, window).max_weight - drop
-    built = bar_complex(spec, window, max_weight=cap)
-    assert built.max_weight == cap
-    _assert_same_complex(built.complex, _reference_bar(spec, built))
-    _assert_clearing_agrees(built.complex)
-
-
 def _wrapping_sums(spec, built, boundary):
     """How many columns of the plain assembly sum repeated terms to a
     nonzero multiple of p, as residues in [0, p)."""
@@ -268,28 +249,77 @@ def test_two_sided_bar_matches_the_plain_assembly(make, left, right, window):
     _assert_clearing_agrees(built.complex)
 
 
-CAPPED_TWO_SIDED = [
-    pytest.param(lambda: truncated_polynomial(F32003, 3, 0), "k", Window(-4, 0), id="k"),
-    pytest.param(lambda: truncated_polynomial(F32003, 3, 0), "reg", Window(-4, 0), id="reg"),
-    # letters of shifted degrees -1 and -2 and modules in degrees -1 and 0:
-    # m.a_1 moves t into the list with one more letter, at a new position
-    pytest.param(lambda: _cone(QQ, Fraction(2, 3)), "reg", Window(-4, 1), id="reg-cone-Q"),
-    pytest.param(lambda: free_assoc(QQ, [("u", 2), ("v", 3)]), "reg", Window(0, 6),
-                 id="reg-u2-v3-Q"),
+# -- no truncation: every chain of each degree is listed ---------------------------
+
+
+def _words_by_degree(spec, lo, hi):
+    """Every word of the reduced bar whose degree (the sum of its letters'
+    shifted degrees) lies in [lo, hi], as sets by degree, over the letters
+    of degrees -12 to 12.  The letters all shift the same way and none by
+    0, so a prefix past the window on that side stays past it and is
+    dropped, and the search ends."""
+    letters = [(l, e - 1) for e in range(-12, 13) for l in spec.basis(e) if l != spec.unit]
+    down = all(s < 0 for _, s in letters)
+    assert down or all(s > 0 for _, s in letters)
+    found, stack = {}, [((), 0)]
+    while stack:
+        word, e = stack.pop()
+        if lo <= e <= hi:
+            found.setdefault(e, set()).add(word)
+        stack += [(word + (l,), e + s) for l, s in letters
+                  if (e + s >= lo if down else e + s <= hi)]
+    return found
+
+
+def _assert_lists(built, expected):
+    """built lists each degree's expected labels once each, and no others."""
+    for d, labels in built.basis.items():
+        assert len(set(labels)) == len(labels)
+        assert set(labels) == expected.get(d, set()), d
+
+
+NO_TRUNCATION = [
+    pytest.param(lambda: truncated_polynomial(QQ, 3, 0), Window(-5, 0), id="cubic-Q"),
+    pytest.param(lambda: _cone(QQ, Fraction(2, 3)), Window(-4, 0), id="cone-Q"),
+    pytest.param(lambda: square_zero(F5, 2), Window(-7, 1), id="square-zero-2-F5"),
+    pytest.param(lambda: _rebased_cubic(F5), Window(-4, 0), id="rebased-F5"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2)]), Window(-1, 6), id="free-u2"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2), ("v", 3)]), Window(-1, 5), id="free-u2-v3"),
 ]
 
 
-@pytest.mark.parametrize("drop", [1, 2])
-@pytest.mark.parametrize("make, modules, window", CAPPED_TWO_SIDED)
-def test_two_sided_bar_under_a_binding_weight_cap_matches_the_plain_assembly(
-        make, modules, window, drop):
+@pytest.mark.parametrize("make, window", NO_TRUNCATION)
+def test_the_bar_lists_every_word_of_each_degree(make, window):
     spec = make()
-    module = trivial_module(spec) if modules == "k" else regular_module(spec)
-    cap = two_sided_bar(module, spec, module, window).max_weight - drop
-    built = two_sided_bar(module, spec, module, window, max_weight=cap)
-    assert built.max_weight == cap
-    _assert_same_complex(built.complex, _reference_two_sided(module, spec, module, built))
-    _assert_clearing_agrees(built.complex)
+    built = bar_complex(spec, window)
+    padded = built.padded
+    _assert_lists(built, _words_by_degree(spec, padded.lo, padded.hi))
+    assert max(len(word) for words in built.basis.values() for word in words) \
+        <= built.max_weight
+
+
+@pytest.mark.parametrize("left, right", [("k", "k"), ("k", "reg"), ("reg", "k"), ("reg", "reg")])
+@pytest.mark.parametrize("make, window", NO_TRUNCATION)
+def test_the_two_sided_bar_lists_every_chain_of_each_degree(make, window, left, right):
+    spec = make()
+    modules = {"k": trivial_module(spec), "reg": regular_module(spec)}
+    lm, rm = modules[left], modules[right]
+    built = two_sided_bar(lm, spec, rm, window)
+    padded = built.padded
+    expected = {}
+    for dm in range(-12, 13):
+        for dn in range(-12, 13):
+            pairs = [(m, n) for m in lm.basis(dm) for n in rm.basis(dn)]
+            if not pairs:
+                continue
+            shift = dm + dn
+            words = _words_by_degree(spec, padded.lo - shift, padded.hi - shift)
+            for e, ws in words.items():
+                expected.setdefault(e + shift, set()).update(
+                    (m, w, n) for m, n in pairs for w in ws)
+    _assert_lists(built, expected)
+    assert max(len(w) for labels in built.basis.values() for _, w, _ in labels) \
+        <= built.max_weight
 
 
 def test_two_sided_listing_order():
@@ -495,9 +525,9 @@ def test_missing_module_action_is_reported_only_where_a_column_uses_it():
         left_act=lambda a, m: {m: spec.aug(a)} if spec.aug(a) else {},
         min_degree=0, max_degree=0)
     k = trivial_module(spec)
-    # weight 0 has no letters, so no column multiplies m by a letter
-    assert two_sided_bar(left_only, spec, k, Window(-1, 0), max_weight=0).homology_dims() \
-        == {-1: 0, 0: 1}
+    # the chains of degrees -1 to 1 hold no letter ([e] has degree -2), so
+    # no column multiplies m by a letter
+    assert two_sided_bar(left_only, spec, k, Window(0, 0)).homology_dims() == {0: 1}
     with pytest.raises(StructuralError, match="has no right action"):
         two_sided_bar(left_only, spec, k, Window(-1, 0))
     right_only = DgModuleSpec(
@@ -505,8 +535,7 @@ def test_missing_module_action_is_reported_only_where_a_column_uses_it():
         degree=lambda l: 0, diff=lambda l: {},
         right_act=lambda m, a: {m: spec.aug(a)} if spec.aug(a) else {},
         min_degree=0, max_degree=0)
-    assert two_sided_bar(k, spec, right_only, Window(-1, 0), max_weight=0).homology_dims() \
-        == {-1: 0, 0: 1}
+    assert two_sided_bar(k, spec, right_only, Window(0, 0)).homology_dims() == {0: 1}
     with pytest.raises(StructuralError, match="has no left action"):
         two_sided_bar(k, spec, right_only, Window(-1, 0))
 
@@ -518,14 +547,15 @@ def test_module_term_outside_the_basis_is_named_with_its_word():
         degree=lambda l: 0, diff=lambda l: {"?": QQ.one},
         left_act=lambda a, m: {}, right_act=lambda m, a: {}, min_degree=0, max_degree=0)
     k = trivial_module(spec)
-    # with no letters the first column is the empty word's, in degree 0
+    # on [-1, 1] the chains hold no letter: the first column is the empty
+    # word's, in degree 0
     with pytest.raises(StructuralError, match=r"d\(\('\[\]', \(\), '\[\]'\)\) has term "
                        r"\('\?', \(\), '\[\]'\) outside the degree 1 basis"):
-        two_sided_bar(bogus, spec, k, Window(-1, 0), max_weight=0)
+        two_sided_bar(bogus, spec, k, Window(0, 0))
     # the same differential on the right: the term of the bare chain's dn
     with pytest.raises(StructuralError, match=r"d\(\('\[\]', \(\), '\[\]'\)\) has term "
                        r"\('\[\]', \(\), '\?'\) outside the degree 1 basis"):
-        two_sided_bar(k, spec, bogus, Window(-1, 0), max_weight=0)
+        two_sided_bar(k, spec, bogus, Window(0, 0))
     # an action outside the basis: e.n is the head term of [e; n]
     acting = DgModuleSpec(
         QQ, "acting", spec, "left", basis=lambda d: ("[]",) if d == 0 else (),

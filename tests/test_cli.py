@@ -1,7 +1,10 @@
 """End-to-end tests for the command line: documents, reports, cache, exits."""
 
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -176,15 +179,29 @@ def test_tensor_refusal_carries_generator_degrees(docs, capsys):
     assert report["flags"]["refusal"]
 
 
-def test_tensor_refuses_a_negative_weight_cap_as_bar_does(docs, capsys):
+def test_the_removed_weight_cap_flag_is_an_unknown_option(docs, capsys):
+    """--max-weight is gone: a script that still passes it stops with a
+    parse error (exit 4) rather than getting an answer it did not ask for."""
     alg = docs("cubic.json", {"builder": "truncated_polynomial", "m": 3, "d": 0})
     k = docs("k.json", {"module": "trivial"})
     for argv in (("bar", alg), ("tensor", k, alg, k)):
-        code, report, _ = run(capsys, *argv, "--window=-3..0", "--max-weight=-1",
-                              "--no-cache")
-        assert code == 2
-        assert report["flags"]["refusal"] == "negative weight cap -1"
-        assert report["result"] is None
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--window=-7..0", "--max-weight=3", "--no-cache"])
+        assert exc.value.code == 4
+        assert "unrecognized arguments: --max-weight=3" in capsys.readouterr().err
+
+
+def test_every_flag_the_readme_names_is_accepted():
+    """Each --flag in README's "Command line" section is an option of some
+    subcommand, so a removed flag cannot stay documented."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    accepted = {flag for sub in subparsers.choices.values() for flag in sub._option_string_actions}
+    assert named >= {"--window", "--field", "--cache-dir"}
+    assert named <= accepted, sorted(named - accepted)
 
 
 def test_square_verdict_for_small_extension(docs, capsys):
@@ -334,23 +351,22 @@ def test_the_shared_parser_keeps_no_option_between_calls(docs, capsys, tmp_path)
     assert cli._build_parser() is cli._build_parser()
     path = docs("sq1.json", {"builder": "square_zero", "n": 1})
     code, report, _ = run(capsys, "dual", path, "--window=0..4", "--ring",
-                          "--power-gen", "2", "--max-weight", "6",
-                          "--field", "Fp:5", "--no-cache")
+                          "--power-gen", "2", "--field", "Fp:5", "--no-cache")
     assert code == 0
-    assert report["options"] == {"ring": True, "power_gen": 2, "max_weight": 6}
+    assert report["options"] == {"ring": True, "power_gen": 2}
     assert report["field"] == "Fp:5"
     with pytest.raises(SystemExit) as exc:
         main(["tensor", path, path, path, "--window=-2..0", "--strict-via-kos", "two"])
     assert exc.value.code == 4
     code, report, _ = run(capsys, "bar", path, "--window=-3..0")
     assert code == 0
-    assert report["options"] == {"max_weight": None}
+    assert report["options"] == {}
     assert report["field"] == "Q"
     # --no-cache did not stick: this report was cached
     assert os.listdir(tmp_path / "cache") == [report["input_hash"] + ".json"]
     code, report, _ = run(capsys, "dual", path, "--window=0..4")
     assert code == 0
-    assert report["options"] == {"ring": False, "power_gen": None, "max_weight": None}
+    assert report["options"] == {"ring": False, "power_gen": None}
 
 
 # -- cache ----------------------------------------------------------------------

@@ -725,6 +725,19 @@ def test_raw_pivots_lead_and_reduce_as_monic_ones(case):
         assert (residual == {}) == spanned
 
 
+@pytest.mark.parametrize("track", [False, True], ids=["raw", "tracked"])
+def test_a_pivot_of_the_wrong_kind_raises_instead_of_looping(track):
+    """Over F_p a reduction step that leaves its lead in the vector raises:
+    here an untracked pivot stored with a wrong inverse of its lead 2, and
+    a tracked pivot that is not monic.  Without the check the reduction
+    would pick the same pivot again, forever."""
+    tracker = SpanTracker(Field(5), track=track)
+    tracker.pivots[1] = ({0: 1, 1: 2}, {0: 1} if track else 1)
+    for call in (tracker.insert, tracker.reduce):
+        with pytest.raises(StructuralError, match="the pivot at 1 did not clear its lead"):
+            call({1: 1})
+
+
 @given(split_complexes(lengths=(1, 5), shapes=("<", "=", ">"), fields=PRIMES))
 @settings(max_examples=80, deadline=None)
 def test_cleared_ranks_over_f_p_are_the_gauss_jordan_ranks(case):
