@@ -114,22 +114,18 @@ def _regime(spec, w):
 
 
 def weight_bound(spec, w):
-    """Largest bar weight that can contribute to degrees in w, or None when
-    no finite bound exists.
+    """An upper bound on the letters of a bar word whose degree lies in w,
+    or None when no finite bound exists.
 
     Connective case: letters have shifted degree <= -1, so weight <= -lo.
     Coconnected case: shifted degrees >= g >= 1, so weight <= ceil(hi / g).
+    The bars report the exact cap (_ChainEnumerator.most_letters), which
+    can be one less.
     """
     try:
-        regime = _regime(spec, w)
+        kind, g = _regime(spec, w)
     except ConvergenceError:
         return None
-    return _weight_cap(regime, w)
-
-
-def _weight_cap(regime, w):
-    """The reduced bar's weight cap on w for a regime (see weight_bound)."""
-    kind, g = regime
     if kind == "connective":
         return max(0, -w.lo)
     if g is None:
@@ -302,7 +298,8 @@ class _LetterTable:
         self.lo, self.hi = lo, hi
         self.connective = enum.regime[0] == "connective"
         self.lincombs = []
-        self.memo = {}
+        self.memo, self.fail_memo, self.comemo = {}, {}, {}
+        self.co = None  # the tables read by row, built by the first cocolumns
         # rows[i] is i, through the largest basis, which holds every list a
         # column lands in: one int object per row, shared by every column
         self.rows = list(range(size))
@@ -554,7 +551,7 @@ class _LetterTable:
                         outside.setdefault(i, name(labels[x], r))
                     continue
                 _add_run(block[off_b:off_b + n], rows[at:at + n],
-                         c if s % 2 else (-c if p is None else p - c), p)
+                         c if s % 2 else _neg(c, p), p)
         # errors: the head's failing product, else the tail's (the leftmost
         # one), and the head's term outside the target, else the tail's
         for i in failed.keys() | outside.keys() | tail_errors.keys():
@@ -563,6 +560,133 @@ class _LetterTable:
             if term is None and tail_term is not None:
                 term = name(labels[h], tail_term)
             errors[len(cols) + i] = (failed.get(i) or tail_failure, term)
+        cols += block
+
+
+    def fails(self, d):
+        """Whether columns(d) reports an error, read from the blocks alone:
+        a column that uses a failing product or has a term outside chains(d
+        + 1).  Memoized by d."""
+        hit = self.fail_memo.get(d)
+        if hit is None:
+            enum = self.enum
+            _, _, target, upper = enum.blocks(d + 1)
+            _, blocks, _, bare = enum.blocks(d)
+            hit = self.fail_memo[d] = (
+                any(x not in upper for n in bare for x, _ in self.base_diff[n])
+                or any(self.block_fails(self.level, a, s, d, target, self.act[a], upper)
+                       for a, s, _ in blocks))
+        return hit
+
+    def block_fails(self, level, h, s, d, target, act=None, elements=()):
+        """Whether a column of head h's block in the list of degree d has
+        an error in `_block`, whose arguments these are (elements may be
+        any container of the base elements of degree d + 1)."""
+        _, diff, merge, _ = level
+        degrees = level[0].degrees
+        _, tail_blocks, _, tail_bare = self.enum.blocks(d - s)
+
+        def outside(lc, degree):
+            return isinstance(lc, StructuralError) or any(
+                degrees[x] != degree or x not in target for x, _ in lc)
+
+        return (self.fails(d - s) or outside(diff[h], s + 1)
+                or any(outside(merge[h][b], s + sb + 1) for b, sb, _ in tail_blocks)
+                or any(isinstance(act[n], StructuralError) or any(x not in elements for x, _ in act[n])
+                       for n in (tail_bare if act else ())))
+
+    def transposed(self, level):
+        """level's tables read by row, for `_coblock`: (degrees, codiff,
+        comerge), codiff[x] listing the (g, c) with c x a term of diff[g]
+        and comerge[x] the (g, b, c) with c x a term of -(-1)^{s_g}
+        merge[g][b], s_g = degrees[g].  A term is kept only where x has the
+        degree it must have, and a failed product is left out: the dual is
+        assembled only where no column uses either."""
+        index, diff, merge, _ = level
+        degrees, shifts, p = index.degrees, self.enum.letter.degrees, self.field.p
+        codiff, comerge = [[] for _ in diff], [[] for _ in diff]
+        for g, (lc, row) in enumerate(zip(diff, merge)):
+            s = degrees[g]
+            for x, c in lc:
+                if degrees[x] == s + 1:
+                    codiff[x].append((g, c))
+            for b, prod in enumerate(row):
+                if isinstance(prod, StructuralError):
+                    continue
+                for x, c in prod:
+                    if degrees[x] == s + shifts[b] + 1:
+                        comerge[x].append((g, b, c if s % 2 else _neg(c, p)))
+        return degrees, codiff, comerge
+
+    def cocolumns(self, f):
+        """The dual's columns on chains(f) (module docstring): column j
+        maps rows of chains(f - 1) to nonzero ints and is (-1)^f times row
+        j of the bar's differential leaving degree f - 1.  A base element's
+        column holds the transposed [;dn] and [;a.n], then one _coblock per
+        letter.  Valid only where `fails` finds no error.  Memoized by f."""
+        hit = self.comemo.get(f)
+        if hit is not None:
+            return hit
+        if self.co is None:
+            # cobase[x] lists the (n, c) with c x a term of dn, coact[x] the
+            # (a, n, c) with c x a term of a.n, where x has the right degree
+            edeg, shifts = self.enum.element.degrees, self.enum.letter.degrees
+            cobase, coact = [[] for _ in self.base_diff], [[] for _ in self.base_diff]
+            for n, lc in enumerate(self.base_diff):
+                for x, c in lc:
+                    if edeg[x] == edeg[n] + 1:
+                        cobase[x].append((n, c))
+            for a, row in enumerate(self.act):
+                for n, prod in enumerate(row):
+                    if not isinstance(prod, StructuralError):
+                        for x, c in prod:
+                            if edeg[x] == shifts[a] + edeg[n] + 1:
+                                coact[x].append((a, n, c))
+            self.co = self.transposed(self.level), cobase, coact
+        colevel, cobase, coact = self.co
+        enum, p = self.enum, self.field.p
+        _, _, target, lower = enum.blocks(f - 1)
+        _, blocks, _, bare = enum.blocks(f)
+        odd = f % 2
+        cols = []
+        for n in bare:
+            # [;n] is a term of [;dm] and of [;a.m]: the columns [;m] and [a|;m]
+            col = {}
+            for m, c in cobase[n]:
+                _add_run((col,), (lower.index(m),), _neg(c, p) if odd else c, p)
+            for a, m, c in coact[n]:
+                at = target[a] + enum.blocks(f - 1 - enum.letter.degrees[a])[3].index(m)
+                _add_run((col,), (at,), _neg(c, p) if odd else c, p)
+            cols.append(col)
+        for a, s, _ in blocks:
+            self._coblock(cols, colevel, a, s, f, target)
+        self.comemo[f] = cols
+        return cols
+
+    def _coblock(self, cols, colevel, h, s, f, target):
+        """Append to cols the dual's columns of head h's block in the list
+        of degree f, (h; t) for the chains t of chains(f - s), in the dual's
+        signs.  colevel is `transposed`'s, for the letters or the ms, and
+        target maps a head to its block's offset in the list of degree
+        f - 1."""
+        enum, rows, p = self.enum, self.rows, self.field.p
+        degrees, codiff, comerge = colevel
+        tails = self.cocolumns(f - s)
+        n = len(tails)
+        # the tail's column, unsigned, into the block of h in the list of
+        # degree f - 1, absent only when every tail column is empty
+        base = target.get(h)
+        block = _moved(tails, () if base is None else
+                       rows[base:base + enum.blocks(f - 1 - s)[0]], False, p)
+        odd = f % 2
+        # the columns (g; t) with h a term of dg: t keeps its position
+        for g, c in codiff[h]:
+            at = target[g]
+            _add_run(block, rows[at:at + n], _neg(c, p) if odd else c, p)
+        # the columns (g; [b|t]) with h a term of gb
+        for g, b, c in comerge[h]:
+            at = target[g] + enum.blocks(f - 1 - degrees[g])[2][b]
+            _add_run(block, rows[at:at + n], _neg(c, p) if odd else c, p)
         cols += block
 
 
@@ -598,6 +722,11 @@ def _add_run(cols, rows, c, p):
                 col[row] = x
             else:
                 del col[row]
+
+
+def _neg(c, p):
+    """-c, in [0, p) over F_p (p is None over Q)."""
+    return -c if p is None else p - c
 
 
 def _sign(k):
@@ -648,27 +777,94 @@ class BarSlice:
         return f"BarSlice({names}, window={self.window!r}, dims={self.dims()})"
 
 
-def _bar_slice(spec, window, padded, basis, columns, scale, cap, certified,
-               left=None, right=None):
+class _Chains:
+    """A bar before any matrix is built: its requested window, the basis of
+    its padded one (degree -> labels), the int scale of its tables, its
+    weight cap (the most letters a chain has) and whether its letter table
+    passed the certificate.  columns(d), cocolumns(d) and fails(d) are the
+    bar's columns on degree d with their errors, the dual's columns there
+    and whether columns(d) reports an error: _LetterTable's for the
+    reduced bar, whose chains are its basis, and per m for B(M, A, N)."""
+
+    def __init__(self, spec, window, basis, table, scale, certified, columns, cocolumns,
+                 fails, left=None, right=None):
+        self.spec, self.window, self.padded = spec, window, window.padded(1)
+        self.basis, self.scale, self.certified = basis, scale, certified
+        self.columns, self.cocolumns, self.fails = columns, cocolumns, fails
+        self.left, self.right = left, right
+        # the chains of degree lo (connective) or hi (coconnected) hold the most letters
+        self.cap = table.enum.most_letters(table.lo if table.connective else table.hi)
+
+
+def _bar_slice(chains):
     """The BarSlice whose differential leaving degree d is columns(d), 1/scale
     times its int columns; the first column with errors raises its failure,
     else its term outside the basis, as complex_from_labels would.  When
     certified (its letter table's certificate passed) the complex is
     marked so, and cohomology() skips the matrix check of d^2 = 0."""
+    field, basis, padded = chains.spec.field, chains.basis, chains.padded
     diffs = {}
     for d, labels in basis.items():
         if labels and d + 1 in padded:
-            cols, errors = columns(d)
+            cols, errors = chains.columns(d)
             if errors:
                 j = min(errors)
                 failure, term = errors[j]
                 raise failure or StructuralError(
                     f"d({labels[j]!r}) has term {term!r} outside the degree {d + 1} basis")
-            diffs[d] = SparseMatrix.from_int_columns(spec.field, len(basis[d + 1]), cols, scale)
-    complex_ = CochainComplexSlice(spec.field, padded, basis, diffs)
-    if certified:
+            diffs[d] = SparseMatrix.from_int_columns(field, len(basis[d + 1]), cols, chains.scale)
+    complex_ = CochainComplexSlice(field, padded, basis, diffs)
+    if chains.certified:
         complex_.certified_by = "letters"
-    return BarSlice(spec, window, complex_, cap, left, right)
+    return BarSlice(chains.spec, chains.window, complex_, chains.cap, chains.left, chains.right)
+
+
+def _cobar_slice(chains):
+    """The dual's complex of a bar, assembled natively: on the mirrored
+    padded window, with basis[-d] the bar's chains of degree d and the
+    differential leaving -d made of cocolumns(d), which is (-1)^d times
+    the transpose of the bar's leaving d - 1.  It is marked certified
+    ("transpose"), as the bar's letter table passed its certificate.
+
+    None when the bar itself must be built: its certificate failed, or a
+    column it assembles has an error.  Building it then raises that error
+    in the bar's order, and its matrix check names the bar degree where
+    d^2 != 0."""
+    basis, padded = chains.basis, chains.padded
+    if not chains.certified or any(
+            chains.fails(d) for d, labels in basis.items() if labels and d + 1 in padded):
+        return None
+    field = chains.spec.field
+    diffs = {-d: SparseMatrix.from_int_columns(
+                 field, len(basis[d - 1]), chains.cocolumns(d), chains.scale)
+             for d, labels in basis.items() if labels and d - 1 in padded}
+    complex_ = CochainComplexSlice(
+        field, padded.mirrored(), {-d: labels for d, labels in basis.items()}, diffs)
+    complex_.certified_by = "transpose"
+    return complex_
+
+
+def _homology_dims(chains):
+    """The bar's cohomology dims on its requested degrees: those of its
+    dual's natively assembled complex, mirrored, whose ranks are the bar's;
+    from the bar itself when _cobar_slice answers None."""
+    dual = _cobar_slice(chains)
+    if dual is None:
+        return _bar_slice(chains).homology_dims()
+    dims = dual.cohomology(representatives=False).dims
+    return {d: dims.get(-d, 0) for d in chains.window.degrees()}
+
+
+def _reduced(spec, window):
+    """The _Chains of the reduced bar of spec over the padded window."""
+    padded = window.padded(1)
+    regime = _regime(spec, padded)
+    enum = _ChainEnumerator(spec, regime)
+    basis = {d: enum.label_chains(d) for d in padded.degrees()}
+    table = _LetterTable(spec, enum, padded.lo, padded.hi, max(map(len, basis.values())))
+    scale = table.scale_to_ints()
+    return _Chains(spec, window, basis, table, scale, table.certify(), table.columns,
+                   table.cocolumns, table.fails)
 
 
 def bar_complex(spec, window):
@@ -680,44 +876,38 @@ def bar_complex(spec, window):
     with no finite weight bound are refused, naming the offending
     generator degrees.
     """
-    padded = window.padded(1)
-    regime = _regime(spec, padded)
-    enum = _ChainEnumerator(spec, regime)
-    basis = {d: enum.label_chains(d) for d in padded.degrees()}
-    table = _LetterTable(spec, enum, padded.lo, padded.hi, max(map(len, basis.values())))
-    scale = table.scale_to_ints()
-    return _bar_slice(spec, window, padded, basis, table.columns, scale,
-                      _weight_cap(regime, padded), table.certify())
+    return _bar_slice(_reduced(spec, window))
 
 
 def bar_homology_dims(spec, window):
-    """Bar cohomology dimensions on the requested degrees."""
-    return bar_complex(spec, window).homology_dims()
+    """Bar cohomology dimensions on the requested degrees, read from the
+    natively assembled dual (_homology_dims)."""
+    return _homology_dims(_reduced(spec, window))
+
+
+def dual_complex(spec, window):
+    """(complex, weight cap) of the Koszul dual of spec on window: the
+    dual of the reduced bar on the mirrored window, on window.padded(1),
+    its labels the bar's words.  Assembled natively (_cobar_slice), or,
+    where that answers None, as the signed transpose of the bar's
+    matrices, d_e = (-1)^e (bar d_{-e-1})^T, left uncertified."""
+    chains = _reduced(spec, window.mirrored())
+    complex_ = _cobar_slice(chains)
+    if complex_ is None:
+        bar = _bar_slice(chains)
+        complex_ = CochainComplexSlice(
+            spec.field, window.padded(1), {-e: words for e, words in bar.basis.items()},
+            {-e - 1: m.transpose(negate=e % 2 == 0) for e, m in bar.complex.diff.items()})
+    return complex_, chains.cap
 
 
 # ---------------------------------------------------------------------------
 # two-sided bar
 
 
-def two_sided_bar(left, spec, right, window):
-    """Materialize B(left, spec, right) = left ox B(spec, right) over the
-    padded window.
-
-    left must be a right module over spec (an object with basis/degree/diff/
-    right_act and degree bounds), right a left module (left_act).  On the
-    chains c of B(spec, right) (module docstring) the differential is
-
-      d(m; c) = (dm; c) + (-1)^{|m|} (m; dc) - (-1)^{|m|} (m.a_1; t),
-      c = [a_1|t],
-
-    which combines the internal differentials, the bar merges and the two
-    outer merges m.a_1 and a_w.n.  Degree d lists (m; c) by (|m|, m, c):
-    one block per m, by degree and then in left's listing order, holding
-    the chains of degree d - |m| in their order; its labels are
-    (m, (a_1, .., a_w), n).  d^2 = 0 is certified from the letter and
-    module tables, or else checked on the matrices when its cohomology is
-    taken.
-    """
+def _two_sided(left, spec, right, window):
+    """The _Chains of B(left, spec, right) over the padded window (see
+    two_sided_bar)."""
     padded = window.padded(1)
     regime = _regime(spec, padded)
     connective = regime[0] == "connective"
@@ -762,6 +952,7 @@ def two_sided_bar(left, spec, right, window):
               for m in ms],
              lambda m, t: (m, t[:-1], t[-1]))
     scale = table.scale_to_ints()
+    colevel = []  # the ms' tables read by row, once the dual needs them
 
     def columns(d):
         """The columns of degree d: one block per m, (m; c) for the chains c
@@ -771,14 +962,48 @@ def two_sided_bar(left, spec, right, window):
             table._block(cols, errors, level, mi, lindex.degrees[mi], d, offsets[d + 1])
         return cols, errors
 
+    def cocolumns(d):
+        """The dual's columns of degree d, one _coblock per m."""
+        if not colevel:
+            colevel.append(table.transposed(level))
+        cols = []
+        for mi in offsets[d]:
+            table._coblock(cols, colevel[0], mi, lindex.degrees[mi], d, offsets[d - 1])
+        return cols
+
+    def fails(d):
+        return any(table.block_fails(level, mi, lindex.degrees[mi], d, offsets[d + 1])
+                   for mi in offsets[d])
+
     shift = left.max_degree if connective else left.min_degree
-    # the weight cap: the most letters a chain of degree d - |m| can have
-    cap = enum.most_letters(lo if connective else hi)
-    return _bar_slice(spec, window, padded, basis, columns, scale, cap,
-                      table.certify((level, shift)), left, right)
+    return _Chains(spec, window, basis, table, scale, table.certify((level, shift)), columns,
+                   cocolumns, fails, left, right)
+
+
+def two_sided_bar(left, spec, right, window):
+    """Materialize B(left, spec, right) = left ox B(spec, right) over the
+    padded window.
+
+    left must be a right module over spec (an object with basis/degree/diff/
+    right_act and degree bounds), right a left module (left_act).  On the
+    chains c of B(spec, right) (module docstring) the differential is
+
+      d(m; c) = (dm; c) + (-1)^{|m|} (m; dc) - (-1)^{|m|} (m.a_1; t),
+      c = [a_1|t],
+
+    which combines the internal differentials, the bar merges and the two
+    outer merges m.a_1 and a_w.n.  Degree d lists (m; c) by (|m|, m, c):
+    one block per m, by degree and then in left's listing order, holding
+    the chains of degree d - |m| in their order; its labels are
+    (m, (a_1, .., a_w), n).  d^2 = 0 is certified from the letter and
+    module tables, or else checked on the matrices when its cohomology is
+    taken.
+    """
+    return _bar_slice(_two_sided(left, spec, right, window))
 
 
 def derived_tensor_dims(left, spec, right, window):
     """Cohomology dimensions of B(left, spec, right) on the requested window
-    (this computes the derived tensor product of the two modules over spec)."""
-    return two_sided_bar(left, spec, right, window).homology_dims()
+    (this computes the derived tensor product of the two modules over spec),
+    read from its natively assembled dual (_homology_dims)."""
+    return _homology_dims(_two_sided(left, spec, right, window))

@@ -5,18 +5,20 @@ degree -d in degree d.  The product is convolution against deconcatenation,
 which on the word basis is concatenation with the Koszul sign of the two
 functionals; the unit is the functional dual to the empty word and the
 augmentation is evaluation at the empty word.  The differential is the
-signed transpose of the bar's matrices, d_d = (-1)^d (d_{-d-1})^T, taken
-on their integer columns, and the dual of a slice is a FiniteDga over that
-complex, so the generic validators apply to it.
+signed transpose of the bar's, d_d = (-1)^d (d_{-d-1})^T: the cobar of the
+dual coalgebra, B(A)^v = Omega(A^v), whose integer columns koszul.bar
+assembles from the bar's letter table read by row, with no bar matrix
+built and none transposed (bar.dual_complex).  The dual of a slice is a
+FiniteDga over that complex, so the generic validators apply to it.
 
 Cohomology of the dual slice is Ext over the input algebra in every
 reliable degree; the resolution oracle in extres recomputes the same
 numbers without any bar construction.
 """
 
-from .exactla import Window, CochainComplexSlice, RefusalError, vec_add_into
+from .exactla import Window, RefusalError, vec_add_into
 from .dga import FiniteDga, cohomology_ring
-from .bar import bar_complex, weight_bound
+from .bar import dual_complex, weight_bound
 
 
 class DualSlice:
@@ -25,7 +27,8 @@ class DualSlice:
     algebra is a FiniteDga whose labels are the bar words; window is the
     requested window (the algebra itself covers one padded degree more on
     each side, so cohomology is reliable on all requested degrees);
-    max_weight is the weight cap of the bar it was dualized from."""
+    max_weight is the weight cap, the most letters a word of its basis
+    has."""
 
     def __init__(self, spec, window, algebra, max_weight):
         self.spec = spec
@@ -58,22 +61,16 @@ class DualSlice:
 def koszul_dual_slice(spec, window):
     """Materialize the Koszul dual of spec on a window.
 
-    Runs the bar construction on the mirrored window and dualizes: label
-    degrees flip sign, the differential transposes with the sign
-    (df)(x) = (-1)^{|f|} f(dx), and words multiply by concatenation with
-    the Koszul sign of their degrees.  Convergence refusals propagate from
-    the bar side.
+    Its complex is the dual of the bar on the mirrored window
+    (bar.dual_complex): label degrees flip sign, the differential is the
+    transpose with the sign (df)(x) = (-1)^{|f|} f(dx), assembled from the
+    bar's letter table without building the bar, and words multiply by
+    concatenation with the Koszul sign of their degrees.  Convergence
+    refusals propagate from the bar side.
     """
-    bar = bar_complex(spec, window.mirrored())
+    complex_, cap = dual_complex(spec, window)
     field = spec.field
     one, neg = field.one, field.neg
-
-    # d_d = (-1)^d (bar d_{-d-1})^T: bar degree -d-1 -> -d becomes dual d -> d+1
-    diffs = {-e - 1: m.transpose(negate=e % 2 == 0) for e, m in bar.complex.diff.items()}
-    complex_ = CochainComplexSlice(
-        field, window.padded(1), {-e: words for e, words in bar.basis.items()}, diffs)
-    # a signed transpose has d^2 = 0 exactly where the bar has
-    complex_.certified_by = bar.complex.certified_by and "transpose"
 
     def word_degree(word):
         return -sum(spec.degree(l) - 1 for l in word)
@@ -85,7 +82,7 @@ def koszul_dual_slice(spec, window):
     algebra = FiniteDga(
         complex_, mult_fn, unit=(), aug={(): one} if 0 in complex_.window else {},
         complete=False, name=f"dual({spec.name})")
-    return DualSlice(spec, window, algebra, bar.max_weight)
+    return DualSlice(spec, window, algebra, cap)
 
 
 def dual_cohomology_dims(spec, window):

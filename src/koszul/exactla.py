@@ -628,23 +628,6 @@ def _integral_columns(field, columns):
                    for col in columns]
 
 
-def _pivot_leads(field, vectors):
-    """The pivot leads of a list of integer vectors (dicts the reduction
-    consumes, None for a vector left out) absorbed in order by an untracked
-    SpanTracker; its pivots are dropped, and each slot of the list is set
-    to None once read.  The row branch of `_cleared_ranks` uses it on rows
-    it gathers itself."""
-    tracker = SpanTracker(field)
-    for k, w in enumerate(vectors):
-        if w is None:
-            continue
-        vectors[k] = None
-        w, _, s, lead = tracker._reduce_ints(w, 1)
-        if w:
-            tracker._add_pivot(lead, w, None, s, 1, None)
-    return set(tracker.pivots)
-
-
 def matrix_from_columns(field, rows, columns):
     """Assemble a matrix whose j-th column is columns[j] (dict row -> scalar)."""
     for j, col in enumerate(columns):
@@ -828,22 +811,20 @@ class CochainComplexSlice:
             representatives=reps if representatives else None, classes=classes)
 
     def _cleared_ranks(self):
-        """{d: rank of d_d} for lo <= d < hi, by clearing; valid only once
-        d^2 = 0 is known (see `cohomology`)."""
+        """{d: rank of d_d} for lo <= d < hi, by clearing on columns
+        bottom-up; valid only once d^2 = 0 is known (see `cohomology`).
+        When dim C^lo > dim C^hi the ranks are read from the transposed
+        complex, whose window is mirrored, so that the elimination in full
+        is always of the differential next to the smaller end."""
         lo, hi = self.window.lo, self.window.hi
-        by_rows = self.dim(lo) > self.dim(hi)
+        if self.dim(lo) > self.dim(hi):
+            mirrored = CochainComplexSlice(
+                self.field, self.window.mirrored(), {-d: b for d, b in self.basis.items()},
+                {-d - 1: m.transpose() for d, m in self.diff.items()})
+            return {-d - 1: r for d, r in mirrored._cleared_ranks().items()}
         ranks, cleared = {}, set()
-        for d in range(hi - 1, lo - 1, -1) if by_rows else range(lo, hi):
-            if by_rows:  # the kept rows of d_d, gathered without a transpose
-                rows = [None if i in cleared else {} for i in range(self.dim(d + 1))]
-                for j, col in enumerate(self.d_at(d).int_columns):
-                    for i, x in col.items():
-                        row = rows[i]
-                        if row is not None:
-                            row[j] = x
-                cleared = _pivot_leads(self.field, rows)
-            else:
-                cleared = self.d_at(d).eliminate(skip=cleared)[0].pivots
+        for d in range(lo, hi):
+            cleared = self.d_at(d).eliminate(skip=cleared)[0].pivots
             ranks[d] = len(cleared)
         return ranks
 

@@ -14,6 +14,7 @@ from koszul.bar import (
     two_sided_bar, derived_tensor_dims,
 )
 from koszul.dgmod import trivial_module, regular_module, laurent_module
+from koszul.dual import koszul_dual_slice
 
 F5 = Field(5)
 
@@ -64,6 +65,23 @@ def test_weight_bound_none_for_divergent_inputs():
     assert weight_bound(mixed, Window(-2, 2)) is None
     with pytest.raises(ConvergenceError):
         bar_complex(mixed, Window(-2, 2))
+
+
+@pytest.mark.parametrize("window, cap", [(Window(0, 4), 2), (Window(0, 6), 3)])
+def test_both_bars_and_the_dual_report_the_longest_chain(window, cap):
+    """The reduced bar, B(k, A, k) and the dual report one weight cap, the
+    most letters a chain of the padded window has, and a chain attains it.
+    weight_bound stays an upper bound: ceil(hi / g) over the padded top,
+    one more than the cap here (u has shifted degree 2)."""
+    u3 = free_assoc(QQ, [("u", 3)])
+    k = trivial_module(u3)
+    reduced, two = bar_complex(u3, window), two_sided_bar(k, u3, k, window)
+    dual = koszul_dual_slice(u3, window.mirrored())
+    assert reduced.max_weight == two.max_weight == dual.max_weight == cap
+    for words in (reduced.basis.values(), dual.algebra.complex().basis.values(),
+                  [[w for _, w, _ in labels] for labels in two.basis.values()]):
+        assert max(len(w) for ws in words for w in ws) == cap
+    assert weight_bound(u3, window.padded(1)) == cap + 1
 
 
 def test_divergent_inputs_refused_with_degrees():

@@ -13,9 +13,11 @@ a brute-force listing of every word of each degree.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
+from koszul import bar as bars
 from koszul.bar import bar_complex, bar_homology_dims, derived_tensor_dims, two_sided_bar
 from koszul.dga import (
     DgAlgebraSpec, algebra_slice, finite_dga_from_tables, free_assoc,
@@ -249,6 +251,53 @@ def test_two_sided_bar_matches_the_plain_assembly(make, left, right, window):
     _assert_clearing_agrees(built.complex)
 
 
+# -- the dual, assembled natively ------------------------------------------------
+
+
+def _assert_native_is_the_signed_transpose(chains):
+    """The dual that _cobar_slice assembles from the letter table is the
+    bar's signed transpose, d_e = (-1)^e (bar d_{-e-1})^T: the same basis,
+    scale and integer columns (in [1, p) over F_p), and the same mark.
+    Both are built through the module, so the suite's guard checks them."""
+    native = bars._cobar_slice(chains)
+    assert native is not None
+    built = bars._bar_slice(chains).complex
+    assert native.window == built.window.mirrored()
+    assert native.basis == {-d: words for d, words in built.basis.items()}
+    assert native.diff == {-d - 1: m.transpose(negate=d % 2 == 0) for d, m in built.diff.items()}
+    p = chains.spec.field.p
+    assert all(x and (p is None or 0 < x < p)
+               for m in native.diff.values() for col in m.int_columns for x in col.values())
+    assert built.certified_by == "letters" and native.certified_by == "transpose"
+
+
+@pytest.mark.parametrize("make, window", BARS)
+def test_the_native_dual_is_the_signed_transpose_of_the_bar(make, window):
+    _assert_native_is_the_signed_transpose(bars._reduced(make(), window))
+
+
+NATIVE_TWO_SIDED = [
+    pytest.param(lambda f: truncated_polynomial(f, 3, 0), Window(-4, 1), id="cubic"),
+    pytest.param(lambda f: _cone(f, f.of_int(2)), Window(-3, 1), id="cone"),
+    pytest.param(lambda f: square_zero(f, 1), Window(-4, 1), id="sq1"),
+    pytest.param(lambda f: free_assoc(f, [("u", 2)]), Window(-1, 5), id="u2"),
+    pytest.param(_rebased_cubic, Window(-3, 1), id="rebased"),
+]
+
+
+@pytest.mark.parametrize("left, right", [("k", "k"), ("k", "reg"), ("reg", "k"), ("reg", "reg")])
+@pytest.mark.parametrize("field", [QQ, F5, F32003], ids=["Q", "F5", "F32003"])
+@pytest.mark.parametrize("make, window", NATIVE_TWO_SIDED)
+def test_the_native_dual_of_the_two_sided_bar_is_its_signed_transpose(
+        make, window, field, left, right):
+    spec = make(field)
+    modules = {"k": trivial_module(spec), "reg": regular_module(spec)}
+    chains = bars._two_sided(modules[left], spec, modules[right], window)
+    _assert_native_is_the_signed_transpose(chains)
+    dims = bars._bar_slice(chains).homology_dims()
+    assert derived_tensor_dims(modules[left], spec, modules[right], window) == dims
+
+
 # -- no truncation: every chain of each degree is listed ---------------------------
 
 
@@ -390,6 +439,22 @@ def test_a_base_in_degree_n_shifts_the_two_sided_bar_by_n(make, window, n):
 # -- the bars' StructuralErrors -------------------------------------------------
 
 
+def _every_answer_raises(message, spec, window, left=None, right=None):
+    """The bar on window, its dims and the dual on the mirrored window (or
+    B(left, spec, right) and its dims) all raise the bar's StructuralError:
+    where a column the bar assembles has an error, the dims and the dual
+    build the bar."""
+    if left is None:
+        calls = (bar_complex, bar_homology_dims,
+                 lambda spec, window: koszul_dual_slice(spec, window.mirrored()))
+    else:
+        calls = (partial(two_sided_bar, left), partial(derived_tensor_dims, left))
+        calls = [lambda spec, window, call=call: call(spec, right, window) for call in calls]
+    for call in calls:
+        with pytest.raises(StructuralError, match=message):
+            call(spec, window)
+
+
 def _bad_square(product):
     """1 and one letter u in degree 3 (shifted degree 2), with u*u = product:
     the word [u|u] first sits in a source of the differential when degree
@@ -419,16 +484,17 @@ def test_bad_merges_are_reported_only_where_a_column_uses_them(product, message)
     # on [0, 3] the word [u|u] sits in degree 4 = the padded top, which no
     # assembled differential leaves
     assert bar_complex(spec, Window(0, 3)).homology_dims() == {0: 1, 1: 0, 2: 1, 3: 0}
-    with pytest.raises(StructuralError, match=message):
-        bar_complex(spec, Window(0, 4))
+    assert bar_homology_dims(spec, Window(0, 3)) == {0: 1, 1: 0, 2: 1, 3: 0}
+    assert dual_cohomology_dims(spec, Window(-3, 0)) == {0: 1, -1: 0, -2: 1, -3: 0}
+    _every_answer_raises(message, spec, Window(0, 4))
 
 
 def test_bad_merge_is_reported_by_the_two_sided_bar():
     spec = _bad_square({"1": QQ.one})
     k = trivial_module(spec)
     assert two_sided_bar(k, spec, k, Window(0, 3)).homology_dims()[2] == 1
-    with pytest.raises(StructuralError, match="leaves the augmentation ideal"):
-        two_sided_bar(k, spec, k, Window(0, 4))
+    assert derived_tensor_dims(k, spec, k, Window(0, 3))[2] == 1
+    _every_answer_raises("leaves the augmentation ideal", spec, Window(0, 4), k, k)
 
 
 def _behind_a_harmless_letter(product, du=None):
@@ -468,11 +534,11 @@ def test_bad_merge_behind_a_harmless_first_letter(product, message, two_sided_me
     dims = {0: 1, 1: 0, 2: 1, 3: 1, 4: 1, 5: 2}
     assert bar_complex(spec, Window(0, 5)).homology_dims() == dims
     assert two_sided_bar(k, spec, k, Window(0, 5)).homology_dims() == dims
+    assert bar_homology_dims(spec, Window(0, 5)) == dims
+    assert derived_tensor_dims(k, spec, k, Window(0, 5)) == dims
     # on [8, 9] degree 6 is not assembled but [h|u|u] is
-    with pytest.raises(StructuralError, match=message):
-        bar_complex(spec, Window(8, 9))
-    with pytest.raises(StructuralError, match=two_sided_message):
-        two_sided_bar(k, spec, k, Window(8, 9))
+    _every_answer_raises(message, spec, Window(8, 9))
+    _every_answer_raises(two_sided_message, spec, Window(8, 9), k, k)
 
 
 @pytest.mark.parametrize("window, message", [
@@ -481,8 +547,7 @@ def test_bad_merge_behind_a_harmless_first_letter(product, message, two_sided_me
 ], ids=["first-letter", "behind-a-harmless-letter"])
 def test_letter_differential_outside_the_basis_names_the_whole_word(window, message):
     spec = _behind_a_harmless_letter({}, du={"q": QQ.one})
-    with pytest.raises(StructuralError, match=message):
-        bar_complex(spec, window)
+    _every_answer_raises(message, spec, window)
 
 
 def test_the_leftmost_failing_product_is_raised():
@@ -511,10 +576,8 @@ def test_the_leftmost_failing_product_is_raised():
     left = DgModuleSpec(
         QQ, "m", spec, "right", basis=lambda d: ("m",) if d == 0 else (),
         degree=lambda l: 0, diff=lambda l: {}, right_act=act, min_degree=0, max_degree=0)
-    with pytest.raises(StructuralError, match=r"merge 'v'\*'v' leaves the augmentation ideal"):
-        bar_complex(spec, Window(-1, 0))
-    with pytest.raises(StructuralError, match=r"m\.v is undefined"):
-        two_sided_bar(left, spec, trivial_module(spec), Window(-1, 0))
+    _every_answer_raises(r"merge 'v'\*'v' leaves the augmentation ideal", spec, Window(-1, 0))
+    _every_answer_raises(r"m\.v is undefined", spec, Window(-1, 0), left, trivial_module(spec))
 
 
 def test_missing_module_action_is_reported_only_where_a_column_uses_it():
@@ -528,16 +591,16 @@ def test_missing_module_action_is_reported_only_where_a_column_uses_it():
     # the chains of degrees -1 to 1 hold no letter ([e] has degree -2), so
     # no column multiplies m by a letter
     assert two_sided_bar(left_only, spec, k, Window(0, 0)).homology_dims() == {0: 1}
-    with pytest.raises(StructuralError, match="has no right action"):
-        two_sided_bar(left_only, spec, k, Window(-1, 0))
+    assert derived_tensor_dims(left_only, spec, k, Window(0, 0)) == {0: 1}
+    _every_answer_raises("has no right action", spec, Window(-1, 0), left_only, k)
     right_only = DgModuleSpec(
         QQ, "k_right", spec, "right", basis=lambda d: ("[]",) if d == 0 else (),
         degree=lambda l: 0, diff=lambda l: {},
         right_act=lambda m, a: {m: spec.aug(a)} if spec.aug(a) else {},
         min_degree=0, max_degree=0)
     assert two_sided_bar(k, spec, right_only, Window(0, 0)).homology_dims() == {0: 1}
-    with pytest.raises(StructuralError, match="has no left action"):
-        two_sided_bar(k, spec, right_only, Window(-1, 0))
+    assert derived_tensor_dims(k, spec, right_only, Window(0, 0)) == {0: 1}
+    _every_answer_raises("has no left action", spec, Window(-1, 0), k, right_only)
 
 
 def test_module_term_outside_the_basis_is_named_with_its_word():
@@ -549,21 +612,21 @@ def test_module_term_outside_the_basis_is_named_with_its_word():
     k = trivial_module(spec)
     # on [-1, 1] the chains hold no letter: the first column is the empty
     # word's, in degree 0
-    with pytest.raises(StructuralError, match=r"d\(\('\[\]', \(\), '\[\]'\)\) has term "
-                       r"\('\?', \(\), '\[\]'\) outside the degree 1 basis"):
-        two_sided_bar(bogus, spec, k, Window(0, 0))
+    _every_answer_raises(r"d\(\('\[\]', \(\), '\[\]'\)\) has term "
+                         r"\('\?', \(\), '\[\]'\) outside the degree 1 basis",
+                         spec, Window(0, 0), bogus, k)
     # the same differential on the right: the term of the bare chain's dn
-    with pytest.raises(StructuralError, match=r"d\(\('\[\]', \(\), '\[\]'\)\) has term "
-                       r"\('\[\]', \(\), '\?'\) outside the degree 1 basis"):
-        two_sided_bar(k, spec, bogus, Window(0, 0))
+    _every_answer_raises(r"d\(\('\[\]', \(\), '\[\]'\)\) has term "
+                         r"\('\[\]', \(\), '\?'\) outside the degree 1 basis",
+                         spec, Window(0, 0), k, bogus)
     # an action outside the basis: e.n is the head term of [e; n]
     acting = DgModuleSpec(
         QQ, "acting", spec, "left", basis=lambda d: ("[]",) if d == 0 else (),
         degree=lambda l: 0, diff=lambda l: {}, left_act=lambda a, m: {"?": QQ.one},
         min_degree=0, max_degree=0)
-    with pytest.raises(StructuralError, match=r"d\(\('\[\]', \('e',\), '\[\]'\)\) has term "
-                       r"\('\[\]', \(\), '\?'\) outside the degree -1 basis"):
-        two_sided_bar(k, spec, acting, Window(-1, 0))
+    _every_answer_raises(r"d\(\('\[\]', \('e',\), '\[\]'\)\) has term "
+                         r"\('\[\]', \(\), '\?'\) outside the degree -1 basis",
+                         spec, Window(-1, 0), k, acting)
 
 
 def test_right_action_outside_the_basis_is_named_with_its_word():
@@ -574,9 +637,9 @@ def test_right_action_outside_the_basis_is_named_with_its_word():
         QQ, "acting", spec, "right", basis=lambda d: ("[]",) if d == 0 else (),
         degree=lambda l: 0, diff=lambda l: {}, right_act=lambda m, a: {"?": QQ.one},
         min_degree=0, max_degree=0)
-    with pytest.raises(StructuralError, match=r"d\(\('\[\]', \('e',\), '\[\]'\)\) has term "
-                       r"\('\?', \(\), '\[\]'\) outside the degree -1 basis"):
-        two_sided_bar(acting, spec, trivial_module(spec), Window(-1, 0))
+    _every_answer_raises(r"d\(\('\[\]', \('e',\), '\[\]'\)\) has term "
+                         r"\('\?', \(\), '\[\]'\) outside the degree -1 basis",
+                         spec, Window(-1, 0), acting, trivial_module(spec))
 
 
 # -- dims only, in ints -----------------------------------------------------------
@@ -596,6 +659,23 @@ def test_dims_only_answers_never_build_a_fraction_view(monkeypatch):
     assert dual_cohomology_dims(spec, Window(0, 8)) == dict.fromkeys(range(9), 1)
     k = trivial_module(spec)
     assert derived_tensor_dims(k, spec, k, Window(-6, 0)) == dict.fromkeys(range(-6, 1), 1)
+
+
+def test_dims_only_answers_of_certified_bars_never_transpose(monkeypatch):
+    """Bar, dual and derived-tensor dims of certified bars read their ranks
+    from the dual assembled natively, columns bottom-up: no matrix is
+    transposed, over Q and over F_p."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was transposed")
+
+    monkeypatch.setattr(SparseMatrix, "transpose", refuse)
+    for spec in (_scaled_cubic(QQ, Fraction(2, 3)), truncated_polynomial(F32003, 3, 0)):
+        k = trivial_module(spec)
+        assert bar_homology_dims(spec, Window(-8, 0)) == dict.fromkeys(range(-8, 1), 1)
+        assert dual_cohomology_dims(spec, Window(0, 8)) == dict.fromkeys(range(9), 1)
+        assert derived_tensor_dims(k, spec, k, Window(-6, 0)) == dict.fromkeys(range(-6, 1), 1)
+    exterior = _exterior2(F5)
+    assert bar_homology_dims(exterior, Window(-5, 0)) == {-n: n + 1 for n in range(6)}
 
 
 # -- clearing needs d^2 = 0 first ---------------------------------------------------
@@ -620,21 +700,32 @@ def _non_associative():
         aug=lambda l: one if l == "1" else QQ.zero, min_degree=0, max_degree=0)
 
 
+def _failing_degrees(c):
+    """The degrees d of c's window from which d_{d+1} d_d != 0."""
+    return [d for d in range(c.window.lo, c.window.hi - 1)
+            if CochainComplexSlice(c.field, Window(d, d + 2),
+                                   {e: c.basis[e] for e in (d, d + 1, d + 2) if e in c.basis},
+                                   {d: c.d_at(d), d + 1: c.d_at(d + 1)}).d_squared_failure()]
+
+
 @pytest.mark.parametrize("dims_only, complex_of, degree", [
-    (lambda spec: bar_homology_dims(spec, Window(-2, 0)),
-     lambda spec: bar_complex(spec, Window(-2, 0)).complex, -3),
+    (lambda spec: bar_homology_dims(spec, Window(-4, 0)),
+     lambda spec: bar_complex(spec, Window(-4, 0)).complex, -5),
     (lambda spec: derived_tensor_dims(
-        trivial_module(spec), spec, trivial_module(spec), Window(-3, 0)),
+        trivial_module(spec), spec, trivial_module(spec), Window(-4, 0)),
      lambda spec: two_sided_bar(
-        trivial_module(spec), spec, trivial_module(spec), Window(-3, 0)).complex, -4),
-    (lambda spec: dual_cohomology_dims(spec, Window(0, 2)),
-     lambda spec: koszul_dual_slice(spec, Window(0, 2)).algebra.complex(), 1),
+        trivial_module(spec), spec, trivial_module(spec), Window(-4, 0)).complex, -5),
+    (lambda spec: dual_cohomology_dims(spec, Window(0, 4)),
+     lambda spec: koszul_dual_slice(spec, Window(0, 4)).algebra.complex(), 1),
 ], ids=["bar", "two-sided", "dual"])
 def test_d_squared_failure_is_raised_before_any_clearing(
         monkeypatch, dims_only, complex_of, degree):
     """Dims-only answers clear in `_cleared_ranks`, representatives by the
     skip of `eliminate`; neither may run before the d^2 check has named the
-    failing degree."""
+    failing degree.  d^2 != 0 from three degrees here, and each answer
+    names the one its complex's matrix check names: for the bars the
+    lowest bar degree, though their dims are read from the dual where the
+    table is certified, and for the dual the lowest dual degree."""
     def refuse(*args):
         raise AssertionError("clearing ran before d^2 = 0 was checked")
 
@@ -645,6 +736,8 @@ def test_d_squared_failure_is_raised_before_any_clearing(
             refuse()
         return eliminate(self, track)
 
+    failing = _failing_degrees(complex_of(_non_associative()))
+    assert len(failing) == 3 and failing[0] == degree
     monkeypatch.setattr(CochainComplexSlice, "_cleared_ranks", refuse)
     monkeypatch.setattr(SparseMatrix, "eliminate", eliminate_without_skips)
     for answer in (dims_only, lambda spec: complex_of(spec).cohomology()):

@@ -215,3 +215,17 @@ def test_a_sign_bug_in_the_assembly_passes_the_certificate(monkeypatch, certifie
     assert built.complex.certified_by == "letters"
     assert built.complex.d_squared_failure() is not None
     certified_complexes.remove(built.complex)
+
+
+def test_a_sign_bug_in_the_dual_assembly_passes_the_certificate(
+        monkeypatch, certified_complexes):
+    """The same for the dual assembled from the letter table: with every
+    tail's column negated as it moves, the dual of k[x]/x^4 is still
+    marked certified, but d^2 != 0 on its matrices, which only the guard's
+    matrix check sees."""
+    moved = bar._moved
+    monkeypatch.setattr(bar, "_moved", lambda cols, rows, negate, p: moved(cols, rows, True, p))
+    built = bar._cobar_slice(bar._reduced(truncated_polynomial(QQ, 4, 0), Window(-4, 0)))
+    assert built.certified_by == "transpose"
+    assert built.d_squared_failure() is not None
+    certified_complexes.remove(built)

@@ -31,8 +31,11 @@ def test_tracer_installs_every_span_and_restores_the_engine(monkeypatch):
             assert owner.__dict__[attr] is not original
             assert owner.__dict__[attr].__wrapped__ is original
         dual = importlib.import_module("koszul.dual")
-        tracer.run_job("guard", "call", lambda: dual.dual_cohomology_dims(
-            square_zero(QQ, 1), Window(0, 4)))
+        bar = importlib.import_module("koszul.bar")
+        # dual dims no longer build the bar, so the job builds it too
+        tracer.run_job("guard", "call", lambda: (
+            dual.dual_cohomology_dims(square_zero(QQ, 1), Window(0, 4)),
+            bar.bar_complex(square_zero(QQ, 1), Window(-4, 0))))
     finally:
         tracer.uninstall()
 
@@ -43,9 +46,10 @@ def test_tracer_installs_every_span_and_restores_the_engine(monkeypatch):
             "exactla.cohomology"} <= names
 
 
-def _probe_bar(monkeypatch, spec, window):
-    """The size probes of kbench/spans.py on the bar of spec: (summary,
-    pivot fill-in of the largest differential)."""
+def _probe(monkeypatch, call):
+    """The size probes of kbench/spans.py on what call(bar) takes the
+    cohomology of, bar the koszul.bar module: (summary, pivot fill-in of
+    the largest differential)."""
     monkeypatch.syspath_prepend(KBENCH)
     spans = importlib.import_module("spans")
     importlib.import_module("koszul.cli")
@@ -53,11 +57,16 @@ def _probe_bar(monkeypatch, spec, window):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        tracer.run_job("probe", "call", lambda: bar.bar_homology_dims(spec, window))
+        tracer.run_job("probe", "call", lambda: call(bar))
     finally:
         tracer.uninstall()
     _, summary, largest = spans.probe_slices(tracer.job)
     return summary, spans.pivot_nnz(largest)
+
+
+def _probe_bar(monkeypatch, spec, window):
+    """The probes on the bar of spec itself, built by bar_complex."""
+    return _probe(monkeypatch, lambda bar: bar.bar_complex(spec, window).homology_dims())
 
 
 def test_probes_read_the_same_sizes_on_a_fixed_bar(monkeypatch):
@@ -71,6 +80,19 @@ def test_probes_read_the_same_sizes_on_a_fixed_bar(monkeypatch):
     assert summary["rank_total"] == 1359
     assert summary["largest_d"] == [1024, 2048, 5120]
     assert fill == 2275
+
+
+def test_probes_of_bar_dims_read_the_natively_built_dual(monkeypatch):
+    """bar_homology_dims takes the cohomology of the dual assembled from
+    the letter table, not of the bar: the same nnz and ranks, the largest
+    differential transposed, and the fill-in of eliminating its columns,
+    which are the bar's rows."""
+    cubic = truncated_polynomial(Field(32003), 3, 0)
+    summary, fill = _probe(monkeypatch, lambda bar: bar.bar_homology_dims(cubic, Window(-10, 0)))
+    assert summary["nnz_total"] == 9217
+    assert summary["rank_total"] == 1359
+    assert summary["largest_d"] == [2048, 1024, 5120]
+    assert fill == 4624
 
 
 def test_probes_read_the_same_sizes_on_a_fixed_bar_over_q(monkeypatch):
