@@ -13,8 +13,9 @@ degree-1 operator past the prefix:
 
 Merging shortens a word by one letter and internal terms keep the length,
 so word length is a filtration.  On any fixed window only finitely many
-weights can contribute; weight_bound computes that cap, and inputs where no
-finite cap exists are refused rather than silently truncated.
+weights can contribute; weight_bound gives an upper bound, the bars report
+the exact cap (the most letters a chain has), and inputs where no finite
+cap exists are refused rather than silently truncated.
 
 Each bar is assembled once, in ints.  Its letters are indexed by int and
 tabled once per bar with their differentials d(sa) = -s(da) and pairwise
@@ -48,6 +49,26 @@ is one more block level (see two_sided_bar), and one routine builds the
 blocks of both: with -[da|t] = [d(sa)|t] and (-1)^{|a|} = -(-1)^{s_a},
 the head terms of [a|t] and of (m; c) have the same signs.
 
+The Koszul dual is the linear dual of the bar, B(A)^v = Omega(A^v)
+(Loday-Vallette, Algebraic Operads, 2.2), with d_e = (-1)^e (bar
+d_{-e-1})^T on the chains of bar degree -e.  Its column of a chain is the
+bar's row of it, and that row follows the same recursion read backwards
+(_LetterTable.cocolumns): the dual's column of (h; t) in degree -f is the
+tail's dual column moved into the block of h, unsigned, as (-1)^f (-1)^s
+is the tail's own sign (-1)^{f-s}, plus (-1)^f times the head terms,
+which sit in the columns of chains(f - 1) whose bar differential reaches
+(h; t): (g; t) for each g with h a term of dg (codiff), (g; [b|t]) for
+each g, b with h a term of gb (comerge, each term carrying -(-1)^{s_g}),
+and, for a base element n, [;m] and [a|;m] wherever n is a term of dm or
+of a.m.  Each head term is one run over the whole block.  The tables are
+read by row once per bar, and the same routine serves the letters and
+the ms.  A bar's dims are those of its dual, mirrored, so bar_homology_dims
+and derived_tensor_dims read them from this assembly and never build the
+bar's matrices.  Errors are seen only from the source side, so where the
+certificate fails or a column the bar assembles would report an error
+(_LetterTable.fails), the bar is built instead, and raises or is checked
+as before.
+
 d^2 = 0 is certified from the same table, not from the matrices.  Since d
 is a coderivation, d^2 vanishes on the window once it vanishes on the
 segments of one to three letters that its chains can hold (d_A^2, the
@@ -57,7 +78,7 @@ B(M, A, N)); see _LetterTable.certify.  A bar that passes is marked
 check; one that fails keeps the matrix check, which finds the failure and
 raises as before.  The certificate does not see the assembly, so a sign
 bug there would go unseen at run time: the test suite runs the matrix
-check on every certified bar it builds.
+check on every certified bar and every natively assembled dual it builds.
 """
 
 import math
@@ -290,6 +311,11 @@ class _LetterTable:
     ints.  The table is built after the enumerator has listed every chain
     the bar holds, so that every letter and base element is indexed with
     its degree.
+
+    The dual's columns come the same way from the tables read by row
+    (`transposed`): `cocolumns` and one routine, _coblock, for both kinds
+    of head.  `fails` tells from the blocks alone whether `columns` would
+    report an error, where the dual cannot be assembled.
     """
 
     def __init__(self, spec, enum, lo, hi, size):
@@ -562,7 +588,6 @@ class _LetterTable:
             errors[len(cols) + i] = (failed.get(i) or tail_failure, term)
         cols += block
 
-
     def fails(self, d):
         """Whether columns(d) reports an error, read from the blocks alone:
         a column that uses a failing product or has a term outside chains(d
@@ -582,8 +607,8 @@ class _LetterTable:
         """Whether a column of head h's block in the list of degree d has
         an error in `_block`, whose arguments these are (elements may be
         any container of the base elements of degree d + 1)."""
-        _, diff, merge, _ = level
-        degrees = level[0].degrees
+        index, diff, merge, _ = level
+        degrees = index.degrees
         _, tail_blocks, _, tail_bare = self.enum.blocks(d - s)
 
         def outside(lc, degree):

@@ -8,10 +8,10 @@ anywhere in the package.
 
 A SparseMatrix is stored as integer columns: over F_p its entries, over Q
 1/D times integer columns for one least denominator D per matrix.  Bar
-assembly (koszul.bar builds each bar's integer columns block by block and
-hands them to SparseMatrix.from_int_columns), the dual's signed transpose,
-the d^2 check and the elimination (SpanTracker) never do Fraction
-arithmetic.  Over F_p the loops reduce mod a local p.  A tracked
+and dual assembly (koszul.bar builds the integer columns of each bar, and
+of its dual, block by block and hands them to
+SparseMatrix.from_int_columns), the d^2 check and the elimination
+(SpanTracker) never do Fraction arithmetic.  Over F_p the loops reduce mod a local p.  A tracked
 elimination keeps monic pivots, since each combo is scaled with its
 pivot; an untracked one (the dims-only ranks) stores each pivot raw,
 with the inverse of its lead, so no pivot is rebuilt just to be monic.
@@ -39,7 +39,7 @@ cohomology() first makes sure that d^2 = 0: by the matrix check
 (validate_complex multiplies d_{d+1} d_d on the integer columns), unless
 `certified_by` names another check that established it.  The bars set it
 when their letter table passes its certificate (koszul.bar), and the dual
-of a certified bar inherits it.
+assembled from such a table inherits it.
 
 cohomology() eliminates with clearing (Chen and Kerber, "Persistent
 homology computation with a twist", 2011; de Silva, Morozov and
@@ -53,11 +53,11 @@ never chosen: it lies in the span of v and the kernel vectors of earlier
 columns, a span the class tracker holds before z would be offered.  So
 every cycle left extends the boundary span, and the representatives,
 class coordinates and ring constants are unchanged.  Dims-only ranks
-clear the same way, and also on rows: a pivot of the rows of d_{d+1}
-clears the row of d_d at its lead.  They start at the end of the window
-whose outer space is smaller, since that differential is eliminated in
-full: columns bottom-up when dim C^lo <= dim C^hi (the dual), rows
-top-down otherwise (the bar).  Each rank is the plain rank.
+clear the same way, on columns bottom-up, the one orientation: the first
+differential is eliminated in full, so the window should start at its
+smaller end.  The bars' dims are read from their duals, assembled
+natively with dim C^lo <= dim C^hi; a complex with dim C^lo > dim C^hi
+is transposed first, its window mirrored.  Each rank is the plain rank.
 """
 
 from fractions import Fraction
@@ -708,7 +708,8 @@ class CochainComplexSlice:
                 self.diff[d] = m
         self._index = {}  # degree -> label -> position, built by vector()
         # what established d^2 = 0 without the matrix check: "letters" (a
-        # bar's letter table), "transpose" (the dual of such a bar), or None
+        # bar's letter table), "transpose" (the dual assembled from such a
+        # table), or None
         self.certified_by = None
 
     def dim(self, d):
@@ -769,8 +770,8 @@ class CochainComplexSlice:
         Reliable degrees are those d with d-1, d, d+1 all in the window; the
         two boundary degrees are only flagged.  Validates d^2 = 0 first, by
         the matrix check unless certified_by is set: both paths clear (see
-        the module docstring), skipping the columns or rows that d^2 = 0
-        shows to be dependent, which is exact only once d^2 = 0 is known.
+        the module docstring), skipping the columns that d^2 = 0 shows to
+        be dependent, which is exact only once d^2 = 0 is known.
         Without representatives the dims come by rank-nullity from the
         cleared ranks.  With them, each differential is eliminated once,
         tracked, skipping the columns at the leads of d_{d-1}'s pivots.  The

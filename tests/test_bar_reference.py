@@ -128,6 +128,18 @@ def _cone(field, c):
         mult_table=mult, unit="1", aug={"1": one}, complete=True).as_spec()
 
 
+def _odd_cone(field, c):
+    """k{1, x, t}, |x| = -1, |t| = -2, dt = c.x and every product of x and
+    t zero: its regular module has a differential landing in an odd
+    degree."""
+    one = field.one
+    mult = {("1", l): {l: one} for l in ("1", "x", "t")}
+    mult.update({(l, "1"): {l: one} for l in ("x", "t")})
+    return finite_dga_from_tables(
+        field, Window(-2, 0), {-2: ("t",), -1: ("x",), 0: ("1",)}, diff={"t": {"x": c}},
+        mult_table=mult, unit="1", aug={"1": one}, complete=True).as_spec()
+
+
 def _exterior2(field):
     one = algebra_slice(truncated_polynomial(field, 2, 0), Window(0, 0))
     return tensor_algebra(one, one).as_spec()
@@ -279,6 +291,7 @@ def test_the_native_dual_is_the_signed_transpose_of_the_bar(make, window):
 NATIVE_TWO_SIDED = [
     pytest.param(lambda f: truncated_polynomial(f, 3, 0), Window(-4, 1), id="cubic"),
     pytest.param(lambda f: _cone(f, f.of_int(2)), Window(-3, 1), id="cone"),
+    pytest.param(lambda f: _odd_cone(f, f.of_int(3)), Window(-4, 1), id="odd-cone"),
     pytest.param(lambda f: square_zero(f, 1), Window(-4, 1), id="sq1"),
     pytest.param(lambda f: free_assoc(f, [("u", 2)]), Window(-1, 5), id="u2"),
     pytest.param(_rebased_cubic, Window(-3, 1), id="rebased"),
