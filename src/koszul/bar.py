@@ -653,21 +653,7 @@ class _LetterTable:
         if hit is not None:
             return hit
         if self.co is None:
-            # cobase[x] lists the (n, c) with c x a term of dn, coact[x] the
-            # (a, n, c) with c x a term of a.n, where x has the right degree
-            edeg, shifts = self.enum.element.degrees, self.enum.letter.degrees
-            cobase, coact = [[] for _ in self.base_diff], [[] for _ in self.base_diff]
-            for n, lc in enumerate(self.base_diff):
-                for x, c in lc:
-                    if edeg[x] == edeg[n] + 1:
-                        cobase[x].append((n, c))
-            for a, row in enumerate(self.act):
-                for n, prod in enumerate(row):
-                    if not isinstance(prod, StructuralError):
-                        for x, c in prod:
-                            if edeg[x] == shifts[a] + edeg[n] + 1:
-                                coact[x].append((a, n, c))
-            self.co = self.transposed(self.level), cobase, coact
+            self.co = self.transposed(self.level), *self._transposed_base()
         colevel, cobase, coact = self.co
         enum, p = self.enum, self.field.p
         _, _, target, lower = enum.blocks(f - 1)
@@ -687,6 +673,24 @@ class _LetterTable:
             self._coblock(cols, colevel, a, s, f, target)
         self.comemo[f] = cols
         return cols
+
+    def _transposed_base(self):
+        """The base's tables read by row, as `transposed`: cobase[x] lists
+        the (n, c) with c x a term of dn, coact[x] the (a, n, c) with c x a
+        term of a.n, where x has the degree it must have."""
+        degrees, shifts = self.enum.element.degrees, self.enum.letter.degrees
+        cobase, coact = [[] for _ in self.base_diff], [[] for _ in self.base_diff]
+        for n, lc in enumerate(self.base_diff):
+            for x, c in lc:
+                if degrees[x] == degrees[n] + 1:
+                    cobase[x].append((n, c))
+        for a, row in enumerate(self.act):
+            for n, prod in enumerate(row):
+                if not isinstance(prod, StructuralError):
+                    for x, c in prod:
+                        if degrees[x] == shifts[a] + degrees[n] + 1:
+                            coact[x].append((a, n, c))
+        return cobase, coact
 
     def _coblock(self, cols, colevel, h, s, f, target):
         """Append to cols the dual's columns of head h's block in the list
@@ -849,34 +853,32 @@ def _cobar_slice(chains):
     padded window, with basis[-d] the bar's chains of degree d and the
     differential leaving -d made of cocolumns(d), which is (-1)^d times
     the transpose of the bar's leaving d - 1.  It is marked certified
-    ("transpose"), as the bar's letter table passed its certificate.
+    ("transpose") when the bar's letter table passed its certificate.
 
-    None when the bar itself must be built: its certificate failed, or a
-    column it assembles has an error.  Building it then raises that error
-    in the bar's order, and its matrix check names the bar degree where
-    d^2 != 0."""
+    The dual sees no error of the bar's columns, so where a column the bar
+    assembles has one, the bar is built, and raises it in its order."""
     basis, padded = chains.basis, chains.padded
-    if not chains.certified or any(
-            chains.fails(d) for d, labels in basis.items() if labels and d + 1 in padded):
-        return None
+    if any(chains.fails(d) for d, labels in basis.items() if labels and d + 1 in padded):
+        _bar_slice(chains)
     field = chains.spec.field
     diffs = {-d: SparseMatrix.from_int_columns(
                  field, len(basis[d - 1]), chains.cocolumns(d), chains.scale)
              for d, labels in basis.items() if labels and d - 1 in padded}
     complex_ = CochainComplexSlice(
         field, padded.mirrored(), {-d: labels for d, labels in basis.items()}, diffs)
-    complex_.certified_by = "transpose"
+    if chains.certified:
+        complex_.certified_by = "transpose"
     return complex_
 
 
 def _homology_dims(chains):
     """The bar's cohomology dims on its requested degrees: those of its
-    dual's natively assembled complex, mirrored, whose ranks are the bar's;
-    from the bar itself when _cobar_slice answers None."""
-    dual = _cobar_slice(chains)
-    if dual is None:
+    dual's natively assembled complex, mirrored, whose ranks are the bar's.
+    A bar whose certificate failed is built instead, so that its matrix
+    check names the bar degree where d^2 != 0."""
+    if not chains.certified:
         return _bar_slice(chains).homology_dims()
-    dims = dual.cohomology(representatives=False).dims
+    dims = _cobar_slice(chains).cohomology(representatives=False).dims
     return {d: dims.get(-d, 0) for d in chains.window.degrees()}
 
 
@@ -912,18 +914,10 @@ def bar_homology_dims(spec, window):
 
 def dual_complex(spec, window):
     """(complex, weight cap) of the Koszul dual of spec on window: the
-    dual of the reduced bar on the mirrored window, on window.padded(1),
-    its labels the bar's words.  Assembled natively (_cobar_slice), or,
-    where that answers None, as the signed transpose of the bar's
-    matrices, d_e = (-1)^e (bar d_{-e-1})^T, left uncertified."""
+    dual of the reduced bar on the mirrored window, assembled natively
+    (_cobar_slice) on window.padded(1), its labels the bar's words."""
     chains = _reduced(spec, window.mirrored())
-    complex_ = _cobar_slice(chains)
-    if complex_ is None:
-        bar = _bar_slice(chains)
-        complex_ = CochainComplexSlice(
-            spec.field, window.padded(1), {-e: words for e, words in bar.basis.items()},
-            {-e - 1: m.transpose(negate=e % 2 == 0) for e, m in bar.complex.diff.items()})
-    return complex_, chains.cap
+    return _cobar_slice(chains), chains.cap
 
 
 # ---------------------------------------------------------------------------

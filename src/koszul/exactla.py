@@ -11,10 +11,11 @@ A SparseMatrix is stored as integer columns: over F_p its entries, over Q
 and dual assembly (koszul.bar builds the integer columns of each bar, and
 of its dual, block by block and hands them to
 SparseMatrix.from_int_columns), the d^2 check and the elimination
-(SpanTracker) never do Fraction arithmetic.  Over F_p the loops reduce mod a local p.  A tracked
-elimination keeps monic pivots, since each combo is scaled with its
-pivot; an untracked one (the dims-only ranks) stores each pivot raw,
-with the inverse of its lead, so no pivot is rebuilt just to be monic.
+(SpanTracker) never do Fraction arithmetic.  Over F_p the loops reduce
+mod a local p.  A tracked elimination keeps monic pivots, since each
+combo is scaled with its pivot; an untracked one (the dims-only ranks)
+stores each pivot raw, with the inverse of its lead, so no pivot is
+rebuilt just to be monic.
 The class trackers behind representatives are seeded with raw pivots,
 and SpanTracker.as_boundaries, the one place that does so, makes them
 monic.  Over Q a vector is scaled by the lcm of its denominators (a
@@ -56,8 +57,9 @@ class coordinates and ring constants are unchanged.  Dims-only ranks
 clear the same way, on columns bottom-up, the one orientation: the first
 differential is eliminated in full, so the window should start at its
 smaller end.  The bars' dims are read from their duals, assembled
-natively with dim C^lo <= dim C^hi; a complex with dim C^lo > dim C^hi
-is transposed first, its window mirrored.  Each rank is the plain rank.
+natively (koszul.bar), which start there on every window that is not
+tiny; a complex with dim C^lo > dim C^hi is transposed first, its window
+mirrored.  Each rank is the plain rank.
 """
 
 from fractions import Fraction

@@ -6,10 +6,10 @@ A bar whose letter table passes its certificate (koszul.bar._LetterTable
 the dual that koszul.bar._cobar_slice assembles from that table, so at run
 time nothing would catch a sign bug in either assembly.  This fixture
 keeps that guard in the suite: it records every complex that
-koszul.bar._bar_slice marks as certified and every complex that
-koszul.bar._cobar_slice builds during a test, and after the test asserts
-that their matrices really have d^2 = 0.  A test that breaks an assembly
-on purpose removes its complex from the list it yields.
+koszul.bar._bar_slice or koszul.bar._cobar_slice marks as certified
+during a test, and after the test asserts that their matrices really
+have d^2 = 0.  A test that breaks an assembly on purpose removes its
+complex from the list it yields.
 """
 
 import pytest
@@ -34,7 +34,7 @@ def certified_complexes(monkeypatch):
 
     def recording_cobar(*args, **kwargs):
         built = cobar_slice(*args, **kwargs)
-        if built is not None:  # built only from a certified table
+        if built.certified_by is not None:
             marked.append(built)
         return built
 

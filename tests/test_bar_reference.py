@@ -269,10 +269,10 @@ def test_two_sided_bar_matches_the_plain_assembly(make, left, right, window):
 def _assert_native_is_the_signed_transpose(chains):
     """The dual that _cobar_slice assembles from the letter table is the
     bar's signed transpose, d_e = (-1)^e (bar d_{-e-1})^T: the same basis,
-    scale and integer columns (in [1, p) over F_p), and the same mark.
-    Both are built through the module, so the suite's guard checks them."""
+    scale and integer columns (in [1, p) over F_p), and the bar's mark:
+    certified where the bar is.  Both are built through the module, so
+    the suite's guard checks the certified ones."""
     native = bars._cobar_slice(chains)
-    assert native is not None
     built = bars._bar_slice(chains).complex
     assert native.window == built.window.mirrored()
     assert native.basis == {-d: words for d, words in built.basis.items()}
@@ -280,12 +280,15 @@ def _assert_native_is_the_signed_transpose(chains):
     p = chains.spec.field.p
     assert all(x and (p is None or 0 < x < p)
                for m in native.diff.values() for col in m.int_columns for x in col.values())
-    assert built.certified_by == "letters" and native.certified_by == "transpose"
+    assert native.certified_by == (built.certified_by and "transpose")
 
 
-@pytest.mark.parametrize("make, window", BARS)
+@pytest.mark.parametrize("make, window", BARS + [
+    pytest.param(lambda: _non_associative(), Window(-4, 0), id="non-associative")])
 def test_the_native_dual_is_the_signed_transpose_of_the_bar(make, window):
-    _assert_native_is_the_signed_transpose(bars._reduced(make(), window))
+    chains = bars._reduced(make(), window)
+    _assert_native_is_the_signed_transpose(chains)
+    assert chains.certified == (chains.spec.name != "non-associative")
 
 
 NATIVE_TWO_SIDED = [
@@ -737,8 +740,9 @@ def test_d_squared_failure_is_raised_before_any_clearing(
     skip of `eliminate`; neither may run before the d^2 check has named the
     failing degree.  d^2 != 0 from three degrees here, and each answer
     names the one its complex's matrix check names: for the bars the
-    lowest bar degree, though their dims are read from the dual where the
-    table is certified, and for the dual the lowest dual degree."""
+    lowest bar degree, as a bar whose certificate fails is built itself
+    for its dims, and for the dual the lowest degree of its natively
+    assembled complex."""
     def refuse(*args):
         raise AssertionError("clearing ran before d^2 = 0 was checked")
 
