@@ -325,7 +325,6 @@ class _LetterTable:
         self.connective = enum.regime[0] == "connective"
         self.lincombs = []
         self.memo, self.fail_memo, self.comemo = {}, {}, {}
-        self.co = None  # the tables read by row, built by the first cocolumns
         # rows[i] is i, through the largest basis, which holds every list a
         # column lands in: one int object per row, shared by every column
         self.rows = list(range(size))
@@ -372,10 +371,12 @@ class _LetterTable:
         all their denominators, and each term of the bar differential
         carries exactly one structure constant, so the differential is 1/D
         times an integer matrix.  Over F_p D is 1 and the ints are the
-        scalars mod p."""
+        scalars mod p.  The letters' and the base's int tables are then
+        read by row once, for cocolumns."""
         scale, ints = _integral_columns(self.field, [dict(lc) for lc in self.lincombs])
         for lc, col in zip(self.lincombs, ints):
             lc[:] = col.items()
+        self.co = self.transposed(self.level), *self._transposed_base()
         return scale
 
     def certify(self, heads=None):
@@ -652,8 +653,6 @@ class _LetterTable:
         hit = self.comemo.get(f)
         if hit is not None:
             return hit
-        if self.co is None:
-            self.co = self.transposed(self.level), *self._transposed_base()
         colevel, cobase, coact = self.co
         enum, p = self.enum, self.field.p
         _, _, target, lower = enum.blocks(f - 1)
@@ -971,7 +970,7 @@ def _two_sided(left, spec, right, window):
               for m in ms],
              lambda m, t: (m, t[:-1], t[-1]))
     scale = table.scale_to_ints()
-    colevel = []  # the ms' tables read by row, once the dual needs them
+    colevel = table.transposed(level)
 
     def columns(d):
         """The columns of degree d: one block per m, (m; c) for the chains c
@@ -983,11 +982,9 @@ def _two_sided(left, spec, right, window):
 
     def cocolumns(d):
         """The dual's columns of degree d, one _coblock per m."""
-        if not colevel:
-            colevel.append(table.transposed(level))
         cols = []
         for mi in offsets[d]:
-            table._coblock(cols, colevel[0], mi, lindex.degrees[mi], d, offsets[d - 1])
+            table._coblock(cols, colevel, mi, lindex.degrees[mi], d, offsets[d - 1])
         return cols
 
     def fails(d):
