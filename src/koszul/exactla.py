@@ -531,17 +531,12 @@ class SparseMatrix:
     def is_zero(self):
         return not any(self.int_columns)
 
-    def transpose(self, negate=False):
-        """The transpose, or minus it; never leaves the integers."""
-        p = self.field.p
+    def transpose(self):
+        """The transpose; never leaves the integers."""
         out = [{} for _ in range(self.rows)]
         for j, col in enumerate(self.int_columns):
             for i, x in col.items():
                 out[i][j] = x
-        if negate:
-            for col in out:
-                for i, x in col.items():
-                    col[i] = p - x if p else -x
         return SparseMatrix.from_int_columns(self.field, self.cols, out, self.scale)
 
     def apply(self, vec):

@@ -1,7 +1,8 @@
-"""The block-built bars against a plain assembly, the bars' two
-StructuralErrors, dims-only answers that never read a matrix as Fractions,
-and dims-only (cleared) ranks and dims against the plain ones on every
-complex built here.
+"""The block-built bars against a plain assembly, the natively assembled
+duals against the bars' signed transposes, the bars' two StructuralErrors
+(raised by the dims and the duals too), dims-only answers that never read
+a matrix as Fractions and never transpose one, and dims-only (cleared)
+ranks and dims against the plain ones on every complex built here.
 
 The reference boundaries below are written from the formulas in the
 docstrings of koszul.bar, word by word in field arithmetic through
@@ -13,7 +14,6 @@ a brute-force listing of every word of each degree.
 """
 
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -276,8 +276,14 @@ def _assert_native_is_the_signed_transpose(chains):
     built = bars._bar_slice(chains).complex
     assert native.window == built.window.mirrored()
     assert native.basis == {-d: words for d, words in built.basis.items()}
-    assert native.diff == {-d - 1: m.transpose(negate=d % 2 == 0) for d, m in built.diff.items()}
     p = chains.spec.field.p
+
+    def signed(m, negate):
+        cols = [{i: (p - x if p else -x) if negate else x for i, x in col.items()}
+                for col in m.int_columns]
+        return SparseMatrix.from_int_columns(m.field, m.rows, cols, m.scale)
+
+    assert native.diff == {-d - 1: signed(m.transpose(), d % 2 == 0) for d, m in built.diff.items()}
     assert all(x and (p is None or 0 < x < p)
                for m in native.diff.values() for col in m.int_columns for x in col.values())
     assert native.certified_by == (built.certified_by and "transpose")
@@ -461,14 +467,14 @@ def _every_answer_raises(message, spec, window, left=None, right=None):
     where a column the bar assembles has an error, the dims and the dual
     build the bar."""
     if left is None:
-        calls = (bar_complex, bar_homology_dims,
-                 lambda spec, window: koszul_dual_slice(spec, window.mirrored()))
+        calls = (lambda: bar_complex(spec, window), lambda: bar_homology_dims(spec, window),
+                 lambda: koszul_dual_slice(spec, window.mirrored()))
     else:
-        calls = (partial(two_sided_bar, left), partial(derived_tensor_dims, left))
-        calls = [lambda spec, window, call=call: call(spec, right, window) for call in calls]
+        calls = (lambda: two_sided_bar(left, spec, right, window),
+                 lambda: derived_tensor_dims(left, spec, right, window))
     for call in calls:
         with pytest.raises(StructuralError, match=message):
-            call(spec, window)
+            call()
 
 
 def _bad_square(product):
