@@ -64,10 +64,11 @@ of a.m.  Each head term is one run over the whole block.  The tables are
 read by row once per bar, and the same routine serves the letters and
 the ms.  A bar's dims are those of its dual, mirrored, so bar_homology_dims
 and derived_tensor_dims read them from this assembly and never build the
-bar's matrices.  Errors are seen only from the source side, so where the
-certificate fails or a column the bar assembles would report an error
-(_LetterTable.fails), the bar is built instead, and raises or is checked
-as before.
+bar's matrices.  Errors are seen only from the source side, so where a
+column the bar assembles would report an error (_LetterTable.fails), the
+bar is built instead and raises it.  The dims of a bar whose certificate
+fails are read from the bar itself, so that its matrix check names the
+bar degree.
 
 d^2 = 0 is certified from the same table, not from the matrices.  Since d
 is a coderivation, d^2 vanishes on the window once it vanishes on the
@@ -616,10 +617,12 @@ class _LetterTable:
             return isinstance(lc, StructuralError) or any(
                 degrees[x] != degree or x not in target for x, _ in lc)
 
+        def acts_outside(prod):
+            return isinstance(prod, StructuralError) or any(x not in elements for x, _ in prod)
+
         return (self.fails(d - s) or outside(diff[h], s + 1)
                 or any(outside(merge[h][b], s + sb + 1) for b, sb, _ in tail_blocks)
-                or any(isinstance(act[n], StructuralError) or any(x not in elements for x, _ in act[n])
-                       for n in (tail_bare if act else ())))
+                or any(acts_outside(act[n]) for n in (tail_bare if act else ())))
 
     def transposed(self, level):
         """level's tables read by row, for `_coblock`: (degrees, codiff,

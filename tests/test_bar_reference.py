@@ -283,7 +283,8 @@ def _assert_native_is_the_signed_transpose(chains):
                 for col in m.int_columns]
         return SparseMatrix.from_int_columns(m.field, m.rows, cols, m.scale)
 
-    assert native.diff == {-d - 1: signed(m.transpose(), d % 2 == 0) for d, m in built.diff.items()}
+    assert native.diff == {-d - 1: signed(m.transpose(), d % 2 == 0)
+                           for d, m in built.diff.items()}
     assert all(x and (p is None or 0 < x < p)
                for m in native.diff.values() for col in m.int_columns for x in col.values())
     assert native.certified_by == (built.certified_by and "transpose")
