@@ -61,14 +61,18 @@ which sit in the columns of chains(f - 1) whose bar differential reaches
 each g, b with h a term of gb (comerge, each term carrying -(-1)^{s_g}),
 and, for a base element n, [;m] and [a|;m] wherever n is a term of dm or
 of a.m.  Each head term is one run over the whole block.  The tables are
-read by row once per bar, and the same routine serves the letters and
-the ms.  A bar's dims are those of its dual, mirrored, so bar_homology_dims
-and derived_tensor_dims read them from this assembly and never build the
-bar's matrices.  Errors are seen only from the source side, so where a
-column the bar assembles would report an error (_LetterTable.fails), the
-bar is built instead and raises it.  The dims of a bar whose certificate
-fails are read from the bar itself, so that its matrix check names the
-bar degree.
+read by row once per bar, when the dual is first assembled, and the same
+routine serves the letters and the ms.  A bar's dims are those of its
+dual, mirrored, and dims-only ranks clear columns from the low end of a
+window, so the dims (bar_homology_dims, derived_tensor_dims,
+BarSlice.homology_dims and the dual's, dual.DualSlice.homology_dims) are
+read from the side whose low end is the smaller (_homology_dims): the
+dual for a connective algebra, the bar for a coconnected one.  Neither
+is transposed.  Errors are seen only from the source side: where reading
+the tables by row drops a failed product or a misplaced term that a
+column may use, the bar is built and raises its error.  The dims of a
+bar whose certificate fails are read from the complex asked for, so that
+its matrix check names a degree of that complex.
 
 d^2 = 0 is certified from the same table, not from the matrices.  Since d
 is a coderivation, d^2 vanishes on the window once it vanishes on the
@@ -313,10 +317,11 @@ class _LetterTable:
     the bar holds, so that every letter and base element is indexed with
     its degree.
 
-    The dual's columns come the same way from the tables read by row
-    (`transposed`): `cocolumns` and one routine, _coblock, for both kinds
-    of head.  `fails` tells from the blocks alone whether `columns` would
-    report an error, where the dual cannot be assembled.
+    The dual's columns come the same way from the tables read by row,
+    built once on first use (`cotables`): `cocolumns` and one routine,
+    _coblock, for both kinds of head.  Reading by row drops the entries a
+    column of the bar would report as an error (`dropped`), where the dual
+    cannot be assembled.
     """
 
     def __init__(self, spec, enum, lo, hi, size):
@@ -325,7 +330,11 @@ class _LetterTable:
         self.lo, self.hi = lo, hi
         self.connective = enum.regime[0] == "connective"
         self.lincombs = []
-        self.memo, self.fail_memo, self.comemo = {}, {}, {}
+        self.memo, self.comemo = {}, {}
+        # (level, shift) of B(M, A, N)'s ms as heads (see certify), set by two_sided_bar
+        self.heads = None
+        # the tables read by row (cotables), and whether reading them dropped an entry
+        self.co, self.dropped = None, False
         # rows[i] is i, through the largest basis, which holds every list a
         # column lands in: one int object per row, shared by every column
         self.rows = list(range(size))
@@ -372,15 +381,13 @@ class _LetterTable:
         all their denominators, and each term of the bar differential
         carries exactly one structure constant, so the differential is 1/D
         times an integer matrix.  Over F_p D is 1 and the ints are the
-        scalars mod p.  The letters' and the base's int tables are then
-        read by row once, for cocolumns."""
+        scalars mod p."""
         scale, ints = _integral_columns(self.field, [dict(lc) for lc in self.lincombs])
         for lc, col in zip(self.lincombs, ints):
             lc[:] = col.items()
-        self.co = self.transposed(self.level), *self._transposed_base()
         return scale
 
-    def certify(self, heads=None):
+    def certify(self):
         """Whether d^2 = 0 on every chain of a degree where it is checked
         (lo to hi - 2), read from the tabled ints of `scale_to_ints` alone.
 
@@ -388,7 +395,7 @@ class _LetterTable:
         those of its defects on segments of the chain, and terms from two
         disjoint segments cancel in pairs (Loday-Vallette, Algebraic
         Operads, 1.1 and 2.2).  For a head h (a letter, or an m of
-        B(M, A, N) when heads = (level, shift), level as in _block and
+        B(M, A, N) when self.heads = (level, shift), level as in _block and
         shift = max|m| or min|m|) the defects are dh^2, the Leibniz defect
         of (h, a) and (ha)b - h(ab); at the base they are dn^2, the Leibniz
         defect of a.n and a.(b.n) - (ab).n.  Each is checked on every
@@ -460,8 +467,8 @@ class _LetterTable:
                     yield ((1, act(b, n), partial(act, a)), (-1, merge(a, b), partial(act, n=n)))
 
         defects = [level(enum.letter, self.diff, merge, 0), base()]
-        if heads is not None:
-            (index, mdiff, mact, _), shift = heads
+        if self.heads is not None:
+            (index, mdiff, mact, _), shift = self.heads
 
             def ma(h, b):
                 return mact[h][b] if h < len(mdiff) and b < nl else None
@@ -590,61 +597,53 @@ class _LetterTable:
             errors[len(cols) + i] = (failed.get(i) or tail_failure, term)
         cols += block
 
-    def fails(self, d):
-        """Whether columns(d) reports an error, read from the blocks alone:
-        a column that uses a failing product or has a term outside chains(d
-        + 1).  Memoized by d."""
-        hit = self.fail_memo.get(d)
-        if hit is None:
-            enum = self.enum
-            _, _, target, upper = enum.blocks(d + 1)
-            _, blocks, _, bare = enum.blocks(d)
-            hit = self.fail_memo[d] = (
-                any(x not in upper for n in bare for x, _ in self.base_diff[n])
-                or any(self.block_fails(self.level, a, s, d, target, self.act[a], upper)
-                       for a, s, _ in blocks))
-        return hit
+    def cotables(self):
+        """Build the tables read by row once, as self.co = (the letters'
+        `transposed`, cobase, coact, the ms' `transposed` or None), and
+        return `dropped`: whether reading them left out a failed product, or
+        a term on a label that is not listed in the degree it must have, in
+        an entry that a column of the bar may use.  Where one did, the bar
+        must be built to raise its error, if a column uses the entry."""
+        if self.co is None:
+            heads = self.heads and self.transposed(*self.heads)
+            self.co = (self.transposed(self.level), *self._transposed_base(), heads)
+        return self.dropped
 
-    def block_fails(self, level, h, s, d, target, act=None, elements=()):
-        """Whether a column of head h's block in the list of degree d has
-        an error in `_block`, whose arguments these are (elements may be
-        any container of the base elements of degree d + 1)."""
-        index, diff, merge, _ = level
-        degrees = index.degrees
-        _, tail_blocks, _, tail_bare = self.enum.blocks(d - s)
+    def _drop(self, e):
+        """Note an entry left out of the tables read by row, used only by
+        the chains of degree e or beyond it (as in `reaches`): it counts
+        (`dropped`) where such a chain has a column, its degree in [lo,
+        hi - 1]."""
+        self.dropped = self.dropped or self.reaches(e, self.hi - 1)
 
-        def outside(lc, degree):
-            return isinstance(lc, StructuralError) or any(
-                degrees[x] != degree or x not in target for x, _ in lc)
-
-        def acts_outside(prod):
-            return isinstance(prod, StructuralError) or any(x not in elements for x, _ in prod)
-
-        return (self.fails(d - s) or outside(diff[h], s + 1)
-                or any(outside(merge[h][b], s + sb + 1) for b, sb, _ in tail_blocks)
-                or any(acts_outside(act[n]) for n in (tail_bare if act else ())))
-
-    def transposed(self, level):
+    def transposed(self, level, shift=0):
         """level's tables read by row, for `_coblock`: (degrees, codiff,
         comerge), codiff[x] listing the (g, c) with c x a term of diff[g]
         and comerge[x] the (g, b, c) with c x a term of -(-1)^{s_g}
         merge[g][b], s_g = degrees[g].  A term is kept only where x has the
-        degree it must have, and a failed product is left out: the dual is
-        assembled only where no column uses either."""
+        degree it must have, and a failed product is left out (`_drop`, a
+        head g counting as s_g - shift, as in certify)."""
         index, diff, merge, _ = level
         degrees, shifts, p = index.degrees, self.enum.letter.degrees, self.field.p
+        reach = self.enum.reach
         codiff, comerge = [[] for _ in diff], [[] for _ in diff]
         for g, (lc, row) in enumerate(zip(diff, merge)):
             s = degrees[g]
+            e = s - shift + reach
             for x, c in lc:
                 if degrees[x] == s + 1:
                     codiff[x].append((g, c))
+                else:
+                    self._drop(e)
             for b, prod in enumerate(row):
                 if isinstance(prod, StructuralError):
+                    self._drop(e + shifts[b])
                     continue
                 for x, c in prod:
                     if degrees[x] == s + shifts[b] + 1:
                         comerge[x].append((g, b, c if s % 2 else _neg(c, p)))
+                    else:
+                        self._drop(e + shifts[b])
         return degrees, codiff, comerge
 
     def cocolumns(self, f):
@@ -652,11 +651,12 @@ class _LetterTable:
         maps rows of chains(f - 1) to nonzero ints and is (-1)^f times row
         j of the bar's differential leaving degree f - 1.  A base element's
         column holds the transposed [;dn] and [;a.n], then one _coblock per
-        letter.  Valid only where `fails` finds no error.  Memoized by f."""
+        letter.  Valid once `cotables` has run and found nothing `dropped`
+        that a column uses.  Memoized by f."""
         hit = self.comemo.get(f)
         if hit is not None:
             return hit
-        colevel, cobase, coact = self.co
+        colevel, cobase, coact, _ = self.co
         enum, p = self.enum, self.field.p
         _, _, target, lower = enum.blocks(f - 1)
         _, blocks, _, bare = enum.blocks(f)
@@ -679,19 +679,26 @@ class _LetterTable:
     def _transposed_base(self):
         """The base's tables read by row, as `transposed`: cobase[x] lists
         the (n, c) with c x a term of dn, coact[x] the (a, n, c) with c x a
-        term of a.n, where x has the degree it must have."""
+        term of a.n, where x has the degree it must have (else `_drop`)."""
         degrees, shifts = self.enum.element.degrees, self.enum.letter.degrees
         cobase, coact = [[] for _ in self.base_diff], [[] for _ in self.base_diff]
         for n, lc in enumerate(self.base_diff):
             for x, c in lc:
                 if degrees[x] == degrees[n] + 1:
                     cobase[x].append((n, c))
+                else:
+                    self._drop(degrees[n])
         for a, row in enumerate(self.act):
             for n, prod in enumerate(row):
-                if not isinstance(prod, StructuralError):
-                    for x, c in prod:
-                        if degrees[x] == shifts[a] + degrees[n] + 1:
-                            coact[x].append((a, n, c))
+                e = shifts[a] + degrees[n]
+                if isinstance(prod, StructuralError):
+                    self._drop(e)
+                    continue
+                for x, c in prod:
+                    if degrees[x] == e + 1:
+                        coact[x].append((a, n, c))
+                    else:
+                        self._drop(e)
         return cobase, coact
 
     def _coblock(self, cols, colevel, h, s, f, target):
@@ -781,26 +788,27 @@ class BarSlice:
     The requested window is padded by one degree on each side before
     materializing, so cohomology is reliable on every requested degree.
     basis maps degree to the tuple of words (tuples of letters), and
-    max_weight is the weight cap, a bound on the letters of every chain."""
+    max_weight is the weight cap, the most letters a chain has."""
 
-    def __init__(self, spec, window, complex_, max_weight, left=None, right=None):
-        self.spec = spec
-        self.field = spec.field
-        self.window = window
+    def __init__(self, chains, complex_):
+        self.spec = chains.spec
+        self.field = chains.spec.field
+        self.window = chains.window
         self.padded = complex_.window
         self.basis = complex_.basis
         self.complex = complex_
-        self.max_weight = max_weight
-        self.left = left
-        self.right = right
+        self.max_weight = chains.cap
+        self.left = chains.left
+        self.right = chains.right
+        self._chains = chains
 
     def dims(self):
         return self.complex.dims()
 
     def homology_dims(self):
-        """Cohomology dimensions on the requested (reliable) degrees."""
-        rep = self.complex.cohomology(representatives=False)
-        return {d: rep.dims.get(d, 0) for d in self.window.degrees()}
+        """Cohomology dimensions on the requested (reliable) degrees, from
+        this complex or from the natively assembled dual (_homology_dims)."""
+        return _homology_dims(self._chains, self)
 
     def __repr__(self):
         names = self.spec.name if self.left is None else \
@@ -811,17 +819,17 @@ class BarSlice:
 class _Chains:
     """A bar before any matrix is built: its requested window, the basis of
     its padded one (degree -> labels), the int scale of its tables, its
-    weight cap (the most letters a chain has) and whether its letter table
-    passed the certificate.  columns(d), cocolumns(d) and fails(d) are the
-    bar's columns on degree d with their errors, the dual's columns there
-    and whether columns(d) reports an error: _LetterTable's for the
-    reduced bar, whose chains are its basis, and per m for B(M, A, N)."""
+    weight cap (the most letters a chain has), its letter table and whether
+    that passed the certificate.  columns(d) and cocolumns(d) are the bar's
+    columns on degree d with their errors and the dual's columns there:
+    _LetterTable's for the reduced bar, whose chains are its basis, and per
+    m for B(M, A, N)."""
 
     def __init__(self, spec, window, basis, table, scale, certified, columns, cocolumns,
-                 fails, left=None, right=None):
+                 left=None, right=None):
         self.spec, self.window, self.padded = spec, window, window.padded(1)
-        self.basis, self.scale, self.certified = basis, scale, certified
-        self.columns, self.cocolumns, self.fails = columns, cocolumns, fails
+        self.basis, self.table, self.scale, self.certified = basis, table, scale, certified
+        self.columns, self.cocolumns = columns, cocolumns
         self.left, self.right = left, right
         # the chains of degree lo (connective) or hi (coconnected) hold the most letters
         self.cap = table.enum.most_letters(table.lo if table.connective else table.hi)
@@ -847,7 +855,7 @@ def _bar_slice(chains):
     complex_ = CochainComplexSlice(field, padded, basis, diffs)
     if chains.certified:
         complex_.certified_by = "letters"
-    return BarSlice(chains.spec, chains.window, complex_, chains.cap, chains.left, chains.right)
+    return BarSlice(chains, complex_)
 
 
 def _cobar_slice(chains):
@@ -857,10 +865,11 @@ def _cobar_slice(chains):
     the transpose of the bar's leaving d - 1.  It is marked certified
     ("transpose") when the bar's letter table passed its certificate.
 
-    The dual sees no error of the bar's columns, so where a column the bar
-    assembles has one, the bar is built, and raises it in its order."""
+    The dual sees no error of the bar's columns: where reading the tables
+    by row dropped an entry that a column may use (_LetterTable.cotables),
+    the bar is built, and raises the first error in its order, if any."""
     basis, padded = chains.basis, chains.padded
-    if any(chains.fails(d) for d, labels in basis.items() if labels and d + 1 in padded):
+    if chains.table.cotables():
         _bar_slice(chains)
     field = chains.spec.field
     diffs = {-d: SparseMatrix.from_int_columns(
@@ -873,15 +882,31 @@ def _cobar_slice(chains):
     return complex_
 
 
-def _homology_dims(chains):
-    """The bar's cohomology dims on its requested degrees: those of its
-    dual's natively assembled complex, mirrored, whose ranks are the bar's.
-    A bar whose certificate failed is built instead, so that its matrix
-    check names the bar degree where d^2 != 0."""
-    if not chains.certified:
-        return _bar_slice(chains).homology_dims()
-    dims = _cobar_slice(chains).cohomology(representatives=False).dims
-    return {d: dims.get(-d, 0) for d in chains.window.degrees()}
+def _homology_dims(chains, bar=None, dual=None):
+    """The bar's cohomology dims on its requested degrees, read from the
+    bar or from its dual, whose ranks are the bar's, mirrored.  bar (a
+    BarSlice) and dual (the dual's complex) are what a caller has built;
+    the side read is built if it was not passed.  A certified bar is read
+    from the side whose first differential is the smaller, which
+    `_cleared_ranks` eliminates in full without a transpose: the natively
+    assembled dual where dim B^lo > dim B^hi (a connective algebra), else
+    the bar (a coconnected one).  Where the certificate failed, the dual
+    is read only when passed, so that the matrix check names the degree
+    where d^2 != 0 in the grading of the complex the caller asked for."""
+    basis, padded, window = chains.basis, chains.padded, chains.window
+    if chains.certified:
+        from_dual = len(basis[padded.lo]) > len(basis[padded.hi])
+    else:
+        from_dual = dual is not None
+    if from_dual:
+        if dual is None:
+            dual = _cobar_slice(chains)
+        dims = dual.cohomology(representatives=False).dims
+        return {d: dims.get(-d, 0) for d in window.degrees()}
+    if bar is None:
+        bar = _bar_slice(chains)
+    dims = bar.complex.cohomology(representatives=False).dims
+    return {d: dims.get(d, 0) for d in window.degrees()}
 
 
 def _reduced(spec, window):
@@ -893,7 +918,7 @@ def _reduced(spec, window):
     table = _LetterTable(spec, enum, padded.lo, padded.hi, max(map(len, basis.values())))
     scale = table.scale_to_ints()
     return _Chains(spec, window, basis, table, scale, table.certify(), table.columns,
-                   table.cocolumns, table.fails)
+                   table.cocolumns)
 
 
 def bar_complex(spec, window):
@@ -910,16 +935,17 @@ def bar_complex(spec, window):
 
 def bar_homology_dims(spec, window):
     """Bar cohomology dimensions on the requested degrees, read from the
-    natively assembled dual (_homology_dims)."""
+    natively assembled dual or from the bar (_homology_dims)."""
     return _homology_dims(_reduced(spec, window))
 
 
 def dual_complex(spec, window):
-    """(complex, weight cap) of the Koszul dual of spec on window: the
-    dual of the reduced bar on the mirrored window, assembled natively
-    (_cobar_slice) on window.padded(1), its labels the bar's words."""
+    """(complex, chains) of the Koszul dual of spec on window: the dual of
+    the reduced bar on the mirrored window, assembled natively
+    (_cobar_slice) on window.padded(1), its labels the bar's words, and
+    that bar's _Chains."""
     chains = _reduced(spec, window.mirrored())
-    return _cobar_slice(chains), chains.cap
+    return _cobar_slice(chains), chains
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +999,7 @@ def _two_sided(left, spec, right, window):
               for m in ms],
              lambda m, t: (m, t[:-1], t[-1]))
     scale = table.scale_to_ints()
-    colevel = table.transposed(level)
+    table.heads = (level, left.max_degree if connective else left.min_degree)
 
     def columns(d):
         """The columns of degree d: one block per m, (m; c) for the chains c
@@ -987,16 +1013,11 @@ def _two_sided(left, spec, right, window):
         """The dual's columns of degree d, one _coblock per m."""
         cols = []
         for mi in offsets[d]:
-            table._coblock(cols, colevel, mi, lindex.degrees[mi], d, offsets[d - 1])
+            table._coblock(cols, table.co[3], mi, lindex.degrees[mi], d, offsets[d - 1])
         return cols
 
-    def fails(d):
-        return any(table.block_fails(level, mi, lindex.degrees[mi], d, offsets[d + 1])
-                   for mi in offsets[d])
-
-    shift = left.max_degree if connective else left.min_degree
-    return _Chains(spec, window, basis, table, scale, table.certify((level, shift)), columns,
-                   cocolumns, fails, left, right)
+    return _Chains(spec, window, basis, table, scale, table.certify(), columns, cocolumns,
+                   left, right)
 
 
 def two_sided_bar(left, spec, right, window):
@@ -1024,5 +1045,5 @@ def two_sided_bar(left, spec, right, window):
 def derived_tensor_dims(left, spec, right, window):
     """Cohomology dimensions of B(left, spec, right) on the requested window
     (this computes the derived tensor product of the two modules over spec),
-    read from its natively assembled dual (_homology_dims)."""
+    read from its natively assembled dual or from the bar (_homology_dims)."""
     return _homology_dims(_two_sided(left, spec, right, window))

@@ -9,7 +9,10 @@ signed transpose of the bar's, d_d = (-1)^d (d_{-d-1})^T: the cobar of the
 dual coalgebra, B(A)^v = Omega(A^v), whose integer columns koszul.bar
 assembles from the bar's letter table read by row, with no bar matrix
 built and none transposed (bar.dual_complex).  The dual of a slice is a
-FiniteDga over that complex, so the generic validators apply to it.
+FiniteDga over that complex, so the generic validators apply to it.  Its
+dims are the bar's, mirrored, and DualSlice.homology_dims reads them from
+this complex or, for a coconnected algebra, from the bar, whichever
+clears without a transpose (bar._homology_dims).
 
 Cohomology of the dual slice is Ext over the input algebra in every
 reliable degree; the resolution oracle in extres recomputes the same
@@ -18,7 +21,7 @@ numbers without any bar construction.
 
 from .exactla import Window, RefusalError, vec_add_into
 from .dga import FiniteDga, cohomology_ring
-from .bar import dual_complex, weight_bound
+from .bar import _homology_dims, dual_complex, weight_bound
 
 
 class DualSlice:
@@ -28,22 +31,25 @@ class DualSlice:
     requested window (the algebra itself covers one padded degree more on
     each side, so cohomology is reliable on all requested degrees);
     max_weight is the weight cap, the most letters a word of its basis
-    has."""
+    has; chains is the bar's, on the mirrored window (bar._Chains)."""
 
-    def __init__(self, spec, window, algebra, max_weight):
+    def __init__(self, spec, window, algebra, chains):
         self.spec = spec
         self.window = window
         self.algebra = algebra
         self.field = spec.field
-        self.max_weight = max_weight
+        self.max_weight = chains.cap
+        self.chains = chains
 
     def dims(self):
         return self.algebra.dims()
 
     def homology_dims(self):
-        """Ext dimensions (cohomology of the dual) on the requested degrees."""
-        rep = self.algebra.cohomology(representatives=False)
-        return {d: rep.dims.get(d, 0) for d in self.window.degrees()}
+        """Ext dimensions (cohomology of the dual) on the requested degrees:
+        the bar's dims, mirrored, read from this complex or from the bar,
+        whichever clears without a transpose (bar._homology_dims)."""
+        dims = _homology_dims(self.chains, dual=self.algebra.complex())
+        return {d: dims[-d] for d in self.window.degrees()}
 
     def cohomology(self, representatives=True):
         return self.algebra.cohomology(representatives=representatives)
@@ -68,7 +74,7 @@ def koszul_dual_slice(spec, window):
     concatenation with the Koszul sign of their degrees.  Convergence
     refusals propagate from the bar side.
     """
-    complex_, cap = dual_complex(spec, window)
+    complex_, chains = dual_complex(spec, window)
     field = spec.field
     one, neg = field.one, field.neg
 
@@ -82,7 +88,7 @@ def koszul_dual_slice(spec, window):
     algebra = FiniteDga(
         complex_, mult_fn, unit=(), aug={(): one} if 0 in complex_.window else {},
         complete=False, name=f"dual({spec.name})")
-    return DualSlice(spec, window, algebra, cap)
+    return DualSlice(spec, window, algebra, chains)
 
 
 def dual_cohomology_dims(spec, window):

@@ -56,10 +56,11 @@ every cycle left extends the boundary span, and the representatives,
 class coordinates and ring constants are unchanged.  Dims-only ranks
 clear the same way, on columns bottom-up, the one orientation: the first
 differential is eliminated in full, so the window should start at its
-smaller end.  The bars' dims are read from their duals, assembled
-natively (koszul.bar), which start there on every window that is not
-tiny; a complex with dim C^lo > dim C^hi is transposed first, its window
-mirrored.  Each rank is the plain rank.
+smaller end.  The dims of a bar and of its dual are read from whichever
+of the two starts there (koszul.bar builds either one from its letter
+table), so neither is transposed; any other complex with dim C^lo >
+dim C^hi is transposed first, its window mirrored.  Each rank is the
+plain rank.
 """
 
 from fractions import Fraction

@@ -686,8 +686,10 @@ def test_dims_only_answers_never_build_a_fraction_view(monkeypatch):
 
 def test_dims_only_answers_of_certified_bars_never_transpose(monkeypatch):
     """Bar, dual and derived-tensor dims of certified bars read their ranks
-    from the dual assembled natively, columns bottom-up: no matrix is
-    transposed, over Q and over F_p."""
+    columns bottom-up from the side whose low end is the smaller: the
+    natively assembled dual of a connective algebra's bar, a coconnected
+    algebra's bar itself.  No matrix is transposed, over Q and over F_p,
+    and neither by the homology_dims of a bar that a caller built."""
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix was transposed")
 
@@ -695,10 +697,49 @@ def test_dims_only_answers_of_certified_bars_never_transpose(monkeypatch):
     for spec in (_scaled_cubic(QQ, Fraction(2, 3)), truncated_polynomial(F32003, 3, 0)):
         k = trivial_module(spec)
         assert bar_homology_dims(spec, Window(-8, 0)) == dict.fromkeys(range(-8, 1), 1)
+        assert bar_complex(spec, Window(-8, 0)).homology_dims() == dict.fromkeys(range(-8, 1), 1)
         assert dual_cohomology_dims(spec, Window(0, 8)) == dict.fromkeys(range(9), 1)
         assert derived_tensor_dims(k, spec, k, Window(-6, 0)) == dict.fromkeys(range(-6, 1), 1)
+        assert two_sided_bar(k, spec, k, Window(-6, 0)).homology_dims() \
+            == dict.fromkeys(range(-6, 1), 1)
     exterior = _exterior2(F5)
     assert bar_homology_dims(exterior, Window(-5, 0)) == {-n: n + 1 for n in range(6)}
+    # a coconnected algebra: the bar's low end is the smaller, its dual's the larger
+    for field in (QQ, F32003):
+        free = free_assoc(field, [("u", 2), ("v", 3)])
+        k = trivial_module(free)
+        tor = {0: 1, 1: 1, 2: 1}
+        assert bar_homology_dims(free, Window(0, 8)) == {d: tor.get(d, 0) for d in range(9)}
+        assert bar_complex(free, Window(0, 8)).homology_dims() \
+            == {d: tor.get(d, 0) for d in range(9)}
+        assert dual_cohomology_dims(free, Window(-8, 0)) \
+            == {-d: tor.get(d, 0) for d in range(9)}
+        assert derived_tensor_dims(k, free, k, Window(0, 6)) == {d: tor.get(d, 0) for d in range(7)}
+
+
+def test_the_duals_of_error_free_tables_never_build_the_bar(monkeypatch):
+    """Reading the letter table by row drops only what no column of the bar
+    uses, on error-free tables: a coconnected algebra's products that land
+    above the listed letters (the words [a|b] in the padded top, whose
+    differential no assembled column takes), and the bad square's u*u on
+    [0, 3], where [u|u] sits only there.  So their duals, and a connective
+    algebra's dims, are assembled without building the bar."""
+    def refuse(*args):
+        raise AssertionError("the bar was built")
+
+    monkeypatch.setattr(bars, "_bar_slice", refuse)
+    cubic = truncated_polynomial(F32003, 3, 0)
+    for left, right in (("k", "k"), ("reg", "k"), ("k", "reg"), ("reg", "reg")):
+        modules = {"k": trivial_module(cubic), "reg": regular_module(cubic)}
+        derived_tensor_dims(modules[left], cubic, modules[right], Window(-5, 0))
+    assert bar_homology_dims(cubic, Window(-8, 0)) == dict.fromkeys(range(-8, 1), 1)
+    for spec, window in ((cubic, Window(0, 8)), (free_assoc(QQ, [("u", 2), ("v", 3)]), Window(-8, 0)),
+                         (_bad_square({"1": QQ.one}), Window(-3, 0)),
+                         (_bad_square({"z": QQ.one}), Window(-3, 0))):
+        koszul_dual_slice(spec, window)
+    free = free_assoc(F5, [("u", 2), ("v", 3)])
+    for left in (trivial_module(free), regular_module(free)):
+        assert not bars._two_sided(left, free, regular_module(free), Window(0, 8)).table.cotables()
 
 
 # -- clearing needs d^2 = 0 first ---------------------------------------------------

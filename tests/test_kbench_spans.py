@@ -65,8 +65,11 @@ def _probe(monkeypatch, call):
 
 
 def _probe_bar(monkeypatch, spec, window):
-    """The probes on the bar of spec itself, built by bar_complex."""
-    return _probe(monkeypatch, lambda bar: bar.bar_complex(spec, window).homology_dims())
+    """The probes on the bar of spec itself, built by bar_complex, whose
+    cohomology is taken on its own matrices (its homology_dims reads a
+    connective bar's dims from the dual)."""
+    return _probe(monkeypatch, lambda bar: bar.bar_complex(spec, window).complex.cohomology(
+        representatives=False))
 
 
 def test_probes_read_the_same_sizes_on_a_fixed_bar(monkeypatch):
