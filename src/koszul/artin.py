@@ -462,7 +462,7 @@ def _cone_is_acyclic(a, fp, induced, window=None):
     """Acyclicity of the mapping cone, the quasi-isomorphism certificate."""
     field = a.field
     hull = Window(min(a.window.lo - 1, fp.window.lo),
-                  max(a.window.hi - 1, fp.window.hi)).padded(1)
+                  max(a.window.hi - 1, fp.window.hi)).padded()
     basis = {d: [("a", l) for l in a.labels(d + 1)] + [("f", l) for l in fp.labels(d)]
              for d in hull.degrees()}
 

@@ -68,17 +68,21 @@ window, so the dims (bar_homology_dims, derived_tensor_dims,
 BarSlice.homology_dims and the dual's, dual.DualSlice.homology_dims) are
 read from the side whose low end is the smaller (_homology_dims): the
 dual for a connective algebra, the bar for a coconnected one.  Neither
-is transposed.  Errors are seen only from the source side: where reading
-the tables by row drops a failed product or a misplaced term that a
-column may use, the bar is built and raises its error.  The dims of a
-bar whose certificate fails are read from the complex asked for, so that
-its matrix check names a degree of that complex.
+is transposed.  The dims of a bar whose certificate fails are read from
+the complex asked for, so that its matrix check names a degree of that
+complex.
 
-d^2 = 0 is certified from the same table, not from the matrices.  Since d
-is a coderivation, d^2 vanishes on the window once it vanishes on the
-segments of one to three letters that its chains can hold (d_A^2, the
-Leibniz defect and the associator, and the module defects of
-B(M, A, N)); see _LetterTable.certify.  A bar that passes is marked
+One more reading of the table gives d on a single chain, or on any
+segment of one (_LetterTable._segment_d): the terms of the coderivation
+above, head by head.  It serves twice.  Errors: where tabling met a
+failed product or a misplaced term that a column may use (`dropped`),
+the bar and the dual both walk the chains in the bar's order and raise
+its first error (_raise_first_error); the assembly itself keeps no
+record of errors.  And d^2 = 0 is certified from it, not from the
+matrices: since d is a coderivation, d^2 vanishes on the window once it
+vanishes on the segments of at most three units (an m, letters, a base
+element) that its chains can hold (_LetterTable.certify).  A bar that
+passes is marked
 (CochainComplexSlice.certified_by) and its cohomology skips the matrix
 check; one that fails keeps the matrix check, which finds the failure and
 raises as before.  The certificate does not see the assembly, so a sign
@@ -87,7 +91,7 @@ check on every certified bar and every natively assembled dual it builds.
 """
 
 import math
-from functools import partial
+from functools import cache
 
 from .exactla import (
     CochainComplexSlice, RefusalError, SparseMatrix, StructuralError, Window, _integral_columns,
@@ -298,11 +302,13 @@ class _LetterTable:
     b wherever [a|b] can sit inside a chain of degree in [lo, hi] (the
     chains whose differential is assembled), and act[a][n], its action on
     each listed base element n; and base_diff[n], the differential of n.
-    Each is a list of (index, scalar) pairs.  A product that fails (it
-    leaves the augmentation ideal, or the spec raises StructuralError) is
-    tabled as its StructuralError, raised only when a column uses it.
-    Terms on labels that are no listed letter or base element get indices
-    too, so that they miss every basis and are reported there.
+    Each is a list of (index, scalar) pairs; a merge that no such chain
+    holds is None.  A product that fails (it leaves the augmentation
+    ideal, or the spec raises StructuralError) is tabled as its
+    StructuralError, raised only when a column uses it.  Terms on labels
+    that are no listed letter or base element get indices too, so that
+    they miss every basis and are reported there.  Either marks the table
+    `dropped` where a column may use the entry.
 
     One routine, _block, assembles the block of a head h of shift s, on
     the chains t of its tails, for a letter a (s = s_a) and for an m of
@@ -312,16 +318,16 @@ class _LetterTable:
       d(h; t) = (dh; t) + (-1)^s (h; dt) - (-1)^s (hb; r),  t = [b|r],
 
     plus [;a.n] for a letter and t = [;n].  `scale_to_ints` then turns
-    every tabled scalar into an int, and `certify` checks d^2 = 0 on those
-    ints.  The table is built after the enumerator has listed every chain
-    the bar holds, so that every letter and base element is indexed with
-    its degree.
+    every tabled scalar into an int; `_segment_d` reads d on one chain or
+    segment from those ints, and `certify` checks d^2 = 0 with it.  The
+    table is built after the enumerator has listed every chain the bar
+    holds, so that every letter and base element is indexed with its
+    degree.
 
     The dual's columns come the same way from the tables read by row,
     built once on first use (`cotables`): `cocolumns` and one routine,
-    _coblock, for both kinds of head.  Reading by row drops the entries a
-    column of the bar would report as an error (`dropped`), where the dual
-    cannot be assembled.
+    _coblock, for both kinds of head.  Reading by row leaves out the
+    dropped entries, where the dual cannot be assembled.
     """
 
     def __init__(self, spec, enum, lo, hi, size):
@@ -333,26 +339,27 @@ class _LetterTable:
         self.memo, self.comemo = {}, {}
         # (level, shift) of B(M, A, N)'s ms as heads (see certify), set by two_sided_bar
         self.heads = None
-        # the tables read by row (cotables), and whether reading them dropped an entry
+        # the tables read by row (cotables), and whether they drop an entry (_drop)
         self.co, self.dropped = None, False
         # rows[i] is i, through the largest basis, which holds every list a
         # column lands in: one int object per row, shared by every column
         self.rows = list(range(size))
         letter, element, right, reach = enum.letter, enum.element, enum.right, enum.reach
         letters = list(zip(letter.labels, letter.degrees))
-        elements = list(element.labels)
-        self.diff = [self.lincomb({m: -c for m, c in spec.diff(x).items()}, letter)
-                     for x, _ in letters]
+        elements = list(zip(element.labels, element.degrees))
+        self.diff = [self.lincomb({m: -c for m, c in spec.diff(x).items()}, letter,
+                                  s + 1, s + reach) for x, s in letters]
         self.merge = [
-            [self.tabled(lambda x=x, y=y: _merge(spec, x, y), letter)
-             if self.reaches(sx + sy + reach, hi) else []
+            [self.tabled(lambda x=x, y=y: _merge(spec, x, y), letter, sx + sy + 1, sx + sy + reach)
+             if self.reaches(sx + sy + reach, hi) else None
              for y, sy in letters]
             for x, sx in letters]
-        self.base_diff = [self.lincomb(right.diff(n), element) for n in elements]
-        self.act = [[self.tabled(lambda x=x, n=n: right.left_act(x, n), element)
-                     for n in elements] for x, _ in letters]
-        # the letters as heads (see _block): a chain's label is its letters'
-        self.level = (letter, self.diff, self.merge, lambda a, t: (a,) + t)
+        self.base_diff = [self.lincomb(right.diff(n), element, dn + 1, dn) for n, dn in elements]
+        self.act = [[self.tabled(lambda x=x, n=n: right.left_act(x, n), element,
+                                 sx + dn + 1, sx + dn)
+                     for n, dn in elements] for x, sx in letters]
+        # the letters as heads (see _block)
+        self.level = (letter, self.diff, self.merge)
 
     def reaches(self, e, top):
         """Whether a chain of degree in [lo, top] can hold a segment whose
@@ -361,17 +368,23 @@ class _LetterTable:
         degree plus max|n| or min|n|, or |n| when it ends in n."""
         return self.lo <= e if self.connective else e <= top
 
-    def lincomb(self, lc, index):
-        """lc as a tabled list of (index(label), scalar) pairs."""
+    def lincomb(self, lc, index, degree, e):
+        """lc as a tabled list of (index(label), scalar) pairs, its terms
+        due in `degree`: where a term's label is not listed there, the
+        entry is dropped at e (`_drop`), e as in `reaches`."""
         out = [(index(m), c) for m, c in lc.items()]
+        if any(index.degrees[x] != degree for x, _ in out):
+            self._drop(e)
         self.lincombs.append(out)
         return out
 
-    def tabled(self, make, index):
-        """make() as a tabled lincomb, or the StructuralError it raised."""
+    def tabled(self, make, index, degree, e):
+        """make() as a tabled lincomb, or the StructuralError it raised,
+        dropped at e."""
         try:
-            return self.lincomb(make(), index)
+            return self.lincomb(make(), index, degree, e)
         except StructuralError as exc:
+            self._drop(e)
             return exc
 
     def scale_to_ints(self):
@@ -391,259 +404,197 @@ class _LetterTable:
         """Whether d^2 = 0 on every chain of a degree where it is checked
         (lo to hi - 2), read from the tabled ints of `scale_to_ints` alone.
 
-        d is a coderivation, so d^2 is one too: its terms on a chain are
-        those of its defects on segments of the chain, and terms from two
-        disjoint segments cancel in pairs (Loday-Vallette, Algebraic
-        Operads, 1.1 and 2.2).  For a head h (a letter, or an m of
-        B(M, A, N) when self.heads = (level, shift), level as in _block and
-        shift = max|m| or min|m|) the defects are dh^2, the Leibniz defect
-        of (h, a) and (ha)b - h(ab); at the base they are dn^2, the Leibniz
-        defect of a.n and a.(b.n) - (ab).n.  Each is checked on every
-        segment that `reaches` lo or hi - 2, an m counting as |m| - shift,
-        and must vanish exactly: its ints have scale D^2 over Q and are
-        reduced mod p over F_p.  No letter count is checked: a segment of
-        k letters that reaches has k <= max|n| - lo (connective, s_a <= -1)
-        or k <= (hi - 2 - min|n|) / g (coconnected, s_a >= g), so k is at
-        most the bar's weight cap.  A needed entry that is missing, tabled
-        as a StructuralError, or a merge the table left out (its [] is not a
-        zero product) fails the certificate, as does a nonzero defect.
+        d is a coderivation, so d^2 is one too, and it vanishes on every
+        chain once it vanishes on every segment of at most three units
+        (Loday-Vallette, Algebraic Operads, 1.1 and 2.2): an optional m of
+        B(M, A, N) as head (self.heads = (level, shift), shift = max|m| or
+        min|m|), letters, then a base element where there is no m (no
+        product joins the two, so d^2 on a segment holding both is that of
+        its pieces).  Every segment that `reaches` lo or hi - 2 is listed,
+        an m counting as |m| - shift and a segment with no base element as
+        ending in max|n| or min|n|, and only those that reach are extended,
+        as longer ones reach less.  On each, `_segment_d` is applied twice
+        and the sum must be exactly zero (ints of scale D^2 over Q, reduced
+        mod p over F_p).  A segment that reaches holds at most the bar's
+        weight cap of letters.  Where _segment_d finds no tables (None) or
+        raises a failed product, the certificate fails.
         """
-        enum, top = self.enum, self.hi - 2
-        reach, nl, nn = enum.reach, len(self.diff), len(self.base_diff)
-        letters = list(enumerate(enum.letter.degrees[:nl]))
-        by = {}  # shifted degree -> its letters
-        for a, s in letters:
-            by.setdefault(s, []).append(a)
-
-        def diff(a):
-            return self.diff[a] if a < nl else None
-
-        def merge(h, b):
-            ok = h < nl and b < nl and self.reaches(letters[h][1] + letters[b][1] + reach, self.hi)
-            return self.merge[h][b] if ok else None
-
-        def base_diff(n):
-            return self.base_diff[n] if n < nn else None
-
-        def act(a, n):
-            return self.act[a][n] if a < nl and n < nn else None
-
-        def pairs(e):
-            """The (a, b) of every segment [a|b] that reaches after e."""
-            for s1, l1 in by.items():
-                for s2, l2 in by.items():
-                    if self.reaches(e + s1 + s2, top):
-                        yield from ((a, b) for a in l1 for b in l2)
-
-        def level(index, hdiff, product, shift):
-            """The defects of the heads h, with hdiff[h] their tabled
-            differential (d(sa) or dm), as (sign, lincomb, row) parts (see
-            _vanishes)."""
-            def dh(h):
-                return hdiff[h] if h < len(hdiff) else None
-
-            for h, s in enumerate(index.degrees[:len(hdiff)]):
-                e = s - shift + reach
-                if self.reaches(e, top):
-                    yield (1, hdiff[h], dh),
-                for a, sa in letters:
-                    if self.reaches(e + sa, top):
-                        yield ((1, product(h, a), dh), (-1, hdiff[h], partial(product, b=a)),
-                               (_sign(s), diff(a), partial(product, h)))
-                for a, b in pairs(e):
-                    yield ((1, product(h, a), partial(product, b=b)),
-                           (-1, merge(a, b), partial(product, h)))
-
-        def base():
-            """The defects at the base elements n, as level's."""
-            for n, e in enumerate(enum.element.degrees[:nn]):
-                if self.reaches(e, top):
-                    yield (1, base_diff(n), base_diff),
-                for a, sa in letters:
-                    if self.reaches(sa + e, top):
-                        yield ((1, act(a, n), base_diff), (1, diff(a), partial(act, n=n)),
-                               (_sign(sa), base_diff(n), partial(act, a)))
-                for a, b in pairs(e):
-                    yield ((1, act(b, n), partial(act, a)), (-1, merge(a, b), partial(act, n=n)))
-
-        defects = [level(enum.letter, self.diff, merge, 0), base()]
+        top, reach, p = self.hi - 2, self.enum.reach, self.field.p
+        shifts = self.enum.letter.degrees
+        starts = [((), 0)]
         if self.heads is not None:
-            (index, mdiff, mact, _), shift = self.heads
-
-            def ma(h, b):
-                return mact[h][b] if h < len(mdiff) and b < nl else None
-
-            defects.append(level(index, mdiff, ma, shift))
-        return all(self._vanishes(parts) for group in defects for parts in group)
-
-    def _vanishes(self, parts):
-        """Whether the sum over parts (sign, lc, row) of sign * c * row(x),
-        for the (x, c) of lc, is zero; False when lc or a row is missing
-        (None) or failed."""
-        acc = {}
-        for sign, lc, row in parts:
-            if lc is None or isinstance(lc, StructuralError):
-                return False
-            for x, c in lc:
-                r = row(x)
-                if r is None or isinstance(r, StructuralError):
+            (index, mdiff, _), shift = self.heads
+            starts += [((h,), s - shift) for h, s in enumerate(index.degrees[:len(mdiff)])]
+        elements = list(enumerate(self.enum.element.degrees[:len(self.base_diff)]))
+        segments = []
+        grow = [(m, (), e) for m, e in starts if self.reaches(e + reach, top)]
+        for m, word, e in grow:
+            units = len(m) + len(word)
+            if units:
+                segments.append((m, word, None))
+            if units < 3:
+                segments += [(m, word, n) for n, en in elements
+                             if not m and self.reaches(e + en, top)]
+                grow += [(m, word + (a,), e + shifts[a]) for a in range(len(self.diff))
+                         if self.reaches(e + shifts[a] + reach, top)]
+        d = cache(lambda seg: self._segment_d(*seg))
+        try:
+            for seg in segments:
+                first, acc = d(seg), {}
+                if first is None:
                     return False
-                c *= sign
-                for y, e in r:
-                    acc[y] = acc.get(y, 0) + c * e
-        p = self.field.p
-        return not any(v % p for v in acc.values()) if p else not any(acc.values())
+                for term, c in first:
+                    second = d(term)
+                    if second is None:
+                        return False
+                    for t, x in second:
+                        acc[t] = acc.get(t, 0) + c * x
+                if any(v % p for v in acc.values()) if p else any(acc.values()):
+                    return False
+        except StructuralError:
+            return False
+        return True
+
+    def _segment_d(self, m, word, n):
+        """The terms of d on the segment (m; word; n) as (segment, int)
+        pairs from the tabled ints, unsummed, in the order _block reads
+        them; m is () or (h,) for an m of B(M, A, N), word a tuple of
+        letters, n a base element or None, all by index.  Each head (the m,
+        then each letter) gives its differential and its product with the
+        next unit (m.a, a merge, or a.n), with _block's signs, the tail
+        carrying (-1)^s after each head of shift s; then dn.  A failed
+        product raises its StructuralError, the leftmost first.  None where
+        an index has no tables (a label that is no listed letter, m or base
+        element) or the table left out a merge."""
+        units, k, nl = m + word, len(m), len(self.diff)
+        if (m and m[0] >= len(self.heads[0][1])) or (word and max(word) >= nl) \
+                or (n is not None and n >= len(self.base_diff)):
+            return None
+        terms, odd = [], 0  # odd: the parity of the shifts before the unit
+        for i, h in enumerate(units):
+            index, diff, product = self.heads[0] if i < k else self.level
+            s = index.degrees[h] % 2
+            for x, c in diff[h]:
+                new = units[:i] + (x,) + units[i + 1:]
+                terms.append(((new[:k], new[k:], n), -c if odd else c))
+            if i + 1 < len(units):
+                prod = product[h][units[i + 1]]
+                if prod is None:
+                    return None
+                if isinstance(prod, StructuralError):
+                    raise prod
+                for x, c in prod:
+                    new = units[:i] + (x,) + units[i + 2:]
+                    terms.append(((new[:k], new[k:], n), c if s != odd else -c))
+            elif n is not None and i >= k:
+                prod = self.act[h][n]
+                if isinstance(prod, StructuralError):
+                    raise prod
+                for x, c in prod:
+                    terms.append(((m, word[:-1], x), -c if odd else c))
+            odd ^= s
+        if n is not None:
+            for x, c in self.base_diff[n]:
+                terms.append(((m, word, x), -c if odd else c))
+        return terms
 
     def columns(self, d):
-        """The differential of chains(d) as (columns, errors).
-
-        columns[j] maps rows of chains(d + 1) to nonzero ints (in
-        [0, p) over F_p) and follows the module docstring's recursion: a
-        base element's column [;dn], then one _block per letter.
-        errors[j] = (failure, term) for a column that uses a failing
-        product (failure, its leftmost one's StructuralError) or has a term
-        outside chains(d + 1) (term, the first one's labels); a failure is
-        raised before any term is looked up, as the letters are read left
-        to right.  Memoized by d.
-        """
+        """The differential of chains(d) as int columns: columns[j] maps
+        rows of chains(d + 1) to nonzero ints (in [0, p) over F_p) and
+        follows the module docstring's recursion: a base element's column
+        [;dn], then one _block per letter.  Valid where no column uses a
+        failed product or has a term outside chains(d + 1), which
+        _raise_first_error rules out.  Memoized by d."""
         hit = self.memo.get(d)
         if hit is not None:
             return hit
-        enum = self.enum
+        enum, p = self.enum, self.field.p
         _, _, target, upper = enum.blocks(d + 1)
-        p = self.field.p
         # [;dn] and [;a.n] land on the base elements of degree d + 1, listed first
         elements = dict(zip(upper, self.rows))
         _, blocks, _, bare = enum.blocks(d)  # bare: the n of the chains [;n]
-        cols, errors = [], {}
-        for j, n in enumerate(bare):
+        cols = []
+        for n in bare:
             col = {}
             for x, c in self.base_diff[n]:
-                if x in elements:
-                    _add_run((col,), (elements[x],), c, p)
-                else:
-                    errors.setdefault(j, (None, enum.end(x)))
+                _add_run((col,), (elements[x],), c, p)
             cols.append(col)
         for a, s, _ in blocks:
-            self._block(cols, errors, self.level, a, s, d, target, self.act[a], elements)
-        hit = self.memo[d] = (cols, errors)
-        return hit
+            self._block(cols, self.level, a, s, d, target, self.act[a], elements)
+        self.memo[d] = cols
+        return cols
 
-    def _block(self, cols, errors, level, h, s, d, target, act=None, elements=None):
+    def _block(self, cols, level, h, s, d, target, act=None, elements=None):
         """Append to cols the columns of head h's block in the list of
-        degree d, and their errors to errors (as in columns): (h; t) for
-        the chains t of chains(d - s).  level = (index, diff, merge,
-        name) holds the heads' _Labels, their tabled differentials and
-        products with each letter, and name(head label, tail labels), the
-        label of (h; t).  target maps a head to its block's offset in the
-        list of degree d + 1.  A letter also passes act, its tabled a.n,
-        and elements, the row of each base element of degree d + 1."""
+        degree d (as in columns): (h; t) for the chains t of chains(d - s).
+        level = (index, diff, merge) holds the heads' _Labels, their tabled
+        differentials and their products with each letter.  target maps a
+        head to its block's offset in the list of degree d + 1.  A letter
+        also passes act, its tabled a.n, and elements, the row of each base
+        element of degree d + 1."""
         enum, rows, p = self.enum, self.rows, self.field.p
-        index, diff, merge, name = level
-        labels, degrees = index.labels, index.degrees
-        tails, tail_errors = self.columns(d - s)
+        _, diff, merge = level
+        tails = self.columns(d - s)
         _, tail_blocks, _, tail_bare = enum.blocks(d - s)
         # (-1)^s (h; dt): the tail's target is the block of h in the list of
         # degree d + 1, absent only when every tail column is empty
         base = target.get(h)
         block = _moved(tails, () if base is None else
                        rows[base:base + enum.blocks(d + 1 - s)[0]], s % 2, p)
-        # tail position -> its first failing product, its first term outside the target
-        failed, outside = {}, {}
         # (dh; t): t keeps its position, in the block of each term of dh
         for x, c in diff[h]:
-            at = target.get(x) if degrees[x] == s + 1 else None
-            if at is None:
-                for i, t in enumerate(enum.label_chains(d - s)):
-                    outside.setdefault(i, name(labels[x], t))
-                continue
+            at = target[x]
             _add_run(block, rows[at:at + len(block)], c, p)
         # [;h.n], for t = [;n]: the tails' base elements come first
         for i, n in enumerate(tail_bare if act else ()):
-            prod = act[n]
-            if isinstance(prod, StructuralError):
-                failed[i] = prod
-                continue
-            for x, c in prod:
-                if x in elements:
-                    _add_run(block[i:i + 1], (elements[x],), c, p)
-                else:
-                    outside.setdefault(i, enum.end(x))
-        # -(-1)^s (hb; r), for t = [b|r]: one run per block b of the tails
+            for x, c in act[n]:
+                _add_run(block[i:i + 1], (elements[x],), c, p)
+        # -(-1)^s (hb; r), for t = [b|r]: one run per block b of the tails;
+        # r keeps its position, in the block of each term of hb
         for b, sb, off_b in tail_blocks:
-            prod = merge[h][b]
             n = enum.blocks(d - s - sb)[0]
-            if isinstance(prod, StructuralError):
-                failed.update(dict.fromkeys(range(off_b, off_b + n), prod))
-                continue
-            if not prod:
-                continue
-            # r keeps its position, in the block of each term of hb
-            for x, c in prod:
-                at = target.get(x) if degrees[x] == s + sb + 1 else None
-                if at is None:
-                    for i, r in enumerate(enum.label_chains(d - s - sb), off_b):
-                        outside.setdefault(i, name(labels[x], r))
-                    continue
+            for x, c in merge[h][b]:
+                at = target[x]
                 _add_run(block[off_b:off_b + n], rows[at:at + n],
                          c if s % 2 else _neg(c, p), p)
-        # errors: the head's failing product, else the tail's (the leftmost
-        # one), and the head's term outside the target, else the tail's
-        for i in failed.keys() | outside.keys() | tail_errors.keys():
-            tail_failure, tail_term = tail_errors.get(i, (None, None))
-            term = outside.get(i)
-            if term is None and tail_term is not None:
-                term = name(labels[h], tail_term)
-            errors[len(cols) + i] = (failed.get(i) or tail_failure, term)
         cols += block
 
     def cotables(self):
         """Build the tables read by row once, as self.co = (the letters'
         `transposed`, cobase, coact, the ms' `transposed` or None), and
-        return `dropped`: whether reading them left out a failed product, or
-        a term on a label that is not listed in the degree it must have, in
-        an entry that a column of the bar may use.  Where one did, the bar
-        must be built to raise its error, if a column uses the entry."""
+        return `dropped`."""
         if self.co is None:
-            heads = self.heads and self.transposed(*self.heads)
+            heads = self.heads and self.transposed(self.heads[0])
             self.co = (self.transposed(self.level), *self._transposed_base(), heads)
         return self.dropped
 
     def _drop(self, e):
-        """Note an entry left out of the tables read by row, used only by
-        the chains of degree e or beyond it (as in `reaches`): it counts
-        (`dropped`) where such a chain has a column, its degree in [lo,
-        hi - 1]."""
+        """Note a failed product or a term on a label not listed in its
+        degree, which the tables read by row leave out, in an entry used
+        only by the chains of degree e or beyond it (as in `reaches`): the
+        table is `dropped` where such a chain may have a column (degree in
+        [lo, hi - 1]), and the bar may hold an error."""
         self.dropped = self.dropped or self.reaches(e, self.hi - 1)
 
-    def transposed(self, level, shift=0):
+    def transposed(self, level):
         """level's tables read by row, for `_coblock`: (degrees, codiff,
         comerge), codiff[x] listing the (g, c) with c x a term of diff[g]
         and comerge[x] the (g, b, c) with c x a term of -(-1)^{s_g}
         merge[g][b], s_g = degrees[g].  A term is kept only where x has the
-        degree it must have, and a failed product is left out (`_drop`, a
-        head g counting as s_g - shift, as in certify)."""
-        index, diff, merge, _ = level
+        degree it must have, and a failed product is left out (`_drop`)."""
+        index, diff, merge = level
         degrees, shifts, p = index.degrees, self.enum.letter.degrees, self.field.p
-        reach = self.enum.reach
         codiff, comerge = [[] for _ in diff], [[] for _ in diff]
         for g, (lc, row) in enumerate(zip(diff, merge)):
             s = degrees[g]
-            e = s - shift + reach
             for x, c in lc:
                 if degrees[x] == s + 1:
                     codiff[x].append((g, c))
-                else:
-                    self._drop(e)
             for b, prod in enumerate(row):
-                if isinstance(prod, StructuralError):
-                    self._drop(e + shifts[b])
-                    continue
-                for x, c in prod:
+                # a failed product, or None: left out of the table
+                for x, c in prod if isinstance(prod, list) else ():
                     if degrees[x] == s + shifts[b] + 1:
                         comerge[x].append((g, b, c if s % 2 else _neg(c, p)))
-                    else:
-                        self._drop(e + shifts[b])
         return degrees, codiff, comerge
 
     def cocolumns(self, f):
@@ -651,8 +602,8 @@ class _LetterTable:
         maps rows of chains(f - 1) to nonzero ints and is (-1)^f times row
         j of the bar's differential leaving degree f - 1.  A base element's
         column holds the transposed [;dn] and [;a.n], then one _coblock per
-        letter.  Valid once `cotables` has run and found nothing `dropped`
-        that a column uses.  Memoized by f."""
+        letter.  Valid once `cotables` has run, where no column uses a
+        dropped entry.  Memoized by f."""
         hit = self.comemo.get(f)
         if hit is not None:
             return hit
@@ -686,19 +637,11 @@ class _LetterTable:
             for x, c in lc:
                 if degrees[x] == degrees[n] + 1:
                     cobase[x].append((n, c))
-                else:
-                    self._drop(degrees[n])
         for a, row in enumerate(self.act):
             for n, prod in enumerate(row):
-                e = shifts[a] + degrees[n]
-                if isinstance(prod, StructuralError):
-                    self._drop(e)
-                    continue
-                for x, c in prod:
-                    if degrees[x] == e + 1:
+                for x, c in prod if isinstance(prod, list) else ():
+                    if degrees[x] == shifts[a] + degrees[n] + 1:
                         coact[x].append((a, n, c))
-                    else:
-                        self._drop(e)
         return cobase, coact
 
     def _coblock(self, cols, colevel, h, s, f, target):
@@ -767,11 +710,6 @@ def _neg(c, p):
     return -c if p is None else p - c
 
 
-def _sign(k):
-    """(-1)^k, an int."""
-    return -1 if k % 2 else 1
-
-
 def _merge(spec, x, y):
     lc = spec.mult(x, y)
     if spec.unit in lc:
@@ -821,37 +759,53 @@ class _Chains:
     its padded one (degree -> labels), the int scale of its tables, its
     weight cap (the most letters a chain has), its letter table and whether
     that passed the certificate.  columns(d) and cocolumns(d) are the bar's
-    columns on degree d with their errors and the dual's columns there:
-    _LetterTable's for the reduced bar, whose chains are its basis, and per
-    m for B(M, A, N)."""
+    columns on degree d and the dual's columns there: _LetterTable's for
+    the reduced bar, whose chains are its basis, and per m for B(M, A, N).
+    segment(label) is a chain as the (m, word, n) of indices that
+    _LetterTable._segment_d reads, and label(segment) the label of one of
+    its terms."""
 
     def __init__(self, spec, window, basis, table, scale, certified, columns, cocolumns,
-                 left=None, right=None):
-        self.spec, self.window, self.padded = spec, window, window.padded(1)
+                 segment, label, left=None, right=None):
+        self.spec, self.window, self.padded = spec, window, window.padded()
         self.basis, self.table, self.scale, self.certified = basis, table, scale, certified
         self.columns, self.cocolumns = columns, cocolumns
+        self.segment, self.label = segment, label
         self.left, self.right = left, right
         # the chains of degree lo (connective) or hi (coconnected) hold the most letters
         self.cap = table.enum.most_letters(table.lo if table.connective else table.hi)
 
 
-def _bar_slice(chains):
-    """The BarSlice whose differential leaving degree d is columns(d), 1/scale
-    times its int columns; the first column with errors raises its failure,
-    else its term outside the basis, as complex_from_labels would.  When
-    certified (its letter table's certificate passed) the complex is
-    marked so, and cohomology() skips the matrix check of d^2 = 0."""
-    field, basis, padded = chains.spec.field, chains.basis, chains.padded
-    diffs = {}
+def _raise_first_error(chains):
+    """Raise the bar's first error, if any, as complex_from_labels would:
+    the chains of each degree whose differential is assembled are walked
+    in listing order, _segment_d raising a chain's leftmost failed product,
+    else its first term outside the next degree's basis is raised.  The
+    bar and its dual call this where the table is `dropped`."""
+    table, basis, padded = chains.table, chains.basis, chains.padded
     for d, labels in basis.items():
         if labels and d + 1 in padded:
-            cols, errors = chains.columns(d)
-            if errors:
-                j = min(errors)
-                failure, term = errors[j]
-                raise failure or StructuralError(
-                    f"d({labels[j]!r}) has term {term!r} outside the degree {d + 1} basis")
-            diffs[d] = SparseMatrix.from_int_columns(field, len(basis[d + 1]), cols, chains.scale)
+            upper = set(basis[d + 1])
+            for label in labels:
+                for term, _ in table._segment_d(*chains.segment(label)):
+                    term = chains.label(term)
+                    if term not in upper:
+                        raise StructuralError(
+                            f"d({label!r}) has term {term!r} outside the degree {d + 1} basis")
+
+
+def _bar_slice(chains):
+    """The BarSlice whose differential leaving degree d is columns(d), 1/scale
+    times its int columns, once _raise_first_error has ruled out the bar's
+    errors.  When certified (its letter table's certificate passed) the
+    complex is marked so, and cohomology() skips the matrix check of
+    d^2 = 0."""
+    field, basis, padded = chains.spec.field, chains.basis, chains.padded
+    if chains.table.dropped:
+        _raise_first_error(chains)
+    diffs = {d: SparseMatrix.from_int_columns(
+                 field, len(basis[d + 1]), chains.columns(d), chains.scale)
+             for d, labels in basis.items() if labels and d + 1 in padded}
     complex_ = CochainComplexSlice(field, padded, basis, diffs)
     if chains.certified:
         complex_.certified_by = "letters"
@@ -865,12 +819,11 @@ def _cobar_slice(chains):
     the transpose of the bar's leaving d - 1.  It is marked certified
     ("transpose") when the bar's letter table passed its certificate.
 
-    The dual sees no error of the bar's columns: where reading the tables
-    by row dropped an entry that a column may use (_LetterTable.cotables),
-    the bar is built, and raises the first error in its order, if any."""
+    The dual's columns see no error of the bar's: where the letter table
+    is `dropped`, _raise_first_error raises the bar's first error, if any."""
     basis, padded = chains.basis, chains.padded
     if chains.table.cotables():
-        _bar_slice(chains)
+        _raise_first_error(chains)
     field = chains.spec.field
     diffs = {-d: SparseMatrix.from_int_columns(
                  field, len(basis[d - 1]), chains.cocolumns(d), chains.scale)
@@ -911,14 +864,16 @@ def _homology_dims(chains, bar=None, dual=None):
 
 def _reduced(spec, window):
     """The _Chains of the reduced bar of spec over the padded window."""
-    padded = window.padded(1)
+    padded = window.padded()
     regime = _regime(spec, padded)
     enum = _ChainEnumerator(spec, regime)
     basis = {d: enum.label_chains(d) for d in padded.degrees()}
     table = _LetterTable(spec, enum, padded.lo, padded.hi, max(map(len, basis.values())))
     scale = table.scale_to_ints()
+    letter = enum.letter
     return _Chains(spec, window, basis, table, scale, table.certify(), table.columns,
-                   table.cocolumns)
+                   table.cocolumns, lambda word: ((), tuple(map(letter.index.get, word)), None),
+                   lambda seg: tuple(letter.labels[a] for a in seg[1]))
 
 
 def bar_complex(spec, window):
@@ -942,7 +897,7 @@ def bar_homology_dims(spec, window):
 def dual_complex(spec, window):
     """(complex, chains) of the Koszul dual of spec on window: the dual of
     the reduced bar on the mirrored window, assembled natively
-    (_cobar_slice) on window.padded(1), its labels the bar's words, and
+    (_cobar_slice) on window.padded(), its labels the bar's words, and
     that bar's _Chains."""
     chains = _reduced(spec, window.mirrored())
     return _cobar_slice(chains), chains
@@ -955,7 +910,7 @@ def dual_complex(spec, window):
 def _two_sided(left, spec, right, window):
     """The _Chains of B(left, spec, right) over the padded window (see
     two_sided_bar)."""
-    padded = window.padded(1)
+    padded = window.padded()
     regime = _regime(spec, padded)
     connective = regime[0] == "connective"
     bound = "max_degree" if connective else "min_degree"
@@ -991,23 +946,28 @@ def _two_sided(left, spec, right, window):
         basis[d] = labels
 
     table = _LetterTable(spec, enum, lo, hi, max(map(len, basis.values())))
-    # the ms as heads (see _LetterTable._block): dm, m.a and the labels
-    # (m, word, n).  ms is a copy, as lincomb indexes terms outside M's basis
-    ms, letters = list(lindex.labels), enum.letter.labels[:len(table.diff)]
-    level = (lindex, [table.lincomb(left.diff(m), lindex) for m in ms],
-             [[table.tabled(lambda m=m, x=x: left.right_act(m, x), lindex) for x in letters]
-              for m in ms],
-             lambda m, t: (m, t[:-1], t[-1]))
+    # the ms as heads (see _LetterTable._block): dm and m.a, an m counting
+    # as |m| - shift in `reaches`.  ms is a copy, as lincomb indexes terms
+    # outside M's basis
+    letter, element = enum.letter, enum.element
+    shift, reach = left.max_degree if connective else left.min_degree, enum.reach
+    ms = list(zip(lindex.labels, lindex.degrees))
+    letters = list(zip(letter.labels, letter.degrees))[:len(table.diff)]
+    level = (lindex, [table.lincomb(left.diff(m), lindex, dm + 1, dm - shift + reach)
+                      for m, dm in ms],
+             [[table.tabled(lambda m=m, x=x: left.right_act(m, x), lindex,
+                            dm + sx + 1, dm + sx - shift + reach) for x, sx in letters]
+              for m, dm in ms])
     scale = table.scale_to_ints()
-    table.heads = (level, left.max_degree if connective else left.min_degree)
+    table.heads = (level, shift)
 
     def columns(d):
         """The columns of degree d: one block per m, (m; c) for the chains c
         of degree d - |m|."""
-        cols, errors = [], {}
+        cols = []
         for mi in offsets[d]:
-            table._block(cols, errors, level, mi, lindex.degrees[mi], d, offsets[d + 1])
-        return cols, errors
+            table._block(cols, level, mi, lindex.degrees[mi], d, offsets[d + 1])
+        return cols
 
     def cocolumns(d):
         """The dual's columns of degree d, one _coblock per m."""
@@ -1016,8 +976,16 @@ def _two_sided(left, spec, right, window):
             table._coblock(cols, table.co[3], mi, lindex.degrees[mi], d, offsets[d - 1])
         return cols
 
+    def segment(label):
+        m, word, n = label
+        return (lindex.index[m],), tuple(map(letter.index.get, word)), element.index[n]
+
+    def label(seg):
+        (m,), word, n = seg
+        return lindex.labels[m], tuple(letter.labels[a] for a in word), element.labels[n]
+
     return _Chains(spec, window, basis, table, scale, table.certify(), columns, cocolumns,
-                   left, right)
+                   segment, label, left, right)
 
 
 def two_sided_bar(left, spec, right, window):

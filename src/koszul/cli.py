@@ -304,11 +304,10 @@ def _engine_key():
     return f"{__version__}+{h.hexdigest()}"
 
 
-def _emit(report, duration, stream=None):
+def _emit(report, duration):
     out = dict(report)
     out["duration_seconds"] = round(duration, 6)
-    (stream or sys.stdout).write(
-        json.dumps(out, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +389,7 @@ def cmd_ext(args, field, handles):
 def cmd_bidual(args, field, handles):
     handle = handles[0]
     bidual = bidual_cohomology(handle.spec, args.window)
-    inner = algebra_slice(handle.spec, args.window.padded(1))
+    inner = algebra_slice(handle.spec, args.window.padded())
     input_dims = inner.cohomology(representatives=False).dims
     agree = all(bidual.get(d, 0) == input_dims.get(d, 0)
                 for d in args.window.degrees())
@@ -409,7 +408,7 @@ def cmd_tensor(args, field, handles):
     result = {"derived_dims": _dims_list(derived, args.window)}
     if args.strict_via_kos is not None:
         kos = koszul_complex(field, args.strict_via_kos)
-        strict = strict_tensor(kos, args.window.padded(1))
+        strict = strict_tensor(kos, args.window.padded())
         strict_dims = strict.cohomology(representatives=False).dims
         result["strict_dims"] = _dims_list(strict_dims, args.window)
         result["strict_matches_derived"] = all(

@@ -624,7 +624,7 @@ def full_cohomology(fdga, representatives=True):
     complete."""
     if not fdga.complete:
         raise RefusalError("full_cohomology needs a complete slice")
-    padded = fdga.window.padded(1)
+    padded = fdga.window.padded()
     slice_ = CochainComplexSlice(fdga.field, padded, fdga.basis, fdga.complex().diff)
     return slice_.cohomology(representatives=representatives)
 

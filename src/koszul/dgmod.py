@@ -493,7 +493,7 @@ def rhom_from_k_dims(mod, window):
     if act is None:
         act = lambda a, m: mod.right_act(m, a)
 
-    padded = window.padded(1)
+    padded = window.padded()
     basis = {d: [("x", m) for m in mod.basis(d)] + [("y", m) for m in mod.basis(d + g - 1)]
              for d in padded.degrees()}
 

@@ -149,7 +149,7 @@ def bidual_cohomology(spec, window):
     cohomology to sit in degrees >= 2, anything in degrees <= 1 makes the
     outer weight filtration non-stabilizing.
     """
-    outer_bar_window = window.mirrored().padded(1)
+    outer_bar_window = window.mirrored().padded()
     inner_hi = max(3, outer_bar_window.hi + 2)
     inner = koszul_dual_slice(spec, Window(-2, inner_hi))
 

@@ -661,8 +661,8 @@ class Window:
     def interior(self):
         return range(self.lo + 1, self.hi)
 
-    def padded(self, k=1):
-        return Window(self.lo - k, self.hi + k)
+    def padded(self):
+        return Window(self.lo - 1, self.hi + 1)
 
     def mirrored(self):
         return Window(-self.hi, -self.lo)

@@ -305,7 +305,7 @@ def test_criterion_10b_truncation_stability():
     for n in (1, 2, 3):
         spec = square_zero(QQ, n)
         w = Window(-4, 1)
-        inner_window = Window(-2, max(3, w.mirrored().padded(1).hi + 2))
+        inner_window = Window(-2, max(3, w.mirrored().padded().hi + 2))
         _dual_stable(spec, inner_window)
         assert _on(bidual_cohomology(spec, Window(-6, 1)), w) == bidual_cohomology(spec, w)
     ok("10b", "widening each window by two degrees on the side that raises "

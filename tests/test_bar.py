@@ -81,7 +81,7 @@ def test_both_bars_and_the_dual_report_the_longest_chain(window, cap):
     for words in (reduced.basis.values(), dual.algebra.complex().basis.values(),
                   [[w for _, w, _ in labels] for labels in two.basis.values()]):
         assert max(len(w) for ws in words for w in ws) == cap
-    assert weight_bound(u3, window.padded(1)) == cap + 1
+    assert weight_bound(u3, window.padded()) == cap + 1
 
 
 def test_divergent_inputs_refused_with_degrees():
@@ -182,11 +182,11 @@ def test_truncation_stability():
     # cap (down when connective, up when coconnected) changes no dimension
     spec = square_zero(QQ, 1)
     w, wide = Window(-4, 0), Window(-6, 0)
-    assert weight_bound(spec, wide.padded(1)) == weight_bound(spec, w.padded(1)) + 2
+    assert weight_bound(spec, wide.padded()) == weight_bound(spec, w.padded()) + 2
     assert _degrees(bar_homology_dims(spec, wide), w) == bar_homology_dims(spec, w)
     spec2 = free_assoc(QQ, [("u", 2)])
     w2, wide2 = Window(0, 4), Window(0, 6)
-    assert weight_bound(spec2, wide2.padded(1)) == weight_bound(spec2, w2.padded(1)) + 2
+    assert weight_bound(spec2, wide2.padded()) == weight_bound(spec2, w2.padded()) + 2
     assert _degrees(bar_homology_dims(spec2, wide2), w2) == bar_homology_dims(spec2, w2)
 
 

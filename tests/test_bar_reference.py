@@ -162,7 +162,7 @@ def _rebased_cubic(field):
 def _bidual_inner_spec(spec, window):
     """The dual-as-spec that bidual_cohomology(spec, window) feeds to the
     outer bar."""
-    outer_bar_window = window.mirrored().padded(1)
+    outer_bar_window = window.mirrored().padded()
     inner = koszul_dual_slice(spec, Window(-2, max(3, outer_bar_window.hi + 2)))
     return inner.as_spec()
 
@@ -191,6 +191,28 @@ def test_bar_matches_the_plain_assembly(make, window):
     spec = make()
     built = bar_complex(spec, window)
     _assert_same_complex(built.complex, _reference_bar(spec, built))
+
+
+def _assert_segment_d_is_the_assembly(chains):
+    """_segment_d's terms on each chain of an assembled degree, summed by
+    row (mod p over F_p), are the bar's column entry for entry: the
+    certificate and the error walk read d with the assembly's signs."""
+    p = chains.spec.field.p
+    for d, labels in chains.basis.items():
+        if labels and d + 1 in chains.padded:
+            rows = {label: i for i, label in enumerate(chains.basis[d + 1])}
+            for label, column in zip(labels, chains.columns(d)):
+                summed = {}
+                for term, c in chains.table._segment_d(*chains.segment(label)):
+                    row = rows[chains.label(term)]
+                    summed[row] = summed.get(row, 0) + c
+                assert {i: x % p if p else x for i, x in summed.items()
+                        if (x % p if p else x)} == column
+
+
+@pytest.mark.parametrize("make, window", BARS)
+def test_segment_d_sums_to_the_bar_columns(make, window):
+    _assert_segment_d_is_the_assembly(bars._reduced(make(), window))
 
 
 @pytest.mark.parametrize("make, window", BARS)
@@ -263,6 +285,13 @@ def test_two_sided_bar_matches_the_plain_assembly(make, left, right, window):
     _assert_clearing_agrees(built.complex)
 
 
+@pytest.mark.parametrize("make, left, right, window", TWO_SIDED)
+def test_segment_d_sums_to_the_two_sided_bar_columns(make, left, right, window):
+    spec = make()
+    modules = {"k": trivial_module(spec), "reg": regular_module(spec)}
+    _assert_segment_d_is_the_assembly(bars._two_sided(modules[left], spec, modules[right], window))
+
+
 # -- the dual, assembled natively ------------------------------------------------
 
 
@@ -319,6 +348,15 @@ def test_the_native_dual_of_the_two_sided_bar_is_its_signed_transpose(
     _assert_native_is_the_signed_transpose(chains)
     dims = bars._bar_slice(chains).homology_dims()
     assert derived_tensor_dims(modules[left], spec, modules[right], window) == dims
+
+
+@pytest.mark.parametrize("left, right", [("k", "k"), ("k", "reg"), ("reg", "k"), ("reg", "reg")])
+@pytest.mark.parametrize("field", [QQ, F5, F32003], ids=["Q", "F5", "F32003"])
+@pytest.mark.parametrize("make, window", NATIVE_TWO_SIDED)
+def test_segment_d_sums_to_the_columns_of_every_two_sided_bar(make, window, field, left, right):
+    spec = make(field)
+    modules = {"k": trivial_module(spec), "reg": regular_module(spec)}
+    _assert_segment_d_is_the_assembly(bars._two_sided(modules[left], spec, modules[right], window))
 
 
 # -- no truncation: every chain of each degree is listed ---------------------------
@@ -466,7 +504,7 @@ def _every_answer_raises(message, spec, window, left=None, right=None):
     """The bar on window, its dims and the dual on the mirrored window (or
     B(left, spec, right) and its dims) all raise the bar's StructuralError:
     where a column the bar assembles has an error, the dims and the dual
-    build the bar."""
+    walk the bar's chains for it, as the bar does."""
     if left is None:
         calls = (lambda: bar_complex(spec, window), lambda: bar_homology_dims(spec, window),
                  lambda: koszul_dual_slice(spec, window.mirrored()))
@@ -510,6 +548,38 @@ def test_bad_merges_are_reported_only_where_a_column_uses_them(product, message)
     assert bar_homology_dims(spec, Window(0, 3)) == {0: 1, 1: 0, 2: 1, 3: 0}
     assert dual_cohomology_dims(spec, Window(-3, 0)) == {0: 1, -1: 0, -2: 1, -3: 0}
     _every_answer_raises(message, spec, Window(0, 4))
+
+
+def _unit_square():
+    """k + k.e with |e| = -2 and e*e = 1: the merge e*e fails, and the word
+    [e|e] sits in degree -6, [e|e|e] in degree -9."""
+    one = QQ.one
+
+    def mult(a, b):
+        if a == "1":
+            return {b: one}
+        return {a: one} if b == "1" else {"1": one}
+
+    return DgAlgebraSpec(
+        QQ, "unit square", basis=lambda d: {0: ("1",), -2: ("e",)}.get(d, ()),
+        degree=lambda l: 0 if l == "1" else -2, diff=lambda l: {}, mult=mult,
+        unit="1", aug=lambda l: one if l == "1" else QQ.zero, min_degree=-2, max_degree=0)
+
+
+def test_a_flagged_entry_that_no_column_uses_is_not_raised():
+    """The table flags e*e on these windows, as a column of a degree in
+    the padded window could hold [e|e], but no chain of a degree whose
+    differential is assembled holds it: on [-7, -7] the padded window
+    [-8, -6] holds [e|e] only in its top, and on [-10, -10] [e|e|e] sits
+    in the top of [-11, -9].  The walk of the chains finds no error, and
+    every answer is 0.  On [-8, -5] the column of [e|e] uses e*e."""
+    spec = _unit_square()
+    for window in (Window(-7, -7), Window(-10, -10)):
+        assert bars._reduced(spec, window).table.cotables()
+        assert bar_complex(spec, window).homology_dims() == {window.lo: 0}
+        assert bar_homology_dims(spec, window) == {window.lo: 0}
+        assert dual_cohomology_dims(spec, window.mirrored()) == {-window.lo: 0}
+    _every_answer_raises(r"merge 'e'\*'e' leaves the augmentation ideal", spec, Window(-8, -5))
 
 
 def test_bad_merge_is_reported_by_the_two_sided_bar():

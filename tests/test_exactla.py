@@ -36,6 +36,8 @@ def test_prime_field_basics():
     assert f.parse("10") == 3
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
+    # a fraction is read as the quotient in F_p: 3/2 = 3 * 3 = 4 in F_5
+    assert Field(5).parse("3/2") == 4
 
 
 def test_composite_characteristic_rejected():
@@ -486,6 +488,12 @@ def test_complex_validate_and_cohomology():
     (h1,) = rep.representatives[1]
     assert set(h0) == {0}
     assert set(h1) == {1}
+    # dim: an interior degree's, a refusal at the window's boundary, and 0
+    # outside the window
+    assert rep.dim(0) == 1
+    with pytest.raises(RefusalError, match="degree 2 is at the window boundary"):
+        rep.dim(2)
+    assert rep.dim(5) == 0
 
 
 def test_complex_d_squared_enforced():

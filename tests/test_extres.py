@@ -14,7 +14,7 @@ from koszul.dga import (
 from koszul.dual import dual_cohomology_dims
 from koszul.extres import minimal_resolution, ext_dims
 from koszul.artin import (
-    k_slice, unit_inclusion, augmentation_map, homotopy_fiber_product,
+    k_slice, unit_inclusion, augmentation_map, homotopy_fiber_product, is_artin,
 )
 
 
@@ -39,6 +39,21 @@ def xyz_table(field, order):
     return finite_dga_from_tables(
         field, Window(0, 0), {0: labels}, diff={}, mult_table=mult,
         unit="1", aug={"1": one}, complete=True, name="xyz")
+
+
+def test_a_letter_with_a_differential_enters_the_resolution():
+    """A = k{1, t, s}, |t| = -1, |s| = -2, ds = t and every product of t and
+    s zero: acyclic above k, so Ext_A(k, k) = k, and the resolution's
+    differential has the d(a) term of a (x) g for a = s."""
+    one = QQ.one
+    mult = {("1", l): {l: one} for l in ("1", "t", "s")}
+    mult.update({(l, "1"): {l: one} for l in ("t", "s")})
+    cone = finite_dga_from_tables(
+        QQ, Window(-2, 0), {-2: ("s",), -1: ("t",), 0: ("1",)}, diff={"s": {"t": one}},
+        mult_table=mult, unit="1", aug={"1": one}, complete=True, name="cone")
+    assert cone.validate().ok
+    assert is_artin(cone).verdict
+    assert ext_dims(cone, Window(0, 3)) == {0: 1, 1: 0, 2: 0, 3: 0}
 
 
 def test_resolution_of_k_is_a_single_generator():
