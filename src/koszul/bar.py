@@ -418,6 +418,16 @@ class _LetterTable:
         mod p over F_p).  A segment that reaches holds at most the bar's
         weight cap of letters.  Where _segment_d finds no tables (None) or
         raises a failed product, the certificate fails.
+
+        A segment (m; word; n) is left out when n is inert: dn = 0 and
+        a.n = 0 for every tabled letter a (k's unit, on a reduced bar).
+        Then the only terms of _segment_d that touch n are zero, so d on
+        (m; word; n) is d on (m; word) with n carried along, term by term,
+        and d^2 on it is the d^2 of (m; word), which is listed whenever it
+        has a unit (it reaches wherever (m; word; n) does), and is empty
+        when it has none.  A failed product or a missing table met on it
+        is met on (m; word) too, as a.n, the one product it lacks, is a
+        tabled zero.
         """
         top, reach, p = self.hi - 2, self.enum.reach, self.field.p
         shifts = self.enum.letter.degrees
@@ -425,7 +435,8 @@ class _LetterTable:
         if self.heads is not None:
             (index, mdiff, _), shift = self.heads
             starts += [((h,), s - shift) for h, s in enumerate(index.degrees[:len(mdiff)])]
-        elements = list(enumerate(self.enum.element.degrees[:len(self.base_diff)]))
+        elements = [(n, en) for n, en in enumerate(self.enum.element.degrees[:len(self.base_diff)])
+                    if self.base_diff[n] or any(act[n] != [] for act in self.act)]
         segments = []
         grow = [(m, (), e) for m, e in starts if self.reaches(e + reach, top)]
         for m, word, e in grow:

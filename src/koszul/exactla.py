@@ -10,12 +10,13 @@ A SparseMatrix is stored as integer columns: over F_p its entries, over Q
 1/D times integer columns for one least denominator D per matrix.  Bar
 and dual assembly (koszul.bar builds the integer columns of each bar, and
 of its dual, block by block and hands them to
-SparseMatrix.from_int_columns), the d^2 check and the elimination
-(SpanTracker) never do Fraction arithmetic.  Over F_p the loops reduce
-mod a local p.  A tracked elimination keeps monic pivots, since each
-combo is scaled with its pivot; an untracked one (the dims-only ranks)
-stores each pivot raw, with the inverse of its lead, so no pivot is
-rebuilt just to be monic.
+SparseMatrix.from_int_columns), the stages of a resolution (koszul.extres,
+which reads its cycles from SparseMatrix.int_kernel), the d^2 check and
+the elimination (SpanTracker) never do Fraction arithmetic.  Over F_p
+the loops reduce mod a local p.  A tracked elimination keeps monic
+pivots, since each combo is scaled with its pivot; an untracked one (the
+dims-only ranks) stores each pivot raw, with the inverse of its lead, so
+no pivot is rebuilt just to be monic.
 The class trackers behind representatives are seeded with raw pivots,
 and SpanTracker.as_boundaries, the one place that does so, makes them
 monic.  Over Q a vector is scaled by the lcm of its denominators (a
@@ -577,10 +578,24 @@ class SparseMatrix:
         reduce to zero, so the tracker is the one the full elimination
         leaves, and kernel lacks exactly the skipped columns' vectors.
         """
-        field = self.field
-        tracker = SpanTracker(field, track)
+        tracker, kernel = self._eliminate(track, skip)
+        if track and self.field.p is None:
+            kernel = [{i: Fraction(x, s) for i, x in z.items()} for z, s in kernel]
+        elif track:
+            kernel = [z for z, _ in kernel]
+        return tracker, kernel
+
+    def int_kernel(self):
+        """The kernel basis of `nullspace_basis` in ints, as (z, s) pairs:
+        the vector of column j is z / s over Q, with s = z[j] > 0, and z
+        itself (ints mod p, s = 1) over F_p."""
+        return self._eliminate(True, ())[1]
+
+    def _eliminate(self, track, skip):
+        """`eliminate`, each kernel vector as its (z, s) of `int_kernel`."""
+        tracker = SpanTracker(self.field, track)
         kernel = [] if track else None
-        scale = self.scale
+        scale, p = self.scale, self.field.p
         for j, col in enumerate(self.int_columns):
             if j in skip:
                 continue
@@ -588,10 +603,12 @@ class SparseMatrix:
             if w:
                 tracker._add_pivot(lead, w, combo, s, scale, j)
             elif track:
-                v = {j: field.one}
-                for t, c in tracker._leave(w, combo, s)[1].items():
-                    v[t] = field.neg(c)
-                kernel.append(v)
+                # s * column j = sum(combo[t] * column t) in the integer
+                # columns; s = scale = 1 over F_p
+                z = {j: s}
+                for t, c in combo.items():
+                    z[t] = -c * scale % p if p else -c * scale
+                kernel.append((z, s))
         return tracker, kernel
 
     def rank(self):
@@ -704,7 +721,6 @@ class CochainComplexSlice:
                     f"expected {nd1}x{nd}")
             if not m.is_zero():
                 self.diff[d] = m
-        self._index = {}  # degree -> label -> position, built by vector()
         # what established d^2 = 0 without the matrix check: "letters" (a
         # bar's letter table), "transpose" (the dual assembled from such a
         # table), or None
@@ -715,19 +731,6 @@ class CochainComplexSlice:
 
     def dims(self):
         return {d: len(b) for d, b in sorted(self.basis.items())}
-
-    def vector(self, d, terms):
-        """Index vector of the sum of (label, scalar) terms, every label in
-        the degree-d basis; repeated labels add up."""
-        index = self._index.get(d)
-        if index is None:
-            index = self._index[d] = {l: i for i, l in enumerate(self.basis.get(d, ()))}
-        field = self.field
-        out = {}
-        for label, c in terms:
-            i = index[label]
-            out[i] = field.add(out.get(i, field.zero), c)
-        return {i: c for i, c in out.items() if not field.is_zero(c)}
 
     def d_at(self, d):
         m = self.diff.get(d)

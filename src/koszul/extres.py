@@ -1,28 +1,34 @@
 """Ext dimensions via stepwise minimal semifree resolutions.
 
 Independent of the bar construction: the resolution F of k adjoins free
-generators degree by degree from 0 downward.  Stage t is one complex, the
-cone of (F -> k) as built so far on the degrees t-1, t, t+1, assembled by
-`complex_from_labels`; its d_t is eliminated once for the cycles Z^t and
-its d_{t-1} once for the boundaries B^t.  The generators adjoined in degree
-t-1 are the cycles that extend B^t + U.Z^t, where U is a complement of m^2
-in the augmentation ideal m of A^0.  A^0 acts on H^t through the local ring
-H^0, so m.H^t = U.H^t (Nakayama), and the stage adjoins dim H^t/mH^t
-generators: the generator count of a minimal resolution, which depends on
-the algebra and not on the order its basis is listed in.  Hom(F, k) then
-has zero differential, and Ext^i is a literal count of generators in
-degree -i.
+generators degree by degree from 0 downward.  Stage t is the cone of
+(F -> k) as built so far on the degrees t-1, t, t+1; its d_t is eliminated
+once for the cycles Z^t and its d_{t-1} once for the boundaries B^t.  The
+generators adjoined in degree t-1 are the cycles that extend
+B^t + U.Z^t, where U is a complement of m^2 in the augmentation ideal m of
+A^0.  A^0 acts on H^t through the local ring H^0, so m.H^t = U.H^t
+(Nakayama), and the stage adjoins dim H^t/mH^t generators: the generator
+count of a minimal resolution, which depends on the algebra and not on the
+order its basis is listed in.  Hom(F, k) then has zero differential, and
+Ext^i is a literal count of generators in degree -i.
+
+The stages run in ints on index vectors, as the bars do (koszul.bar).
+The connective cover's differential, products and augmentation, and U,
+are tabled once as ints over one common denominator (`_Table`), and the
+basis element a (x) g of degree d is indexed by g's block offset in
+degree d plus a's position in its degree.  A Fraction is formed in one
+place: when a generator's delta is stored in `ResolutionState.gens`.
 """
 
+from fractions import Fraction
+from math import lcm
+
 from .exactla import (
-    SpanTracker, RefusalError, StructuralError, Window, complex_from_labels,
+    SpanTracker, SparseMatrix, RefusalError, StructuralError, _integral_columns,
     vec_add_into,
 )
 from .dga import connective_cover
 from .artin import is_artin
-
-# the one label of the augmentation's target k in the degree-0 stage
-_K = "k"
 
 
 class ResolutionState:
@@ -32,6 +38,9 @@ class ResolutionState:
     the differential on 1 (x) gen, a lincomb over (algebra label, earlier
     gen label) pairs.  The free module has basis a (x) g in degree
     |a| + |g|, and differential d(a (x) g) = da (x) g + (-1)^{|a|} a delta(g).
+    _ints[i] is gens[i]'s delta in ints, (S, terms), with delta the sum of
+    c/S (x) g over the terms (x, g, c): x the flat index of an algebra
+    label (see `_Table`), g a generator's index.
     """
 
     def __init__(self, algebra, depth):
@@ -39,13 +48,7 @@ class ResolutionState:
         self.depth = depth
         self.certified_above = -depth
         self.gens = [("g0", 0, {})]
-        self._degree = {"g0": 0}
-        self._delta = {"g0": {}}
-
-    def _adjoin(self, label, degree, delta):
-        self.gens.append((label, degree, delta))
-        self._degree[label] = degree
-        self._delta[label] = delta
+        self._ints = [(1, [])]
 
     def gen_counts(self):
         counts = {}
@@ -55,34 +58,6 @@ class ResolutionState:
 
     def generator_degrees(self):
         return [s for _, s, _ in self.gens]
-
-    def basis(self, t):
-        out = []
-        for g, s, _ in self.gens:
-            for a in self.algebra.labels(t - s):
-                out.append((a, g))
-        return tuple(out)
-
-    def _terms(self, label):
-        """d(a (x) g) as (label, scalar) terms; repeated labels add up."""
-        a_ = self.algebra
-        field = a_.field
-        a, g = label
-        for a2, c in a_.diff(a).items():
-            yield (a2, g), c
-        odd = a_.degree(a) % 2
-        for (b, g2), c in self._delta[g].items():
-            for ab, c2 in a_.mult(a, b).items():
-                c3 = field.mul(c, c2)
-                yield (ab, g2), field.neg(c3) if odd else c3
-
-    def diff_lc(self, lc):
-        field = self.algebra.field
-        out = {}
-        for p, c in lc.items():
-            for q, c2 in self._terms(p):
-                vec_add_into(field, out, {q: c2}, c)
-        return out
 
     def __repr__(self):
         return (f"ResolutionState({self.algebra.name}, gens="
@@ -106,14 +81,103 @@ def _indecomposables(a):
     return [u for u in ideal if tracker.insert(a.vector(u, 0))]
 
 
-def _act(a, u, z):
-    """u.z as (label, scalar) terms, for u a lincomb over A^0 and z one over
-    resolution labels."""
-    mul = a.field.mul
-    for s, c in u.items():
-        for (b, g), c2 in z.items():
-            for sb, c3 in a.mult(s, b).items():
-                yield (sb, g), mul(mul(c, c2), c3)
+class _Table:
+    """The connective cover a in ints over one denominator, tabled once.
+
+    Labels are indexed flat, degree by degree from the lowest: the i-th
+    label of degree e is start[e] + i.  diff[x] is dx as (position in
+    degree |x| + 1, int) pairs and mult[x][y] the product xy as (position
+    in degree |x| + |y|, int) pairs; aug[i] is the augmentation of the i-th
+    label of degree 0, and complement lists U as (position in degree 0,
+    int) pairs.  Every int is `scale` times the field value, scale the lcm
+    of all their denominators; over F_p scale is 1 and the ints are the
+    values mod p.
+    """
+
+    def __init__(self, a, complement):
+        self.field = a.field
+        self.dim = a.dim
+        self.labels = [l for e in sorted(a.basis) for l in a.labels(e)]
+        self.start, n = {}, 0
+        for e in sorted(a.basis):
+            self.start[e] = n
+            n += a.dim(e)
+        pos = {l: i for l, (_, i) in a.index.items()}
+
+        def positions(lc):
+            return {pos[l]: c for l, c in lc.items()}
+
+        labels = self.labels
+        lcs = [positions(a.diff(x)) for x in labels]
+        lcs += [positions(a.mult(x, y)) for x in labels for y in labels]
+        lcs += [{i: a.aug_of(l) for i, l in enumerate(a.labels(0))}]
+        lcs += [positions(u) for u in complement]
+        self.scale, ints = _integral_columns(self.field, lcs)
+        ints = [list(lc.items()) for lc in ints]
+        self.diff = ints[:n]
+        self.mult = [ints[n + n * x:n + n * (x + 1)] for x in range(n)]
+        self.aug = [dict(ints[n + n * n]).get(i, 0) for i in range(a.dim(0))]
+        self.complement = ints[n + n * n + 1:]
+
+    def blocks(self, state, d):
+        """The basis of degree d of the resolution by index: each
+        generator's block offset, and each index's generator and flat
+        algebra label."""
+        offsets, owner, flat = [], [], []
+        for g, (_, s, _) in enumerate(state.gens):
+            offsets.append(len(owner))
+            if m := self.dim(d - s):
+                owner += [g] * m
+                flat += range(self.start[d - s], self.start[d - s] + m)
+        return offsets, owner, flat
+
+    def differential(self, state, d, target):
+        """d_d of the resolution as a SparseMatrix, target the `blocks` of
+        degree d + 1: the column of a (x) g holds
+        da (x) g and (-1)^{|a|} a.x (x) g' for the terms (x, g', c) of g's
+        delta, at scale D times the lcm of the deltas' scales; after
+        SparseMatrix's gcd, the matrix a label-level assembly gives."""
+        p = self.field.p
+        diff, mult, start, dim = self.diff, self.mult, self.start, self.dim
+        gens = [(g, d - s, S, terms) for g, ((_, s, _), (S, terms))
+                in enumerate(zip(state.gens, state._ints)) if dim(d - s)]
+        big = lcm(*(S for _, _, S, _ in gens))
+        offsets = target[0]
+        cols = []
+        for g, e, S, terms in gens:
+            o = offsets[g]
+            k = big // S if e % 2 == 0 else -(big // S)
+            terms = [(offsets[h], k * c, y) for y, h, c in terms]
+            for x in range(start[e], start[e] + dim(e)):
+                col = {o + i: big * c for i, c in diff[x]}
+                row = mult[x]
+                for o2, c, y in terms:
+                    for i, c2 in row[y]:
+                        r = o2 + i
+                        col[r] = col.get(r, 0) + c * c2
+                cols.append({r: v % p for r, v in col.items() if v % p} if p
+                            else {r: v for r, v in col.items() if v})
+        return SparseMatrix.from_int_columns(self.field, len(target[1]), cols, self.scale * big)
+
+
+def _stage(table, state, t, blocks):
+    """Stage t of the cone of (resolution -> k), blocks those of degree t:
+    (d_{t-1}, d_t), with the augmentation as d_0 onto the one-dimensional
+    k at t = 0."""
+    below = table.differential(state, t - 1, blocks)
+    if t == 0:
+        cols = [{0: c} if c else {} for c in table.aug]
+        return below, SparseMatrix.from_int_columns(table.field, 1, cols, table.scale)
+    return below, table.differential(state, t, table.blocks(state, t + 1))
+
+
+def _extends(span, w, scale):
+    """Whether the int vector w / scale extends the untracked span, which
+    it then joins; w is consumed."""
+    w, _, s, lead = span._reduce_ints(w, scale)
+    if w:
+        span._add_pivot(lead, w, None, s, scale, None)
+    return bool(w)
 
 
 def minimal_resolution(fdga, depth):
@@ -138,41 +202,49 @@ def minimal_resolution(fdga, depth):
     if not isinstance(depth, int) or depth < 0:
         raise RefusalError(f"depth must be a nonnegative integer, got {depth!r}")
     a = connective_cover(fdga)
-    field = a.field
+    p = a.field.p
     state = ResolutionState(a, depth)
-    complement = _indecomposables(a)
-
-    def boundary(p):  # the cone's d: d on the resolution, eps on degree 0
-        yield from state._terms(p)
-        if p[1] == "g0" and not field.is_zero(eps := a.aug_of(p[0])):
-            yield _K, eps
-
+    table = _Table(a, _indecomposables(a))
+    mult, scale, labels, zero = table.mult, table.scale, table.labels, table.start[0]
     for t in range(0, -depth, -1):
-        basis = {d: state.basis(d) for d in (t - 1, t, t + 1)}
-        if not basis[t]:
+        offsets, owner, flat = blocks = table.blocks(state, t)
+        if not owner:
             continue
-        if t == 0:
-            basis[1] = (_K,)
-        stage = complex_from_labels(field, Window(t - 1, t + 1), basis, boundary)
-        cycles = stage.d_at(t).nullspace_basis()
-        span = stage.d_at(t - 1).eliminate()[0]
-        labels = basis[t]
-        lcs = [{labels[i]: c for i, c in z.items()} for z in cycles]
-        for u in complement:
-            for z in lcs:
-                span.insert(stage.vector(t, _act(a, u, z)))
-        for z, lc in zip(cycles, lcs):
-            if not span.insert(z):
+        below, d_t = _stage(table, state, t, blocks)
+        cycles = d_t.int_kernel()
+        span = below.eliminate()[0]
+        for u in table.complement:
+            rows = [(mult[zero + y], c) for y, c in u]
+            for z, s in cycles:
+                w = {}
+                for i, c in z.items():
+                    o, x = offsets[owner[i]], flat[i]
+                    for row, cu in rows:
+                        for r, c2 in row[x]:
+                            w[o + r] = w.get(o + r, 0) + cu * c * c2
+                w = {r: v % p for r, v in w.items() if v % p} if p \
+                    else {r: v for r, v in w.items() if v}
+                _extends(span, w, scale * scale * s)
+        for z, s in cycles:
+            if not _extends(span, dict(z), s):
                 continue
             unit = {}  # degree-t generator -> unit coefficient in z
-            for (x, g), c in lc.items():
-                if state._degree[g] == t:
-                    vec_add_into(field, unit, {g: a.aug_of(x)}, c)
+            for i, c in z.items():
+                g = owner[i]
+                if state.gens[g][1] == t and (e := table.aug[flat[i] - zero]):
+                    v = unit.get(g, 0) + c * e
+                    if v % p if p else v:
+                        unit[g] = v
+                    else:
+                        unit.pop(g, None)
             if unit:
                 raise StructuralError(
-                    f"resolution lost minimality at degree {t}: a defect "
-                    f"class has unit component on generator {next(iter(unit))!r}")
-            state._adjoin(f"g{len(state.gens)}", t - 1, lc)
+                    f"resolution lost minimality at degree {t}: a defect class has "
+                    f"unit component on generator {state.gens[next(iter(unit))][0]!r}")
+            state.gens.append((f"g{len(state.gens)}", t - 1, {
+                (labels[flat[i]], state.gens[owner[i]][0]): Fraction(c, s) if p is None else c
+                for i, c in z.items()}))
+            state._ints.append((s, [(flat[i], owner[i], c) for i, c in z.items()]))
     return state
 
 

@@ -229,3 +229,34 @@ def test_a_sign_bug_in_the_dual_assembly_passes_the_certificate(
     assert built.certified_by == "transpose"
     assert built.d_squared_failure() is not None
     certified_complexes.remove(built)
+
+
+def _chain_module(field, x2_on_n0):
+    """N = k{n0, n1, n2} in degree 0 over k[x]/x^3, d = 0, x.n0 = n1,
+    x.n1 = n2 and x^2.n0 = x2_on_n0 n2; every other product of a letter is
+    zero.  N is a module for x2_on_n0 = 1.  n2 is inert (no letter acts on
+    it and dn2 = 0), n0 is not: only x acts on it when x2_on_n0 = 0."""
+    one = field.one
+    cubic = truncated_polynomial(field, 3, 0)
+    acts = {("x", "n0"): {"n1": one}, ("x", "n1"): {"n2": one},
+            ("x^2", "n0"): {"n2": field.of_int(x2_on_n0)}}
+
+    def left_act(a, n):
+        return {n: one} if a == "1" else dict(acts.get((a, n), {}))
+
+    return cubic, DgModuleSpec(
+        field, "N", cubic, "left", basis=lambda d: ("n0", "n1", "n2") if d == 0 else (),
+        degree=lambda n: 0, diff=lambda n: {}, left_act=left_act, min_degree=0, max_degree=0)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_a_defect_at_a_base_element_that_one_letter_moves_is_not_left_out(field):
+    """The certificate leaves out the segments ending in an inert base
+    element.  n0 has dn0 = 0 and x^2.n0 = 0, but x.n0 = n1, so it is not
+    inert, and its one defect, (x x).n0 = 0 against x.(x.n0) = n2, must
+    still fail the certificate."""
+    for x2_on_n0, certified in ((1, "letters"), (0, None)):
+        cubic, module = _chain_module(field, x2_on_n0)
+        built = two_sided_bar(trivial_module(cubic), cubic, module, Window(-4, 0))
+        assert built.complex.certified_by == certified
+        assert (built.complex.d_squared_failure() is None) == (certified is not None)

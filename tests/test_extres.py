@@ -1,21 +1,141 @@
-"""Minimal resolutions and the Ext dimensions they count."""
+"""Minimal resolutions and the Ext dimensions they count.
+
+The resolution runs in ints on index vectors (koszul.extres).  The
+reference below is the label-level resolution it replaced: the
+differential of a (x) g read term by term from gens in field arithmetic,
+each stage assembled by complex_from_labels and the products U.Z^t summed
+label by label.  Its generators, deltas (scalar types included) and stage
+matrices must be exactly the engine's.
+"""
 
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koszul.exactla import QQ, Field, Window, RefusalError
+from koszul import extres
+from koszul.exactla import (
+    QQ, Field, Window, RefusalError, StructuralError, complex_from_labels,
+    vec_add_into,
+)
 from koszul.dga import (
     square_zero, truncated_polynomial, free_assoc, algebra_slice,
-    finite_dga_from_tables,
+    finite_dga_from_tables, tensor_algebra, connective_cover,
 )
 from koszul.dual import dual_cohomology_dims
 from koszul.extres import minimal_resolution, ext_dims
 from koszul.artin import (
     k_slice, unit_inclusion, augmentation_map, homotopy_fiber_product, is_artin,
 )
+
+F5, F32003 = Field(5), Field(32003)
+
+# the one label of the augmentation's target k in the degree-0 stage
+_K = "k"
+
+
+class Reference:
+    """The label-level differential of a resolution with generators gens
+    over the algebra a: basis a (x) g in degree |a| + |g|, and
+    d(a (x) g) = da (x) g + (-1)^{|a|} a delta(g)."""
+
+    def __init__(self, a, gens):
+        self.a = a
+        self.gens = gens
+        self.degree = {g: s for g, s, _ in gens}
+        self.delta = {g: delta for g, _, delta in gens}
+
+    def basis(self, t):
+        return tuple((x, g) for g, s, _ in self.gens for x in self.a.labels(t - s))
+
+    def terms(self, label):
+        """d(a (x) g) as (label, scalar) terms; repeated labels add up."""
+        a_ = self.a
+        field = a_.field
+        a, g = label
+        for a2, c in a_.diff(a).items():
+            yield (a2, g), c
+        odd = a_.degree(a) % 2
+        for (b, g2), c in self.delta[g].items():
+            for ab, c2 in a_.mult(a, b).items():
+                c3 = field.mul(c, c2)
+                yield (ab, g2), field.neg(c3) if odd else c3
+
+    def diff_lc(self, lc):
+        field = self.a.field
+        out = {}
+        for p, c in lc.items():
+            for q, c2 in self.terms(p):
+                vec_add_into(field, out, {q: c2}, c)
+        return out
+
+
+def _vector(basis, terms, field):
+    """Index vector of the sum of (label, scalar) terms over basis."""
+    index = {l: i for i, l in enumerate(basis)}
+    out = {}
+    for label, c in terms:
+        i = index[label]
+        out[i] = field.add(out.get(i, field.zero), c)
+    return {i: c for i, c in out.items() if not field.is_zero(c)}
+
+
+def _act(a, u, z):
+    """u.z as (label, scalar) terms, u a lincomb over A^0, z one over
+    resolution labels."""
+    mul = a.field.mul
+    for s, c in u.items():
+        for (b, g), c2 in z.items():
+            for sb, c3 in a.mult(s, b).items():
+                yield (sb, g), mul(mul(c, c2), c3)
+
+
+def reference_resolution(fdga, depth):
+    """The label-level stage loop: (gens, {t: (d_{t-1}, d_t)})."""
+    a = connective_cover(fdga)
+    field = a.field
+    gens = [("g0", 0, {})]
+    ref = Reference(a, gens)
+    complement = extres._indecomposables(a)
+    stages = {}
+
+    def boundary(p):  # the cone's d: d on the resolution, eps on degree 0
+        yield from ref.terms(p)
+        if p[1] == "g0" and not field.is_zero(eps := a.aug_of(p[0])):
+            yield _K, eps
+
+    for t in range(0, -depth, -1):
+        basis = {d: ref.basis(d) for d in (t - 1, t, t + 1)}
+        if not basis[t]:
+            continue
+        if t == 0:
+            basis[1] = (_K,)
+        stage = complex_from_labels(field, Window(t - 1, t + 1), basis, boundary)
+        stages[t] = (stage.d_at(t - 1), stage.d_at(t))
+        cycles = stage.d_at(t).nullspace_basis()
+        span = stage.d_at(t - 1).eliminate()[0]
+        labels = basis[t]
+        lcs = [{labels[i]: c for i, c in z.items()} for z in cycles]
+        for u in complement:
+            for z in lcs:
+                span.insert(_vector(labels, _act(a, u, z), field))
+        for z, lc in zip(cycles, lcs):
+            if not span.insert(z):
+                continue
+            unit = {}
+            for (x, g), c in lc.items():
+                if ref.degree[g] == t:
+                    vec_add_into(field, unit, {g: a.aug_of(x)}, c)
+            if unit:
+                raise StructuralError(
+                    f"resolution lost minimality at degree {t}: a defect "
+                    f"class has unit component on generator {next(iter(unit))!r}")
+            label = f"g{len(gens)}"
+            gens.append((label, t - 1, lc))
+            ref.degree[label], ref.delta[label] = t - 1, lc
+    return gens, stages
 
 
 def sq_slice(field, n):
@@ -87,9 +207,10 @@ def test_truncated_cubic_generator_deltas_alternate():
 
 def test_resolution_differential_squares_to_zero():
     res = minimal_resolution(trunc_slice(QQ, 3), 4)
+    ref = Reference(res.algebra, res.gens)
     for t in range(0, -5, -1):
-        for p in res.basis(t):
-            dd = res.diff_lc(res.diff_lc({p: Fraction(1)}))
+        for p in ref.basis(t):
+            dd = ref.diff_lc(ref.diff_lc({p: Fraction(1)}))
             assert dd == {}
 
 
@@ -170,6 +291,126 @@ def test_ext_dims_do_not_depend_on_the_basis_order(order, field):
     a = xyz_table(field, order)
     assert ext_dims(a, Window(0, 4)) == {d: comb(d + 2, 2) for d in range(5)}
     res = minimal_resolution(a, 4)
+    ref = Reference(res.algebra, res.gens)
     for t in range(0, -5, -1):
-        for p in res.basis(t):
-            assert res.diff_lc(res.diff_lc({p: field.one})) == {}
+        for p in ref.basis(t):
+            assert ref.diff_lc(ref.diff_lc({p: field.one})) == {}
+
+
+def _exterior(field, n):
+    """k[x_1..x_n]/(x_j^2), in degree 0."""
+    one = algebra_slice(truncated_polynomial(field, 2, 0), Window(0, 0))
+    a = one
+    for _ in range(n - 1):
+        a = tensor_algebra(a, one)
+    return a
+
+
+def _scaled_cubic(field, c):
+    """k{1, x, y} in degree 0 with x.x = c y: the table's denominator is not 1."""
+    one = field.one
+    labels = ("1", "x", "y")
+    mult = {("1", l): {l: one} for l in labels}
+    mult.update({(l, "1"): {l: one} for l in labels if l != "1"})
+    mult[("x", "x")] = {"y": c}
+    return finite_dga_from_tables(field, Window(0, 0), {0: labels}, diff={}, mult_table=mult,
+                                  unit="1", aug={"1": one}, complete=True, name="scaled cubic")
+
+
+def _two_squares(field, c):
+    """k{1, x, y, w} in degree 0 with x.x = w, y.y = c w and xy = yx = 0:
+    for c = 2/3 a cycle x (x) g1 - (3/2) y (x) g2 gives a delta whose own
+    scale is 2."""
+    one = field.one
+    labels = ("1", "x", "y", "w")
+    mult = {("1", l): {l: one} for l in labels}
+    mult.update({(l, "1"): {l: one} for l in labels if l != "1"})
+    mult[("x", "x")], mult[("y", "y")] = {"w": one}, {"w": c}
+    return finite_dga_from_tables(field, Window(0, 0), {0: labels}, diff={}, mult_table=mult,
+                                  unit="1", aug={"1": one}, complete=True, name="two squares")
+
+
+def _cone(field):
+    """The A of test_a_letter_with_a_differential_enters_the_resolution."""
+    one = field.one
+    mult = {("1", l): {l: one} for l in ("1", "t", "s")}
+    mult.update({(l, "1"): {l: one} for l in ("t", "s")})
+    return finite_dga_from_tables(
+        field, Window(-2, 0), {-2: ("s",), -1: ("t",), 0: ("1",)}, diff={"s": {"t": one}},
+        mult_table=mult, unit="1", aug={"1": one}, complete=True, name="cone")
+
+
+CASES = {
+    "xyz": (lambda f: xyz_table(f, XYZ), 6),
+    "xyz-permuted": (lambda f: xyz_table(f, ("yz", "x", "xyz", "z", "xy", "y", "xz")), 5),
+    "exterior-4": (lambda f: _exterior(f, 4), 4),
+    "x^3": (lambda f: trunc_slice(f, 3), 6),
+    "x^4": (lambda f: trunc_slice(f, 4), 6),
+    "square-zero-0": (lambda f: sq_slice(f, 0), 6),
+    "square-zero-1": (lambda f: sq_slice(f, 1), 6),
+    "square-zero-2": (lambda f: sq_slice(f, 2), 7),
+    "cone": (_cone, 5),
+    # two odd letters whose product is not zero: the sign (-1)^{|a|}
+    "odd-exterior": (lambda f: tensor_algebra(sq_slice(f, 1), sq_slice(f, 1)), 6),
+}
+
+
+def _recorded_resolution(monkeypatch, fdga, depth):
+    """minimal_resolution, with the stage pairs it built: (state, {t: (d_{t-1}, d_t)})."""
+    stages = {}
+    stage = extres._stage
+
+    def recording(table, state, t, blocks):
+        stages[t] = stage(table, state, t, blocks)
+        return stages[t]
+
+    monkeypatch.setattr(extres, "_stage", recording)
+    return minimal_resolution(fdga, depth), stages
+
+
+def _typed(gens):
+    return [(g, s, [(k, type(c), c) for k, c in delta.items()]) for g, s, delta in gens]
+
+
+def _assert_same_as_reference(monkeypatch, fdga, depth):
+    state, stages = _recorded_resolution(monkeypatch, fdga, depth)
+    gens, reference = reference_resolution(fdga, depth)
+    assert _typed(state.gens) == _typed(gens)
+    assert set(reference) == set(stages)
+    for t, pair in reference.items():
+        for built, expected in zip(stages[t], pair):
+            assert (built.rows, built.cols, built.scale, built.int_columns) == (
+                expected.rows, expected.cols, expected.scale, expected.int_columns)
+
+
+@pytest.mark.parametrize("field", [QQ, F32003, F5], ids=["Q", "F32003", "F5"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_resolution_is_the_label_level_reference(monkeypatch, field, case):
+    make, depth = CASES[case]
+    _assert_same_as_reference(monkeypatch, make(field), depth)
+
+
+@pytest.mark.parametrize("c", [Fraction(2, 3), Fraction(-3, 2), Fraction(1)])
+def test_scaled_resolutions_are_the_reference(monkeypatch, c):
+    """Over Q with c = 2/3 or -3/2 the table's denominator D is not 1, and
+    on the two squares neither is a delta's own scale."""
+    _assert_same_as_reference(monkeypatch, _scaled_cubic(QQ, c), 7)
+    _assert_same_as_reference(monkeypatch, _two_squares(QQ, c), 5)
+
+
+def test_a_lost_minimality_is_raised(monkeypatch):
+    """k x k is not local; blessed as Artin anyway, its second stage has a
+    cycle with a unit component, 1 (x) g1 - u (x) g1, that nothing kills."""
+    one = QQ.one
+    mult = {("1", "1"): {"1": one}, ("1", "u"): {"u": one},
+            ("u", "1"): {"u": one}, ("u", "u"): {"u": one}}
+    two_points = finite_dga_from_tables(
+        QQ, Window(0, 0), {0: ("1", "u")}, diff={}, mult_table=mult,
+        unit="1", aug={"1": one}, complete=True, name="k x k")
+    monkeypatch.setattr(extres, "is_artin", lambda fdga: SimpleNamespace(verdict=True))
+    message = "resolution lost minimality at degree -1: a defect class has unit component " \
+        "on generator 'g1'"
+    with pytest.raises(StructuralError, match=message):
+        minimal_resolution(two_points, 3)
+    with pytest.raises(StructuralError, match=message):
+        reference_resolution(two_points, 3)
