@@ -603,8 +603,8 @@ class SparseMatrix:
             if w:
                 tracker._add_pivot(lead, w, combo, s, scale, j)
             elif track:
-                # s * column j = sum(combo[t] * column t) in the integer
-                # columns; s = scale = 1 over F_p
+                # (s / scale) * column j = sum(combo[t] * column t), the
+                # columns in ints; s = scale = 1 over F_p
                 z = {j: s}
                 for t, c in combo.items():
                     z[t] = -c * scale % p if p else -c * scale

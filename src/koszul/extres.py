@@ -113,10 +113,11 @@ class _Table:
         lcs += [{i: a.aug_of(l) for i, l in enumerate(a.labels(0))}]
         lcs += [positions(u) for u in complement]
         self.scale, ints = _integral_columns(self.field, lcs)
+        aug = ints[n + n * n]
+        self.aug = [aug.get(i, 0) for i in range(a.dim(0))]
         ints = [list(lc.items()) for lc in ints]
         self.diff = ints[:n]
         self.mult = [ints[n + n * x:n + n * (x + 1)] for x in range(n)]
-        self.aug = [dict(ints[n + n * n]).get(i, 0) for i in range(a.dim(0))]
         self.complement = ints[n + n * n + 1:]
 
     def blocks(self, state, d):
@@ -133,23 +134,23 @@ class _Table:
 
     def differential(self, state, d, target):
         """d_d of the resolution as a SparseMatrix, target the `blocks` of
-        degree d + 1: the column of a (x) g holds
-        da (x) g and (-1)^{|a|} a.x (x) g' for the terms (x, g', c) of g's
-        delta, at scale D times the lcm of the deltas' scales; after
+        degree d + 1: the column of a (x) g holds da (x) g and
+        (-1)^{|a|} a.x (x) g' for the terms (x, g', c) of g's delta, in ints
+        at the table's scale times the lcm of the deltas' scales; after
         SparseMatrix's gcd, the matrix a label-level assembly gives."""
         p = self.field.p
         diff, mult, start, dim = self.diff, self.mult, self.start, self.dim
         gens = [(g, d - s, S, terms) for g, ((_, s, _), (S, terms))
                 in enumerate(zip(state.gens, state._ints)) if dim(d - s)]
-        big = lcm(*(S for _, _, S, _ in gens))
+        common = lcm(*(S for _, _, S, _ in gens))
         offsets = target[0]
         cols = []
         for g, e, S, terms in gens:
             o = offsets[g]
-            k = big // S if e % 2 == 0 else -(big // S)
+            k = common // S if e % 2 == 0 else -(common // S)
             terms = [(offsets[h], k * c, y) for y, h, c in terms]
             for x in range(start[e], start[e] + dim(e)):
-                col = {o + i: big * c for i, c in diff[x]}
+                col = {o + i: common * c for i, c in diff[x]}
                 row = mult[x]
                 for o2, c, y in terms:
                     for i, c2 in row[y]:
@@ -157,7 +158,8 @@ class _Table:
                         col[r] = col.get(r, 0) + c * c2
                 cols.append({r: v % p for r, v in col.items() if v % p} if p
                             else {r: v for r, v in col.items() if v})
-        return SparseMatrix.from_int_columns(self.field, len(target[1]), cols, self.scale * big)
+        return SparseMatrix.from_int_columns(
+            self.field, len(target[1]), cols, self.scale * common)
 
 
 def _stage(table, state, t, blocks):
