@@ -319,8 +319,8 @@ def _scaled_cubic(field, c):
 
 def _two_squares(field, c):
     """k{1, x, y, w} in degree 0 with x.x = w, y.y = c w and xy = yx = 0:
-    for c = 2/3 a cycle x (x) g1 - (3/2) y (x) g2 gives a delta whose own
-    scale is 2."""
+    for c = 2/3 the cycle y (x) g2 - (2/3) x (x) g1 becomes a delta whose
+    own scale is 3."""
     one = field.one
     labels = ("1", "x", "y", "w")
     mult = {("1", l): {l: one} for l in labels}
