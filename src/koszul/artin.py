@@ -12,8 +12,8 @@ cover (dga._subalgebra), on a unit-first, augmentation-adapted basis.
 """
 
 from .exactla import (
-    Window, SpanTracker, RefusalError, StructuralError,
-    complex_from_labels, matrix_from_columns, vec_add_into,
+    Window, SpanTracker, SparseMatrix, RefusalError, StructuralError,
+    complex_from_labels, vec_add_into,
 )
 from .dga import (
     DgaMap, _subalgebra, base_field_algebra, square_zero,
@@ -156,7 +156,8 @@ def homotopy_fiber_product(f, g, name=None):
                 for m, c in path.ev1.apply({l: field.one}).items():
                     vec_add_into(field, col, {zindex[m] + zdim: c}, field.one)
             cols.append(col)
-        return matrix_from_columns(field, 2 * zdim, cols)
+        return SparseMatrix(field, 2 * zdim, len(cols),
+                            {(i, j): c for j, col in enumerate(cols) for i, c in col.items()})
 
     def split(vec, d):
         xs, ps, ys = {}, {}, {}
@@ -425,7 +426,8 @@ def _path_lift_space(f, g, p):
                                 field.neg(field.mul(sign, c)))
                     nrows += len(z_targets)
 
-    kernel = matrix_from_columns(field, nrows, cols).nullspace_basis()
+    kernel = SparseMatrix(field, nrows, len(cols), {
+        (i, j): c for j, col in enumerate(cols) for i, c in col.items()}).nullspace_basis()
     solutions = []
     for vec in kernel:
         sigma = {}

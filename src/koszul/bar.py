@@ -63,14 +63,14 @@ and, for a base element n, [;m] and [a|;m] wherever n is a term of dm or
 of a.m.  Each head term is one run over the whole block.  The tables are
 read by row once per bar, when the dual is first assembled, and the same
 routine serves the letters and the ms.  A bar's dims are those of its
-dual, mirrored, and dims-only ranks clear columns from the low end of a
-window, so the dims (bar_homology_dims, derived_tensor_dims,
+dual, mirrored, and elimination clears columns from the low end of the
+complex as given, so the dims (bar_homology_dims, derived_tensor_dims,
 BarSlice.homology_dims and the dual's, dual.DualSlice.homology_dims) are
-read from the side whose low end is the smaller (_homology_dims): the
-dual for a connective algebra, the bar for a coconnected one.  Neither
-is transposed.  The dims of a bar whose certificate fails are read from
-the complex asked for, so that its matrix check names a degree of that
-complex.
+read from the side whose low end is the smaller (_homology_dims, the one
+place that chooses a side): the dual for a connective algebra, the bar
+for a coconnected one.  Neither is transposed.  The dims of a bar whose
+certificate fails are read from the complex asked for, so that its
+matrix check names a degree of that complex.
 
 One more reading of the table gives d on a single chain, or on any
 segment of one (_LetterTable._segment_d): the terms of the coderivation
@@ -851,10 +851,10 @@ def _homology_dims(chains, bar=None, dual=None):
     bar or from its dual, whose ranks are the bar's, mirrored.  bar (a
     BarSlice) and dual (the dual's complex) are what a caller has built;
     the side read is built if it was not passed.  A certified bar is read
-    from the side whose first differential is the smaller, which
-    `_cleared_ranks` eliminates in full without a transpose: the natively
-    assembled dual where dim B^lo > dim B^hi (a connective algebra), else
-    the bar (a coconnected one).  Where the certificate failed, the dual
+    from the side whose first differential is the smaller, since
+    `cohomology` eliminates that one in full: the natively assembled dual
+    where dim B^lo > dim B^hi (a connective algebra), else the bar (a
+    coconnected one).  Where the certificate failed, the dual
     is read only when passed, so that the matrix check names the degree
     where d^2 != 0 in the grading of the complex the caller asked for."""
     basis, padded, window = chains.basis, chains.padded, chains.window

@@ -68,6 +68,8 @@ def _canonical(raw):
 
 
 def parse_field_name(text):
+    if not isinstance(text, str):
+        raise DocumentError(f"'field' must be a string, Q or Fp:P, got {text!r}")
     if text == "Q":
         return Field()
     if text.startswith("Fp:"):
@@ -176,7 +178,10 @@ def parse_algebra_document(raw, field, validate=True):
     window = Window(min(basis), max(basis))
 
     diff = {}
-    for label, entry in (raw.get("differential") or {}).items():
+    differential = raw.get("differential") or {}
+    if not isinstance(differential, dict):
+        raise DocumentError("'differential' must be an object of label: combination")
+    for label, entry in differential.items():
         lc = _parse_lincomb(field, entry, f"differential of {label!r}")
         if lc:
             diff[label] = lc
@@ -195,6 +200,10 @@ def parse_algebra_document(raw, field, validate=True):
         if lc:
             mult_table[(triple[0], triple[1])] = lc
     unit = raw["unit"]
+    if not isinstance(unit, str):
+        raise DocumentError("'unit' must be the name of a basis element")
+    if not isinstance(raw["augmentation"], dict):
+        raise DocumentError("'augmentation' must be an object of label: scalar")
     aug = {l: _parse_scalar(field, c, f"augmentation of {l!r}")
            for l, c in raw["augmentation"].items()}
 

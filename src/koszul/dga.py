@@ -386,6 +386,10 @@ def finite_dga_from_tables(field, window, basis, diff, mult_table, unit, aug,
         if lc and degree_of[l] + 1 not in window:
             raise StructuralError(
                 f"d({l!r}) is nonzero but degree {degree_of[l] + 1} is outside {window!r}")
+    for pair in mult_table:
+        for l in pair:
+            if l not in degree_of:
+                raise StructuralError(f"product given for unknown label {l!r}")
     return FiniteDga(
         complex_from_labels(field, window, basis, lambda l: diff.get(l, {}).items()),
         lambda a, b: mult_table.get((a, b), {}), unit, aug, complete, name=name)

@@ -10,9 +10,11 @@ dual coalgebra, B(A)^v = Omega(A^v), whose integer columns koszul.bar
 assembles from the bar's letter table read by row, with no bar matrix
 built and none transposed (bar.dual_complex).  The dual of a slice is a
 FiniteDga over that complex, so the generic validators apply to it.  Its
-dims are the bar's, mirrored, and DualSlice.homology_dims reads them from
-this complex or, for a coconnected algebra, from the bar, whichever
-clears without a transpose (bar._homology_dims).
+dims are the bar's, mirrored.  Elimination runs on a complex as given,
+from its low end, so DualSlice.homology_dims, and bidual_cohomology
+through it, read them from this complex or, for a coconnected algebra,
+from the bar, whichever starts at its smaller end (bar._homology_dims,
+the one place that chooses a side).
 
 Cohomology of the dual slice is Ext over the input algebra in every
 reliable degree; the resolution oracle in extres recomputes the same
@@ -41,13 +43,10 @@ class DualSlice:
         self.max_weight = chains.cap
         self.chains = chains
 
-    def dims(self):
-        return self.algebra.dims()
-
     def homology_dims(self):
         """Ext dimensions (cohomology of the dual) on the requested degrees:
         the bar's dims, mirrored, read from this complex or from the bar,
-        whichever clears without a transpose (bar._homology_dims)."""
+        whichever starts at its smaller end (bar._homology_dims)."""
         dims = _homology_dims(self.chains, dual=self.algebra.complex())
         return {d: dims[-d] for d in self.window.degrees()}
 
@@ -153,13 +152,13 @@ def bidual_cohomology(spec, window):
     inner_hi = max(3, outer_bar_window.hi + 2)
     inner = koszul_dual_slice(spec, Window(-2, inner_hi))
 
-    rep = inner.algebra.cohomology(representatives=False)
-    for d, n in rep.dims.items():
+    dims = inner.homology_dims()
+    for d, n in dims.items():
         if d < 0 and n:
             raise RefusalError(
                 f"non-convergent biduality: dual of {spec.name} has cohomology "
                 f"in negative degree {d}")
-    if rep.dims.get(0, 0) > 1:
+    if dims.get(0, 0) > 1:
         raise RefusalError(
             f"non-convergent biduality: dual of {spec.name} has "
             "augmentation-ideal cohomology in degree 0")

@@ -54,14 +54,14 @@ zero.  With representatives only its kernel vector z goes, and z was
 never chosen: it lies in the span of v and the kernel vectors of earlier
 columns, a span the class tracker holds before z would be offered.  So
 every cycle left extends the boundary span, and the representatives,
-class coordinates and ring constants are unchanged.  Dims-only ranks
-clear the same way, on columns bottom-up, the one orientation: the first
-differential is eliminated in full, so the window should start at its
-smaller end.  The dims of a bar and of its dual are read from whichever
-of the two starts there (koszul.bar builds either one from its letter
-table), so neither is transposed; any other complex with dim C^lo >
-dim C^hi is transposed first, its window mirrored.  Each rank is the
-plain rank.
+class coordinates and ring constants are unchanged.
+
+Elimination runs on columns, bottom-up, on the complex as given, in one
+loop for dims and representatives alike; each rank is the plain rank.
+The window's first differential is eliminated in full, so a complex is
+cheapest from its smaller end.  Only the bars and their duals choose a
+side: koszul.bar builds either one from its letter table and reads the
+dims from whichever starts at its smaller end (bar._homology_dims).
 """
 
 from fractions import Fraction
@@ -533,14 +533,6 @@ class SparseMatrix:
     def is_zero(self):
         return not any(self.int_columns)
 
-    def transpose(self):
-        """The transpose; never leaves the integers."""
-        out = [{} for _ in range(self.rows)]
-        for j, col in enumerate(self.int_columns):
-            for i, x in col.items():
-                out[i][j] = x
-        return SparseMatrix.from_int_columns(self.field, self.cols, out, self.scale)
-
     def apply(self, vec):
         """Matrix times a sparse column vector (dict col -> scalar)."""
         field = self.field
@@ -553,14 +545,6 @@ class SparseMatrix:
                 raise StructuralError(f"vector index {j} outside {self.cols} columns")
             vec_add_into(field, out, cols[j], c)
         return out
-
-    def compose(self, other):
-        """self @ other (apply other first)."""
-        if other.rows != self.cols:
-            raise StructuralError(
-                f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        return matrix_from_columns(
-            self.field, self.rows, [self.apply(col) for col in other.columns()])
 
     def eliminate(self, track=False, skip=()):
         """Column elimination, the engine's one elimination.
@@ -619,11 +603,6 @@ class SparseMatrix:
         kernel of a tracked `eliminate`."""
         return self.eliminate(track=True)[1]
 
-    def __eq__(self, other):
-        return (isinstance(other, SparseMatrix) and other.field == self.field
-                and other.rows == self.rows and other.cols == self.cols
-                and other.scale == self.scale and other.int_columns == self.int_columns)
-
     def __repr__(self):
         nnz = sum(map(len, self.int_columns))
         return f"SparseMatrix({self.rows}x{self.cols}, {nnz} entries)"
@@ -641,17 +620,6 @@ def _integral_columns(field, columns):
         return 1, [{i: x.numerator for i, x in col.items() if x} for col in columns]
     return scale, [{i: x.numerator * (scale // x.denominator) for i, x in col.items() if x}
                    for col in columns]
-
-
-def matrix_from_columns(field, rows, columns):
-    """Assemble a matrix whose j-th column is columns[j] (dict row -> scalar)."""
-    for j, col in enumerate(columns):
-        for i in col:
-            if not 0 <= i < rows:
-                raise StructuralError(
-                    f"entry ({i}, {j}) outside a {rows}x{len(columns)} matrix")
-    scale, ints = _integral_columns(field, columns)
-    return SparseMatrix.from_int_columns(field, rows, ints, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +680,6 @@ class CochainComplexSlice:
                 raise StructuralError(f"basis at degree {d} outside window {window!r}")
         self.diff = {}
         for d, m in diff.items():
-            if m is None:
-                continue
             nd, nd1 = self.dim(d), self.dim(d + 1)
             if (m.rows, m.cols) != (nd1, nd):
                 raise StructuralError(
@@ -770,15 +736,17 @@ class CochainComplexSlice:
 
         Reliable degrees are those d with d-1, d, d+1 all in the window; the
         two boundary degrees are only flagged.  Validates d^2 = 0 first, by
-        the matrix check unless certified_by is set: both paths clear (see
+        the matrix check unless certified_by is set: the loop clears (see
         the module docstring), skipping the columns that d^2 = 0 shows to
         be dependent, which is exact only once d^2 = 0 is known.
-        Without representatives the dims come by rank-nullity from the
-        cleared ranks.  With them, each differential is eliminated once,
-        tracked, skipping the columns at the leads of d_{d-1}'s pivots.  The
-        boundaries at degree d are those pivots; the cycles are the kernel
-        vectors of the columns left, and each extends the boundary span, so
-        they are the representatives and dims[d] is their number (a cycle
+
+        Both modes run one loop on the complex as given.  d_lo is eliminated
+        untracked; each later d_d skips the columns at the leads of
+        d_{d-1}'s pivots and is tracked only for representatives.  Each
+        rank is the plain rank of d_d, and dims come by rank-nullity.  With
+        representatives the boundaries at degree d are d_{d-1}'s pivots;
+        the cycles are the kernel vectors of the columns left, and each
+        extends the boundary span, so they are the representatives (a cycle
         that does not raises InvalidComplexError).  The class tracker this
         leaves behind gives the report's class coordinates.
         """
@@ -786,18 +754,16 @@ class CochainComplexSlice:
             self.validate_complex()
         field, window = self.field, self.window
         dims, reps, classes = {}, {}, {}
-        if not representatives:
-            ranks = self._cleared_ranks()
-            for d in window.interior():
-                dims[d] = self.dim(d) - ranks[d] - ranks[d - 1]
-        else:
-            below = self.d_at(window.lo).eliminate()[0]
-            for d in window.interior():
-                # a column at a boundary pivot's lead is cleared: its cycle
-                # lies in the boundaries plus the earlier cycles
-                above, cycles = self.d_at(d).eliminate(track=True, skip=below.pivots)
+        below = self.d_at(window.lo).eliminate()[0]
+        ranks = {window.lo: below.rank} if window.lo < window.hi else {}
+        for d in window.interior():
+            # a column at a boundary pivot's lead is cleared: its cycle
+            # lies in the boundaries plus the earlier cycles
+            above, cycles = self.d_at(d).eliminate(track=representatives, skip=below.pivots)
+            ranks[d] = above.rank
+            dims[d] = self.dim(d) - ranks[d] - ranks[d - 1]
+            if representatives:
                 tracker = below.as_boundaries()
-                dims[d] = len(cycles)
                 chosen = []
                 for z in cycles:
                     if tracker.insert(z, tag=len(chosen)):
@@ -806,29 +772,12 @@ class CochainComplexSlice:
                     raise InvalidComplexError(d, "boundaries escape the cycle space")
                 reps[d] = tuple(chosen)
                 classes[d] = tracker
-                below = above
+            below = above
         unreliable = frozenset({window.lo, window.hi})
         return CohomologyReport(
             field=field, window=window, dims=dims, unreliable=unreliable,
-            representatives=reps if representatives else None, classes=classes)
-
-    def _cleared_ranks(self):
-        """{d: rank of d_d} for lo <= d < hi, by clearing on columns
-        bottom-up; valid only once d^2 = 0 is known (see `cohomology`).
-        When dim C^lo > dim C^hi the ranks are read from the transposed
-        complex, whose window is mirrored, so that the elimination in full
-        is always of the differential next to the smaller end."""
-        lo, hi = self.window.lo, self.window.hi
-        if self.dim(lo) > self.dim(hi):
-            mirrored = CochainComplexSlice(
-                self.field, self.window.mirrored(), {-d: b for d, b in self.basis.items()},
-                {-d - 1: m.transpose() for d, m in self.diff.items()})
-            return {-d - 1: r for d, r in mirrored._cleared_ranks().items()}
-        ranks, cleared = {}, set()
-        for d in range(lo, hi):
-            cleared = self.d_at(d).eliminate(skip=cleared)[0].pivots
-            ranks[d] = len(cleared)
-        return ranks
+            representatives=reps if representatives else None, classes=classes,
+            ranks=ranks)
 
 
 def complex_from_labels(field, window, basis, boundary):
@@ -871,14 +820,16 @@ class CohomologyReport:
     lincomb {(d3, i3): scalar} of the product of the chosen representatives,
     and `ring_skipped` lists representative pairs whose product degree was
     not reliable.  With representatives, `coords(d, vec)` gives the class
-    of a degree-d cocycle in their basis.
+    of a degree-d cocycle in their basis.  ranks maps each d with
+    lo <= d < hi to the rank of d_d, as the elimination found it.
     """
 
     def __init__(self, field, window, dims, unreliable, representatives=None,
-                 ring=None, ring_skipped=(), classes=None):
+                 ring=None, ring_skipped=(), classes=None, ranks=None):
         self.field = field
         self.window = window
         self.dims = dims
+        self.ranks = ranks
         self.unreliable = unreliable
         self.representatives = representatives
         self.ring = ring

@@ -56,12 +56,9 @@ class ResolutionState:
             counts[s] = counts.get(s, 0) + 1
         return counts
 
-    def generator_degrees(self):
-        return [s for _, s, _ in self.gens]
-
     def __repr__(self):
         return (f"ResolutionState({self.algebra.name}, gens="
-                f"{self.generator_degrees()}, depth={self.depth})")
+                f"{[s for _, s, _ in self.gens]}, depth={self.depth})")
 
 
 def _indecomposables(a):

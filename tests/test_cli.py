@@ -300,6 +300,44 @@ def test_explicit_table_refuses_bad_differential(case, docs, capsys):
     assert "structural failure" in err
 
 
+# k[x]/x^2 as an explicit table, and (overrides, exit code, stderr) of its
+# malformed variants: a key of the wrong shape is a parse error naming the
+# key, and a product on a label outside the basis is a structural failure,
+# as a differential on one is
+DUAL_NUMBERS = {
+    "basis": [["1", 0], ["x", 0]],
+    "differential": {},
+    "multiplication": [["1", "1", [[1, "1"]]], ["1", "x", [[1, "x"]]],
+                       ["x", "1", [[1, "x"]]]],
+    "unit": "1",
+    "augmentation": {"1": "1"},
+}
+MALFORMED_TABLES = {
+    "augmentation_list": ({"augmentation": [["1", "1"]]}, 4,
+                          "parse error: 'augmentation' must be an object"),
+    "differential_list": ({"differential": [["x", []]]}, 4,
+                          "parse error: 'differential' must be an object"),
+    "unit_list": ({"unit": ["1"]}, 4, "parse error: 'unit' must be the name"),
+    "field_int": ({"field": 7}, 4, "parse error: 'field' must be a string"),
+    "product_unknown_label": (
+        {"multiplication": DUAL_NUMBERS["multiplication"] + [["x", "q", [[1, "x"]]]]}, 3,
+        "structural failure: product given for unknown label 'q'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_exits_with_its_code_and_names_the_key(case, docs, capsys):
+    overrides, want, message = MALFORMED_TABLES[case]
+    path = docs("bad.json", {**DUAL_NUMBERS, **overrides})
+    for command in ("validate", "bar", "ext"):
+        code, report, err = run(capsys, command, path, "--window=0..2", "--no-cache")
+        assert (code, report) == (want, None)
+        assert err.startswith(f"koszul: {message}")
+    code, _, _ = run(capsys, "validate", docs("good.json", DUAL_NUMBERS),
+                     "--window=0..2", "--no-cache")
+    assert code == 0
+
+
 def test_parse_error_names_position(docs, capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"builder": }')
