@@ -209,9 +209,10 @@ class _ChainEnumerator:
     The regime bounds the letters a chain of degree d can hold
     (`most_letters`), so the lists are finite with no cap passed.  Only the
     block structure is stored (`blocks`); the labels (`label_chains`) are
-    built block by block from the tails'.  Letters and base elements are
-    indexed by int in `letter` and `element` (_Labels of them, with their
-    shifted degrees and degrees)."""
+    built block by block from the tails', and so are the reduced bar's
+    prefix offsets (`prefixes`), where two words concatenate.  Letters and
+    base elements are indexed by int in `letter` and `element` (_Labels of
+    them, with their shifted degrees and degrees)."""
 
     def __init__(self, spec, regime, right=None):
         self.spec = spec
@@ -227,6 +228,7 @@ class _ChainEnumerator:
         self.letter_cache = {}
         self.memo = {}
         self.label_memo = {}
+        self.prefix_memo = {}
 
     def letters(self, s):
         """Letters of shifted degree s, checking augmentation-adaptedness."""
@@ -278,6 +280,22 @@ class _ChainEnumerator:
                     offset[a] = size
                     size += n
         hit = self.memo[d] = (size, blocks, offset, base)
+        return hit
+
+    def prefixes(self, d1, d):
+        """P_d on the words of chains(d1) (reduced bar): x ++ y is word
+        P_d(x) + index(y) of chains(d) for each y of chains(d - d1), and
+        P_d([a|t]) = offset[a] in chains(d) plus P_{d - s_a}(t), built block
+        by block with no word built (memoized)."""
+        hit = self.prefix_memo.get((d1, d))
+        if hit is None:
+            _, blocks, _, base = self.blocks(d1)
+            offset = self.blocks(d)[2]
+            hit = [0] * len(base)
+            for a, s, _ in blocks:
+                o = offset[a]
+                hit += [o + q for q in self.prefixes(d1 - s, d - s)]
+            self.prefix_memo[(d1, d)] = hit
         return hit
 
     def label_chains(self, d):
@@ -853,15 +871,14 @@ def _homology_dims(chains, bar=None, dual=None):
     the side read is built if it was not passed.  A certified bar is read
     from the side whose first differential is the smaller, since
     `cohomology` eliminates that one in full: the natively assembled dual
-    where dim B^lo > dim B^hi (a connective algebra), else the bar (a
-    coconnected one).  Where the certificate failed, the dual
-    is read only when passed, so that the matrix check names the degree
-    where d^2 != 0 in the grading of the complex the caller asked for."""
+    where dim B^lo > dim B^hi (a connective algebra), the bar where
+    dim B^lo < dim B^hi (a coconnected one).  On a tie, and where the
+    certificate failed, the dual is read only when passed: a tie builds
+    nothing more, and a failed check names the degree where d^2 != 0 in
+    the grading of the complex the caller asked for."""
     basis, padded, window = chains.basis, chains.padded, chains.window
-    if chains.certified:
-        from_dual = len(basis[padded.lo]) > len(basis[padded.hi])
-    else:
-        from_dual = dual is not None
+    lo, hi = len(basis[padded.lo]), len(basis[padded.hi])
+    from_dual = lo > hi if chains.certified and lo != hi else dual is not None
     if from_dual:
         if dual is None:
             dual = _cobar_slice(chains)

@@ -15,6 +15,7 @@ value is 1 while all other basis labels augment to 0.
 from .exactla import (
     Window, CochainComplexSlice, SpanTracker,
     RefusalError, StructuralError, complex_from_labels, vec_add_into,
+    _integral_columns,
 )
 
 # Linear combinations of basis labels are plain dicts {label: nonzero scalar};
@@ -143,7 +144,9 @@ class FiniteDga:
         for l, c in aug.items():
             if field.is_zero(c):
                 continue
-            if l not in self.index or self.index[l][0] != 0:
+            if l not in self.index:
+                raise StructuralError(f"augmentation is given on {l!r}, which is not a basis label")
+            if self.index[l][0] != 0:
                 raise StructuralError(f"augmentation is nonzero on {l!r} outside degree 0")
             self.aug[l] = c
         self._mult_fn = mult_fn
@@ -633,20 +636,28 @@ def full_cohomology(fdga, representatives=True):
     return slice_.cohomology(representatives=representatives)
 
 
-def cohomology_ring(fdga, full=False):
+def cohomology_ring(fdga, full=False, product=None):
     """Cohomology of the underlying complex together with structure constants
     of the induced ring on reliable degrees.
 
     The returned report's `ring` maps ((d1,i1),(d2,i2)) to the lincomb, over
     class indices (d3,i3), of the product of the chosen representatives.
     Pairs whose product degree is not reliable are listed in ring_skipped.
-    Each product is read off by the cohomology report's `coords`, so no
-    differential is eliminated again here.  The constants depend on the
-    representative choice; only dimensions and structural facts derived
-    from them (powers spanning, nilpotence) are meaningful across
-    implementations.
+    product(reps, d1, i1, d2, i2) gives reps[d1][i1] * reps[d2][i2] as the
+    ints (w, s) of the vector w / s: by default taken on labels (mult_lc),
+    from the Koszul dual on index vectors (dual.dual_cohomology_ring).
+    Each is read off by the report's `int_coords`, so no differential is
+    eliminated again here.  The constants depend on the representative
+    choice; only dimensions and structural facts derived from them (powers
+    spanning, nilpotence) are meaningful across implementations.
     """
     base = full_cohomology(fdga) if full else fdga.cohomology()
+    reps = base.representatives
+    if product is None:
+        def product(reps, d1, i1, d2, i2):
+            prod = fdga.mult_lc(fdga.lincomb(reps[d1][i1], d1), fdga.lincomb(reps[d2][i2], d2))
+            scale, (w,) = _integral_columns(fdga.field, [fdga.vector(prod, d1 + d2)])
+            return w, scale
     reliable = sorted(base.dims)
     class_degrees = [d for d in reliable if base.dims[d] > 0]
 
@@ -658,12 +669,10 @@ def cohomology_ring(fdga, full=False):
             if d3 not in base.dims:
                 skipped.append((d1, d2, d3))
                 continue
-            for i1, r1 in enumerate(base.representatives[d1]):
-                for i2, r2 in enumerate(base.representatives[d2]):
-                    prod = fdga.mult_lc(fdga.lincomb(r1, d1), fdga.lincomb(r2, d2))
-                    vecp = fdga.vector(prod, d3) if prod else {}
-                    ring[((d1, i1), (d2, i2))] = {
-                        (d3, i3): c for i3, c in base.coords(d3, vecp).items()}
+            for i1 in range(len(reps[d1])):
+                for i2 in range(len(reps[d2])):
+                    coords = base.int_coords(d3, *product(reps, d1, i1, d2, i2))
+                    ring[((d1, i1), (d2, i2))] = {(d3, i3): c for i3, c in coords.items()}
     base.ring, base.ring_skipped = ring, tuple(skipped)
     return base
 

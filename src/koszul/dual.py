@@ -16,12 +16,16 @@ through it, read them from this complex or, for a coconnected algebra,
 from the bar, whichever starts at its smaller end (bar._homology_dims,
 the one place that chooses a side).
 
+Its ring constants (dual_cohomology_ring) are taken in ints, on index
+vectors: a product of representatives is a signed sum of shifted copies
+of the second.  The FiniteDga's product on labels serves the rest.
+
 Cohomology of the dual slice is Ext over the input algebra in every
 reliable degree; the resolution oracle in extres recomputes the same
 numbers without any bar construction.
 """
 
-from .exactla import Window, RefusalError, vec_add_into
+from .exactla import Window, RefusalError, vec_add_into, _integral_columns
 from .dga import FiniteDga, cohomology_ring
 from .bar import _homology_dims, dual_complex, weight_bound
 
@@ -98,12 +102,38 @@ def dual_cohomology_dims(spec, window):
 def dual_cohomology_ring(spec, window):
     """Cohomology of the dual slice with structure constants.
 
-    The constants depend on the chosen cocycle representatives; only
-    basis-independent statements (dimensions, powers being nonzero or
-    spanning, nilpotence) are stable answers.
+    Products are taken on index vectors (_index_product).  The constants
+    depend on the chosen cocycle representatives; only basis-independent
+    statements (dimensions, powers being nonzero or spanning, nilpotence)
+    are stable answers.
     """
     dual = koszul_dual_slice(spec, window)
-    return cohomology_ring(dual.algebra)
+    return cohomology_ring(dual.algebra, product=_index_product(dual))
+
+
+def _index_product(dual):
+    """The dual's product of representatives for cohomology_ring, in ints:
+    words x, y of degrees d1, d2 multiply to (-1)^{d1 d2} x ++ y, word
+    P(x) + index(y) of chains(-d1 - d2) (_ChainEnumerator.prefixes), so
+    r1 r2 = (-1)^{d1 d2} sum_i r1[i] (r2 shifted by P(x_i)), over the
+    representatives made integral once per degree.  The copies never meet:
+    the letters' shifted degrees have one sign, so x ++ y splits once."""
+    field, p = dual.field, dual.field.p
+    prefixes, ints = dual.chains.table.enum.prefixes, {}  # degree -> (scale, ints)
+
+    def product(reps, d1, i1, d2, i2):
+        for d in {d1, d2} - ints.keys():
+            ints[d] = _integral_columns(field, reps[d])
+        (s1, reps1), (s2, reps2) = ints[d1], ints[d2]
+        shift, sign = prefixes(-d1, -d1 - d2), -1 if d1 * d2 % 2 else 1
+        y = reps2[i2].items()
+        w = {}
+        for i, c in reps1[i1].items():
+            o, c = shift[i], sign * c
+            w.update({o + j: c * x % p for j, x in y} if p else {o + j: c * x for j, x in y})
+        return w, s1 * s2
+
+    return product
 
 
 def check_power_generation(report, g):

@@ -11,8 +11,10 @@ A SparseMatrix is stored as integer columns: over F_p its entries, over Q
 and dual assembly (koszul.bar builds the integer columns of each bar, and
 of its dual, block by block and hands them to
 SparseMatrix.from_int_columns), the stages of a resolution (koszul.extres,
-which reads its cycles from SparseMatrix.int_kernel), the d^2 check and
-the elimination (SpanTracker) never do Fraction arithmetic.  Over F_p
+which reads its cycles from SparseMatrix.int_kernel), the Koszul dual's
+ring constants (koszul.dual multiplies representatives on index vectors,
+read by CohomologyReport.int_coords), the d^2 check and the elimination
+(SpanTracker) never do Fraction arithmetic.  Over F_p
 the loops reduce mod a local p.  A tracked elimination keeps monic
 pivots, since each combo is scaled with its pivot; an untracked one (the
 dims-only ranks) stores each pivot raw, with the inverse of its lead, so
@@ -269,12 +271,19 @@ class SpanTracker:
 
     def reduce(self, vec):
         """Return (residual, combo): vec = sum(combo[t] * insert_t) + residual."""
-        return self._leave(*self._reduce(vec)[:3])
+        scale, (w,) = _integral_columns(self.field, [vec])
+        return self.reduce_ints(w, scale)
+
+    def reduce_ints(self, w, scale):
+        """`reduce` of w / scale, w a dict of ints (mod p, scale 1, over
+        F_p) that the reduction consumes: Fractions form only as it leaves."""
+        return self._leave(*self._reduce_ints(w, scale)[:3])
 
     def insert(self, vec, tag=None):
         """Insert vec if independent of the current span; return True if it
         extended the span."""
-        w, combo, s, lead, scale = self._reduce(vec)
+        scale, (w,) = _integral_columns(self.field, [vec])
+        w, combo, s, lead = self._reduce_ints(w, scale)
         if not w:
             return False
         self._add_pivot(lead, w, combo, s, scale, tag)
@@ -296,24 +305,13 @@ class SpanTracker:
                 for lead, (vec, lam) in self.pivots.items()}
         return seeded
 
-    def _reduce(self, vec):
-        """Reduce vec against the pivots in ints; returns (w, combo, s,
-        lead, D), lead as in `_reduce_ints`.
-
-        Over Q, D is the lcm of vec's denominators and
-        s * vec = sum(combo[t] * D_t * insert_t) + w with w and combo
-        integral; over F_p, s = D = 1 and vec = sum(combo[t] * insert_t) + w.
-        """
-        if self.field.p is None:
-            scale, (w,) = _integral_columns(self.field, [vec])
-            return *self._reduce_ints(w, scale), scale
-        return *self._reduce_ints(dict(vec), 1), 1
-
     def _reduce_ints(self, w, scale):
-        """`_reduce` of the vector w / scale, w a dict of ints (ints mod p
-        and scale 1 over F_p) that the reduction consumes; returns (w,
-        combo, s, lead), lead the largest index of w, where no pivot
-        leads, or None when w is zero.
+        """Reduce the vector v = w / scale against the pivots in ints, w a
+        dict of ints (ints mod p and scale 1 over F_p) that the reduction
+        consumes; returns (w, combo, s, lead), lead the largest index of w,
+        where no pivot leads, or None when w is zero.  Over Q,
+        s * v = sum(combo[t] * D_t * insert_t) + w with w and combo
+        integral; over F_p, s = 1 and v = sum(combo[t] * insert_t) + w.
 
         Over F_p a step whose pivot leaves the lead in w (its second slot
         is not the kind the tracker expects: a raw pivot in a tracked
@@ -380,7 +378,7 @@ class SpanTracker:
         return w, combo, s, None
 
     def _leave(self, w, combo, s):
-        """A raw (w, combo, s) from `_reduce` as field values."""
+        """A raw (w, combo, s) from `_reduce_ints` as field values."""
         if self.field.p is not None:
             return w, combo
         residual = {i: Fraction(x, s) for i, x in w.items()}
@@ -850,10 +848,16 @@ class CohomologyReport:
         Raises StructuralError when vec is not a cocycle, and RefusalError
         at a degree without representatives (unreliable, or cohomology was
         taken without them)."""
+        scale, (w,) = _integral_columns(self.field, [vec])
+        return self.int_coords(d, w, scale)
+
+    def int_coords(self, d, w, scale):
+        """`coords` of the cocycle w / scale, w as in SpanTracker.reduce_ints:
+        the entry of the ring constants (dga.cohomology_ring)."""
         tracker = self._classes.get(d)
         if tracker is None:
             raise RefusalError(f"no class representatives at degree {d}")
-        residual, combo = tracker.reduce(vec)
+        residual, combo = tracker.reduce_ints(w, scale)
         if residual:
             raise StructuralError(f"vector is not a degree-{d} cocycle")
         return combo

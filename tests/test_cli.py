@@ -302,8 +302,9 @@ def test_explicit_table_refuses_bad_differential(case, docs, capsys):
 
 # k[x]/x^2 as an explicit table, and (overrides, exit code, stderr) of its
 # malformed variants: a key of the wrong shape is a parse error naming the
-# key, and a product on a label outside the basis is a structural failure,
-# as a differential on one is
+# key, and a product or an augmentation on a label outside the basis is a
+# structural failure, as a differential on one is, and so is an augmentation
+# on a label outside degree 0
 DUAL_NUMBERS = {
     "basis": [["1", 0], ["x", 0]],
     "differential": {},
@@ -322,6 +323,15 @@ MALFORMED_TABLES = {
     "product_unknown_label": (
         {"multiplication": DUAL_NUMBERS["multiplication"] + [["x", "q", [[1, "x"]]]]}, 3,
         "structural failure: product given for unknown label 'q'"),
+    "augmentation_unknown_label": (
+        {"augmentation": {"1": "1", "q": "1"}}, 3,
+        "structural failure: augmentation is given on 'q', which is not a basis label"),
+    "augmentation_outside_degree_0": (
+        {"basis": DUAL_NUMBERS["basis"] + [["t", -1]],
+         "multiplication": DUAL_NUMBERS["multiplication"] + [["1", "t", [[1, "t"]]],
+                                                             ["t", "1", [[1, "t"]]]],
+         "augmentation": {"1": "1", "t": "1"}}, 3,
+        "structural failure: augmentation is nonzero on 't' outside degree 0"),
 }
 
 

@@ -219,6 +219,19 @@ def test_full_cohomology_and_ring():
     assert (-2, -2, -4) in report.ring_skipped
 
 
+@pytest.mark.parametrize("aug, message", [
+    ({"1": QQ.one, "q": QQ.one}, "augmentation is given on 'q', which is not a basis label"),
+    ({"1": QQ.one, "t": QQ.one}, "augmentation is nonzero on 't' outside degree 0"),
+], ids=("unknown-label", "degree-minus-1"))
+def test_augmentation_off_the_degree_0_basis_is_refused(aug, message):
+    basis = {-1: ("t",), 0: ("1",)}
+    mult = {("1", l): {l: QQ.one} for l in ("1", "t")}
+    mult[("t", "1")] = {"t": QQ.one}
+    with pytest.raises(StructuralError) as err:
+        finite_dga_from_tables(QQ, Window(-1, 0), basis, {}, mult, "1", aug, complete=True)
+    assert str(err.value) == message
+
+
 def test_dga_map_validation():
     k = algebra_slice(base_field_algebra(QQ), Window(-1, 0))
     a = algebra_slice(square_zero(QQ, 1), Window(-1, 0))

@@ -1,11 +1,17 @@
 """Koszul dual tests: dual slices validate as dg algebras, Ext dims, ring
 power generation, biduality and its refusals."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from koszul import bar
 from koszul.exactla import Window, QQ, Field, RefusalError
-from koszul.dga import base_field_algebra, square_zero, truncated_polynomial, free_assoc
+from koszul.dga import (
+    base_field_algebra, square_zero, truncated_polynomial, free_assoc, algebra_slice,
+    tensor_algebra, finite_dga_from_tables, cohomology_ring, FiniteDga,
+)
 from koszul.bar import bar_complex, bar_homology_dims
 from koszul.dual import (
     koszul_dual_slice, dual_cohomology_dims, dual_cohomology_ring,
@@ -13,6 +19,7 @@ from koszul.dual import (
 )
 
 F5 = Field(5)
+F32003 = Field(32003)
 
 
 def nonzero(dims):
@@ -124,6 +131,80 @@ def test_power_generation_refusals():
     plain = koszul_dual_slice(square_zero(QQ, 1), Window(0, 4)).cohomology()
     with pytest.raises(RefusalError):
         check_power_generation(plain, 2)
+
+
+def _scaled_cubic(field, c):
+    """k[x]/x^3 on the basis 1, x, y with x.x = c.y."""
+    one = field.one
+    mult = {("1", "1"): {"1": one}, ("1", "x"): {"x": one}, ("x", "1"): {"x": one},
+            ("1", "y"): {"y": one}, ("y", "1"): {"y": one}, ("x", "x"): {"y": c}}
+    return finite_dga_from_tables(
+        field, Window(0, 0), {0: ("1", "x", "y")}, diff={}, mult_table=mult,
+        unit="1", aug={"1": one}, complete=True).as_spec()
+
+
+def _two_term_square(field):
+    """k{1, x, z, w}, x.x = 2z + 3w: the classes dual to z and w are
+    represented with denominators over Q."""
+    one = field.one
+    mult = {("1", l): {l: one} for l in ("1", "x", "z", "w")}
+    mult.update({(l, "1"): {l: one} for l in ("x", "z", "w")})
+    mult[("x", "x")] = {"z": field.of_int(2), "w": field.of_int(3)}
+    return finite_dga_from_tables(
+        field, Window(0, 0), {0: ("1", "x", "z", "w")}, diff={}, mult_table=mult,
+        unit="1", aug={"1": one}, complete=True).as_spec()
+
+
+def _exterior2(field):
+    one = algebra_slice(truncated_polynomial(field, 2, 0), Window(0, 0))
+    return tensor_algebra(one, one).as_spec()
+
+
+RINGS = [
+    pytest.param(lambda: truncated_polynomial(QQ, 3, 0), Window(0, 6), id="cubic-Q"),
+    pytest.param(lambda: truncated_polynomial(F32003, 3, 0), Window(0, 6), id="cubic-F32003"),
+    pytest.param(lambda: truncated_polynomial(F5, 3, 0), Window(0, 6), id="cubic-F5"),
+    pytest.param(lambda: _scaled_cubic(QQ, Fraction(2, 3)), Window(0, 5), id="scaled-2-over-3"),
+    pytest.param(lambda: _two_term_square(QQ), Window(0, 3), id="two-term-square"),
+    pytest.param(lambda: _exterior2(QQ), Window(0, 4), id="exterior-2"),
+    pytest.param(lambda: square_zero(QQ, 0), Window(0, 6), id="square-zero-0"),
+    pytest.param(lambda: square_zero(QQ, 1), Window(0, 8), id="square-zero-1"),
+    pytest.param(lambda: square_zero(QQ, 2), Window(0, 8), id="square-zero-2"),
+    pytest.param(lambda: free_assoc(QQ, [("u", 2)]), Window(-5, 0), id="free-u2"),
+]
+
+
+@pytest.mark.parametrize("make, window", RINGS)
+def test_ring_on_index_vectors_is_the_label_ring(make, window, monkeypatch):
+    """dual_cohomology_ring multiplies representatives on index vectors, in
+    ints, and never calls FiniteDga.mult; cohomology_ring on the dual's
+    algebra multiplies them on labels.  Both give the same representatives,
+    constants and skip list, in the same order and with the same scalar
+    types (the reprs tell a Fraction from an int)."""
+    spec = make()
+    labels = cohomology_ring(koszul_dual_slice(spec, window).algebra)
+
+    def refuse(self, a, b):
+        raise AssertionError(f"FiniteDga.mult({a!r}, {b!r}) was called")
+
+    monkeypatch.setattr(FiniteDga, "mult", refuse)
+    ints = dual_cohomology_ring(spec, window)
+    assert ints.ring
+    for name in ("dims", "representatives", "ring", "ring_skipped"):
+        assert repr(getattr(ints, name)) == repr(getattr(labels, name)), name
+
+
+def test_a_tie_reads_the_side_already_built(monkeypatch):
+    """The inner dual of bidual_cohomology(k+k[2], [-4, 1]) has no chains at
+    either end of its padded window, a tie, so its dims are read from the
+    dual already built.  The one bar built is the outer one, of a
+    coconnected algebra, whose dims are read from its smaller end."""
+    built = []
+    real = bar._bar_slice
+    monkeypatch.setattr(bar, "_bar_slice", lambda chains: built.append(chains) or real(chains))
+    dims = bidual_cohomology(square_zero(QQ, 2), Window(-4, 1))
+    assert nonzero(dims) == {0: 1, -2: 1}
+    assert [(c.spec.name, c.window) for c in built] == [("dual(square_zero(2))", Window(-1, 4))]
 
 
 @pytest.mark.parametrize("n", (1, 2))
