@@ -91,10 +91,11 @@ check on every certified bar and every natively assembled dual it builds.
 """
 
 import math
-from functools import cache
+from functools import cache, partial
 
 from .exactla import (
-    CochainComplexSlice, RefusalError, SparseMatrix, StructuralError, Window, _integral_columns,
+    CochainComplexSlice, Listing, RefusalError, SparseMatrix, StructuralError, Window,
+    _integral_columns,
 )
 
 
@@ -208,9 +209,9 @@ class _ChainEnumerator:
     then in listing order) holding [a|t] for every t of chains(d - s_a).
     The regime bounds the letters a chain of degree d can hold
     (`most_letters`), so the lists are finite with no cap passed.  Only the
-    block structure is stored (`blocks`); the labels (`label_chains`) are
-    built block by block from the tails', and so are the reduced bar's
-    prefix offsets (`prefixes`), where two words concatenate.  Letters and
+    block structure is stored (`blocks`); the labels (`label_chains`), built
+    only where a bar's basis is read, come block by block from the tails',
+    and so do the reduced bar's prefix offsets (`prefixes`).  Letters and
     base elements are indexed by int in `letter` and `element` (_Labels of
     them, with their shifted degrees and degrees)."""
 
@@ -754,7 +755,8 @@ class BarSlice:
 
     The requested window is padded by one degree on each side before
     materializing, so cohomology is reliable on every requested degree.
-    basis maps degree to the tuple of words (tuples of letters), and
+    basis maps degree to its chains, the words (tuples of letters) or
+    (m, word, n), as an exactla.Listing that lists them on first read, and
     max_weight is the weight cap, the most letters a chain has."""
 
     def __init__(self, chains, complex_):
@@ -895,7 +897,9 @@ def _reduced(spec, window):
     padded = window.padded()
     regime = _regime(spec, padded)
     enum = _ChainEnumerator(spec, regime)
-    basis = {d: enum.label_chains(d) for d in padded.degrees()}
+    # blocks runs on every degree before the table is made; labels are listed on read
+    basis = {d: Listing(enum.blocks(d)[0], partial(enum.label_chains, d))
+             for d in padded.degrees()}
     table = _LetterTable(spec, enum, padded.lo, padded.hi, max(map(len, basis.values())))
     scale = table.scale_to_ints()
     letter = enum.letter
@@ -956,22 +960,25 @@ def _two_sided(left, spec, right, window):
 
     # degree d holds the chains of degree d - |m| once per m, and the module
     # bounds make the range of |m| finite.  offsets[d][m] is the offset of
-    # m's block
+    # m's block, from the blocks' sizes
     lindex = _Labels()
     basis, offsets = {}, {}
+
+    def labels(d):
+        """The labels (m, word, n) of degree d, block by block."""
+        return tuple((lindex.labels[mi], c[:-1], c[-1]) for mi in offsets[d]
+                     for c in enum.label_chains(d - lindex.degrees[mi]))
+
     for d in padded.degrees():
-        labels, offsets[d] = [], {}
+        size, offsets[d] = 0, {}
         for dm in (range(d - right.max_degree, left.max_degree + 1) if connective
                    else range(left.min_degree, d - right.min_degree + 1)):
             ms = left.basis(dm)
-            chains = enum.label_chains(d - dm) if ms else ()
-            if not chains:
-                continue
-            split = [(c[:-1], c[-1]) for c in chains]
-            for m in ms:
-                offsets[d][lindex(m, dm)] = len(labels)
-                labels += [(m, w, n) for w, n in split]
-        basis[d] = labels
+            n = enum.blocks(d - dm)[0] if ms else 0
+            for m in ms if n else ():
+                offsets[d][lindex(m, dm)] = size
+                size += n
+        basis[d] = Listing(size, partial(labels, d))
 
     table = _LetterTable(spec, enum, lo, hi, max(map(len, basis.values())))
     # the ms as heads (see _LetterTable._block): dm and m.a, an m counting

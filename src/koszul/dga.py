@@ -12,6 +12,8 @@ sits in degree -n), and the unit is itself a basis label whose augmentation
 value is 1 while all other basis labels augment to 0.
 """
 
+from functools import cached_property
+
 from .exactla import (
     Window, CochainComplexSlice, SpanTracker,
     RefusalError, StructuralError, complex_from_labels, vec_add_into,
@@ -118,24 +120,19 @@ class FiniteDga:
 
     complex_ is the underlying CochainComplexSlice: the window, the basis and
     the differential are its, and diff(label) reads the label's column of d
-    (memoized per label).  Products are computed lazily through mult_fn and
-    memoized; a product whose degree falls outside the window is zero here,
-    and truncated_products holds the out-of-window degrees that products of
-    basis elements land in.  complete=True asserts the window contains the
-    entire algebra, which makes every stored number honest rather than
-    merely window-accurate.
+    (memoized per label); index is built on first read, and read at once
+    where labels come from outside.  Products are computed lazily through
+    mult_fn and memoized; a product whose degree falls outside the window
+    is zero here, and truncated_products holds the out-of-window degrees
+    that products of basis elements land in.  complete=True asserts the
+    window contains the entire algebra, which makes every stored number
+    honest rather than merely window-accurate.
     """
 
     def __init__(self, complex_, mult_fn, unit, aug, complete, name="", spec=None):
         self.field = field = complex_.field
         self.window = complex_.window
         self.basis = complex_.basis
-        self.index = {}
-        for d, labels in self.basis.items():
-            for i, l in enumerate(labels):
-                if l in self.index:
-                    raise StructuralError(f"duplicate basis label {l!r}")
-                self.index[l] = (d, i)
         self.unit = unit
         self.name = name
         self.spec = spec
@@ -144,10 +141,10 @@ class FiniteDga:
         for l, c in aug.items():
             if field.is_zero(c):
                 continue
-            if l not in self.index:
-                raise StructuralError(f"augmentation is given on {l!r}, which is not a basis label")
-            if self.index[l][0] != 0:
-                raise StructuralError(f"augmentation is nonzero on {l!r} outside degree 0")
+            if l not in self.basis.get(0, ()):
+                raise StructuralError(
+                    f"augmentation is nonzero on {l!r} outside degree 0" if l in self.index
+                    else f"augmentation is given on {l!r}, which is not a basis label")
             self.aug[l] = c
         self._mult_fn = mult_fn
         self._mult_memo = {}
@@ -156,6 +153,18 @@ class FiniteDga:
         present = sorted(self.basis)
         self.truncated_products = frozenset(
             d1 + d2 for d1 in present for d2 in present if d1 + d2 not in self.window)
+
+    @cached_property
+    def index(self):
+        """label -> (degree, position); a label listed twice, in one degree
+        or in two, raises StructuralError."""
+        index = {}
+        for d, labels in self.basis.items():
+            for i, l in enumerate(labels):
+                if l in index:
+                    raise StructuralError(f"duplicate basis label {l!r}")
+                index[l] = (d, i)
+        return index
 
     # -- basic queries ----------------------------------------------------
 
@@ -370,11 +379,13 @@ def algebra_slice(spec, window):
     complete = (spec.min_degree is not None and spec.max_degree is not None
                 and window.lo <= spec.min_degree and spec.max_degree <= window.hi)
 
-    return FiniteDga(
+    fdga = FiniteDga(
         complex_from_labels(spec.field, window, basis, lambda l: spec.diff(l).items()),
         spec.mult, spec.unit,
         {l: spec.aug(l) for l in basis.get(0, ())},
         complete, name=f"{spec.name}[{window.lo},{window.hi}]", spec=spec)
+    fdga.index  # the labels come from outside: a repeat is refused now
+    return fdga
 
 
 def finite_dga_from_tables(field, window, basis, diff, mult_table, unit, aug,
@@ -393,9 +404,11 @@ def finite_dga_from_tables(field, window, basis, diff, mult_table, unit, aug,
         for l in pair:
             if l not in degree_of:
                 raise StructuralError(f"product given for unknown label {l!r}")
-    return FiniteDga(
+    fdga = FiniteDga(
         complex_from_labels(field, window, basis, lambda l: diff.get(l, {}).items()),
         lambda a, b: mult_table.get((a, b), {}), unit, aug, complete, name=name)
+    fdga.index  # the labels come from outside: a repeat is refused now
+    return fdga
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,9 @@ side: koszul.bar builds either one from its letter table and reads the
 dims from whichever starts at its smaller end (bar._homology_dims).
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 
@@ -660,10 +662,42 @@ class Window:
         return f"Window({self.lo}, {self.hi})"
 
 
+class Listing(Sequence):
+    """A tuple of labels of known length, which make() lists on first read,
+    once: a bar's chains, whose dims and ranks read only their number.  It
+    reads, compares, hashes and prints as that tuple."""
+
+    def __init__(self, length, make):
+        self._len, self._make = length, make
+
+    @cached_property
+    def listed(self):
+        return self._make()
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        return self.listed[i]
+
+    def __iter__(self):
+        return iter(self.listed)
+
+    def __eq__(self, other):
+        return self.listed == other
+
+    def __hash__(self):
+        return hash(self.listed)
+
+    def __repr__(self):
+        return repr(self.listed)
+
+
 class CochainComplexSlice:
     """A cochain complex materialized on a degree window.
 
-    basis maps degree -> tuple of labels; diff maps degree d to the matrix of
+    basis maps degree -> tuple of labels, or a Listing (kept as given, its
+    labels listed on first read); diff maps degree d to the matrix of
     d_d : C^d -> C^{d+1} (rows indexed by the degree d+1 basis, columns by the
     degree d basis).  Degrees absent from basis are zero.  The differential
     raises degree by exactly one.
@@ -672,7 +706,8 @@ class CochainComplexSlice:
     def __init__(self, field, window, basis, diff):
         self.field = field
         self.window = window
-        self.basis = {d: tuple(labels) for d, labels in basis.items() if labels}
+        self.basis = {d: labels if isinstance(labels, Listing) else tuple(labels)
+                      for d, labels in basis.items() if labels}
         for d in self.basis:
             if d not in window:
                 raise StructuralError(f"basis at degree {d} outside window {window!r}")

@@ -348,6 +348,16 @@ def test_malformed_table_exits_with_its_code_and_names_the_key(case, docs, capsy
     assert code == 0
 
 
+@pytest.mark.parametrize("repeat", [["x", 0], ["x", -1]], ids=("one-degree", "two-degrees"))
+def test_a_table_that_lists_a_label_twice_is_a_structural_failure(repeat, docs, capsys):
+    path = docs("twice.json", {**DUAL_NUMBERS, "basis": DUAL_NUMBERS["basis"] + [repeat]})
+    for command in ("validate", "bar"):
+        assert main([command, path, "--window=0..2", "--no-cache"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "koszul: structural failure: duplicate basis label 'x'\n"
+
+
 def test_parse_error_names_position(docs, capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"builder": }')

@@ -6,7 +6,7 @@ from koszul.exactla import QQ, Field, Window, RefusalError, StructuralError
 from koszul.dga import (
     algebra_slice, base_field_algebra, square_zero, truncated_polynomial,
     free_assoc, opposite, tensor_algebra, finite_dga_from_tables,
-    connective_cover, cohomology_ring, full_cohomology, DgaMap, lc_equal,
+    connective_cover, cohomology_ring, full_cohomology, DgaMap, DgAlgebraSpec, lc_equal,
 )
 
 
@@ -230,6 +230,37 @@ def test_augmentation_off_the_degree_0_basis_is_refused(aug, message):
     with pytest.raises(StructuralError) as err:
         finite_dga_from_tables(QQ, Window(-1, 0), basis, {}, mult, "1", aug, complete=True)
     assert str(err.value) == message
+
+
+# (basis, augmentation) of tables that list x twice: in one degree, in two
+# degrees, and with an augmentation on an unknown label, which the parent's
+# order of checks also reports as the repeat
+REPEATED_LABELS = {
+    "one-degree": ({0: ("1", "x", "x")}, {"1": QQ.one}),
+    "two-degrees": ({-1: ("x",), 0: ("1", "x")}, {"1": QQ.one}),
+    "and-an-unknown-augmentation": ({0: ("1", "x", "x")}, {"1": QQ.one, "q": QQ.one}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_LABELS))
+def test_a_repeated_label_is_refused_when_the_table_is_built(case):
+    basis, aug = REPEATED_LABELS[case]
+    mult = {("1", "1"): {"1": QQ.one}}
+    with pytest.raises(StructuralError) as err:
+        finite_dga_from_tables(QQ, Window(min(basis), 0), basis, {}, mult, "1", aug,
+                               complete=True)
+    assert str(err.value) == "duplicate basis label 'x'"
+
+
+def test_a_repeated_label_is_refused_when_a_spec_is_sliced():
+    base = truncated_polynomial(QQ, 2, 0)
+    spec = DgAlgebraSpec(
+        QQ, "twice", basis=lambda d: ("1", "x", "x") if d == 0 else (),
+        degree=base.degree, diff=base.diff, mult=base.mult, unit="1", aug=base.aug,
+        min_degree=0, max_degree=0)
+    with pytest.raises(StructuralError) as err:
+        algebra_slice(spec, Window(-1, 1))
+    assert str(err.value) == "duplicate basis label 'x'"
 
 
 def test_dga_map_validation():
