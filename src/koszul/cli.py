@@ -6,8 +6,15 @@ invocation ({"builder": "square_zero", "n": 1}) or an explicit finite table
 and squares are small wrappers over the same shapes.  Reports are JSON on
 standard output with every scalar rendered exactly (integer strings and
 "p/q"); identical inputs are served from an on-disk cache keyed by a hash
-of the canonicalized documents, the command, the window, the engine
-version and a digest of the engine's sources.
+of the canonicalized documents, the command, the window, the options, the
+engine version and a digest of the engine's sources.
+
+Each report is encoded once, as json.dumps(report, sort_keys=True,
+indent=2); that text is the cache entry, and it is printed with the
+duration line put in.  A hit reads the entry's text, checks that it parses
+to an object carrying this request's input_hash and that it has the stored
+layout, and prints it without encoding it again; any other entry is a
+miss, recomputed and rewritten.
 
 Exit codes: 0 success, 2 refusal (a precondition does not hold), 3
 structural or validation failure, 4 parse error.
@@ -112,7 +119,6 @@ class AlgebraHandle:
 
     def __init__(self, raw, name, spec, fdga):
         self.raw = raw
-        self.canonical = _canonical(raw)
         self.name = name
         self.spec = spec
         self.fdga = fdga
@@ -313,10 +319,18 @@ def _engine_key():
     return f"{__version__}+{h.hexdigest()}"
 
 
-def _emit(report, duration):
-    out = dict(report)
-    out["duration_seconds"] = round(duration, 6)
-    sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
+# Every report has "documents" and "engine_version", and sorted keys put
+# "duration_seconds" between them, so it goes in just before this line.
+_ENGINE_LINE = '\n  "engine_version": '
+
+
+def _emit(text, duration):
+    """Write a report, encoded once in the stored layout, with its duration:
+    the bytes json.dumps(..., sort_keys=True, indent=2) gives for the report
+    holding it."""
+    head, line, tail = text.partition(_ENGINE_LINE)
+    sys.stdout.write(
+        f'{head}\n  "duration_seconds": {round(duration, 6)!r},{line}{tail}')
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +590,12 @@ _DOC_ARGS = {
     "series": ["ring", "module"],
 }
 
-_OPTION_KEYS = ("ring", "power_gen", "strict_via_kos")
+# the flags that enter each command's report and cache key; a document
+# role (series names its first document "ring") is never an option
+_OPTIONS = {
+    "dual": ("ring", "power_gen"),
+    "tensor": ("strict_via_kos",),
+}
 
 
 def _resolve_field(args, raws):
@@ -618,30 +637,33 @@ def main(argv=None):
         field = _resolve_field(args, raws)
 
         window = getattr(args, "window", None)
-        options = {k: getattr(args, k) for k in _OPTION_KEYS if hasattr(args, k)}
+        options = {k: getattr(args, k) for k in _OPTIONS.get(args.command, ())}
+        canonicals = [_canonical(r) for r in raws]
         payload = _canonical({
             "engine": _engine_key(),
             "command": args.command,
             "field": field.name,
             "window": [window.lo, window.hi] if window is not None else None,
             "options": options,
-            "documents": [_canonical(r) for r in raws],
+            "documents": canonicals,
         })
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
         cache_path = None
         if not args.no_cache:
             cache_path = os.path.join(_cache_dir(args), digest + ".json")
-            if os.path.exists(cache_path):
-                try:
-                    with open(cache_path, "r", encoding="utf-8") as fh:
-                        report = json.load(fh)
-                except (OSError, ValueError):
-                    report = None
-                # anything but this request's report is a miss, rewritten below
-                if isinstance(report, dict) and report.get("input_hash") == digest:
-                    _emit(report, time.monotonic() - start)
-                    return 0
+            try:
+                with open(cache_path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+                stored = json.loads(text)
+            except (OSError, ValueError):
+                stored = None
+            # anything but this request's report in the stored layout is a
+            # miss, rewritten below; a hit is emitted as read
+            if (isinstance(stored, dict) and stored.get("input_hash") == digest
+                    and _ENGINE_LINE in text and text.endswith("\n}\n")):
+                _emit(text, time.monotonic() - start)
+                return 0
 
         # algebra-document positions get parsed here; module and square
         # documents stay raw for the command to interpret in context
@@ -661,8 +683,8 @@ def main(argv=None):
             "input_hash": digest,
             "documents": [{
                 "role": role,
-                "sha256": hashlib.sha256(_canonical(raw).encode("utf-8")).hexdigest(),
-            } for role, raw in zip(roles, raws)],
+                "sha256": hashlib.sha256(c.encode("utf-8")).hexdigest(),
+            } for role, c in zip(roles, canonicals)],
             "options": options,
             "flags": {"refusal": None},
         }
@@ -684,14 +706,14 @@ def main(argv=None):
             report["flags"] = {"structural": str(e)}
             code = 3
 
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
         if code == 0 and cache_path is not None:
             try:
                 os.makedirs(os.path.dirname(cache_path), exist_ok=True)
-                _write_atomic(cache_path,
-                              json.dumps(report, sort_keys=True, indent=2) + "\n")
+                _write_atomic(cache_path, text)
             except OSError as e:  # the answer still goes out, uncached
                 sys.stderr.write(f"koszul: warning: report not cached: {e}\n")
-        _emit(report, time.monotonic() - start)
+        _emit(text, time.monotonic() - start)
         return code
     except DocumentError as e:
         sys.stderr.write(f"koszul: parse error: {e}\n")

@@ -68,7 +68,7 @@ dims from whichever starts at its smaller end (bar._homology_dims).
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 
@@ -185,6 +185,8 @@ class Field:
         return f"Field({self.p})" if self.p is not None else "Field(Q)"
 
 
+# Field(p) tests p on every construction, and a process sees few primes
+@lru_cache(maxsize=64)
 def _is_prime(n):
     if n < 2:
         return False

@@ -10,6 +10,7 @@ import pytest
 
 from koszul import __version__, cli
 from koszul.exactla import QQ, Field, Window, StructuralError
+from koszul.artin import radical_filtration
 from koszul.dga import (
     algebra_slice, finite_dga_from_tables, square_zero, truncated_polynomial,
 )
@@ -543,6 +544,121 @@ def test_cache_entry_that_is_not_this_report_is_a_miss(content, docs, capsys,
     assert strip_duration(r2) == strip_duration(r1)
     with open(entry, "r", encoding="utf-8") as fh:
         assert json.load(fh) == strip_duration(r1)
+
+
+def canonical_text(out):
+    return json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+class FakeTime:
+    """Stands in for cli's time module: each main call reads the clock
+    twice, so successive calls take these durations in turn."""
+
+    def __init__(self, *durations):
+        self.ticks = iter([t for d in durations for t in (0.0, d)])
+
+    def monotonic(self):
+        return next(self.ticks)
+
+
+BYTE_CASES = {
+    "validate": (["validate", "{sq1}", "--window=-1..0"], 0),
+    "validate broken": (["validate", "{bad}", "--window=0..0"], 3),
+    "bar": (["bar", "{sq1}", "--window=-4..0"], 0),
+    "dual": (["dual", "{sq1}", "--window=0..6", "--power-gen", "2"], 0),
+    "dual --ring": (["dual", "{cubic}", "--window=0..4", "--ring"], 0),
+    "ext": (["ext", "{sq1}", "--window=0..4", "--field", "Fp:5"], 0),
+    "bidual": (["bidual", "{sq1}", "--window=-3..1"], 0),
+    "bidual refusal": (["bidual", "{sq0}", "--window=-2..1"], 2),
+    "tensor": (["tensor", "{k}", "{u2}", "{k}", "--window=0..2",
+                "--strict-via-kos", "1"], 0),
+    "square": (["square", "{square}"], 0),
+    "series": (["series", "{cubic}", "{regular}"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_CASES))
+def test_miss_and_hit_print_the_canonical_bytes(case, docs, capsys, monkeypatch):
+    """Each report is encoded once and a hit prints the stored text, yet both
+    print exactly what json.dumps(sort_keys=True, indent=2) gives for the
+    report, and differ only on the duration line."""
+    paths = {
+        "sq0": docs("sq0.json", {"builder": "square_zero", "n": 0}),
+        "sq1": docs("sq1.json", {"builder": "square_zero", "n": 1}),
+        "cubic": docs("cubic.json", {"builder": "truncated_polynomial",
+                                     "m": 3, "d": 0}),
+        "u2": docs("u2.json", {"builder": "free_assoc", "gens": [["u", 2]]}),
+        "k": docs("k.json", {"module": "trivial"}),
+        "regular": docs("regular.json", {"module": "regular"}),
+        "square": docs("sq.json", {"square": "small_extension",
+                                   "algebra": {"builder": "square_zero", "n": 0},
+                                   "shift": 1}),
+        "bad": docs("bad.json", {
+            "basis": [["1", 0], ["e", 0]], "differential": {},
+            "multiplication": [
+                ["1", "1", [["1", "1"]]], ["1", "e", [["1", "e"]]],
+                ["e", "1", [["1", "e"]]], ["e", "e", [["1", "1"]]]],
+            "unit": "1", "augmentation": {"1": "1"}}),
+    }
+    argv, expected = BYTE_CASES[case]
+    argv = [a.format(**paths) for a in argv]
+    monkeypatch.setattr(cli, "time", FakeTime(0.031415926, 1.2e-05))
+    outs = []
+    for _ in range(2):
+        assert main(argv) == expected
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == canonical_text(captured.out)
+        outs.append(captured.out.splitlines())
+    miss, hit = outs
+    assert len(miss) == len(hit)
+    assert [i for i, (a, b) in enumerate(zip(miss, hit)) if a != b] \
+        == [miss.index('  "duration_seconds": 0.031416,')]
+    assert '  "duration_seconds": 1.2e-05,' in hit
+
+
+def test_series_options_hold_no_document_path(tmp_path, capsys, monkeypatch):
+    """series names its ring document "ring", as dual names its --ring flag;
+    the document's path enters neither the options nor the cache key."""
+    doc = json.dumps({"builder": "truncated_polynomial", "m": 3, "d": 0})
+    paths = []
+    for where in ("one", "two"):
+        (tmp_path / where).mkdir()
+        (tmp_path / where / "cubic.json").write_text(doc)
+        paths.append(str(tmp_path / where / "cubic.json"))
+    calls = []
+    monkeypatch.setattr(cli, "radical_filtration",
+                        lambda *a, **k: calls.append(a) or radical_filtration(*a, **k))
+    cache = tmp_path / "cache"
+    reports = []
+    for path in paths:
+        code, report, _ = run(capsys, "series", path, "--cache-dir", str(cache))
+        assert code == 0
+        assert report["options"] == {}
+        reports.append(strip_duration(report))
+    assert reports[0] == reports[1]
+    assert os.listdir(cache) == [reports[0]["input_hash"] + ".json"]
+    assert len(calls) == 1  # the second path was served from the cache
+
+
+def test_cache_entry_in_another_layout_is_a_miss_and_rewritten(docs, capsys,
+                                                               tmp_path):
+    """This very report, valid and with the right input_hash, but encoded
+    compactly, is recomputed and stored again in the stored layout."""
+    path = docs("cubic.json", {"builder": "truncated_polynomial", "m": 3, "d": 0})
+    cache = tmp_path / "cache"
+    argv = ("dual", path, "--window=0..4", "--ring", "--cache-dir", str(cache))
+    _, r1, _ = run(capsys, *argv)
+    entry = cache / (r1["input_hash"] + ".json")
+    stored = entry.read_text(encoding="utf-8")
+    assert stored == canonical_text(stored)
+    entry.write_text(json.dumps(json.loads(stored)), encoding="utf-8")
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == canonical_text(out)
+    assert strip_duration(json.loads(out)) == strip_duration(r1)
+    assert entry.read_text(encoding="utf-8") == stored
 
 
 @pytest.mark.parametrize("blocker", ["cache dir is a file", "entry is a directory"])

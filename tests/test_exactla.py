@@ -49,6 +49,10 @@ def test_composite_characteristic_rejected():
     with pytest.raises(RefusalError):
         Field(1)
     Field(2), Field(3), Field(101)  # primes fine
+    for _ in range(2):  # the primality test is memoized, the refusal is not
+        with pytest.raises(RefusalError, match="9 is not prime"):
+            Field(9)
+        assert Field(32003).p == 32003
 
 
 small_fields = st.sampled_from([QQ, Field(2), Field(5), Field(7)])
