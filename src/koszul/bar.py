@@ -91,6 +91,7 @@ check on every certified bar and every natively assembled dual it builds.
 """
 
 import math
+from bisect import bisect_left, insort
 from functools import cache, partial
 
 from .exactla import (
@@ -230,6 +231,9 @@ class _ChainEnumerator:
         self.memo = {}
         self.label_memo = {}
         self.prefix_memo = {}
+        # the shifted degrees scanned for letters, an interval, and those
+        # of them that have letters, in increasing order (`_lettered`)
+        self.scanned, self.lettered = range(0), []
 
     def letters(self, s):
         """Letters of shifted degree s, checking augmentation-adaptedness."""
@@ -259,29 +263,70 @@ class _ChainEnumerator:
         and its base elements, which come first.  A letter of shifted
         degree s is tried only where chains(d - s) can hold a base element
         (d - s <= max|n| connective, d - s >= min|n| coconnected), so the
-        recursion ends where no letter fits."""
+        tails end where no letter fits."""
         hit = self.memo.get(d)
         if hit is not None:
             return hit
+        return self.fill(self.memo, d, self._blocks,
+                         lambda e: [e - s for s in self._lettered(e)])
+
+    def _lettered(self, d):
+        """The shifted degrees s that have letters among those chains(d)
+        may begin with, in increasing order.  Each s is scanned once
+        (`letters`): the ranges asked for all end at 0 (connective) or all
+        start at g (coconnected), so the scanned ones form an interval."""
+        kind, g = self.regime
+        if kind == "connective":
+            shifts = range(d - self.reach, 0)
+        else:
+            shifts = range(0) if g is None else range(g, d - self.reach + 1)
+        if not shifts:
+            return []
+        scanned = self.scanned or range(shifts.start, shifts.start)
+        lo, hi = min(shifts.start, scanned.start), max(shifts.stop, scanned.stop)
+        for s in (*range(lo, scanned.start), *range(scanned.stop, hi)):
+            if self.letters(s):
+                insort(self.lettered, s)
+        self.scanned = range(lo, hi)
+        lettered = self.lettered
+        return lettered[bisect_left(lettered, shifts.start):bisect_left(lettered, shifts.stop)]
+
+    def _blocks(self, d):
+        """`blocks(d)`, once those of its tails are memoized."""
         base = tuple(self.element(n, d) for n in self.right.basis(d))
         size = len(base)
         blocks, offset = [], {}
-        kind, g = self.regime
-        if kind == "connective":
-            srange = range(d - self.reach, 0)
-        elif g is None:
-            srange = range(0)
-        else:
-            srange = range(g, d - self.reach + 1)
-        for s in srange:
+        for s in self._lettered(d):
             for a in self.letters(s):
-                n = self.blocks(d - s)[0]
+                n = self.memo[d - s][0]
                 if n:
                     blocks.append((a, s, size))
                     offset[a] = size
                     size += n
-        hit = self.memo[d] = (size, blocks, offset, base)
-        return hit
+        return size, blocks, offset, base
+
+    def tails(self, d):
+        """The degrees d - s of the tails in chains(d)'s blocks."""
+        return [d - s for _, s, _ in self.blocks(d)[1]]
+
+    def fill(self, memo, key, make, tails):
+        """memo[key], after memo has been filled on key and on every key it
+        is built from: make(k) builds the entry of k from the entries of
+        tails(k), which lie toward the base degree (max|n| connective,
+        min|n| coconnected).  The entries are made from the base outward,
+        so make reads only filled ones and nothing recurses once per
+        degree, however wide the window.  Keys are degrees, or pairs that
+        move together (`prefixes`)."""
+        todo, stack = set(), [key]
+        while stack:
+            k = stack.pop()
+            if k not in memo and k not in todo:
+                todo.add(k)
+                stack += tails(k)
+        # connective tails sit above their chains, coconnected ones below
+        for k in sorted(todo, reverse=self.regime[0] == "connective"):
+            memo[k] = make(k)
+        return memo[key]
 
     def prefixes(self, d1, d):
         """P_d on the words of chains(d1) (reduced bar): x ++ y is word
@@ -289,27 +334,40 @@ class _ChainEnumerator:
         P_d([a|t]) = offset[a] in chains(d) plus P_{d - s_a}(t), built block
         by block with no word built (memoized)."""
         hit = self.prefix_memo.get((d1, d))
-        if hit is None:
+        if hit is not None:
+            return hit
+
+        def make(key):
+            d1, d = key
             _, blocks, _, base = self.blocks(d1)
             offset = self.blocks(d)[2]
             hit = [0] * len(base)
             for a, s, _ in blocks:
                 o = offset[a]
-                hit += [o + q for q in self.prefixes(d1 - s, d - s)]
-            self.prefix_memo[(d1, d)] = hit
-        return hit
+                hit += [o + q for q in self.prefix_memo[(d1 - s, d - s)]]
+            return hit
+
+        def tails(key):
+            d1, d = key
+            return [(d1 - s, d - s) for _, s, _ in self.blocks(d1)[1]]
+
+        return self.fill(self.prefix_memo, (d1, d), make, tails)
 
     def label_chains(self, d):
         """chains(d) as tuples of labels: the letters', then end(n)."""
         hit = self.label_memo.get(d)
-        if hit is None:
+        if hit is not None:
+            return hit
+
+        def make(d):
             _, blocks, _, base = self.blocks(d)
             out = list(map(self.end, base))
             labels = self.letter.labels
             for a, s, _ in blocks:
-                out += map((labels[a],).__add__, self.label_chains(d - s))
-            hit = self.label_memo[d] = tuple(out)
-        return hit
+                out += map((labels[a],).__add__, self.label_memo[d - s])
+            return tuple(out)
+
+        return self.fill(self.label_memo, d, make, self.tails)
 
 
 class _LetterTable:
@@ -538,6 +596,10 @@ class _LetterTable:
         hit = self.memo.get(d)
         if hit is not None:
             return hit
+        return self.enum.fill(self.memo, d, self._columns, self.enum.tails)
+
+    def _columns(self, d):
+        """`columns(d)`, once those of its tails are memoized."""
         enum, p = self.enum, self.field.p
         _, _, target, upper = enum.blocks(d + 1)
         # [;dn] and [;a.n] land on the base elements of degree d + 1, listed first
@@ -551,7 +613,6 @@ class _LetterTable:
             cols.append(col)
         for a, s, _ in blocks:
             self._block(cols, self.level, a, s, d, target, self.act[a], elements)
-        self.memo[d] = cols
         return cols
 
     def _block(self, cols, level, h, s, d, target, act=None, elements=None):
@@ -637,6 +698,10 @@ class _LetterTable:
         hit = self.comemo.get(f)
         if hit is not None:
             return hit
+        return self.enum.fill(self.comemo, f, self._cocolumns, self.enum.tails)
+
+    def _cocolumns(self, f):
+        """`cocolumns(f)`, once those of its tails are memoized."""
         colevel, cobase, coact, _ = self.co
         enum, p = self.enum, self.field.p
         _, _, target, lower = enum.blocks(f - 1)
@@ -654,7 +719,6 @@ class _LetterTable:
             cols.append(col)
         for a, s, _ in blocks:
             self._coblock(cols, colevel, a, s, f, target)
-        self.comemo[f] = cols
         return cols
 
     def _transposed_base(self):

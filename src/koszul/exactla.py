@@ -15,18 +15,28 @@ which reads its cycles from SparseMatrix.int_kernel), the Koszul dual's
 ring constants (koszul.dual multiplies representatives on index vectors,
 read by CohomologyReport.int_coords), the d^2 check and the elimination
 (SpanTracker) never do Fraction arithmetic.  Over F_p
-the loops reduce mod a local p.  A tracked elimination keeps monic
-pivots, since each combo is scaled with its pivot; an untracked one (the
-dims-only ranks) stores each pivot raw, with the inverse of its lead, so
-no pivot is rebuilt just to be monic.
-The class trackers behind representatives are seeded with raw pivots,
-and SpanTracker.as_boundaries, the one place that does so, makes them
-monic.  Over Q a vector is scaled by the lcm of its denominators (a
-matrix column arrives scaled already), reduction is fraction-free
-(Bareiss 1968: v <- a*v - b*pivot with the leads divided by their gcd),
-and pivots are primitive integer vectors, not monic ones; values become
-Fractions only where they leave the engine: the `entries` and
-`columns()` views of a matrix, and what leaves the tracker.
+the loops reduce mod a local p.  Over Q a vector is scaled by the lcm of
+its denominators (a matrix column arrives scaled already), reduction is
+fraction-free (Bareiss 1968: v <- a*v - b*pivot with the leads divided
+by their gcd, which takes the sign of the pivot's lead), and pivots are
+primitive integer vectors, not monic ones; values become Fractions only
+where they leave the engine: the `entries` and `columns()` views of a
+matrix, and what leaves the tracker.
+
+Pivots are kept as they stand wherever the answers allow.  A tracked
+elimination keeps monic pivots over F_p and positive leads over Q, since
+each combo is scaled with its pivot.  An untracked one (the dims-only
+ranks) stores each pivot raw (`_raw_pivot`): over F_p with the inverse of
+its lead, over Q with the sign of its lead kept, since a reduction step
+gives the same vector against a pivot and its negation; so no pivot is
+rebuilt just to be monic or positive.  A column whose lead no pivot
+holds becomes a pivot as it stands, uncopied and shared with the matrix
+(`SparseMatrix._eliminate`), which is most columns of a bar; a column is
+copied only when a pivot meets it.  So nothing may write into a pivot or
+a matrix column, and nothing does: a reduction writes only into the
+vector it is given.  The class trackers behind representatives are
+seeded with raw pivots, and SpanTracker.as_boundaries, the one place that
+does so, makes them monic over F_p and shares them over Q.
 
 A pivot's lead is the largest index of its vector, and reduction clears
 the largest index first.  The lead is a free parameter: rank, span
@@ -185,18 +195,40 @@ class Field:
         return f"Field({self.p})" if self.p is not None else "Field(Q)"
 
 
+# Miller-Rabin on the first 13 primes as bases decides primality for every
+# n below this bound (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86 (2017)); Field refuses p at or above it
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 # Field(p) tests p on every construction, and a process sees few primes
 @lru_cache(maxsize=64)
 def _is_prime(n):
+    """Whether n is prime, for n below _PRIME_BOUND, where the strong
+    probable-prime test to _PRIME_BASES is deterministic."""
+    if n >= _PRIME_BOUND:
+        raise RefusalError(
+            f"{n} is too large: primality is decided only below {_PRIME_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -248,9 +280,12 @@ class SpanTracker:
     are made monic, for the tracked tracker they seed.  Over Q the
     elimination never forms a Fraction: a vector entering the tracker is
     scaled by the lcm D of its denominators, a reduction step is
-    v <- a*v - b*pivot with a, b the two leads divided by their gcd, and a
-    pivot is a primitive integer vector (content divided out, lead
-    positive).  Values leave the tracker as Fractions.
+    v <- a*v - b*pivot with a, b the two leads divided by their gcd taken
+    with the sign of the pivot's lead (so a > 0), and a pivot is a
+    primitive integer vector: content divided out, its lead positive when
+    tracked and of either sign when not.  Values leave the tracker as
+    Fractions.  A pivot may be the very vector that was inserted or a
+    matrix column (`_raw_pivot`); a reduction never writes into one.
 
     With track=True every inserted vector gets a tag and `reduce` reports
     the expression of the reducible part in terms of the tagged inserts,
@@ -298,7 +333,8 @@ class SpanTracker:
         boundaries (empty combos), so that its combos count only the
         vectors inserted later: the class tracker of `cohomology`.  Over F_p
         a tracked reduction needs monic pivots, and this is the one place
-        where the raw pivots of an untracked tracker are made monic."""
+        where the raw pivots of an untracked tracker are made monic; over Q
+        the pivots are shared, whatever the sign of their leads."""
         seeded = SpanTracker(self.field, track=True)
         p = self.field.p
         if p is None or self.track:
@@ -357,8 +393,11 @@ class SpanTracker:
                 return w, combo, s, lead
             pvec, pcombo = hit
             x, y = w[lead], pvec[lead]
-            g = gcd(x, y)
-            a, b = y // g, x // g  # a > 0: pivot leads are positive
+            # g takes the sign of the pivot's lead, so a > 0 and the step
+            # a*w - b*pvec is the same for a pivot and its negation: an
+            # untracked pivot keeps the sign of its lead
+            g = gcd(x, y) if y > 0 else -gcd(x, y)
+            a, b = y // g, x // g
             if a != 1:
                 s *= a
                 for i in w:
@@ -394,16 +433,12 @@ class SpanTracker:
     def _add_pivot(self, lead, w, combo, s, scale, tag):
         """Make a new pivot, tagged tag, from the nonzero raw reduction
         (w, combo, s, lead) of the vector being inserted, at scale."""
+        if not self.track:
+            self.pivots[lead] = _raw_pivot(w, lead, self.field.p)
+            return
         p = self.field.p
-        pcombo = None
         if p is not None:
-            # 1 and p - 1 are their own inverses, and the only leads met on
-            # the bars and duals of k[x]/x^3 and k[x, y]/(x^2, y^2)
-            c = w[lead]
-            lam = c if c == 1 or c == p - 1 else pow(c, p - 2, p)
-            if not self.track:  # raw: stored as it is, with 1/lead
-                self.pivots[lead] = (w, lam)
-                return
+            w, lam = _raw_pivot(w, lead, p)  # made monic, with its combo
             neg = -lam % p
             pcombo = {t: neg * c % p for t, c in combo.items()}
             c = (pcombo.get(tag, 0) + lam) % p
@@ -416,29 +451,44 @@ class SpanTracker:
             self.pivots[lead] = (w, pcombo)
             return
         # w = s * vec - sum(combo[t] * D_t * insert_t); vec is insert_tag
-        if self.track:
-            d_tag = self._scale.setdefault(tag, scale)
-            k = d_tag // gcd(d_tag, s)  # 1 unless tag was used before
-            if k != 1:
-                w = {i: k * x for i, x in w.items()}
-                combo = {t: k * c for t, c in combo.items()}
-                s *= k
-            pcombo = {t: -c for t, c in combo.items()}
-            c = pcombo.get(tag, 0) + s // d_tag
-            if c:
-                pcombo[tag] = c
-            else:
-                pcombo.pop(tag, None)
-            g = gcd(*w.values(), *pcombo.values())
+        d_tag = self._scale.setdefault(tag, scale)
+        k = d_tag // gcd(d_tag, s)  # 1 unless tag was used before
+        if k != 1:
+            w = {i: k * x for i, x in w.items()}
+            combo = {t: k * c for t, c in combo.items()}
+            s *= k
+        pcombo = {t: -c for t, c in combo.items()}
+        c = pcombo.get(tag, 0) + s // d_tag
+        if c:
+            pcombo[tag] = c
         else:
-            g = gcd(*w.values())
+            pcombo.pop(tag, None)
+        # content divided out jointly, lead made positive
+        g = gcd(*w.values(), *pcombo.values())
         if w[lead] < 0:
             g = -g
         if g != 1:
             w = {i: x // g for i, x in w.items()}
-            if pcombo is not None:
-                pcombo = {t: c // g for t, c in pcombo.items()}
+            pcombo = {t: c // g for t, c in pcombo.items()}
         self.pivots[lead] = (w, pcombo)
+
+
+def _raw_pivot(w, lead, p):
+    """The pivot slot of an untracked tracker for the nonzero int vector w,
+    whose largest index is lead: the raw-pivot rule, stated here alone.
+
+    Over F_p it is (w, 1/w[lead]), w as it stands.  Over Q it is (w, None)
+    with w made primitive, its content divided out and the sign of its
+    lead kept (`_reduce_ints` steps alike with a pivot and its negation).
+    Either way w itself is stored, not copied, unless its content is not 1,
+    so a pivot may be a matrix column: nothing writes into a pivot."""
+    if p is not None:
+        # 1 and p - 1 are their own inverses, and the only leads met on
+        # the bars and duals of k[x]/x^3 and k[x, y]/(x^2, y^2)
+        c = w[lead]
+        return w, c if c == 1 or c == p - 1 else pow(c, p - 2, p)
+    g = gcd(*w.values())
+    return (w if g == 1 else {i: x // g for i, x in w.items()}), None
 
 
 # ---------------------------------------------------------------------------
@@ -580,11 +630,22 @@ class SparseMatrix:
     def _eliminate(self, track, skip):
         """`eliminate`, each kernel vector as its (z, s) of `int_kernel`."""
         tracker = SpanTracker(self.field, track)
+        pivots = tracker.pivots
         kernel = [] if track else None
         scale, p = self.scale, self.field.p
         for j, col in enumerate(self.int_columns):
             if j in skip:
                 continue
+            if col:
+                lead = max(col)
+                if lead not in pivots:
+                    # the column meets no pivot: it becomes one as it
+                    # stands, uncopied unless the pivot rule rescales it
+                    if track:
+                        tracker._add_pivot(lead, col, {}, scale, scale, j)
+                    else:
+                        pivots[lead] = _raw_pivot(col, lead, p)
+                    continue
             w, combo, s, lead = tracker._reduce_ints(dict(col), scale)
             if w:
                 tracker._add_pivot(lead, w, combo, s, scale, j)

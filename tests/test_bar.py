@@ -1,6 +1,8 @@
 """Bar construction tests: frozen homology values, weight bounds,
 truncation stability, deconcatenation algebra, refusals."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,7 @@ from koszul.dga import (
 )
 from koszul.bar import (
     ConvergenceError, weight_bound, bar_complex, bar_homology_dims,
-    two_sided_bar, derived_tensor_dims,
+    two_sided_bar, derived_tensor_dims, dual_complex,
 )
 from koszul.dgmod import trivial_module, regular_module, laurent_module
 from koszul.dual import koszul_dual_slice
@@ -272,3 +274,36 @@ def test_two_sided_needs_module_bounds():
     lau = laurent_module(QQ, 2)
     with pytest.raises(ConvergenceError):
         two_sided_bar(k, base, lau, Window(-2, 2))
+
+
+# ---------------------------------------------------------------------------
+# wide windows
+
+
+@pytest.fixture()
+def default_recursion_limit():
+    """The interpreter's default recursion limit, restored afterwards."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_wide_windows_do_not_recurse_once_per_degree(default_recursion_limit):
+    """k + k[0] has one chain in each degree, each built from the one
+    before: the memos of blocks, label_chains, prefixes, columns and
+    cocolumns are filled from the base degree outward, so a window wider
+    than the recursion limit answers like a narrow one."""
+    w = 1200
+    tor = {d: 1 for d in range(-w, 1)}
+    for field in (QQ, F5):
+        spec = square_zero(field, 0)
+        assert bar_homology_dims(spec, Window(-w, 0)) == tor
+        bar = bar_complex(spec, Window(-w, 0))
+        assert bar.basis[-w] == (("e",) * w,)
+        assert bar.homology_dims() == tor
+        k = trivial_module(spec)
+        assert derived_tensor_dims(k, spec, k, Window(-w, 0)) == tor
+        dual, chains = dual_complex(spec, Window(0, w))
+        assert dual.cohomology().dims == {d: 1 for d in range(w + 1)}
+        assert chains.table.enum.prefixes(-w, -w - 1) == [0]

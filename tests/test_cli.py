@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -402,6 +403,35 @@ def test_field_flag_selects_prime_field(docs, capsys):
     assert code == 0
     assert report["field"] == "Fp:5"
     assert dims_of(report) == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
+
+
+def test_a_large_prime_field_answers_and_one_past_the_primality_bound_exits_four(docs, capsys):
+    """2^61 - 1 is tested by Miller-Rabin, not trial division, so the call
+    answers; a modulus at or above the bound where the test is
+    deterministic is refused as a bad field."""
+    path = docs("cubic.json", {"builder": "truncated_polynomial", "m": 3, "d": 0})
+    code, report, _ = run(capsys, "bar", path, "--window=-4..0",
+                          "--field", "Fp:2305843009213693951", "--no-cache")
+    assert code == 0 and report["field"] == "Fp:2305843009213693951"
+    assert dims_of(report) == {d: 1 for d in range(-4, 1)}
+    code, report, err = run(capsys, "bar", path, "--window=-4..0",
+                            "--field", "Fp:3317044064679887385961981", "--no-cache")
+    assert code == 4 and report is None and "too large" in err
+
+
+def test_a_window_wider_than_the_recursion_limit_answers(docs, capsys):
+    """square_zero(2) has at most one chain per degree; each is built from
+    the one three degrees up, and the memos are filled from there outward,
+    so 0..3000 answers at the default recursion limit, as 0..900 does."""
+    path = docs("sq2.json", {"builder": "square_zero", "n": 2})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, report, _ = run(capsys, "dual", path, "--window=0..3000", "--no-cache")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert dims_of(report) == {d: int(d % 3 == 0) for d in range(3001)}
 
 
 def test_the_shared_parser_keeps_no_option_between_calls(docs, capsys, tmp_path):

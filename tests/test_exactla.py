@@ -1,5 +1,6 @@
 """Fields, sparse matrices, complex slices."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from koszul.exactla import (
     Field, QQ, SparseMatrix, SpanTracker, Window, CochainComplexSlice,
     InvalidComplexError, RefusalError, StructuralError, complex_from_labels, vec_add_into,
+    _integral_columns, _is_prime,
 )
 
 from matrix_reference import (
@@ -53,6 +55,30 @@ def test_composite_characteristic_rejected():
         with pytest.raises(RefusalError, match="9 is not prime"):
             Field(9)
         assert Field(32003).p == 32003
+
+
+def _trial_division(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_is_decided_by_strong_probable_prime_tests():
+    """Miller-Rabin to the first 13 prime bases is deterministic below
+    3 317 044 064 679 887 385 961 981 (Sorenson and Webster 2017), so a
+    large prime is accepted at once and nothing at or above the bound is."""
+    assert Field(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(RefusalError, match="561 is not prime"):
+        Field(561)  # a Carmichael number: a Fermat pseudoprime to every base
+    with pytest.raises(RefusalError, match="3215031751 is not prime"):
+        Field(3215031751)  # the least strong pseudoprime to bases 2, 3, 5 and 7
+    psi13 = 3317044064679887385961981  # strong pseudoprime to bases 2..41
+    for n in (psi13, 2**89 - 1):  # a composite, and a prime above the bound
+        with pytest.raises(RefusalError, match="too large"):
+            Field(n)
+    assert [n for n in range(3000) if _is_prime(n)] \
+        == [n for n in range(3000) if _trial_division(n)]
+    rnd = random.Random(61)
+    for n in (rnd.randrange(10**6, 10**7) for _ in range(300)):
+        assert _is_prime(n) == _trial_division(n)
 
 
 small_fields = st.sampled_from([QQ, Field(2), Field(5), Field(7)])
@@ -835,3 +861,150 @@ def test_complex_from_labels_sums_terms_and_stops_at_the_window():
     terms["a"] = [("w", 1)]
     with pytest.raises(StructuralError, match="'w'"):
         complex_from_labels(f5, Window(0, 2), basis, lambda l: terms[l])
+
+
+# -- pivots as they stand --------------------------------------------------------
+# A column that meets no pivot is stored as the pivot, uncopied, and an
+# untracked pivot over Q keeps the sign of its lead; as_boundaries shares
+# those vectors again.  Nothing may write into them.
+
+SIGNED = {None: (-3, -2, -1, 1, 2, 3, Fraction(-3, 2), Fraction(2, 3)), "p": (-2, -1, 1, 2, 3)}
+
+
+@st.composite
+def signed_matrices(draw):
+    """A sparse matrix over Q or a prime field with entries of both signs
+    (over Q, some with a denominator), so that columns lead with negative
+    entries, now and then with a column the negation of an earlier one;
+    probes, about half of them in the column span; and columns to skip,
+    drawn from those that depend on earlier ones."""
+    field = draw(st.sampled_from((QQ, QQ) + PRIMES))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 8))
+    entry = st.sampled_from(SIGNED[field.p and "p"]).map(lambda x: _in(field, x))
+    columns = [{} for _ in range(cols)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                              max_size=24)):
+        columns[j][i] = draw(entry)
+    if cols > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 2))
+        columns[draw(st.integers(j + 1, cols - 1))] = {i: field.neg(x) for i, x in columns[j].items()}
+    m = matrix_from_columns(field, rows, columns)
+    probes = []
+    for _ in range(draw(st.integers(1, 3))):
+        probe = {i: draw(entry) for i in draw(st.lists(st.integers(0, rows - 1), max_size=rows))}
+        if draw(st.booleans()):
+            probe = m.apply({j: draw(entry) for j in range(cols)})
+        probes.append(probe)
+    dense = [[m.column(j).get(i, field.zero) for j in range(cols)] for i in range(rows)]
+    independent = gauss_jordan(field, dense, cols)[0]
+    dependent = [j for j in range(cols) if j not in independent]
+    skip = frozenset(draw(st.lists(st.sampled_from(dependent), unique=True)) if dependent else ())
+    return m, dense, probes, skip
+
+
+@given(signed_matrices())
+@settings(max_examples=150, deadline=None)
+def test_elimination_never_writes_into_its_matrix(case):
+    """Pivots share the matrix's columns, so every reader of them (the
+    eliminations, tracked or not, with or without skip, int_kernel, rank,
+    nullspace_basis, and reductions and inserts against the trackers and
+    the ones as_boundaries seeds) must leave the columns as they were."""
+    m, _, probes, skip = case
+    before = copy.deepcopy(m.int_columns)
+    trackers = [m.eliminate(track, s)[0] for track in (False, True) for s in ((), skip)]
+    m.int_kernel(), m.rank(), m.nullspace_basis()
+    for tracker in trackers + [t.as_boundaries() for t in trackers]:
+        for probe in probes:
+            tracker.reduce(probe)
+            tracker.insert(probe, tag=m.cols)
+    assert m.int_columns == before
+
+
+@given(split_complexes(lengths=(1, 4), fields=(QQ,) + PRIMES), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_cohomology_never_writes_into_its_differentials(case, rnd):
+    """cohomology with representatives seeds its class trackers with the
+    pivots of the previous elimination, which may be the differentials'
+    own columns; neither it nor coords on its report writes into them."""
+    c, _, _, _ = case
+    field = c.field
+    before = {d: copy.deepcopy(m.int_columns) for d, m in c.diff.items()}
+    report = c.cohomology()
+    c.cohomology(representatives=False)
+    for d, reps in report.representatives.items():
+        chain = {j: field.of_int(rnd.randint(-3, 3)) for j in range(c.dim(d - 1))}
+        mixed = c.d_at(d - 1).apply({j: x for j, x in chain.items() if x})
+        assert report.coords(d, mixed) == {}
+        for i, rep in enumerate(reps):
+            assert report.coords(d, rep) == {i: field.one}
+            vec_add_into(field, mixed, rep, field.of_int(-2))
+        assert report.coords(d, mixed) == {i: field.of_int(-2) for i in range(len(reps))}
+    assert {d: m.int_columns for d, m in c.diff.items()} == before
+
+
+@given(signed_matrices())
+@settings(max_examples=150, deadline=None)
+def test_signed_pivots_give_the_reference_ranks_kernels_and_residuals(case):
+    """Untracked pivots keep their signs: over Q each is a primitive
+    vector whose lead has either sign, the tracked pivot made primitive, up
+    to sign.  The
+    ranks and kernels are the dense Gauss-Jordan ones, a tracked pivot
+    over Q still leads positive, and a probe reduces to the same residual
+    and combo against signed pivots as against the tracked ones, also in
+    the tracked trackers that as_boundaries seeds with them."""
+    m, dense, probes, _ = case
+    field = m.field
+    rank, kernel = _reference_kernel(field, dense, m.cols)
+    plain, tracked = m.eliminate()[0], m.eliminate(track=True)[0]
+    assert plain.rank == tracked.rank == m.rank() == reference_rank(m) == rank
+    assert m.nullspace_basis() == kernel
+    assert [{i: field.div(field.of_int(x), field.of_int(s)) for i, x in z.items()}
+            for z, s in m.int_kernel()] == kernel
+    assert plain.pivots.keys() == tracked.pivots.keys()
+    if field.p is None:
+        for lead, (vec, extra) in plain.pivots.items():
+            tvec = tracked.pivots[lead][0]
+            assert extra is None and math.gcd(*vec.values()) == 1 and tvec[lead] > 0
+            g = math.gcd(*tvec.values())  # a tracked pivot's content goes with its combo's
+            assert vec in ({i: x // g for i, x in tvec.items()}, {i: -x // g for i, x in tvec.items()})
+    # the same pivots with positive leads reduce to the very same ints, the
+    # scale positive: a step is the same against a pivot and its negation
+    positive = SpanTracker(field)
+    positive.pivots = {lead: (vec if vec[lead] > 0 else {i: -x for i, x in vec.items()}, extra)
+                       for lead, (vec, extra) in plain.pivots.items()}
+    for probe in probes:
+        scale, (w,) = _integral_columns(field, [probe])
+        for signed, unsigned in ((plain, positive),
+                                 (plain.as_boundaries(), positive.as_boundaries())):
+            got = signed._reduce_ints(dict(w), scale)
+            assert got == unsigned._reduce_ints(dict(w), scale) and got[2] > 0
+        assert plain.reduce(probe)[0] == tracked.reduce(probe)[0]
+        seeded, monic = plain.as_boundaries(), tracked.as_boundaries()
+        assert seeded.reduce(probe) == monic.reduce(probe)
+        assert seeded.insert(probe, tag=0) == monic.insert(probe, tag=0)
+        assert seeded.pivots.keys() == monic.pivots.keys()
+        for lead, (vec, combo) in seeded.pivots.items():
+            if combo:  # the inserted probe's pivot, the same in both
+                assert monic.pivots[lead] == (vec, combo)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=["Q", "F7"])
+def test_a_column_that_meets_no_pivot_is_the_pivot_itself(field):
+    """An untracked elimination stores each column whose lead no pivot
+    holds as it stands, the matrix's own dict, over Q with its negative
+    lead kept, and as_boundaries shares it again over Q; tracked over Q it
+    is made positive in a new dict.  A column that meets a pivot is
+    copied before it is reduced."""
+    m = SparseMatrix(field, 3, 3, {(0, 0): 1, (2, 0): -2, (1, 1): -1, (0, 2): 3, (2, 2): -4})
+    first, second, third = m.int_columns
+    plain = m.eliminate()[0]
+    assert plain.pivots[2][0] is first and plain.pivots[1][0] is second
+    assert all(vec is not third for vec, _ in plain.pivots.values())
+    if field.p is None:
+        assert first == {0: 1, 2: -2} and plain.pivots[2][1] is None
+        assert plain.as_boundaries().pivots[2][0] is first
+        tracked = m.eliminate(track=True)[0]
+        assert tracked.pivots[2] == ({0: -1, 2: 2}, {0: -1})
+        assert tracked.pivots[1] == ({1: 1}, {1: -1})
+    else:
+        assert first == {0: 1, 2: 5} and plain.pivots[2][1] * 5 % 7 == 1
