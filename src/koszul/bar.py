@@ -219,10 +219,11 @@ class _ChainEnumerator:
     def __init__(self, spec, regime, right=None):
         self.spec = spec
         self.regime = regime
+        self.connective = regime[0] == "connective"
         self.right = _Ground() if right is None else right
         # the base's degree bound that the regime makes binding: the top
         # (connective, letters of negative degree) or the bottom
-        self.reach = self.right.max_degree if regime[0] == "connective" else self.right.min_degree
+        self.reach = self.right.max_degree if self.connective else self.right.min_degree
         # the labels base element n adds to a chain's: none for k, whose chains are words
         self.end = (lambda n: ()) if right is None else (lambda n: (self.element.labels[n],))
         self.letter = _Labels()
@@ -282,12 +283,14 @@ class _ChainEnumerator:
             shifts = range(0) if g is None else range(g, d - self.reach + 1)
         if not shifts:
             return []
-        scanned = self.scanned or range(shifts.start, shifts.start)
-        lo, hi = min(shifts.start, scanned.start), max(shifts.stop, scanned.stop)
-        for s in (*range(lo, scanned.start), *range(scanned.stop, hi)):
-            if self.letters(s):
-                insort(self.lettered, s)
-        self.scanned = range(lo, hi)
+        scanned = self.scanned
+        if not (scanned.start <= shifts.start and shifts.stop <= scanned.stop):
+            scanned = scanned or range(shifts.start, shifts.start)
+            lo, hi = min(shifts.start, scanned.start), max(shifts.stop, scanned.stop)
+            for s in (*range(lo, scanned.start), *range(scanned.stop, hi)):
+                if self.letters(s):
+                    insort(self.lettered, s)
+            self.scanned = range(lo, hi)
         lettered = self.lettered
         return lettered[bisect_left(lettered, shifts.start):bisect_left(lettered, shifts.stop)]
 
@@ -317,14 +320,14 @@ class _ChainEnumerator:
         so make reads only filled ones and nothing recurses once per
         degree, however wide the window.  Keys are degrees, or pairs that
         move together (`prefixes`)."""
-        todo, stack = set(), [key]
+        todo, stack = {key}, tails(key)
         while stack:
             k = stack.pop()
             if k not in memo and k not in todo:
                 todo.add(k)
                 stack += tails(k)
         # connective tails sit above their chains, coconnected ones below
-        for k in sorted(todo, reverse=self.regime[0] == "connective"):
+        for k in sorted(todo, reverse=self.connective):
             memo[k] = make(k)
         return memo[key]
 
@@ -336,38 +339,39 @@ class _ChainEnumerator:
         hit = self.prefix_memo.get((d1, d))
         if hit is not None:
             return hit
+        return self.fill(self.prefix_memo, (d1, d), self._prefixes, self._prefix_tails)
 
-        def make(key):
-            d1, d = key
-            _, blocks, _, base = self.blocks(d1)
-            offset = self.blocks(d)[2]
-            hit = [0] * len(base)
-            for a, s, _ in blocks:
-                o = offset[a]
-                hit += [o + q for q in self.prefix_memo[(d1 - s, d - s)]]
-            return hit
+    def _prefixes(self, key):
+        """`prefixes(*key)`, once those of its tails are memoized."""
+        d1, d = key
+        _, blocks, _, base = self.blocks(d1)
+        offset = self.blocks(d)[2]
+        hit = [0] * len(base)
+        for a, s, _ in blocks:
+            o = offset[a]
+            hit += [o + q for q in self.prefix_memo[(d1 - s, d - s)]]
+        return hit
 
-        def tails(key):
-            d1, d = key
-            return [(d1 - s, d - s) for _, s, _ in self.blocks(d1)[1]]
-
-        return self.fill(self.prefix_memo, (d1, d), make, tails)
+    def _prefix_tails(self, key):
+        """The keys `prefixes(*key)` is built from."""
+        d1, d = key
+        return [(d1 - s, d - s) for _, s, _ in self.blocks(d1)[1]]
 
     def label_chains(self, d):
         """chains(d) as tuples of labels: the letters', then end(n)."""
         hit = self.label_memo.get(d)
         if hit is not None:
             return hit
+        return self.fill(self.label_memo, d, self._label_chains, self.tails)
 
-        def make(d):
-            _, blocks, _, base = self.blocks(d)
-            out = list(map(self.end, base))
-            labels = self.letter.labels
-            for a, s, _ in blocks:
-                out += map((labels[a],).__add__, self.label_memo[d - s])
-            return tuple(out)
-
-        return self.fill(self.label_memo, d, make, self.tails)
+    def _label_chains(self, d):
+        """`label_chains(d)`, once those of its tails are memoized."""
+        _, blocks, _, base = self.blocks(d)
+        out = list(map(self.end, base))
+        labels = self.letter.labels
+        for a, s, _ in blocks:
+            out += map((labels[a],).__add__, self.label_memo[d - s])
+        return tuple(out)
 
 
 class _LetterTable:
@@ -411,7 +415,7 @@ class _LetterTable:
         self.field = spec.field
         self.enum = enum
         self.lo, self.hi = lo, hi
-        self.connective = enum.regime[0] == "connective"
+        self.connective = enum.connective
         self.lincombs = []
         self.memo, self.comemo = {}, {}
         # (level, shift) of B(M, A, N)'s ms as heads (see certify), set by two_sided_bar
