@@ -106,6 +106,23 @@ def test_broken_leibniz_is_witnessed():
         report.raise_if_failed()
 
 
+def test_broken_associativity_is_witnessed():
+    # a*a = b and a*b = b but b*a = 0: (xy)z = x(yz) fails on (a, a, b) and
+    # on (a, a, a); b is listed first, so the innermost loop reaches
+    # (a, a, b) first and only that witness is kept
+    field = QQ
+    basis = {0: ("1", "b", "a")}
+    mult = {("1", x): {x: field.one} for x in ("1", "a", "b")}
+    mult.update({(x, "1"): {x: field.one} for x in ("a", "b")})
+    mult.update({("a", "a"): {"b": field.one}, ("a", "b"): {"b": field.one}})
+    a = finite_dga_from_tables(field, Window(0, 0), basis, {}, mult, "1",
+                               {"1": field.one}, complete=True, name="nonassociative")
+    report = a.validate()
+    assert report.checks == {"d_squared": True, "leibniz": True, "associativity": False,
+                             "unit": True, "augmentation": True}
+    assert report.witnesses == {"associativity": ("a", "a", "b")}
+
+
 def test_broken_d_squared_is_witnessed():
     field = QQ
     basis = {0: ("1",), -1: ("t",), -2: ("s",)}

@@ -123,6 +123,58 @@ def test_validate_module_catches_broken_bimodule():
     assert not report.checks["bimodule"]
 
 
+def _broken_kos0(side):
+    """Kos(0) with two products changed on each side it acts from: on the
+    left 1.1 = 0 and u.z = u, on the right z.e = 1 and uz.1 = 0.  Each
+    side's Leibniz rule then fails both at (1, 1) and at a pair met first
+    when the loops are nested the other way round, (u, z) on the left and
+    (z, e) on the right."""
+    kos = koszul_complex(QQ, 0)
+
+    def left_act(x, m):
+        if (x, m) == ("1", "1"):
+            return {}
+        if (x, m) == ("u", "z"):
+            return {"u": QQ.one}
+        return kos.left_act(x, m)
+
+    def right_act(m, y):
+        if (m, y) == ("z", "e"):
+            return {"1": QQ.one}
+        if (m, y) == ("uz", "1"):
+            return {}
+        return kos.right_act(m, y)
+
+    return DgModuleSpec(
+        QQ, "broken", kos.algebra, side,
+        basis=kos.basis, degree=kos.degree, diff=kos.diff,
+        left_act=left_act if side != "right" else None,
+        right_act=right_act if side != "left" else None,
+        right_algebra=kos.right_algebra, min_degree=0)
+
+
+LEFT_WITNESSES = {"left_leibniz": ("1", "1"), "left_associative": ("u", "1", "1"),
+                  "left_unit": ("1",)}
+RIGHT_WITNESSES = {"right_leibniz": ("1", "1"), "right_associative": ("u", "e", "1"),
+                   "right_unit": ("uz",)}
+
+
+@pytest.mark.parametrize("side, witnesses", [
+    ("left", LEFT_WITNESSES),
+    ("right", RIGHT_WITNESSES),
+    ("bi", {**LEFT_WITNESSES, **RIGHT_WITNESSES, "bimodule": ("1", "z", "e")}),
+])
+def test_validate_module_keeps_the_first_witness_of_each_check(side, witnesses):
+    # the algebra element is the outer loop and the module element the
+    # inner one, on either side: (a, m) for the left Leibniz rule, (m, b)
+    # for the right, (a, b, m), (m, b, c) and (a, m, b) for the three
+    # associativities
+    report = validate_module(_broken_kos0(side), Window(-1, 3))
+    assert report.checks["d_squared"]
+    assert report.witnesses == witnesses
+    assert not any(report.checks[name] for name in witnesses)
+
+
 # ---------------------------------------------------------------------------
 # filtration certificate and the two tensors
 
