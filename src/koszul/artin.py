@@ -11,6 +11,8 @@ kernel of the constraints, built by the same constructor as the connective
 cover (dga._subalgebra), on a unit-first, augmentation-adapted basis.
 """
 
+from functools import cache
+
 from .exactla import (
     Window, SpanTracker, SparseMatrix, RefusalError, StructuralError,
     complex_from_labels, vec_add_into,
@@ -18,7 +20,7 @@ from .exactla import (
 from .dga import (
     DgaMap, _subalgebra, base_field_algebra, square_zero,
     algebra_slice, finite_dga_from_tables, tensor_algebra, full_cohomology,
-    lc_equal,
+    lc_equal, _augmentation_ideal, _power_dims,
 )
 
 
@@ -228,21 +230,6 @@ class ArtinReport:
                 f"residue_is_k={self.residue_is_k}, verdict={self.verdict})")
 
 
-def _is_nilpotent(field, ideal, mult):
-    """Whether the ideal spanned by the vectors `ideal` is nilpotent:
-    I^{k+1} = span(I^k . I) shrinks on every pass until it vanishes, or
-    stops shrinking at a nonzero power, which then never vanishes."""
-    span = ideal
-    while span:
-        tracker = SpanTracker(field)
-        nxt = [w for u in span for v in ideal
-               if (w := mult(u, v)) and tracker.insert(w)]
-        if len(nxt) >= len(span):
-            return False
-        span = nxt
-    return True
-
-
 def is_artin(fdga):
     """Artin verdict: connective cohomology, finite total dimension, H^0
     local with residue field k.
@@ -253,7 +240,9 @@ def is_artin(fdga):
     slice decides all three conditions exactly.  An incomplete slice is
     admitted only when its window interior already disproves connectivity,
     which is sound since interior cohomology of a slice agrees with the
-    full algebra; total_dimension then counts window classes only.
+    full algebra; total_dimension then counts window classes only.  H^0 is
+    local when its augmentation ideal is nilpotent (dga._power_dims); the
+    product of two chosen classes is read off once, on first use.
     """
     field = fdga.field
     if fdga.complete:
@@ -274,30 +263,14 @@ def is_artin(fdga):
     unit_coords = h.coords(0, fdga.vector({fdga.unit: field.one}, 0)) if n else {}
     residue_is_k = bool(unit_coords)
 
-    # augmentation values and products of the chosen classes
-    augs = [  # aug is a cocycle functional, so it descends to classes
-        fdga.aug_of_vector(rep) for rep in reps]
+    @cache
+    def class_product(i, j):
+        prod = fdga.mult_lc(fdga.lincomb(reps[i], 0), fdga.lincomb(reps[j], 0))
+        return h.coords(0, fdga.vector(prod, 0)) if prod else {}
 
-    def class_mult(u, v):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                prod = fdga.mult_lc(fdga.lincomb(reps[i], 0),
-                                    fdga.lincomb(reps[j], 0))
-                if prod:
-                    vec_add_into(field, out, h.coords(0, fdga.vector(prod, 0)),
-                                 field.mul(ci, cj))
-        return out
-
-    ideal = []
-    tracker = SpanTracker(field)
-    for i in range(n):
-        v = {i: field.one}
-        vec_add_into(field, v, unit_coords, field.neg(augs[i]))
-        if v and tracker.insert(v):
-            ideal.append(v)
-
-    h0_local = _is_nilpotent(field, ideal, class_mult)
+    # aug is a cocycle functional, so it descends to classes
+    ideal = _augmentation_ideal(field, unit_coords, [fdga.aug_of_vector(rep) for rep in reps])
+    h0_local = _power_dims(field, ideal, ideal, class_product) is not None
     verdict = connective and h0_local and residue_is_k
     return ArtinReport(fdga.name, connective, total, h0_local,
                        residue_is_k, verdict)
@@ -604,65 +577,48 @@ def radical_filtration(r, module=None):
     differential) with I nilpotent, which makes it local with residue k;
     every filtration quotient is then a trivial module, so any refinement
     has all factors k and the length is dim M.  module=None takes M = r;
-    otherwise a degree-0 module spec over r's presentation works.
+    otherwise a degree-0 module spec over r's presentation works, and an
+    action that leaves the module's degree-0 basis is a StructuralError.
+    The layers are dga._power_dims of the _augmentation_ideal.
     """
     if not r.complete:
         raise RefusalError("radical filtration needs a complete slice")
     if any(d != 0 for d in r.basis):
         raise RefusalError(f"{r.name} is not concentrated in degree 0")
     field = r.field
+    r_labels = r.labels(0)
+
+    def r_product(i, j):
+        return r.vector(r.mult(r_labels[i], r_labels[j]), 0)
 
     # I = ker(aug), nilpotent required
-    unit_vec = r.vector({r.unit: field.one}, 0)
-    ideal = []
-    tracker = SpanTracker(field)
-    for l in r.labels(0):
-        v = r.vector({l: field.one}, 0)
-        vec_add_into(field, v, unit_vec, field.neg(r.aug_of(l)))
-        if v and tracker.insert(v):
-            ideal.append(v)
-
-    def r_mult_vec(u, v):
-        return r.vector(r.mult_lc(r.lincomb(u, 0), r.lincomb(v, 0)), 0) \
-            if u and v else {}
-
-    if not _is_nilpotent(field, ideal, r_mult_vec):
+    ideal = _augmentation_ideal(field, r.vector({r.unit: field.one}, 0),
+                                [r.aug_of(l) for l in r_labels])
+    if _power_dims(field, ideal, ideal, r_product) is None:
         raise RefusalError(
             f"{r.name}: augmentation ideal is not nilpotent; the residue "
             "field does not generate")
 
     if module is None:
-        m_labels = list(r.labels(0))
-
-        def act(a_vec, m_vec):
-            return r_mult_vec(a_vec, m_vec)
+        m_dim, act = len(r_labels), r_product
     else:
-        m_labels = list(module.basis(0))
+        m_labels = module.basis(0)
         m_index = {l: i for i, l in enumerate(m_labels)}
-        r_labels = r.labels(0)
+        m_dim = len(m_labels)
 
-        def act(a_vec, m_vec):
-            out = {}
-            for i, ca in a_vec.items():
-                for j, cm in m_vec.items():
-                    image = module.left_act(r_labels[i], m_labels[j])
-                    for ml, c in image.items():
-                        vec_add_into(
-                            field, out, {m_index[ml]: c},
-                            field.mul(ca, cm))
-            return out
+        @cache
+        def act(i, j):
+            image = module.left_act(r_labels[i], m_labels[j])
+            for ml in image:
+                if ml not in m_index:
+                    raise StructuralError(
+                        f"{module.name}: {r_labels[i]!r} acting on {m_labels[j]!r} gives "
+                        f"{ml!r}, outside the module's degree-0 basis")
+            return {m_index[ml]: c for ml, c in image.items()}
 
-    m_dim = len(m_labels)
-    layer = [{i: field.one} for i in range(m_dim)]
-    radical_dims = [m_dim]
-    while layer:
-        t = SpanTracker(field)
-        nxt = [w for a in ideal for v in layer
-               if (w := act(a, v)) and t.insert(w)]
-        radical_dims.append(len(nxt))
-        if len(nxt) >= len(layer):
-            raise RefusalError(f"{r.name}: radical filtration does not terminate")
-        layer = nxt
+    radical_dims = _power_dims(field, ideal, [{i: field.one} for i in range(m_dim)], act)
+    if radical_dims is None:
+        raise RefusalError(f"{r.name}: radical filtration does not terminate")
     return CompositionSeries(r.name, radical_dims, m_dim, ["k"] * m_dim)
 
 

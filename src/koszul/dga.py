@@ -33,6 +33,85 @@ def lc_equal(field, a, b):
     return True
 
 
+def _linear(field, f, v):
+    """f, a map from basis keys (labels or indices) to linear combinations,
+    extended linearly and applied to v."""
+    out = {}
+    for x, c in v.items():
+        vec_add_into(field, out, f(x), c)
+    return out
+
+
+def _bilinear(field, f, u, v):
+    """f, a map from pairs of basis keys to linear combinations, extended
+    bilinearly and applied to (u, v)."""
+    out = {}
+    for x, a in u.items():
+        for y, b in v.items():
+            vec_add_into(field, out, f(x, y), field.mul(a, b))
+    return out
+
+
+def _check_leibniz(field, report, name, pairs, mul, d_x, d_y, d_xy):
+    """Fail axiom `name` of report at each (x, y) of the (x, y, |x|) of
+    pairs with d(xy) != (dx)y + (-1)^{|x|} x(dy).  mul multiplies basis
+    keys; d_x, d_y and d_xy differentiate left factors, right factors and
+    products.  pairs is walked once, in its order, so it may be a
+    generator; the first failure is the witness kept."""
+    minus = field.neg(field.one)
+    for x, y, x_degree in pairs:
+        lhs = _linear(field, d_xy, mul(x, y))
+        rhs = _linear(field, lambda w: mul(w, y), d_x(x))
+        vec_add_into(field, rhs, _linear(field, lambda w: mul(x, w), d_y(y)),
+                     field.one if x_degree % 2 == 0 else minus)
+        if not lc_equal(field, lhs, rhs):
+            report.fail(name, (x, y))
+
+
+def _check_associative(field, report, name, triples, mul_xy, mul_xy_z, mul_yz, mul_x_yz):
+    """Fail axiom `name` of report at each (x, y, z) of triples with
+    (xy)z != x(yz), triples walked as pairs are in _check_leibniz.  The
+    four products xy, (xy)z, yz and x(yz) are given on basis keys: an
+    algebra's product for all four, a module's action where a factor is
+    a module element."""
+    for x, y, z in triples:
+        lhs = _linear(field, lambda w: mul_xy_z(w, z), mul_xy(x, y))
+        rhs = _linear(field, lambda w: mul_x_yz(x, w), mul_yz(y, z))
+        if not lc_equal(field, lhs, rhs):
+            report.fail(name, (x, y, z))
+
+
+def _augmentation_ideal(field, unit, aug):
+    """A basis of the augmentation ideal of the algebra with basis vectors
+    e_i, unit the unit's vector and aug[i] the augmentation of e_i: the
+    e_i - aug[i] unit that are nonzero and extend the span of those before
+    them."""
+    tracker = SpanTracker(field)
+    ideal = []
+    for i, c in enumerate(aug):
+        v = vec_add_into(field, {i: field.one}, unit, field.neg(c))
+        if v and tracker.insert(v):
+            ideal.append(v)
+    return ideal
+
+
+def _power_dims(field, ideal, layer, product):
+    """The dims of L, I.L, I^2.L, ... down to 0, for I and L spanned by the
+    independent vectors ideal and layer and product(i, j) the product of
+    basis vectors e_i and e_j; None when a power stops shrinking, as it
+    then never vanishes."""
+    dims = [len(layer)]
+    while layer:
+        tracker = SpanTracker(field)
+        layer_next = [w for a in ideal for v in layer
+                      if (w := _bilinear(field, product, a, v)) and tracker.insert(w)]
+        if len(layer_next) >= len(layer):
+            return None
+        dims.append(len(layer_next))
+        layer = layer_next
+    return dims
+
+
 class DgAlgebraSpec:
     """An augmented dg algebra given by degreewise basis enumeration.
 
@@ -123,10 +202,10 @@ class FiniteDga:
     (memoized per label); index is built on first read, and read at once
     where labels come from outside.  Products are computed lazily through
     mult_fn and memoized; a product whose degree falls outside the window
-    is zero here, and truncated_products holds the out-of-window degrees
-    that products of basis elements land in.  complete=True asserts the
-    window contains the entire algebra, which makes every stored number
-    honest rather than merely window-accurate.
+    is zero here; diff_lc and mult_lc are their _linear and _bilinear
+    extensions.  complete=True asserts the window contains the entire
+    algebra, which makes every stored number honest rather than merely
+    window-accurate.
     """
 
     def __init__(self, complex_, mult_fn, unit, aug, complete, name="", spec=None):
@@ -150,9 +229,6 @@ class FiniteDga:
         self._mult_memo = {}
         self._diff_memo = {}
         self._complex = complex_
-        present = sorted(self.basis)
-        self.truncated_products = frozenset(
-            d1 + d2 for d1 in present for d2 in present if d1 + d2 not in self.window)
 
     @cached_property
     def index(self):
@@ -212,10 +288,7 @@ class FiniteDga:
         return lc
 
     def diff_lc(self, lc):
-        out = {}
-        for l, c in lc.items():
-            vec_add_into(self.field, out, self.diff(l), c)
-        return out
+        return _linear(self.field, self.diff, lc)
 
     def mult(self, a, b):
         key = (a, b)
@@ -235,12 +308,7 @@ class FiniteDga:
         return lc
 
     def mult_lc(self, lca, lcb):
-        field = self.field
-        out = {}
-        for a, ca in lca.items():
-            for b, cb in lcb.items():
-                vec_add_into(field, out, self.mult(a, b), field.mul(ca, cb))
-        return out
+        return _bilinear(self.field, self.mult, lca, lcb)
 
     def vector(self, lc, d):
         """Index-vector of a lincomb concentrated in degree d."""
@@ -290,7 +358,8 @@ class FiniteDga:
         Each check is restricted to basis tuples for which every intermediate
         degree lies in the window, so truncation can never produce a spurious
         failure; a genuine sign error always leaves a witness on some small
-        window.
+        window.  Leibniz and associativity are _check_leibniz and
+        _check_associative, on tuples generated in label order.
         """
         field, w = self.field, self.window
         report = ValidationReport(self.name or "dg algebra", [
@@ -301,30 +370,15 @@ class FiniteDga:
             report.fail("d_squared", (self.basis[d][j],))
 
         all_labels = [(d, l) for d, ls in sorted(self.basis.items()) for l in ls]
-        for d1, a in all_labels:
-            if d1 + 1 not in w:
-                continue
-            for d2, b in all_labels:
-                if d2 + 1 not in w or d1 + d2 not in w or d1 + d2 + 1 not in w:
-                    continue
-                lhs = self.diff_lc(self.mult(a, b))
-                rhs = self.mult_lc(self.diff(a), {b: field.one})
-                sign = field.one if d1 % 2 == 0 else field.neg(field.one)
-                vec_add_into(field, rhs, self.mult_lc({a: sign}, self.diff(b)), field.one)
-                if not lc_equal(field, lhs, rhs):
-                    report.fail("leibniz", (a, b))
-
-        for d1, a in all_labels:
-            for d2, b in all_labels:
-                if d1 + d2 not in w:
-                    continue
-                for d3, c in all_labels:
-                    if d2 + d3 not in w or d1 + d2 + d3 not in w:
-                        continue
-                    left = self.mult_lc(self.mult(a, b), {c: field.one})
-                    right = self.mult_lc({a: field.one}, self.mult(b, c))
-                    if not lc_equal(field, left, right):
-                        report.fail("associativity", (a, b, c))
+        mult, diff = self.mult, self.diff
+        _check_leibniz(field, report, "leibniz", (
+            (a, b, d1) for d1, a in all_labels if d1 + 1 in w
+            for d2, b in all_labels if d2 + 1 in w and d1 + d2 in w and d1 + d2 + 1 in w),
+            mult, diff, diff, diff)
+        _check_associative(field, report, "associativity", (
+            (a, b, c) for d1, a in all_labels for d2, b in all_labels if d1 + d2 in w
+            for d3, c in all_labels if d2 + d3 in w and d1 + d2 + d3 in w),
+            mult, mult, mult, mult)
 
         if 0 in w:
             if self.unit not in self.index or self.index[self.unit][0] != 0:
@@ -341,17 +395,12 @@ class FiniteDga:
             zero_labels = self.labels(0)
             for a in zero_labels:
                 for b in zero_labels:
-                    got = field.zero
-                    for m, c in self.mult(a, b).items():
-                        got = field.add(got, field.mul(c, self.aug_of(m)))
+                    got = self.aug_of_vector(self.vector(self.mult(a, b), 0))
                     want = field.mul(self.aug_of(a), self.aug_of(b))
                     if not field.is_zero(field.sub(got, want)):
                         report.fail("augmentation", (a, b))
             for l in self.labels(-1):
-                got = field.zero
-                for m, c in self.diff(l).items():
-                    got = field.add(got, field.mul(c, self.aug_of(m)))
-                if not field.is_zero(got):
+                if not field.is_zero(self.aug_of_vector(self.vector(self.diff(l), 0))):
                     report.fail("augmentation", (l,))
 
         return report
@@ -612,13 +661,7 @@ def tensor_algebra(a, b, name=None):
         u, v = q
         sgn = (field.neg(field.one)
                if b.degree(y) % 2 != 0 and a.degree(u) % 2 != 0 else field.one)
-        out = {}
-        xu = a.mult(x, u)
-        yv = b.mult(y, v)
-        for m, c in xu.items():
-            for n, e in yv.items():
-                vec_add_into(field, out, {(m, n): field.mul(sgn, field.mul(c, e))}, field.one)
-        return out
+        return _bilinear(field, lambda m, n: {(m, n): sgn}, a.mult(x, u), b.mult(y, v))
 
     aug = {}
     for x in a.labels(0):
@@ -799,11 +842,7 @@ class DgaMap:
         self.name = name
 
     def apply(self, lc):
-        field = self.target.field
-        out = {}
-        for l, c in lc.items():
-            vec_add_into(field, out, self.images.get(l, {}), c)
-        return out
+        return _linear(self.target.field, lambda l: self.images.get(l, {}), lc)
 
     def validate_map(self, check_augmentation=True):
         # check_augmentation=False validates a map of dg algebras that is

@@ -25,8 +25,8 @@ reliable degree; the resolution oracle in extres recomputes the same
 numbers without any bar construction.
 """
 
-from .exactla import Window, RefusalError, vec_add_into, _integral_columns
-from .dga import FiniteDga, cohomology_ring
+from .exactla import Window, RefusalError, _integral_columns
+from .dga import FiniteDga, cohomology_ring, _linear
 from .bar import _homology_dims, dual_complex, weight_bound
 
 
@@ -158,12 +158,9 @@ def check_power_generation(report, g):
     power = {gen: field.one}
     m = 1
     while (m + 1) * g in report.dims:
-        nxt = {}
-        for cls, c in power.items():
-            vec_add_into(field, nxt, report.ring.get((cls, gen), {}), c)
-        if not nxt:
+        power = _linear(field, lambda cls: report.ring.get((cls, gen), {}), power)
+        if not power:
             return False
-        power = nxt
         m += 1
     return True
 

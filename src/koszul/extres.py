@@ -25,9 +25,8 @@ from math import lcm
 
 from .exactla import (
     SpanTracker, SparseMatrix, RefusalError, StructuralError, _integral_columns,
-    vec_add_into,
 )
-from .dga import connective_cover
+from .dga import connective_cover, _augmentation_ideal, _bilinear
 from .artin import is_artin
 
 
@@ -63,19 +62,20 @@ class ResolutionState:
 
 def _indecomposables(a):
     """A complement U of m^2 in the augmentation ideal m of A^0, as a list
-    of lincombs over degree-0 labels."""
-    field = a.field
-    ideal = []
-    for l in a.labels(0):
-        if l != a.unit:
-            u = {l: field.one}
-            vec_add_into(field, u, {a.unit: field.one}, field.neg(a.aug_of(l)))
-            ideal.append(u)
+    of lincombs over degree-0 labels: the basis vectors of m
+    (dga._augmentation_ideal) that extend m^2."""
+    field, labels = a.field, a.labels(0)
+
+    def product(i, j):
+        return a.vector(a.mult(labels[i], labels[j]), 0)
+
+    ideal = _augmentation_ideal(field, a.vector({a.unit: field.one}, 0),
+                                [a.aug_of(l) for l in labels])
     tracker = SpanTracker(field)
     for u in ideal:
         for v in ideal:
-            tracker.insert(a.vector(a.mult_lc(u, v), 0))
-    return [u for u in ideal if tracker.insert(a.vector(u, 0))]
+            tracker.insert(_bilinear(field, product, u, v))
+    return [a.lincomb(u, 0) for u in ideal if tracker.insert(u)]
 
 
 class _Table:

@@ -2,12 +2,12 @@
 
 import pytest
 
-from koszul.exactla import QQ, Field, Window, RefusalError
+from koszul.exactla import QQ, Field, Window, RefusalError, StructuralError
 from koszul.dga import (
     DgaMap, algebra_slice, square_zero, truncated_polynomial, free_assoc,
     tensor_algebra, finite_dga_from_tables, full_cohomology,
 )
-from koszul.dgmod import trivial_module
+from koszul.dgmod import trivial_module, laurent_module
 from koszul.artin import (
     interval_algebra, k_slice, unit_inclusion, augmentation_map, path_object,
     homotopy_fiber_product, is_artin, verify_square, small_extension_square,
@@ -292,6 +292,17 @@ def test_radical_filtration_tensor_square():
     assert series.radical_dims == [4, 3, 1, 0]
     assert series.length == 4
     assert set(series.factors) == {"k"}
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)])
+def test_radical_filtration_of_a_module_leaving_its_degree_0_basis_is_structural(field):
+    # x acts on k[t, 1/t] through the one-letter words of k<t>, so it sends
+    # 1 to t, which lies in degree 2
+    r = algebra_slice(truncated_polynomial(field, 3, 0), Window(0, 0))
+    with pytest.raises(StructuralError, match=(
+            r"^k\[t,1/t:2\]: 'x' acting on '1' gives 't', "
+            r"outside the module's degree-0 basis$")):
+        radical_filtration(r, laurent_module(field, 2))
 
 
 def test_radical_filtration_refuses_idempotents():

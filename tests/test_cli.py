@@ -360,6 +360,20 @@ def test_a_table_that_lists_a_label_twice_is_a_structural_failure(repeat, docs, 
         assert captured.err == "koszul: structural failure: duplicate basis label 'x'\n"
 
 
+@pytest.mark.parametrize("ring", [
+    {"builder": "truncated_polynomial", "m": 3, "d": 0},
+    DUAL_NUMBERS,
+], ids=["cubic", "table"])
+def test_series_with_a_module_leaving_its_degree_0_basis_exits_three(docs, capsys, ring):
+    ring = docs("ring.json", ring)
+    laurent = docs("lau.json", {"module": "laurent", "g": 2})
+    code, report, _ = run(capsys, "series", ring, laurent, "--no-cache")
+    assert code == 3
+    assert report["result"] is None
+    assert report["flags"] == {"structural": (
+        "k[t,1/t:2]: 'x' acting on '1' gives 't', outside the module's degree-0 basis")}
+
+
 def test_parse_error_names_position(docs, capsys, tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{"builder": }')
