@@ -240,41 +240,6 @@ def parse_module_document(raw, algebra, field):
     raise DocumentError(f"unknown module kind {kind!r}")
 
 
-def export_algebra_document(fdga):
-    """Render a complete finite slice as an explicit algebra document.
-
-    Re-parsing the result reproduces the slice label for label; this is the
-    round trip that pins the document format.
-    """
-    field = fdga.field
-    basis = [[l, d] for d in sorted(fdga.basis) for l in fdga.labels(d)]
-    diff = {}
-    mult = []
-    aug = {}
-    for l, _ in basis:
-        image = fdga.diff(l)
-        if image:
-            diff[l] = [[field.format(c), m] for m, c in sorted(image.items())]
-        value = fdga.aug_of(l)
-        if fdga.degree(l) == 0 and not field.is_zero(value):
-            aug[l] = field.format(value)
-    for a, _ in basis:
-        for b, _ in basis:
-            lc = fdga.mult(a, b)
-            if lc:
-                mult.append([a, b,
-                             [[field.format(c), m] for m, c in sorted(lc.items())]])
-    return {
-        "name": fdga.name,
-        "field": field.name,
-        "basis": basis,
-        "differential": diff,
-        "multiplication": mult,
-        "unit": fdga.unit,
-        "augmentation": aug,
-    }
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
 

@@ -23,17 +23,18 @@ primitive integer vectors, not monic ones; values become Fractions only
 where they leave the engine: the `entries` and `columns()` views of a
 matrix, and what leaves the tracker.
 
-Pivots are kept as they stand wherever the answers allow.  A tracked
-elimination keeps monic pivots over F_p and positive leads over Q, since
-each combo is scaled with its pivot.  An untracked one (the dims-only
-ranks) stores each pivot raw (`_raw_pivot`): over F_p with the inverse of
-its lead, over Q with the sign of its lead kept, since a reduction step
-gives the same vector against a pivot and its negation; so no pivot is
-rebuilt just to be monic or positive.  A column whose lead no pivot
-holds becomes a pivot as it stands, uncopied and shared with the matrix
-(`SparseMatrix._eliminate`), which is most columns of a bar; a column is
-copied only when a pivot meets it.  So nothing may write into a pivot or
-a matrix column, and nothing does: a reduction writes only into the
+Pivots are kept as they stand wherever the answers allow.  Over Q every
+pivot, tracked or not, keeps the sign of its lead: a reduction step gives
+the same vector and the same combo against a pivot and its negation, so
+no pivot is rebuilt just to be positive.  Over F_p a
+tracked elimination keeps monic pivots, since each combo is scaled with
+its pivot, and an untracked one (the dims-only ranks) stores each pivot
+raw (`_raw_pivot`), next to the inverse of its lead.  A column whose lead
+no pivot holds becomes a pivot as it stands, uncopied and shared with the
+matrix (`SparseMatrix._eliminate`), which is most columns of a bar: tracked
+too, with the combo {j: 1}, unless over F_p its lead is not 1.  A column
+is copied only when a pivot meets it.  So nothing may write into a pivot
+or a matrix column, and nothing does: a reduction writes only into the
 vector it is given.  The class trackers behind representatives are
 seeded with raw pivots, and SpanTracker.as_boundaries, the one place that
 does so, makes them monic over F_p and shares them over Q.
@@ -281,11 +282,12 @@ class SpanTracker:
     elimination never forms a Fraction: a vector entering the tracker is
     scaled by the lcm D of its denominators, a reduction step is
     v <- a*v - b*pivot with a, b the two leads divided by their gcd taken
-    with the sign of the pivot's lead (so a > 0), and a pivot is a
-    primitive integer vector: content divided out, its lead positive when
-    tracked and of either sign when not.  Values leave the tracker as
-    Fractions.  A pivot may be the very vector that was inserted or a
-    matrix column (`_raw_pivot`); a reduction never writes into one.
+    with the sign of the pivot's lead (so a > 0), and a pivot is an
+    integer vector whose lead has either sign, primitive when untracked
+    and primitive jointly with its combo when tracked.  Values leave the
+    tracker as Fractions.  A pivot may be the very vector that was
+    inserted or a matrix column (`_raw_pivot`, `SparseMatrix._eliminate`);
+    a reduction never writes into one.
 
     With track=True every inserted vector gets a tag and `reduce` reports
     the expression of the reducible part in terms of the tagged inserts,
@@ -394,8 +396,8 @@ class SpanTracker:
             pvec, pcombo = hit
             x, y = w[lead], pvec[lead]
             # g takes the sign of the pivot's lead, so a > 0 and the step
-            # a*w - b*pvec is the same for a pivot and its negation: an
-            # untracked pivot keeps the sign of its lead
+            # a*w - b*pvec (and combo + b*pcombo) is the same for a pivot
+            # and its negation: a pivot keeps the sign of its lead
             g = gcd(x, y) if y > 0 else -gcd(x, y)
             a, b = y // g, x // g
             if a != 1:
@@ -463,10 +465,8 @@ class SpanTracker:
             pcombo[tag] = c
         else:
             pcombo.pop(tag, None)
-        # content divided out jointly, lead made positive
+        # content divided out jointly, the sign of the lead kept
         g = gcd(*w.values(), *pcombo.values())
-        if w[lead] < 0:
-            g = -g
         if g != 1:
             w = {i: x // g for i, x in w.items()}
             pcombo = {t: c // g for t, c in pcombo.items()}
@@ -479,9 +479,10 @@ def _raw_pivot(w, lead, p):
 
     Over F_p it is (w, 1/w[lead]), w as it stands.  Over Q it is (w, None)
     with w made primitive, its content divided out and the sign of its
-    lead kept (`_reduce_ints` steps alike with a pivot and its negation).
-    Either way w itself is stored, not copied, unless its content is not 1,
-    so a pivot may be a matrix column: nothing writes into a pivot."""
+    lead kept, as for every Q pivot (`_reduce_ints` steps alike with a
+    pivot and its negation).  Either way w itself is stored, not copied,
+    unless its content is not 1, so a pivot may be a matrix column: nothing
+    writes into a pivot."""
     if p is not None:
         # 1 and p - 1 are their own inverses, and the only leads met on
         # the bars and duals of k[x]/x^3 and k[x, y]/(x^2, y^2)
@@ -641,10 +642,15 @@ class SparseMatrix:
                 if lead not in pivots:
                     # the column meets no pivot: it becomes one as it
                     # stands, uncopied unless the pivot rule rescales it
-                    if track:
-                        tracker._add_pivot(lead, col, {}, scale, scale, j)
-                    else:
+                    # (untracked, by its content; tracked over F_p, to
+                    # make its lead 1)
+                    if not track:
                         pivots[lead] = _raw_pivot(col, lead, p)
+                    elif p is None or col[lead] == 1:
+                        pivots[lead] = (col, {j: 1})
+                        tracker._scale[j] = scale
+                    else:
+                        tracker._add_pivot(lead, col, {}, scale, scale, j)
                     continue
             w, combo, s, lead = tracker._reduce_ints(dict(col), scale)
             if w:

@@ -39,7 +39,9 @@ class ResolutionState:
     |a| + |g|, and differential d(a (x) g) = da (x) g + (-1)^{|a|} a delta(g).
     _ints[i] is gens[i]'s delta in ints, (S, terms), with delta the sum of
     c/S (x) g over the terms (x, g, c): x the flat index of an algebra
-    label (see `_Table`), g a generator's index.
+    label (see `_Table`), g a generator's index.  _of_degree maps each
+    degree to the indices of its generators, so that a stage reads only
+    the generators that have a basis element in its degrees.
     """
 
     def __init__(self, algebra, depth):
@@ -48,6 +50,13 @@ class ResolutionState:
         self.certified_above = -depth
         self.gens = [("g0", 0, {})]
         self._ints = [(1, [])]
+        self._of_degree = {0: [0]}
+
+    def _adjoin(self, degree, delta, ints):
+        """Append a generator of degree with its delta and its (S, terms)."""
+        self._of_degree.setdefault(degree, []).append(len(self.gens))
+        self.gens.append((f"g{len(self.gens)}", degree, delta))
+        self._ints.append(ints)
 
     def gen_counts(self):
         counts = {}
@@ -82,7 +91,8 @@ class _Table:
     """The connective cover a in ints over one denominator, tabled once.
 
     Labels are indexed flat, degree by degree from the lowest: the i-th
-    label of degree e is start[e] + i.  diff[x] is dx as (position in
+    label of degree e is start[e] + i, for the dims[e] > 0 labels of each
+    degree e that has any.  diff[x] is dx as (position in
     degree |x| + 1, int) pairs and mult[x][y] the product xy as (position
     in degree |x| + |y|, int) pairs; aug[i] is the augmentation of the i-th
     label of degree 0, and complement lists U as (position in degree 0,
@@ -93,12 +103,12 @@ class _Table:
 
     def __init__(self, a, complement):
         self.field = a.field
-        self.dim = a.dim
         self.labels = [l for e in sorted(a.basis) for l in a.labels(e)]
+        self.dims = {e: m for e in sorted(a.basis) if (m := a.dim(e))}
         self.start, n = {}, 0
-        for e in sorted(a.basis):
+        for e, m in self.dims.items():
             self.start[e] = n
-            n += a.dim(e)
+            n += m
         pos = {l: i for l, (_, i) in a.index.items()}
 
         def positions(lc):
@@ -117,16 +127,22 @@ class _Table:
         self.mult = [ints[n + n * x:n + n * (x + 1)] for x in range(n)]
         self.complement = ints[n + n * n + 1:]
 
+    def generators(self, state, d):
+        """The generators g, in order, with labels in degree d - |g|: those
+        with a basis element a (x) g in degree d."""
+        of_degree = state._of_degree
+        return sorted(g for e in self.dims for g in of_degree.get(d - e, ()))
+
     def blocks(self, state, d):
-        """The basis of degree d of the resolution by index: each
-        generator's block offset, and each index's generator and flat
-        algebra label."""
-        offsets, owner, flat = [], [], []
-        for g, (_, s, _) in enumerate(state.gens):
-            offsets.append(len(owner))
-            if m := self.dim(d - s):
-                owner += [g] * m
-                flat += range(self.start[d - s], self.start[d - s] + m)
+        """The basis of degree d of the resolution by index: the block
+        offset of each generator that has one (a dict), and each index's
+        generator and flat algebra label."""
+        offsets, owner, flat = {}, [], []
+        for g in self.generators(state, d):
+            e = d - state.gens[g][1]
+            offsets[g] = len(owner)
+            owner += [g] * self.dims[e]
+            flat += range(self.start[e], self.start[e] + self.dims[e])
         return offsets, owner, flat
 
     def differential(self, state, d, target):
@@ -134,19 +150,22 @@ class _Table:
         degree d + 1: the column of a (x) g holds da (x) g and
         (-1)^{|a|} a.x (x) g' for the terms (x, g', c) of g's delta, in ints
         at the table's scale times the lcm of the deltas' scales; after
-        SparseMatrix's gcd, the matrix a label-level assembly gives."""
+        SparseMatrix's gcd, the matrix a label-level assembly gives.  A
+        generator without a block in the target has da = 0 for every a of
+        its degree, and a term whose generator has none has a.x = 0: both
+        are passed over."""
         p = self.field.p
-        diff, mult, start, dim = self.diff, self.mult, self.start, self.dim
-        gens = [(g, d - s, S, terms) for g, ((_, s, _), (S, terms))
-                in enumerate(zip(state.gens, state._ints)) if dim(d - s)]
+        diff, mult, start, dims = self.diff, self.mult, self.start, self.dims
+        gens = [(g, d - state.gens[g][1], *state._ints[g])
+                for g in self.generators(state, d)]
         common = lcm(*(S for _, _, S, _ in gens))
         offsets = target[0]
         cols = []
         for g, e, S, terms in gens:
-            o = offsets[g]
+            o = offsets.get(g)  # read only where some da is not 0
             k = common // S if e % 2 == 0 else -(common // S)
-            terms = [(offsets[h], k * c, y) for y, h, c in terms]
-            for x in range(start[e], start[e] + dim(e)):
+            terms = [(offsets[h], k * c, y) for y, h, c in terms if h in offsets]
+            for x in range(start[e], start[e] + dims[e]):
                 col = {o + i: common * c for i, c in diff[x]}
                 row = mult[x]
                 for o2, c, y in terms:
@@ -240,10 +259,9 @@ def minimal_resolution(fdga, depth):
                 raise StructuralError(
                     f"resolution lost minimality at degree {t}: a defect class has "
                     f"unit component on generator {state.gens[next(iter(unit))][0]!r}")
-            state.gens.append((f"g{len(state.gens)}", t - 1, {
+            state._adjoin(t - 1, {
                 (labels[flat[i]], state.gens[owner[i]][0]): Fraction(c, s) if p is None else c
-                for i, c in z.items()}))
-            state._ints.append((s, [(flat[i], owner[i], c) for i, c in z.items()]))
+                for i, c in z.items()}, (s, [(flat[i], owner[i], c) for i, c in z.items()]))
     return state
 
 

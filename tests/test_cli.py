@@ -16,7 +16,7 @@ from koszul.dga import (
     algebra_slice, finite_dga_from_tables, square_zero, truncated_polynomial,
 )
 from koszul.cli import (
-    main, parse_algebra_document, export_algebra_document, parse_field_name,
+    main, parse_algebra_document, parse_field_name,
     DocumentError,
 )
 
@@ -47,6 +47,41 @@ def dims_of(report, key="dims"):
 
 
 # -- documents ----------------------------------------------------------------
+
+
+def export_algebra_document(fdga):
+    """Render a complete finite slice as an explicit algebra document.
+
+    Re-parsing the result reproduces the slice label for label; this is the
+    round trip that pins the document format.
+    """
+    field = fdga.field
+    basis = [[l, d] for d in sorted(fdga.basis) for l in fdga.labels(d)]
+    diff = {}
+    mult = []
+    aug = {}
+    for l, _ in basis:
+        image = fdga.diff(l)
+        if image:
+            diff[l] = [[field.format(c), m] for m, c in sorted(image.items())]
+        value = fdga.aug_of(l)
+        if fdga.degree(l) == 0 and not field.is_zero(value):
+            aug[l] = field.format(value)
+    for a, _ in basis:
+        for b, _ in basis:
+            lc = fdga.mult(a, b)
+            if lc:
+                mult.append([a, b,
+                             [[field.format(c), m] for m, c in sorted(lc.items())]])
+    return {
+        "name": fdga.name,
+        "field": field.name,
+        "basis": basis,
+        "differential": diff,
+        "multiplication": mult,
+        "unit": fdga.unit,
+        "augmentation": aug,
+    }
 
 
 def test_builder_round_trips_through_export():

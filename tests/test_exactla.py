@@ -357,7 +357,8 @@ def test_span_tracker_certificates_are_exact(case):
         lead = vec[key]
         if field.p is None:
             assert all(type(x) is int for x in [*vec.values(), *pcombo.values()])
-            assert lead > 0 and math.gcd(*vec.values(), *pcombo.values()) == 1
+            # the lead keeps its sign; content goes jointly with the combo's
+            assert lead != 0 and math.gcd(*vec.values(), *pcombo.values()) == 1
         else:
             assert lead == 1
     plain = SpanTracker(field)
@@ -864,21 +865,21 @@ def test_complex_from_labels_sums_terms_and_stops_at_the_window():
 
 
 # -- pivots as they stand --------------------------------------------------------
-# A column that meets no pivot is stored as the pivot, uncopied, and an
-# untracked pivot over Q keeps the sign of its lead; as_boundaries shares
-# those vectors again.  Nothing may write into them.
+# A column that meets no pivot is stored as the pivot, uncopied, and every
+# pivot over Q, tracked or not, keeps the sign of its lead; as_boundaries
+# shares those vectors again.  Nothing may write into them.
 
 SIGNED = {None: (-3, -2, -1, 1, 2, 3, Fraction(-3, 2), Fraction(2, 3)), "p": (-2, -1, 1, 2, 3)}
 
 
 @st.composite
-def signed_matrices(draw):
+def signed_matrices(draw, fields=(QQ, QQ) + PRIMES):
     """A sparse matrix over Q or a prime field with entries of both signs
     (over Q, some with a denominator), so that columns lead with negative
     entries, now and then with a column the negation of an earlier one;
     probes, about half of them in the column span; and columns to skip,
     drawn from those that depend on earlier ones."""
-    field = draw(st.sampled_from((QQ, QQ) + PRIMES))
+    field = draw(st.sampled_from(fields))
     rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 8))
     entry = st.sampled_from(SIGNED[field.p and "p"]).map(lambda x: _in(field, x))
     columns = [{} for _ in range(cols)]
@@ -945,13 +946,12 @@ def test_cohomology_never_writes_into_its_differentials(case, rnd):
 @given(signed_matrices())
 @settings(max_examples=150, deadline=None)
 def test_signed_pivots_give_the_reference_ranks_kernels_and_residuals(case):
-    """Untracked pivots keep their signs: over Q each is a primitive
-    vector whose lead has either sign, the tracked pivot made primitive, up
-    to sign.  The
-    ranks and kernels are the dense Gauss-Jordan ones, a tracked pivot
-    over Q still leads positive, and a probe reduces to the same residual
-    and combo against signed pivots as against the tracked ones, also in
-    the tracked trackers that as_boundaries seeds with them."""
+    """Pivots keep their signs, tracked or not: over Q an untracked pivot
+    is a primitive vector whose lead has either sign, the tracked pivot
+    made primitive, up to sign.  The ranks and kernels are the dense
+    Gauss-Jordan ones, and a probe reduces to the same residual and combo
+    against signed pivots as against the tracked ones, also in the tracked
+    trackers that as_boundaries seeds with them."""
     m, dense, probes, _ = case
     field = m.field
     rank, kernel = _reference_kernel(field, dense, m.cols)
@@ -964,7 +964,7 @@ def test_signed_pivots_give_the_reference_ranks_kernels_and_residuals(case):
     if field.p is None:
         for lead, (vec, extra) in plain.pivots.items():
             tvec = tracked.pivots[lead][0]
-            assert extra is None and math.gcd(*vec.values()) == 1 and tvec[lead] > 0
+            assert extra is None and math.gcd(*vec.values()) == 1 and tvec[lead] != 0
             g = math.gcd(*tvec.values())  # a tracked pivot's content goes with its combo's
             assert vec in ({i: x // g for i, x in tvec.items()}, {i: -x // g for i, x in tvec.items()})
     # the same pivots with positive leads reduce to the very same ints, the
@@ -988,23 +988,100 @@ def test_signed_pivots_give_the_reference_ranks_kernels_and_residuals(case):
                 assert monic.pivots[lead] == (vec, combo)
 
 
+class _NegatedPivots(dict):
+    """A tracked pivot table that stores each pivot negated, its vector
+    and its combo."""
+
+    def __setitem__(self, lead, pivot):
+        vec, combo = pivot
+        super().__setitem__(lead, ({i: -x for i, x in vec.items()},
+                                   {t: -c for t, c in combo.items()}))
+
+
+def _negating_tracked_pivots(mp):
+    """Make every tracked SpanTracker store its pivots negated, the seeds
+    of as_boundaries included."""
+    init, seed = SpanTracker.__init__, SpanTracker.as_boundaries
+
+    def __init__(self, field, track=False):
+        init(self, field, track)
+        if track:
+            self.pivots = _NegatedPivots()
+
+    def as_boundaries(self):
+        seeded = seed(self)
+        seeds, seeded.pivots = seeded.pivots, _NegatedPivots()
+        for lead, pivot in seeds.items():
+            seeded.pivots[lead] = pivot
+        return seeded
+
+    mp.setattr(SpanTracker, "__init__", __init__)
+    mp.setattr(SpanTracker, "as_boundaries", as_boundaries)
+
+
+@given(signed_matrices(fields=(QQ,)), split_complexes(fields=(QQ,)))
+@settings(max_examples=100, deadline=None)
+def test_negated_tracked_pivots_give_the_same_ints(case, split):
+    """A tracked Q pivot keeps the sign of its lead because the sign is
+    free: with every tracked pivot negated, vector and combo, reductions,
+    kernels, representatives and class coordinates are the same ints."""
+    m, _, probes, skip = case
+    c = split[0]
+
+    def ints(v):
+        scale, (w,) = _integral_columns(QQ, [v])
+        return w, scale
+
+    def answers():
+        tracker = m.eliminate(track=True)[0]
+        reduced = [(tracker._reduce_ints(*ints(probe)), tracker.reduce(probe))
+                   for probe in probes]
+        report = c.cohomology()
+        coords = []
+        for d, reps in report.representatives.items():
+            bd = c.d_at(d - 1)
+            boundary = bd.apply({j: Fraction(j % 3 - 1) for j in range(bd.cols)})
+            for rep in reps:
+                for v in (rep, boundary, {i: rep.get(i, 0) + boundary.get(i, 0)
+                                          for i in {*rep, *boundary}}):
+                    w, scale = ints({i: x for i, x in v.items() if x})
+                    coords.append(report._classes[d]._reduce_ints(w, scale)[:3])
+        return (tracker.pivots, reduced, m.int_kernel(), m.eliminate(True, skip)[1],
+                report.representatives, coords)
+
+    pivots, *expected = answers()
+    with pytest.MonkeyPatch.context() as mp:
+        _negating_tracked_pivots(mp)
+        negated, *got = answers()
+    assert negated == {lead: ({i: -x for i, x in vec.items()}, {t: -c for t, c in combo.items()})
+                       for lead, (vec, combo) in pivots.items()}
+    assert got == expected
+
+
 @pytest.mark.parametrize("field", [QQ, Field(7)], ids=["Q", "F7"])
 def test_a_column_that_meets_no_pivot_is_the_pivot_itself(field):
-    """An untracked elimination stores each column whose lead no pivot
-    holds as it stands, the matrix's own dict, over Q with its negative
-    lead kept, and as_boundaries shares it again over Q; tracked over Q it
-    is made positive in a new dict.  A column that meets a pivot is
-    copied before it is reduced."""
+    """An elimination stores each column whose lead no pivot holds as it
+    stands, the matrix's own dict, over Q with its negative lead kept,
+    tracked (with the combo {j: 1}) or not, and as_boundaries shares it
+    again over Q.  Tracked over F_p so is a column whose lead is 1, and
+    one with another lead is made monic in a new dict.  A column that
+    meets a pivot is copied before it is reduced."""
     m = SparseMatrix(field, 3, 3, {(0, 0): 1, (2, 0): -2, (1, 1): -1, (0, 2): 3, (2, 2): -4})
     first, second, third = m.int_columns
     plain = m.eliminate()[0]
     assert plain.pivots[2][0] is first and plain.pivots[1][0] is second
     assert all(vec is not third for vec, _ in plain.pivots.values())
+    tracked = m.eliminate(track=True)[0]
+    assert all(vec is not third for vec, _ in tracked.pivots.values())
     if field.p is None:
         assert first == {0: 1, 2: -2} and plain.pivots[2][1] is None
         assert plain.as_boundaries().pivots[2][0] is first
-        tracked = m.eliminate(track=True)[0]
-        assert tracked.pivots[2] == ({0: -1, 2: 2}, {0: -1})
-        assert tracked.pivots[1] == ({1: 1}, {1: -1})
+        assert tracked.pivots[2][0] is first and tracked.pivots[2][1] == {0: 1}
+        assert tracked.pivots[1][0] is second and tracked.pivots[1][1] == {1: 1}
     else:
         assert first == {0: 1, 2: 5} and plain.pivots[2][1] * 5 % 7 == 1
+        assert tracked.pivots[2] == ({0: 3, 2: 1}, {0: 3})
+        assert tracked.pivots[1] == ({1: 1}, {1: 6})
+    unit = SparseMatrix(field, 2, 2, {(0, 0): 3, (1, 0): 1, (1, 1): 2})
+    tracked = unit.eliminate(track=True)[0]
+    assert tracked.pivots[1][0] is unit.int_columns[0] and tracked.pivots[1][1] == {0: 1}

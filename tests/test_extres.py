@@ -21,7 +21,7 @@ from koszul.exactla import (
     vec_add_into,
 )
 from koszul.dga import (
-    square_zero, truncated_polynomial, free_assoc, algebra_slice,
+    FiniteDga, square_zero, truncated_polynomial, free_assoc, algebra_slice,
     finite_dga_from_tables, tensor_algebra, connective_cover,
 )
 from koszul.dual import dual_cohomology_dims
@@ -193,6 +193,29 @@ def test_square_zero_degree_zero_one_generator_per_degree():
 def test_square_zero_degree_one_generators_at_even_depths():
     res = minimal_resolution(sq_slice(QQ, 1), 6)
     assert [s for _, s, _ in res.gens] == [0, -2, -4, -6]
+
+
+def test_a_stage_reads_only_the_generators_of_its_degrees(monkeypatch):
+    """Each stage reads only the generators with a basis element in its
+    degrees, so FiniteDga.dim is called a number of times linear in the
+    window's width, not once per generator per stage.  k + k[2] has one
+    generator in every third degree."""
+    dim, calls = FiniteDga.dim, []
+
+    def counted(self, d):
+        calls.append(d)
+        return dim(self, d)
+
+    monkeypatch.setattr(FiniteDga, "dim", counted)
+    counts = []
+    for width in (150, 300, 600):
+        calls.clear()
+        assert ext_dims(sq_slice(QQ, 2), Window(0, width)) == {
+            d: int(d % 3 == 0) for d in range(width + 1)}
+        counts.append(len(calls))
+    assert counts[2] - counts[1] == 2 * (counts[1] - counts[0])
+    res = minimal_resolution(sq_slice(QQ, 2), 9)
+    assert [s for _, s, _ in res.gens] == [0, -3, -6, -9]
 
 
 def test_truncated_cubic_generator_deltas_alternate():
