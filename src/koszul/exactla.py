@@ -26,19 +26,18 @@ matrix, and what leaves the tracker.
 Pivots are kept as they stand wherever the answers allow.  Over Q every
 pivot, tracked or not, keeps the sign of its lead: a reduction step gives
 the same vector and the same combo against a pivot and its negation, so
-no pivot is rebuilt just to be positive.  Over F_p a tracked elimination
-keeps monic pivots, since each combo is scaled with its pivot, and an
-untracked one (the dims-only ranks) stores each pivot raw (`_raw_pivot`),
-next to the inverse of its lead.  A column whose lead no pivot holds
-becomes a pivot as it stands, uncopied and shared with the matrix
-(`SparseMatrix._eliminate`), which is most columns of a bar: tracked too,
-where `_add_pivot` stores it with the combo {j: 1}, unless over F_p its
-lead is not 1.  A column is copied only when a pivot meets it.  So
-nothing may write into a pivot or a matrix column, and nothing does: a
-reduction writes only into the vector it is given.  The class trackers
-behind representatives are seeded with raw pivots, and
-SpanTracker.as_boundaries, the one place that does so, makes them monic
-over F_p and shares them over Q.
+no pivot is rebuilt just to be positive.  Over F_p a
+tracked elimination keeps monic pivots, since each combo is scaled with
+its pivot, and an untracked one (the dims-only ranks) stores each pivot
+raw (`_raw_pivot`), next to the inverse of its lead.  A column whose lead
+no pivot holds becomes a pivot as it stands, uncopied and shared with the
+matrix (`SparseMatrix._eliminate`), which is most columns of a bar: tracked
+too, with the combo {j: 1}, unless over F_p its lead is not 1.  A column
+is copied only when a pivot meets it.  So nothing may write into a pivot
+or a matrix column, and nothing does: a reduction writes only into the
+vector it is given.  The class trackers behind representatives are
+seeded with raw pivots, and SpanTracker.as_boundaries, the one place that
+does so, makes them monic over F_p and shares them over Q.
 
 A pivot's lead is the largest index of its vector, and reduction clears
 the largest index first.  The lead is a free parameter: rank, span
@@ -643,10 +642,15 @@ class SparseMatrix:
                 if lead not in pivots:
                     # the column meets no pivot: it becomes one as it
                     # stands, uncopied unless the pivot rule rescales it
-                    if track:
-                        tracker._add_pivot(lead, col, {}, scale, scale, j)
-                    else:
+                    if not track:
                         pivots[lead] = _raw_pivot(col, lead, p)
+                    elif p is None:
+                        # the pivot _add_pivot would store (k = 1, joint
+                        # content 1), without its gcd and dict builds
+                        pivots[lead] = (col, {j: 1})
+                        tracker._scale[j] = scale
+                    else:
+                        tracker._add_pivot(lead, col, {}, scale, scale, j)
                     continue
             w, combo, s, lead = tracker._reduce_ints(dict(col), scale)
             if w:
