@@ -1085,3 +1085,11 @@ def test_a_column_that_meets_no_pivot_is_the_pivot_itself(field):
     unit = SparseMatrix(field, 2, 2, {(0, 0): 3, (1, 0): 1, (1, 1): 2})
     tracked = unit.eliminate(track=True)[0]
     assert tracked.pivots[1][0] is unit.int_columns[0] and tracked.pivots[1][1] == {0: 1}
+
+
+def test_a_reduced_tracked_pivot_keeps_the_sign_of_its_lead():
+    """Over Q a tracked pivot that a reduction leaves keeps the sign of its
+    lead, as an untracked one does: column 1 minus column 0 is -2 e_0."""
+    m = SparseMatrix(QQ, 2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): -1, (1, 1): 1})
+    assert m.eliminate()[0].pivots[0] == ({0: -1}, None)
+    assert m.eliminate(track=True)[0].pivots[0] == ({0: -2}, {0: -1, 1: 1})
