@@ -23,21 +23,22 @@ primitive integer vectors, not monic ones; values become Fractions only
 where they leave the engine: the `entries` and `columns()` views of a
 matrix, and what leaves the tracker.
 
-Pivots are kept as they stand wherever the answers allow.  Over Q every
-pivot, tracked or not, keeps the sign of its lead: a reduction step gives
-the same vector and the same combo against a pivot and its negation, so
-no pivot is rebuilt just to be positive.  Over F_p a
-tracked elimination keeps monic pivots, since each combo is scaled with
-its pivot, and an untracked one (the dims-only ranks) stores each pivot
-raw (`_raw_pivot`), next to the inverse of its lead.  A column whose lead
-no pivot holds becomes a pivot as it stands, uncopied and shared with the
-matrix (`SparseMatrix._eliminate`), which is most columns of a bar: tracked
-too, with the combo {j: 1}, unless over F_p its lead is not 1.  A column
-is copied only when a pivot meets it.  So nothing may write into a pivot
-or a matrix column, and nothing does: a reduction writes only into the
-vector it is given.  The class trackers behind representatives are
-seeded with raw pivots, and SpanTracker.as_boundaries, the one place that
-does so, makes them monic over F_p and shares them over Q.
+Pivots have one form, (vector, combo), combo None when untracked, and
+are kept as they stand.  Over F_p a pivot is the vector the reduction or
+the matrix left it, whatever its lead: a reduction step reads 1/lead from
+the pivot's own lead (1 and p - 1 are their own inverses, any other is
+memoized), and a tracked combo scales with it.  Over Q every pivot,
+tracked or not, keeps the sign of its lead: a reduction step gives the
+same vector and the same combo against a pivot and its negation, so no
+pivot is rebuilt just to be positive; an untracked one is primitive, a
+tracked one primitive jointly with its combo.  A column whose lead no
+pivot holds becomes a pivot as it stands, uncopied and shared with the
+matrix (`SparseMatrix._eliminate`), which is most columns of a bar:
+tracked, with the combo {j: 1}, over either field.  A column is copied
+only when a pivot meets it.  So nothing may write into a pivot or a
+matrix column, and nothing does: a reduction writes only into the vector
+it is given.  The class trackers behind representatives are seeded with
+the previous elimination's pivots, shared (SpanTracker.as_boundaries).
 
 A pivot's lead is the largest index of its vector, and reduction clears
 the largest index first.  The lead is a free parameter: rank, span
@@ -274,11 +275,10 @@ class SpanTracker:
     on the order of the inserts and on the span (see the module
     docstring); the largest index is the rule that cuts fill-in.
 
-    Over F_p a tracked pivot is monic (lead coefficient 1), as its combo
-    is scaled with it; an untracked one is stored raw, as the reduction
-    left it, next to the inverse of its lead, and a reduction step scales
-    by that inverse.  `as_boundaries` is the one place where raw pivots
-    are made monic, for the tracked tracker they seed.  Over Q the
+    Every pivot is a (vector, combo) pair, combo None when untracked, over
+    either field.  Over F_p the vector is stored as the reduction left it,
+    tracked or not, and a reduction step reads 1/lead from the pivot's own
+    lead, so `as_boundaries` shares the pivots it seeds.  Over Q the
     elimination never forms a Fraction: a vector entering the tracker is
     scaled by the lcm D of its denominators, a reduction step is
     v <- a*v - b*pivot with a, b the two leads divided by their gcd taken
@@ -286,7 +286,7 @@ class SpanTracker:
     integer vector whose lead has either sign, primitive when untracked
     and primitive jointly with its combo when tracked.  Values leave the
     tracker as Fractions.  A pivot may be the very vector that was
-    inserted or a matrix column (`_raw_pivot`, `SparseMatrix._eliminate`);
+    inserted or a matrix column (`insert_ints`, `SparseMatrix._eliminate`);
     a reduction never writes into one.
 
     With track=True every inserted vector gets a tag and `reduce` reports
@@ -301,10 +301,9 @@ class SpanTracker:
     def __init__(self, field, track=False):
         self.field = field
         self.track = track
-        # lead index -> (vector, combo) when tracked; untracked, (vector,
-        # 1/lead) over F_p and (vector, None) over Q
+        # lead index -> (vector, combo), combo None when untracked
         self.pivots = {}
-        self._scale = {}  # tag -> D_t (over Q)
+        self._scale = {}  # tag -> D_t (read over Q alone)
 
     @property
     def rank(self):
@@ -324,6 +323,11 @@ class SpanTracker:
         """Insert vec if independent of the current span; return True if it
         extended the span."""
         scale, (w,) = _integral_columns(self.field, [vec])
+        return self.insert_ints(w, scale, tag)
+
+    def insert_ints(self, w, scale, tag=None):
+        """`insert` of w / scale, w as in `reduce_ints`: the insert consumes
+        it, and it may become the pivot itself."""
         w, combo, s, lead = self._reduce_ints(w, scale)
         if not w:
             return False
@@ -331,20 +335,11 @@ class SpanTracker:
         return True
 
     def as_boundaries(self):
-        """A tracked SpanTracker seeded with this one's pivots as untagged
-        boundaries (empty combos), so that its combos count only the
-        vectors inserted later: the class tracker of `cohomology`.  Over F_p
-        a tracked reduction needs monic pivots, and this is the one place
-        where the raw pivots of an untracked tracker are made monic; over Q
-        the pivots are shared, whatever the sign of their leads."""
+        """A tracked SpanTracker seeded with this one's pivots, shared, as
+        untagged boundaries (empty combos), so that its combos count only
+        the vectors inserted later: the class tracker of `cohomology`."""
         seeded = SpanTracker(self.field, track=True)
-        p = self.field.p
-        if p is None or self.track:
-            seeded.pivots = {lead: (vec, {}) for lead, (vec, _) in self.pivots.items()}
-        else:
-            seeded.pivots = {
-                lead: (vec if lam == 1 else {i: lam * x % p for i, x in vec.items()}, {})
-                for lead, (vec, lam) in self.pivots.items()}
+        seeded.pivots = {lead: (vec, {}) for lead, (vec, _) in self.pivots.items()}
         return seeded
 
     def _reduce_ints(self, w, scale):
@@ -355,10 +350,9 @@ class SpanTracker:
         s * v = sum(combo[t] * D_t * insert_t) + w with w and combo
         integral; over F_p, s = 1 and v = sum(combo[t] * insert_t) + w.
 
-        Over F_p a step whose pivot leaves the lead in w (its second slot
-        is not the kind the tracker expects: a raw pivot in a tracked
-        tracker, or a wrong inverse) raises StructuralError, as the loop
-        would never end."""
+        Over F_p a step against a pivot whose lead is 0 mod p would leave
+        the lead in w; it raises StructuralError instead, as the loop would
+        never end."""
         pivots, track = self.pivots, self.track
         combo = {} if track else None
         p = self.field.p
@@ -368,22 +362,23 @@ class SpanTracker:
                 hit = pivots.get(lead)
                 if hit is None:
                     return w, combo, 1, lead
-                pvec, extra = hit  # a monic pivot's combo, or a raw one's 1/lead
-                c = w[lead]
-                m = -c % p if track else -c * extra % p
+                pvec, pcombo = hit
+                c, y = w[lead], pvec[lead]
+                # m = -c / y: 1 and p - 1 are their own inverses
+                m = -c % p if y == 1 else c if y == p - 1 else -c * _inverse(y, p) % p
+                if not m:  # y = 0 mod p: the step would not clear the lead
+                    raise StructuralError(f"the pivot at {lead} did not clear its lead")
                 for i, x in pvec.items():
-                    y = (w.get(i, 0) + m * x) % p
-                    if y:
-                        w[i] = y
+                    u = (w.get(i, 0) + m * x) % p
+                    if u:
+                        w[i] = u
                     else:
                         del w[i]
-                if lead in w:
-                    raise StructuralError(f"the pivot at {lead} did not clear its lead")
                 if track:
-                    for t, x in extra.items():
-                        y = (combo.get(t, 0) + c * x) % p
-                        if y:
-                            combo[t] = y
+                    for t, x in pcombo.items():
+                        u = (combo.get(t, 0) - m * x) % p
+                        if u:
+                            combo[t] = u
                         else:
                             combo.pop(t, None)
             return w, combo, 1, None
@@ -435,21 +430,18 @@ class SpanTracker:
     def _add_pivot(self, lead, w, combo, s, scale, tag):
         """Make a new pivot, tagged tag, from the nonzero raw reduction
         (w, combo, s, lead) of the vector being inserted, at scale."""
-        if not self.track:
-            self.pivots[lead] = _raw_pivot(w, lead, self.field.p)
-            return
         p = self.field.p
+        if not self.track:
+            self.pivots[lead] = _raw_pivot(w, p)
+            return
         if p is not None:
-            w, lam = _raw_pivot(w, lead, p)  # made monic, with its combo
-            neg = -lam % p
-            pcombo = {t: neg * c % p for t, c in combo.items()}
-            c = (pcombo.get(tag, 0) + lam) % p
+            # w = vec - sum(combo[t] * insert_t), vec insert_tag, as it stands
+            pcombo = {t: -c % p for t, c in combo.items()}
+            c = (pcombo.get(tag, 0) + 1) % p
             if c:
                 pcombo[tag] = c
             else:
                 pcombo.pop(tag, None)
-            if lam != 1:
-                w = {i: lam * x % p for i, x in w.items()}
             self.pivots[lead] = (w, pcombo)
             return
         # w = s * vec - sum(combo[t] * D_t * insert_t); vec is insert_tag
@@ -473,23 +465,23 @@ class SpanTracker:
         self.pivots[lead] = (w, pcombo)
 
 
-def _raw_pivot(w, lead, p):
-    """The pivot slot of an untracked tracker for the nonzero int vector w,
-    whose largest index is lead: the raw-pivot rule, stated here alone.
+def _raw_pivot(w, p):
+    """The pivot slot (w, None) of an untracked tracker for the nonzero int
+    vector w: w as it stands over F_p, and over Q made primitive, its
+    content divided out and the sign of its lead kept, as for every Q pivot
+    (`_reduce_ints` steps alike with a pivot and its negation).  Either way
+    w itself is stored, not copied, unless its content over Q is not 1, so
+    a pivot may be a matrix column: nothing writes into a pivot."""
+    if p is None and (g := gcd(*w.values())) != 1:
+        w = {i: x // g for i, x in w.items()}
+    return w, None
 
-    Over F_p it is (w, 1/w[lead]), w as it stands.  Over Q it is (w, None)
-    with w made primitive, its content divided out and the sign of its
-    lead kept, as for every Q pivot (`_reduce_ints` steps alike with a
-    pivot and its negation).  Either way w itself is stored, not copied,
-    unless its content is not 1, so a pivot may be a matrix column: nothing
-    writes into a pivot."""
-    if p is not None:
-        # 1 and p - 1 are their own inverses, and the only leads met on
-        # the bars and duals of k[x]/x^3 and k[x, y]/(x^2, y^2)
-        c = w[lead]
-        return w, c if c == 1 or c == p - 1 else pow(c, p - 2, p)
-    g = gcd(*w.values())
-    return (w if g == 1 else {i: x // g for i, x in w.items()}), None
+
+@lru_cache(maxsize=1 << 12)
+def _inverse(y, p):
+    """1/y mod p (0 for y = 0 mod p), for a pivot lead other than 1 and
+    p - 1: memoized, as each pivot's lead is read once per step against it."""
+    return pow(y, p - 2, p)
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +633,13 @@ class SparseMatrix:
                 lead = max(col)
                 if lead not in pivots:
                     # the column meets no pivot: it becomes one as it
-                    # stands, uncopied unless the pivot rule rescales it
-                    if not track:
-                        pivots[lead] = _raw_pivot(col, lead, p)
-                    elif p is None:
-                        # the pivot _add_pivot would store (k = 1, joint
-                        # content 1), without its gcd and dict builds
+                    # stands, uncopied unless (untracked, over Q) its
+                    # content is not 1
+                    if track:
                         pivots[lead] = (col, {j: 1})
                         tracker._scale[j] = scale
                     else:
-                        tracker._add_pivot(lead, col, {}, scale, scale, j)
+                        pivots[lead] = _raw_pivot(col, p)
                     continue
             w, combo, s, lead = tracker._reduce_ints(dict(col), scale)
             if w:

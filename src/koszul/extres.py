@@ -189,15 +189,6 @@ def _stage(table, state, t, blocks):
     return below, table.differential(state, t, table.blocks(state, t + 1))
 
 
-def _extends(span, w, scale):
-    """Whether the int vector w / scale extends the untracked span, which
-    it then joins; w is consumed."""
-    w, _, s, lead = span._reduce_ints(w, scale)
-    if w:
-        span._add_pivot(lead, w, None, s, scale, None)
-    return bool(w)
-
-
 def minimal_resolution(fdga, depth):
     """Resolve k over an Artin slice by adjoining generators from 0 down.
 
@@ -242,9 +233,9 @@ def minimal_resolution(fdga, depth):
                             w[o + r] = w.get(o + r, 0) + cu * c * c2
                 w = {r: v % p for r, v in w.items() if v % p} if p \
                     else {r: v for r, v in w.items() if v}
-                _extends(span, w, scale * scale * s)
+                span.insert_ints(w, scale * scale * s)
         for z, s in cycles:
-            if not _extends(span, dict(z), s):
+            if not span.insert_ints(dict(z), s):
                 continue
             unit = {}  # degree-t generator -> unit coefficient in z
             for i, c in z.items():

@@ -890,7 +890,7 @@ def test_d_squared_failure_is_raised_before_any_clearing(
         assert info.value.degree == degree
 
 
-# -- class trackers are seeded with monic pivots ------------------------------------
+# -- class trackers are seeded with the eliminations' own pivots ------------------
 
 
 @pytest.mark.parametrize("complex_of, first_leads", [
@@ -903,26 +903,42 @@ def test_d_squared_failure_is_raised_before_any_clearing(
                  id="cone-lead-p-1"),
 ])
 def test_class_trackers_are_seeded_with_monic_pivots(monkeypatch, complex_of, first_leads):
-    """Over F_p a tracked reduction step clears a lead only against a monic
-    pivot, so a boundary pivot seeded into a class tracker as it came from
-    the untracked elimination of the window's first differential (raw, not
-    monic) would make `insert` loop forever.  The pivots are checked before
-    every insert, so such a change fails here and does not hang.  That first
-    elimination leaves pivots with lead -5 on the cone with c = 5 and with
-    lead p - 1, which is its own inverse, with c = 1."""
+    """Over F_p every pivot is kept as it stands, whatever its lead, and a
+    class tracker is seeded with the very vectors of the elimination below
+    it, shared, not copied.  A reduction step reads 1/lead from the
+    pivot's lead, so a lead that is 0 mod p would make `insert` loop; the
+    leads are checked before every insert, so such a change fails here
+    and does not hang.  The window's first elimination leaves pivots with
+    lead -5 on the cone with c = 5 and with lead p - 1, which is its own
+    inverse, with c = 1."""
     c = complex_of()
+    p = c.field.p
     first = c.d_at(c.window.lo).eliminate()[0]
     assert {pvec[lead] for lead, (pvec, _) in first.pivots.items()} == first_leads
-    insert = SpanTracker.insert
+    insert, eliminate = SpanTracker.insert, SparseMatrix.eliminate
+    below = []  # the trackers of cohomology's eliminations, in order
+
+    def recorded_eliminate(self, track=False, skip=()):
+        out = eliminate(self, track, skip)
+        below.append(out[0])
+        return out
 
     def checked_insert(self, vec, tag=None):
         for lead, (pvec, _) in self.pivots.items():
-            assert pvec[lead] == 1, f"pivot at {lead} is not monic"
+            assert pvec[lead] % p, f"pivot at {lead} has a lead 0 mod p"
         return insert(self, vec, tag)
 
+    monkeypatch.setattr(SparseMatrix, "eliminate", recorded_eliminate)
     monkeypatch.setattr(SpanTracker, "insert", checked_insert)
     report = c.cohomology()
-    # boundaries carry no tag: the seeded pivots are those with an empty combo
-    seeds = [pvec[lead] for tracker in report._classes.values()
-             for lead, (pvec, combo) in tracker.pivots.items() if not combo]
-    assert seeds and set(seeds) == {1}
+    assert below[0].pivots == first.pivots
+    # boundaries carry no tag: the seeded pivots are those with an empty
+    # combo, the pivots of the elimination below, by identity
+    seeds = []
+    for d, elimination in zip(c.window.interior(), below):
+        seeded = {lead: pvec for lead, (pvec, combo) in report._classes[d].pivots.items()
+                  if not combo}
+        assert seeded.keys() == elimination.pivots.keys()
+        assert all(pvec is elimination.pivots[lead][0] for lead, pvec in seeded.items())
+        seeds += [pvec[lead] for lead, pvec in seeded.items()]
+    assert seeds and first_leads <= set(seeds)

@@ -352,7 +352,7 @@ def test_span_tracker_certificates_are_exact(case):
     scalar = Fraction if field.p is None else int
     base = rank_of(inserts)
     assert t.rank == base
-    for key, (vec, pcombo) in t.pivots.items():  # integral (vec, combo) or monic
+    for key, (vec, pcombo) in t.pivots.items():  # integral (vec, combo)
         assert key == max(vec)  # a pivot is keyed by its lead, its largest index
         lead = vec[key]
         if field.p is None:
@@ -360,21 +360,25 @@ def test_span_tracker_certificates_are_exact(case):
             # the lead keeps its sign; content goes jointly with the combo's
             assert lead != 0 and math.gcd(*vec.values(), *pcombo.values()) == 1
         else:
-            assert lead == 1
+            # as the reduction left it, and the sum its combo names
+            assert lead % field.p != 0
+            spanned = {}
+            for tag, c in pcombo.items():
+                vec_add_into(field, spanned, inserts[tag], c)
+            assert spanned == vec
     plain = SpanTracker(field)
     for v in inserts:
         plain.insert(v)
     assert plain.rank == base
     # untracked pivots are primitive integer vectors over Q; over F_p they
-    # are stored raw, with the inverse of their lead, and lead where the
-    # tracked ones do
+    # are the very vectors of the tracked pivots; either way (vec, None)
     assert set(plain.pivots) == set(t.pivots)
     for key, (vec, extra) in plain.pivots.items():
-        assert key == max(vec)
+        assert key == max(vec) and extra is None
         if field.p is None:
-            assert extra is None and math.gcd(*vec.values()) == 1
+            assert math.gcd(*vec.values()) == 1
         else:
-            assert vec[key] != 0 and extra * vec[key] % field.p == 1
+            assert vec[key] % field.p != 0 and vec == t.pivots[key][0]
     for probe in probes:
         residual, combo = t.reduce(probe)
         assert all(type(x) is scalar for x in [*residual.values(), *combo.values()])
@@ -685,10 +689,10 @@ def test_cleared_ranks_are_the_plain_ranks(case):
         == {d: iso[d] for d in window.interior()}
 
 
-# -- raw F_p pivots --------------------------------------------------------------
+# -- F_p pivots as they stand ----------------------------------------------------
 # The bars and duals of k[x]/x^3 and k[x, y]/(x^2, y^2) only produce pivots
 # with leads 1 and p - 1, the two self-inverse ones; these tests reach the
-# stored inverses.
+# memoized inverses of the other leads.
 
 PRIMES = (Field(5), Field(7), Field(32003))
 
@@ -717,25 +721,27 @@ def raw_lead_matrices(draw):
 @given(raw_lead_matrices())
 @settings(max_examples=150, deadline=None)
 def test_raw_pivots_lead_and_reduce_as_monic_ones(case):
-    """An untracked F_p tracker stores each pivot raw, with the inverse of
-    its lead; a tracked one stores it monic.  Both lead at the same
-    indices, a raw pivot is its lead times the monic one, `as_boundaries`
-    makes it monic, and both trackers leave the same residual of a probe,
-    empty exactly when the probe lies in the column span."""
+    """Over F_p every pivot is stored as the reduction or the matrix left
+    it, whatever its lead: plain, tracked and inserted pivots are equal
+    vectors at the same leads, `as_boundaries` seeds the very same dicts,
+    and all trackers leave the same residual of a probe, empty exactly
+    when the probe lies in the column span."""
     m, probes = case
     field, p = m.field, m.field.p
     plain, tracked = m.eliminate()[0], m.eliminate(track=True)[0]
     inserted = SpanTracker(field)
     for col in m.int_columns:
         inserted.insert(col)
-    leads = set(tracked.pivots)
-    assert set(plain.pivots) == set(inserted.pivots) == leads
-    assert any(vec[lead] not in (1, p - 1) for lead, (vec, _) in plain.pivots.items())
-    for lead, (vec, lam) in plain.pivots.items():
-        assert lam * vec[lead] % p == 1
-        assert {i: lam * x % p for i, x in vec.items()} == tracked.pivots[lead][0]
-    assert {lead: vec for lead, (vec, _) in plain.as_boundaries().pivots.items()} \
-        == {lead: vec for lead, (vec, _) in tracked.pivots.items()}
+    vectors = {lead: vec for lead, (vec, _) in tracked.pivots.items()}
+    assert {lead: vec for lead, (vec, _) in plain.pivots.items()} == vectors
+    assert {lead: vec for lead, (vec, _) in inserted.pivots.items()} == vectors
+    assert any(vec[lead] not in (1, p - 1) for lead, vec in vectors.items())
+    assert all(extra is None for _, extra in plain.pivots.values())
+    for source in (plain, tracked):
+        seeded = source.as_boundaries()
+        assert seeded.pivots.keys() == source.pivots.keys()
+        for lead, (vec, combo) in seeded.pivots.items():
+            assert vec is source.pivots[lead][0] and combo == {}
     dense = [[m.int_columns[j].get(i, 0) for j in range(m.cols)] for i in range(m.rows)]
     rank = len(gauss_jordan(field, dense, m.cols)[0])
     assert plain.rank == rank
@@ -750,14 +756,15 @@ def test_raw_pivots_lead_and_reduce_as_monic_ones(case):
 @pytest.mark.parametrize("track", [False, True], ids=["raw", "tracked"])
 def test_a_pivot_of_the_wrong_kind_raises_instead_of_looping(track):
     """Over F_p a reduction step that leaves its lead in the vector raises:
-    here an untracked pivot stored with a wrong inverse of its lead 2, and
-    a tracked pivot that is not monic.  Without the check the reduction
-    would pick the same pivot again, forever."""
-    tracker = SpanTracker(Field(5), track=track)
-    tracker.pivots[1] = ({0: 1, 1: 2}, {0: 1} if track else 1)
-    for call in (tracker.insert, tracker.reduce):
-        with pytest.raises(StructuralError, match="the pivot at 1 did not clear its lead"):
-            call({1: 1})
+    here a pivot whose lead is 0 mod p, stored as 0 and as p, untracked and
+    tracked.  Without the check the reduction would pick the same pivot
+    again, forever."""
+    for zero in (0, 5):
+        tracker = SpanTracker(Field(5), track=track)
+        tracker.pivots[1] = ({0: 1, 1: zero}, {0: 1} if track else None)
+        for call in (tracker.insert, tracker.reduce):
+            with pytest.raises(StructuralError, match="the pivot at 1 did not clear its lead"):
+                call({1: 1})
 
 
 @given(split_complexes(lengths=(1, 5), shapes=("<", "=", ">"), fields=PRIMES))
@@ -1061,11 +1068,10 @@ def test_negated_tracked_pivots_give_the_same_ints(case, split):
 @pytest.mark.parametrize("field", [QQ, Field(7)], ids=["Q", "F7"])
 def test_a_column_that_meets_no_pivot_is_the_pivot_itself(field):
     """An elimination stores each column whose lead no pivot holds as it
-    stands, the matrix's own dict, over Q with its negative lead kept,
-    tracked (with the combo {j: 1}) or not, and as_boundaries shares it
-    again over Q.  Tracked over F_p so is a column whose lead is 1, and
-    one with another lead is made monic in a new dict.  A column that
-    meets a pivot is copied before it is reduced."""
+    stands, the matrix's own dict, whatever its lead (over Q a negative
+    one is kept), tracked (with the combo {j: 1}) or not, and
+    as_boundaries shares it again.  A column that meets a pivot is copied
+    before it is reduced."""
     m = SparseMatrix(field, 3, 3, {(0, 0): 1, (2, 0): -2, (1, 1): -1, (0, 2): 3, (2, 2): -4})
     first, second, third = m.int_columns
     plain = m.eliminate()[0]
@@ -1073,18 +1079,30 @@ def test_a_column_that_meets_no_pivot_is_the_pivot_itself(field):
     assert all(vec is not third for vec, _ in plain.pivots.values())
     tracked = m.eliminate(track=True)[0]
     assert all(vec is not third for vec, _ in tracked.pivots.values())
-    if field.p is None:
-        assert first == {0: 1, 2: -2} and plain.pivots[2][1] is None
-        assert plain.as_boundaries().pivots[2][0] is first
-        assert tracked.pivots[2][0] is first and tracked.pivots[2][1] == {0: 1}
-        assert tracked.pivots[1][0] is second and tracked.pivots[1][1] == {1: 1}
-    else:
-        assert first == {0: 1, 2: 5} and plain.pivots[2][1] * 5 % 7 == 1
-        assert tracked.pivots[2] == ({0: 3, 2: 1}, {0: 3})
-        assert tracked.pivots[1] == ({1: 1}, {1: 6})
+    assert first == ({0: 1, 2: -2} if field.p is None else {0: 1, 2: 5})
+    assert plain.pivots[2][1] is None and plain.pivots[1][1] is None
+    assert plain.as_boundaries().pivots[2][0] is first
+    assert tracked.pivots[2][0] is first and tracked.pivots[2][1] == {0: 1}
+    assert tracked.pivots[1][0] is second and tracked.pivots[1][1] == {1: 1}
     unit = SparseMatrix(field, 2, 2, {(0, 0): 3, (1, 0): 1, (1, 1): 2})
     tracked = unit.eliminate(track=True)[0]
     assert tracked.pivots[1][0] is unit.int_columns[0] and tracked.pivots[1][1] == {0: 1}
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=["Q", "F7"])
+def test_insert_ints_is_insert_on_ints(field):
+    """`insert_ints` is `insert` of w / scale: the same verdicts and pivots,
+    and a vector that meets no pivot becomes the pivot itself, uncopied,
+    whatever its lead (3 here)."""
+    vectors = [{0: 1, 2: 3}, {1: 3}, {0: 2, 2: 6}, {0: 1, 1: 2}]
+    plain, ints = SpanTracker(field), SpanTracker(field)
+    for v in vectors:
+        scale, (w,) = _integral_columns(field, [v])
+        assert ints.insert_ints(w, scale) == plain.insert(v)
+    assert ints.pivots == plain.pivots
+    w = {3: 3, 0: 1}
+    assert ints.insert_ints(w, 1) and ints.pivots[3] == (w, None)
+    assert ints.pivots[3][0] is w
 
 
 def test_a_reduced_tracked_pivot_keeps_the_sign_of_its_lead():
