@@ -408,7 +408,11 @@ class _LetterTable:
     The dual's columns come the same way from the tables read by row,
     built once on first use (`cotables`): `cocolumns` and one routine,
     _coblock, for both kinds of head.  Reading by row leaves out the
-    dropped entries, where the dual cannot be assembled.
+    dropped entries, where the dual cannot be assembled.  A dual block
+    whose head sits at offset 0 of the list below and has no head term is
+    its tails' columns entry for entry, and holds those very dicts,
+    shared with the tails' degree (_coblock).  Nothing writes into a
+    matrix column once built (exactla), so the sharing is safe.
     """
 
     def __init__(self, spec, enum, lo, hi, size):
@@ -747,14 +751,19 @@ class _LetterTable:
         of degree f, (h; t) for the chains t of chains(f - s), in the dual's
         signs.  colevel is `transposed`'s, for the letters or the ms, and
         target maps a head to its block's offset in the list of degree
-        f - 1."""
+        f - 1.  Where that offset is 0 and h has no codiff or comerge term,
+        the block is the tails' columns, row for row: those dicts are
+        appended, not copied.  Any other block is built fresh."""
         enum, rows, p = self.enum, self.rows, self.field.p
         degrees, codiff, comerge = colevel
         tails = self.cocolumns(f - s)
-        n = len(tails)
         # the tail's column, unsigned, into the block of h in the list of
         # degree f - 1, absent only when every tail column is empty
         base = target.get(h)
+        if base == 0 and not codiff[h] and not comerge[h]:
+            cols += tails  # the tails' columns themselves, shared
+            return
+        n = len(tails)
         block = _moved(tails, () if base is None else
                        rows[base:base + enum.blocks(f - 1 - s)[0]], False, p)
         odd = f % 2

@@ -19,9 +19,9 @@ the loops reduce mod a local p.  Over Q a vector is scaled by the lcm of
 its denominators (a matrix column arrives scaled already), reduction is
 fraction-free (Bareiss 1968: v <- a*v - b*pivot with the leads divided
 by their gcd, which takes the sign of the pivot's lead), and pivots are
-primitive integer vectors, not monic ones; values become Fractions only
-where they leave the engine: the `entries` and `columns()` views of a
-matrix, and what leaves the tracker.
+integer vectors, not monic ones; values become Fractions only where they
+leave the engine: the `entries` and `columns()` views of a matrix, and
+what leaves the tracker.
 
 Pivots have one form, (vector, combo), combo None when untracked, and
 are kept as they stand.  Over F_p a pivot is the vector the reduction or
@@ -30,14 +30,15 @@ the pivot's own lead (1 and p - 1 are their own inverses, any other is
 memoized), and a tracked combo scales with it.  Over Q every pivot,
 tracked or not, keeps the sign of its lead: a reduction step gives the
 same vector and the same combo against a pivot and its negation, so no
-pivot is rebuilt just to be positive; an untracked one is primitive, a
-tracked one primitive jointly with its combo.  A column whose lead no
-pivot holds becomes a pivot as it stands, uncopied and shared with the
-matrix (`SparseMatrix._eliminate`), which is most columns of a bar:
-tracked, with the combo {j: 1}, over either field.  A column is copied
-only when a pivot meets it.  So nothing may write into a pivot or a
-matrix column, and nothing does: a reduction writes only into the vector
-it is given.  The class trackers behind representatives are seeded with
+pivot is rebuilt just to be positive.  A column whose lead no pivot
+holds becomes a pivot as it stands, uncopied and shared with the matrix
+(`SparseMatrix._eliminate`), which is most columns of a bar: (col, None)
+untracked and (col, {j: 1}) tracked, over either field, whatever its
+content.  A column is copied only when a pivot meets it.  Over Q a pivot
+that a reduction made is primitive, jointly with its combo when tracked;
+residuals, combos and kernels read as Fractions are the same however a
+pivot is scaled.  So nothing may write into a pivot or a matrix column,
+and nothing does: a reduction writes only into the vector it is given.  The class trackers behind representatives are seeded with
 the previous elimination's pivots, shared (SpanTracker.as_boundaries).
 
 A pivot's lead is the largest index of its vector, and reduction clears
@@ -283,8 +284,10 @@ class SpanTracker:
     scaled by the lcm D of its denominators, a reduction step is
     v <- a*v - b*pivot with a, b the two leads divided by their gcd taken
     with the sign of the pivot's lead (so a > 0), and a pivot is an
-    integer vector whose lead has either sign, primitive when untracked
-    and primitive jointly with its combo when tracked.  Values leave the
+    integer vector whose lead has either sign.  One that a reduction made
+    is primitive, jointly with its combo when tracked; a matrix column
+    that met no pivot is kept with whatever content it has, as scaling a
+    pivot changes no value that leaves the tracker.  Values leave the
     tracker as Fractions.  A pivot may be the very vector that was
     inserted or a matrix column (`insert_ints`, `SparseMatrix._eliminate`);
     a reduction never writes into one.
@@ -432,7 +435,11 @@ class SpanTracker:
         (w, combo, s, lead) of the vector being inserted, at scale."""
         p = self.field.p
         if not self.track:
-            self.pivots[lead] = _raw_pivot(w, p)
+            # over Q made primitive, the sign of its lead kept (a step is
+            # the same against a pivot and its negation)
+            if p is None and (g := gcd(*w.values())) != 1:
+                w = {i: x // g for i, x in w.items()}
+            self.pivots[lead] = (w, None)
             return
         if p is not None:
             # w = vec - sum(combo[t] * insert_t), vec insert_tag, as it stands
@@ -463,18 +470,6 @@ class SpanTracker:
             w = {i: x // g for i, x in w.items()}
             pcombo = {t: c // g for t, c in pcombo.items()}
         self.pivots[lead] = (w, pcombo)
-
-
-def _raw_pivot(w, p):
-    """The pivot slot (w, None) of an untracked tracker for the nonzero int
-    vector w: w as it stands over F_p, and over Q made primitive, its
-    content divided out and the sign of its lead kept, as for every Q pivot
-    (`_reduce_ints` steps alike with a pivot and its negation).  Either way
-    w itself is stored, not copied, unless its content over Q is not 1, so
-    a pivot may be a matrix column: nothing writes into a pivot."""
-    if p is None and (g := gcd(*w.values())) != 1:
-        w = {i: x // g for i, x in w.items()}
-    return w, None
 
 
 @lru_cache(maxsize=1 << 12)
@@ -633,13 +628,10 @@ class SparseMatrix:
                 lead = max(col)
                 if lead not in pivots:
                     # the column meets no pivot: it becomes one as it
-                    # stands, uncopied unless (untracked, over Q) its
-                    # content is not 1
+                    # stands, uncopied, in either mode over either field
                     if track:
-                        pivots[lead] = (col, {j: 1})
                         tracker._scale[j] = scale
-                    else:
-                        pivots[lead] = _raw_pivot(col, p)
+                    pivots[lead] = (col, {j: 1} if track else None)
                     continue
             w, combo, s, lead = tracker._reduce_ints(dict(col), scale)
             if w:

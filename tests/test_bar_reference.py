@@ -902,7 +902,7 @@ def test_d_squared_failure_is_raised_before_any_clearing(
     pytest.param(lambda: bar_complex(_cone(F32003, 1), Window(-5, 0)).complex, {32003 - 1},
                  id="cone-lead-p-1"),
 ])
-def test_class_trackers_are_seeded_with_monic_pivots(monkeypatch, complex_of, first_leads):
+def test_class_trackers_are_seeded_with_the_eliminations_pivots(monkeypatch, complex_of, first_leads):
     """Over F_p every pivot is kept as it stands, whatever its lead, and a
     class tracker is seeded with the very vectors of the elimination below
     it, shared, not copied.  A reduction step reads 1/lead from the

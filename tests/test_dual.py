@@ -1,6 +1,7 @@
 """Koszul dual tests: dual slices validate as dg algebras, Ext dims, ring
 power generation, biduality and its refusals."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,68 @@ RINGS = [
     pytest.param(lambda: square_zero(QQ, 2), Window(0, 8), id="square-zero-2"),
     pytest.param(lambda: free_assoc(QQ, [("u", 2)]), Window(-5, 0), id="free-u2"),
 ]
+
+
+SHARING = [
+    pytest.param(lambda f: truncated_polynomial(f, 3, 0), id="cubic"),
+    pytest.param(lambda f: _scaled_cubic(f, f.div(f.of_int(2), f.of_int(3))), id="scaled-2-over-3"),
+    pytest.param(_exterior2, id="exterior-2"),
+]
+
+
+@pytest.mark.parametrize("field", (QQ, F32003), ids=("Q", "F32003"))
+@pytest.mark.parametrize("make", SHARING)
+def test_dual_blocks_in_place_share_their_tails_columns(make, field, monkeypatch):
+    """A dual block whose head sits at offset 0 of the list below and has
+    no codiff or comerge term is its tails' columns, the very dicts of the
+    dual's differential on the tails' degree; every other block is fresh
+    dicts, held by no degree its lists are built from (those toward the
+    base, where the tails lie).  Nothing writes into a shared column:
+    the int columns of every dual built, copied when it is built, are
+    unchanged after cohomology, class coordinates, the ring constants and
+    the bidual."""
+    spec, window = make(field), Window(0, 5)
+    built = []
+    real = bar._cobar_slice
+
+    def recorded(chains):
+        complex_ = real(chains)
+        built.append((complex_, copy.deepcopy({d: m.int_columns for d, m in complex_.diff.items()})))
+        return complex_
+
+    monkeypatch.setattr(bar, "_cobar_slice", recorded)
+    dual = koszul_dual_slice(spec, window)
+    table = dual.chains.table
+    enum, (_, codiff, comerge) = table.enum, table.co[0]
+    degrees = [f for f in table.comemo if f - 1 in dual.chains.padded]
+    shared = fresh = 0
+    for f in degrees:
+        cols, target = table.cocolumns(f), enum.blocks(f - 1)[2]
+        elsewhere = {id(col) for e, other in table.comemo.items()
+                     if (e > f if enum.connective else e < f) for col in other}
+        for a, s, off in enum.blocks(f)[1]:
+            tails = table.cocolumns(f - s)
+            block = cols[off:off + len(tails)]
+            assert len(block) == len(tails)
+            if target.get(a) == 0 and not codiff[a] and not comerge[a]:
+                assert all(col is tail for col, tail in zip(block, tails))
+                shared += len(block)
+            else:
+                assert not any(id(col) in elsewhere for col in block)
+                fresh += len(block)
+    assert shared and fresh
+    report = dual.cohomology()
+    for d, reps in report.representatives.items():
+        for i, rep in enumerate(reps):
+            assert report.coords(d, rep) == {i: field.one}
+    assert dual_cohomology_ring(spec, window).ring
+    try:
+        bidual_cohomology(spec, Window(-4, 1))
+    except RefusalError:
+        pass  # refused after its inner dual's cohomology was taken
+    assert len(built) >= 3
+    for complex_, before in built:
+        assert {d: m.int_columns for d, m in complex_.diff.items()} == before
 
 
 @pytest.mark.parametrize("make, window", RINGS)

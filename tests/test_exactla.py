@@ -698,7 +698,7 @@ PRIMES = (Field(5), Field(7), Field(32003))
 
 
 @st.composite
-def raw_lead_matrices(draw):
+def unit_free_matrices(draw):
     """A random sparse matrix over F_5, F_7 or F_32003 with every entry in
     [2, p - 2] (so no entry is 1 or p - 1, and neither is the lead of the
     first pivot), and probes, about half of them in the column span."""
@@ -718,9 +718,9 @@ def raw_lead_matrices(draw):
     return m, probes
 
 
-@given(raw_lead_matrices())
+@given(unit_free_matrices())
 @settings(max_examples=150, deadline=None)
-def test_raw_pivots_lead_and_reduce_as_monic_ones(case):
+def test_f_p_pivots_stand_as_made_whatever_their_lead(case):
     """Over F_p every pivot is stored as the reduction or the matrix left
     it, whatever its lead: plain, tracked and inserted pivots are equal
     vectors at the same leads, `as_boundaries` seeds the very same dicts,
@@ -770,10 +770,10 @@ def test_a_pivot_of_the_wrong_kind_raises_instead_of_looping(track):
 @given(split_complexes(lengths=(1, 5), shapes=("<", "=", ">"), fields=PRIMES))
 @settings(max_examples=80, deadline=None)
 def test_cleared_ranks_over_f_p_are_the_gauss_jordan_ranks(case):
-    """Dims-only cohomology reduces raw pivots over F_5, F_7 and F_32003,
-    on the complex as given, whose conjugated differentials have leads
-    other than 1 and p - 1; each rank on the report is the dense
-    Gauss-Jordan rank of d_d."""
+    """Dims-only cohomology reduces against pivots stored as they stand
+    over F_5, F_7 and F_32003, on the complex as given, whose conjugated
+    differentials have leads other than 1 and p - 1; each rank on the
+    report is the dense Gauss-Jordan rank of d_d."""
     c, _, pairs, _ = case
     window = c.window
     assert c.cohomology(representatives=False).ranks \
@@ -953,12 +953,14 @@ def test_cohomology_never_writes_into_its_differentials(case, rnd):
 @given(signed_matrices())
 @settings(max_examples=150, deadline=None)
 def test_signed_pivots_give_the_reference_ranks_kernels_and_residuals(case):
-    """Pivots keep their signs, tracked or not: over Q an untracked pivot
-    is a primitive vector whose lead has either sign, the tracked pivot
-    made primitive, up to sign.  The ranks and kernels are the dense
-    Gauss-Jordan ones, and a probe reduces to the same residual and combo
-    against signed pivots as against the tracked ones, also in the tracked
-    trackers that as_boundaries seeds with them."""
+    """Pivots keep their signs and stand as they were made, tracked or
+    not: a column whose lead no earlier column's pivot holds is the pivot
+    itself, a reduced untracked pivot is primitive over Q, and the plain
+    and tracked pivots at each lead are parallel, leads of either sign.
+    The ranks and kernels are the dense Gauss-Jordan ones, and a probe
+    reduces to the same residual and combo against signed pivots as
+    against the tracked ones, also in the tracked trackers that
+    as_boundaries seeds with them."""
     m, dense, probes, _ = case
     field = m.field
     rank, kernel = _reference_kernel(field, dense, m.cols)
@@ -968,12 +970,24 @@ def test_signed_pivots_give_the_reference_ranks_kernels_and_residuals(case):
     assert [{i: field.div(field.of_int(x), field.of_int(s)) for i, x in z.items()}
             for z, s in m.int_kernel()] == kernel
     assert plain.pivots.keys() == tracked.pivots.keys()
-    if field.p is None:
-        for lead, (vec, extra) in plain.pivots.items():
-            tvec = tracked.pivots[lead][0]
-            assert extra is None and math.gcd(*vec.values()) == 1 and tvec[lead] != 0
-            g = math.gcd(*tvec.values())  # a tracked pivot's content goes with its combo's
-            assert vec in ({i: x // g for i, x in tvec.items()}, {i: -x // g for i, x in tvec.items()})
+    # the fresh columns: those whose lead the pivots of the columns before
+    # them do not hold
+    fresh = {}
+    for j, col in enumerate(m.int_columns):
+        before = SparseMatrix.from_int_columns(field, m.rows, m.int_columns[:j], m.scale)
+        if col and max(col) not in before.eliminate()[0].pivots:
+            fresh[max(col)] = col
+    for lead, (vec, extra) in plain.pivots.items():
+        tvec = tracked.pivots[lead][0]
+        assert extra is None and tvec[lead] != 0
+        if lead in fresh:
+            assert vec is fresh[lead] and tvec is fresh[lead]
+        elif field.p is None:
+            assert math.gcd(*vec.values()) == 1
+        # parallel: vec * tvec[lead] = tvec * vec[lead]
+        assert vec.keys() == tvec.keys()
+        assert all(field.sub(field.mul(x, tvec[lead]), field.mul(tvec[i], vec[lead])) == 0
+                   for i, x in vec.items())
     # the same pivots with positive leads reduce to the very same ints, the
     # scale positive: a step is the same against a pivot and its negation
     positive = SpanTracker(field)
@@ -986,13 +1000,13 @@ def test_signed_pivots_give_the_reference_ranks_kernels_and_residuals(case):
             got = signed._reduce_ints(dict(w), scale)
             assert got == unsigned._reduce_ints(dict(w), scale) and got[2] > 0
         assert plain.reduce(probe)[0] == tracked.reduce(probe)[0]
-        seeded, monic = plain.as_boundaries(), tracked.as_boundaries()
-        assert seeded.reduce(probe) == monic.reduce(probe)
-        assert seeded.insert(probe, tag=0) == monic.insert(probe, tag=0)
-        assert seeded.pivots.keys() == monic.pivots.keys()
+        seeded, tseeded = plain.as_boundaries(), tracked.as_boundaries()
+        assert seeded.reduce(probe) == tseeded.reduce(probe)
+        assert seeded.insert(probe, tag=0) == tseeded.insert(probe, tag=0)
+        assert seeded.pivots.keys() == tseeded.pivots.keys()
         for lead, (vec, combo) in seeded.pivots.items():
             if combo:  # the inserted probe's pivot, the same in both
-                assert monic.pivots[lead] == (vec, combo)
+                assert tseeded.pivots[lead] == (vec, combo)
 
 
 class _NegatedPivots(dict):
