@@ -17,14 +17,15 @@ weights can contribute; weight_bound gives an upper bound, the bars report
 the exact cap (the most letters a chain has), and inputs where no finite
 cap exists are refused rather than silently truncated.
 
-Each bar is assembled once, in ints.  Its letters are indexed by int and
-tabled once per bar with their differentials d(sa) = -s(da) and pairwise
-merges (the module differentials and actions too, for B(M, A, N)); a
-product that fails is tabled as its error.  Over Q every
-structure constant is scaled by one common denominator D, and since each
-term of the differential carries exactly one of them, the differential is
-1/D times an integer matrix, whose rank, kernel and d^2 are those of the
-differential.  Over F_p, D = 1 and the ints are reduced mod p.
+Each bar is assembled once, in ints, as its dual's columns (below).  Its
+letters are indexed by int and tabled once per bar with their
+differentials d(sa) = -s(da) and pairwise merges (the module
+differentials and actions too, for B(M, A, N)); a product that fails is
+tabled as its error.  Over Q every structure constant is scaled by one
+common denominator D, and since each term of the differential carries
+exactly one of them, the differential is 1/D times an integer matrix,
+whose rank, kernel and d^2 are those of the differential.  Over F_p,
+D = 1 and the ints are reduced mod p.
 
 Both bars are built from chains [a_1|..|a_w; n]: words that end in an
 element n of a base module N, a left module over A, of degree
@@ -40,14 +41,13 @@ position.  The differential is a coderivation,
   d[a|t] = -[da|t] + (-1)^{|a|} [ab|r] + (-1)^{s_a} [a|dt],  t = [b|r],
   d[a|t] = -[da|t] + [;a.n] + (-1)^{s_a} [a|dt],             t = [;n],
 
-so the column of [a|t] is the tail's column moved into the block of a,
-plus the head terms, whose rows are a block's offset plus the position of
-t or r, or the position of a.n among the base elements.  Each list's
-columns are built once, from its tails' columns.  Over N = k, d1 = 0 and
-a.1 = 0, so these are the word formulas above.  B(M, A, N) = M ox B(A, N)
-is one more block level (see two_sided_bar), and one routine builds the
-blocks of both: with -[da|t] = [d(sa)|t] and (-1)^{|a|} = -(-1)^{s_a},
-the head terms of [a|t] and of (m; c) have the same signs.
+so d on [a|t] is d on the tail moved into the block of a, plus the head
+terms, at a block's offset plus the position of t or r, or at the
+position of a.n among the base elements.  Over N = k, d1 = 0 and a.1 = 0:
+the word formulas above.  B(M, A, N) = M ox B(A, N) is one more block
+level (see two_sided_bar), read by the same routines: with
+-[da|t] = [d(sa)|t] and (-1)^{|a|} = -(-1)^{s_a}, the head terms of
+[a|t] and of (m; c) have the same signs.
 
 The Koszul dual is the linear dual of the bar, B(A)^v = Omega(A^v)
 (Loday-Vallette, Algebraic Operads, 2.2), with d_e = (-1)^e (bar
@@ -62,15 +62,18 @@ each g, b with h a term of gb (comerge, each term carrying -(-1)^{s_g}),
 and, for a base element n, [;m] and [a|;m] wherever n is a term of dm or
 of a.m.  Each head term is one run over the whole block.  The tables are
 read by row once per bar, when the dual is first assembled, and the same
-routine serves the letters and the ms.  A bar's dims are those of its
-dual, mirrored, and elimination clears columns from the low end of the
-complex as given, so the dims (bar_homology_dims, derived_tensor_dims,
-BarSlice.homology_dims and the dual's, dual.DualSlice.homology_dims) are
-read from the side whose low end is the smaller (_homology_dims, the one
-place that chooses a side): the dual for a connective algebra, the bar
-for a coconnected one.  Neither is transposed.  The dims of a bar whose
-certificate fails are read from the complex asked for, so that its
-matrix check names a degree of that complex.
+routine serves the letters and the ms.  That is the one assembly: the
+bar's d leaving degree d is (-1)^{d+1} times the transpose of the dual's
+columns on chains(d + 1) (_transposed, in _bar_slice).  A bar's dims are
+its dual's, mirrored, and elimination clears columns from the low end of
+the complex as given, so the dims (bar_homology_dims, derived_tensor_dims,
+BarSlice.homology_dims and dual.DualSlice.homology_dims) are read from
+the side whose low end is the smaller (_homology_dims, the one place that
+chooses a side): the dual for a connective algebra, the bar for a
+coconnected one, where the transpose costs less than eliminating the dual
+from its larger end.  The dims of a bar whose certificate fails are read
+from the complex asked for, so that its matrix check names a degree of
+that complex.
 
 One more reading of the table gives d on a single chain, or on any
 segment of one (_LetterTable._segment_d): the terms of the coderivation
@@ -82,12 +85,12 @@ record of errors.  And d^2 = 0 is certified from it, not from the
 matrices: since d is a coderivation, d^2 vanishes on the window once it
 vanishes on the segments of at most three units (an m, letters, a base
 element) that its chains can hold (_LetterTable.certify).  A bar that
-passes is marked
-(CochainComplexSlice.certified_by) and its cohomology skips the matrix
-check; one that fails keeps the matrix check, which finds the failure and
-raises as before.  The certificate does not see the assembly, so a sign
-bug there would go unseen at run time: the test suite runs the matrix
-check on every certified bar and every natively assembled dual it builds.
+passes is marked (CochainComplexSlice.certified_by) and its cohomology
+skips the matrix check; one that fails keeps the matrix check, which
+finds the failure and raises as before.  The certificate does not see
+the assembly, so a sign bug there would go unseen at run time: the test
+suite runs the matrix check on every certified bar and every dual it
+builds.
 """
 
 import math
@@ -375,8 +378,8 @@ class _ChainEnumerator:
 
 
 class _LetterTable:
-    """The letters of one bar in ints, tabled once, and the differential of
-    its chains assembled from them block by block.
+    """The letters of one bar in ints, tabled once, and the dual's
+    differential on its chains assembled from them block by block.
 
     For each letter the enumerator has listed: diff[a], the differential
     d(sa) = -s(da) of its suspension, merge[a][b], the product with letter
@@ -391,10 +394,9 @@ class _LetterTable:
     they miss every basis and are reported there.  Either marks the table
     `dropped` where a column may use the entry.
 
-    One routine, _block, assembles the block of a head h of shift s, on
-    the chains t of its tails, for a letter a (s = s_a) and for an m of
+    The heads h of shift s are the letters a (s = s_a) and the ms of
     B(M, A, N) (s = |m|), whose tables two_sided_bar adds with `lincomb`
-    and `tabled`:
+    and `tabled`.  On the chains t of a head's tails the bar's d is
 
       d(h; t) = (dh; t) + (-1)^s (h; dt) - (-1)^s (hb; r),  t = [b|r],
 
@@ -405,10 +407,10 @@ class _LetterTable:
     holds, so that every letter and base element is indexed with its
     degree.
 
-    The dual's columns come the same way from the tables read by row,
-    built once on first use (`cotables`): `cocolumns` and one routine,
-    _coblock, for both kinds of head.  Reading by row leaves out the
-    dropped entries, where the dual cannot be assembled.  A dual block
+    The dual's columns, which the bar's matrices transpose, come from the
+    tables read by row, built once on first use (`cotables`): `cocolumns`
+    and one routine, _coblock, for both kinds of head.  Reading by row
+    leaves out the dropped entries (see _raise_first_error).  A dual block
     whose head sits at offset 0 of the list below and has no head term is
     its tails' columns entry for entry, and holds those very dicts,
     shared with the tails' degree (_coblock).  Nothing writes into a
@@ -421,7 +423,7 @@ class _LetterTable:
         self.lo, self.hi = lo, hi
         self.connective = enum.connective
         self.lincombs = []
-        self.memo, self.comemo = {}, {}
+        self.comemo = {}
         # (level, shift) of B(M, A, N)'s ms as heads (see certify), set by two_sided_bar
         self.heads = None
         # the tables read by row (cotables), and whether they drop an entry (_drop)
@@ -443,7 +445,7 @@ class _LetterTable:
         self.act = [[self.tabled(lambda x=x, n=n: right.left_act(x, n), element,
                                  sx + dn + 1, sx + dn)
                      for n, dn in elements] for x, sx in letters]
-        # the letters as heads (see _block)
+        # the letters as heads (see _segment_d, transposed)
         self.level = (letter, self.diff, self.merge)
 
     def reaches(self, e, top):
@@ -553,15 +555,15 @@ class _LetterTable:
 
     def _segment_d(self, m, word, n):
         """The terms of d on the segment (m; word; n) as (segment, int)
-        pairs from the tabled ints, unsummed, in the order _block reads
-        them; m is () or (h,) for an m of B(M, A, N), word a tuple of
-        letters, n a base element or None, all by index.  Each head (the m,
-        then each letter) gives its differential and its product with the
-        next unit (m.a, a merge, or a.n), with _block's signs, the tail
-        carrying (-1)^s after each head of shift s; then dn.  A failed
-        product raises its StructuralError, the leftmost first.  None where
-        an index has no tables (a label that is no listed letter, m or base
-        element) or the table left out a merge."""
+        pairs from the tabled ints, unsummed, head by head; m is () or (h,)
+        for an m of B(M, A, N), word a tuple of letters, n a base element
+        or None, all by index.  Each head (the m, then each letter) gives
+        its differential and its product with the next unit (m.a, a merge,
+        or a.n), with the signs of d(h; t) above, the tail carrying (-1)^s
+        after each head of shift s; then dn.  A failed product raises its
+        StructuralError, the leftmost first.  None where an index has no
+        tables (a label that is no listed letter, m or base element) or the
+        table left out a merge."""
         units, k, nl = m + word, len(m), len(self.diff)
         if (m and m[0] >= len(self.heads[0][1])) or (word and max(word) >= nl) \
                 or (n is not None and n >= len(self.base_diff)):
@@ -593,70 +595,6 @@ class _LetterTable:
             for x, c in self.base_diff[n]:
                 terms.append(((m, word, x), -c if odd else c))
         return terms
-
-    def columns(self, d):
-        """The differential of chains(d) as int columns: columns[j] maps
-        rows of chains(d + 1) to nonzero ints (in [0, p) over F_p) and
-        follows the module docstring's recursion: a base element's column
-        [;dn], then one _block per letter.  Valid where no column uses a
-        failed product or has a term outside chains(d + 1), which
-        _raise_first_error rules out.  Memoized by d."""
-        hit = self.memo.get(d)
-        if hit is not None:
-            return hit
-        return self.enum.fill(self.memo, d, self._columns, self.enum.tails)
-
-    def _columns(self, d):
-        """`columns(d)`, once those of its tails are memoized."""
-        enum, p = self.enum, self.field.p
-        _, _, target, upper = enum.blocks(d + 1)
-        # [;dn] and [;a.n] land on the base elements of degree d + 1, listed first
-        elements = dict(zip(upper, self.rows))
-        _, blocks, _, bare = enum.blocks(d)  # bare: the n of the chains [;n]
-        cols = []
-        for n in bare:
-            col = {}
-            for x, c in self.base_diff[n]:
-                _add_run((col,), (elements[x],), c, p)
-            cols.append(col)
-        for a, s, _ in blocks:
-            self._block(cols, self.level, a, s, d, target, self.act[a], elements)
-        return cols
-
-    def _block(self, cols, level, h, s, d, target, act=None, elements=None):
-        """Append to cols the columns of head h's block in the list of
-        degree d (as in columns): (h; t) for the chains t of chains(d - s).
-        level = (index, diff, merge) holds the heads' _Labels, their tabled
-        differentials and their products with each letter.  target maps a
-        head to its block's offset in the list of degree d + 1.  A letter
-        also passes act, its tabled a.n, and elements, the row of each base
-        element of degree d + 1."""
-        enum, rows, p = self.enum, self.rows, self.field.p
-        _, diff, merge = level
-        tails = self.columns(d - s)
-        _, tail_blocks, _, tail_bare = enum.blocks(d - s)
-        # (-1)^s (h; dt): the tail's target is the block of h in the list of
-        # degree d + 1, absent only when every tail column is empty
-        base = target.get(h)
-        block = _moved(tails, () if base is None else
-                       rows[base:base + enum.blocks(d + 1 - s)[0]], s % 2, p)
-        # (dh; t): t keeps its position, in the block of each term of dh
-        for x, c in diff[h]:
-            at = target[x]
-            _add_run(block, rows[at:at + len(block)], c, p)
-        # [;h.n], for t = [;n]: the tails' base elements come first
-        for i, n in enumerate(tail_bare if act else ()):
-            for x, c in act[n]:
-                _add_run(block[i:i + 1], (elements[x],), c, p)
-        # -(-1)^s (hb; r), for t = [b|r]: one run per block b of the tails;
-        # r keeps its position, in the block of each term of hb
-        for b, sb, off_b in tail_blocks:
-            n = enum.blocks(d - s - sb)[0]
-            for x, c in merge[h][b]:
-                at = target[x]
-                _add_run(block[off_b:off_b + n], rows[at:at + n],
-                         c if s % 2 else _neg(c, p), p)
-        cols += block
 
     def cotables(self):
         """Build the tables read by row once, as self.co = (the letters'
@@ -764,8 +702,7 @@ class _LetterTable:
             cols += tails  # the tails' columns themselves, shared
             return
         n = len(tails)
-        block = _moved(tails, () if base is None else
-                       rows[base:base + enum.blocks(f - 1 - s)[0]], False, p)
+        block = _moved(tails, () if base is None else rows[base:base + enum.blocks(f - 1 - s)[0]])
         odd = f % 2
         # the columns (g; t) with h a term of dg: t keeps its position
         for g, c in codiff[h]:
@@ -778,22 +715,33 @@ class _LetterTable:
         cols += block
 
 
-def _moved(cols, rows, negate, p):
-    """Copies of cols with row i renamed rows[i], negated (mod p over F_p,
-    where p is not None) when negate is true."""
+def _moved(cols, rows):
+    """Copies of cols with row i renamed rows[i]."""
     out = []
     for col in cols:
         new = {}
-        if not negate:
-            for i, x in col.items():
-                new[rows[i]] = x
-        elif p is None:
-            for i, x in col.items():
-                new[rows[i]] = -x
-        else:
-            for i, x in col.items():
-                new[rows[i]] = p - x
+        for i, x in col.items():
+            new[rows[i]] = x
         out.append(new)
+    return out
+
+
+def _transposed(cols, rows, odd, p):
+    """The columns of the transpose of cols, a matrix with `rows` rows,
+    times (-1)^odd (mod p over F_p, where p is not None)."""
+    out = [{} for _ in range(rows)]
+    if not odd:
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                out[i][j] = x
+    elif p is None:
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                out[i][j] = -x
+    else:
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                out[i][j] = p - x
     return out
 
 
@@ -866,18 +814,18 @@ class _Chains:
     """A bar before any matrix is built: its requested window, the basis of
     its padded one (degree -> labels), the int scale of its tables, its
     weight cap (the most letters a chain has), its letter table and whether
-    that passed the certificate.  columns(d) and cocolumns(d) are the bar's
-    columns on degree d and the dual's columns there: _LetterTable's for
-    the reduced bar, whose chains are its basis, and per m for B(M, A, N).
+    that passed the certificate.  cocolumns(d) is the dual's columns on
+    degree d, which the bar's matrices transpose: _LetterTable's for the
+    reduced bar, whose chains are its basis, and per m for B(M, A, N).
     segment(label) is a chain as the (m, word, n) of indices that
     _LetterTable._segment_d reads, and label(segment) the label of one of
     its terms."""
 
-    def __init__(self, spec, window, basis, table, scale, certified, columns, cocolumns,
-                 segment, label, left=None, right=None):
+    def __init__(self, spec, window, basis, table, scale, certified, cocolumns, segment, label,
+                 left=None, right=None):
         self.spec, self.window, self.padded = spec, window, window.padded()
         self.basis, self.table, self.scale, self.certified = basis, table, scale, certified
-        self.columns, self.cocolumns = columns, cocolumns
+        self.cocolumns = cocolumns
         self.segment, self.label = segment, label
         self.left, self.right = left, right
         # the chains of degree lo (connective) or hi (coconnected) hold the most letters
@@ -903,16 +851,16 @@ def _raise_first_error(chains):
 
 
 def _bar_slice(chains):
-    """The BarSlice whose differential leaving degree d is columns(d), 1/scale
-    times its int columns, once _raise_first_error has ruled out the bar's
-    errors.  When certified (its letter table's certificate passed) the
-    complex is marked so, and cohomology() skips the matrix check of
-    d^2 = 0."""
+    """The BarSlice whose differential leaving degree d is 1/scale times
+    (-1)^{d+1} the transpose of cocolumns(d + 1), the dual's int columns,
+    once _raise_first_error has ruled out the bar's errors.  When
+    certified (its letter table's certificate passed) the complex is
+    marked so, and cohomology() skips the matrix check of d^2 = 0."""
     field, basis, padded = chains.spec.field, chains.basis, chains.padded
-    if chains.table.dropped:
+    if chains.table.cotables():
         _raise_first_error(chains)
-    diffs = {d: SparseMatrix.from_int_columns(
-                 field, len(basis[d + 1]), chains.columns(d), chains.scale)
+    diffs = {d: SparseMatrix.from_int_columns(field, len(basis[d + 1]), _transposed(
+                 chains.cocolumns(d + 1), len(labels), (d + 1) % 2, field.p), chains.scale)
              for d, labels in basis.items() if labels and d + 1 in padded}
     complex_ = CochainComplexSlice(field, padded, basis, diffs)
     if chains.certified:
@@ -980,8 +928,8 @@ def _reduced(spec, window):
     table = _LetterTable(spec, enum, padded.lo, padded.hi, max(map(len, basis.values())))
     scale = table.scale_to_ints()
     letter = enum.letter
-    return _Chains(spec, window, basis, table, scale, table.certify(), table.columns,
-                   table.cocolumns, lambda word: ((), tuple(map(letter.index.get, word)), None),
+    return _Chains(spec, window, basis, table, scale, table.certify(), table.cocolumns,
+                   lambda word: ((), tuple(map(letter.index.get, word)), None),
                    lambda seg: tuple(letter.labels[a] for a in seg[1]))
 
 
@@ -1058,7 +1006,7 @@ def _two_sided(left, spec, right, window):
         basis[d] = Listing(size, partial(labels, d))
 
     table = _LetterTable(spec, enum, lo, hi, max(map(len, basis.values())))
-    # the ms as heads (see _LetterTable._block): dm and m.a, an m counting
+    # the ms as heads (see _LetterTable): dm and m.a, an m counting
     # as |m| - shift in `reaches`.  ms is a copy, as lincomb indexes terms
     # outside M's basis
     letter, element = enum.letter, enum.element
@@ -1072,14 +1020,6 @@ def _two_sided(left, spec, right, window):
               for m, dm in ms])
     scale = table.scale_to_ints()
     table.heads = (level, shift)
-
-    def columns(d):
-        """The columns of degree d: one block per m, (m; c) for the chains c
-        of degree d - |m|."""
-        cols = []
-        for mi in offsets[d]:
-            table._block(cols, level, mi, lindex.degrees[mi], d, offsets[d + 1])
-        return cols
 
     def cocolumns(d):
         """The dual's columns of degree d, one _coblock per m."""
@@ -1096,7 +1036,7 @@ def _two_sided(left, spec, right, window):
         (m,), word, n = seg
         return lindex.labels[m], tuple(letter.labels[a] for a in word), element.labels[n]
 
-    return _Chains(spec, window, basis, table, scale, table.certify(), columns, cocolumns,
+    return _Chains(spec, window, basis, table, scale, table.certify(), cocolumns,
                    segment, label, left, right)
 
 

@@ -75,8 +75,9 @@ Elimination runs on columns, bottom-up, on the complex as given, in one
 loop for dims and representatives alike; each rank is the plain rank.
 The window's first differential is eliminated in full, so a complex is
 cheapest from its smaller end.  Only the bars and their duals choose a
-side: koszul.bar builds either one from its letter table and reads the
-dims from whichever starts at its smaller end (bar._homology_dims).
+side: koszul.bar assembles the dual from its letter table, builds the bar
+as the dual's signed transpose, and reads the dims from whichever starts
+at its smaller end (bar._homology_dims).
 """
 
 from collections.abc import Sequence

@@ -3,13 +3,14 @@ certified, and on every dual assembled natively from such a table.
 
 A bar whose letter table passes its certificate (koszul.bar._LetterTable
 .certify) skips the matrix check when its cohomology is taken, and so does
-the dual that koszul.bar._cobar_slice assembles from that table, so at run
-time nothing would catch a sign bug in either assembly.  This fixture
-keeps that guard in the suite: it records every complex that
+the dual that koszul.bar._cobar_slice assembles from that table, whose
+signed transpose koszul.bar._bar_slice builds as the bar, so at run time
+nothing would catch a sign bug in the assembly or the transpose.  This
+fixture keeps that guard in the suite: it records every complex that
 koszul.bar._bar_slice or koszul.bar._cobar_slice marks as certified
 during a test, and after the test asserts that their matrices really
-have d^2 = 0.  A test that breaks an assembly on purpose removes its
-complex from the list it yields.
+have d^2 = 0.  A test that breaks the assembly on purpose removes its
+complexes from the list it yields.
 """
 
 import pytest

@@ -1,14 +1,14 @@
-"""The block-built bars against a plain assembly, the natively assembled
-duals against the bars' signed transposes, the bars' two StructuralErrors
-(raised by the dims and the duals too), dims-only answers that never read
-a matrix as Fractions and eliminate only from a smaller low end, and
-dims-only (cleared) ranks and dims against the plain ones on every
-complex built here.
+"""The bars against a plain assembly, the natively assembled duals, of
+which the bars are the signed transposes, against that assembly's signed
+transposes, the bars' two StructuralErrors (raised by the dims and the
+duals too), dims-only answers that never read a matrix as Fractions and
+eliminate only from a smaller low end, and dims-only (cleared) ranks and
+dims against the plain ones on every complex built here.
 
 The reference boundaries below are written from the formulas in the
 docstrings of koszul.bar, word by word in field arithmetic through
 spec.degree, diff and mult, and assembled by complex_from_labels.  Every
-differential of the block-built bar must have exactly their entries,
+differential of the bar must have exactly their entries,
 scalar types included: with sums of residues that wrap to zero mod p, and
 with regular modules on both sides.  The bars' bases are checked against
 a brute-force listing of every word of each degree.
@@ -79,12 +79,14 @@ def _two_sided_boundary(left, spec, right, label):
 
 
 def _reference_bar(spec, built):
-    return complex_from_labels(spec.field, built.complex.window, built.basis,
+    """The plain assembly on the padded window and basis of built, a
+    BarSlice or a bar's _Chains."""
+    return complex_from_labels(spec.field, built.padded, built.basis,
                                lambda word: _word_boundary(spec, word, 0)[0])
 
 
 def _reference_two_sided(left, spec, right, built):
-    return complex_from_labels(spec.field, built.complex.window, built.basis,
+    return complex_from_labels(spec.field, built.padded, built.basis,
                                lambda label: _two_sided_boundary(left, spec, right, label))
 
 
@@ -199,19 +201,23 @@ def test_bar_matches_the_plain_assembly(make, window):
 
 def _assert_segment_d_is_the_assembly(chains):
     """_segment_d's terms on each chain of an assembled degree, summed by
-    row (mod p over F_p), are the bar's column entry for entry: the
-    certificate and the error walk read d with the assembly's signs."""
+    row (mod p over F_p), are the built bar's column entry for entry, at
+    the letter table's scale: the certificate and the error walk read d
+    with the assembly's signs."""
     p = chains.spec.field.p
+    built = bars._bar_slice(chains).complex
     for d, labels in chains.basis.items():
         if labels and d + 1 in chains.padded:
+            m = built.d_at(d)
+            factor = chains.scale // m.scale
             rows = {label: i for i, label in enumerate(chains.basis[d + 1])}
-            for label, column in zip(labels, chains.columns(d)):
+            for label, column in zip(labels, m.int_columns):
                 summed = {}
                 for term, c in chains.table._segment_d(*chains.segment(label)):
                     row = rows[chains.label(term)]
                     summed[row] = summed.get(row, 0) + c
                 assert {i: x % p if p else x for i, x in summed.items()
-                        if (x % p if p else x)} == column
+                        if (x % p if p else x)} == {i: x * factor for i, x in column.items()}
 
 
 @pytest.mark.parametrize("make, window", BARS)
@@ -301,15 +307,20 @@ def test_segment_d_sums_to_the_two_sided_bar_columns(make, left, right, window):
 
 def _assert_native_is_the_signed_transpose(chains):
     """The dual that _cobar_slice assembles from the letter table is the
-    bar's signed transpose, d_e = (-1)^e (bar d_{-e-1})^T: the same basis,
-    scale and integer columns (in [1, p) over F_p), and the bar's mark:
-    certified where the bar is.  Both are built through the module, so
-    the suite's guard checks the certified ones."""
+    signed transpose of the plain assembly (_reference_bar,
+    _reference_two_sided), d_e = (-1)^e (bar d_{-e-1})^T: the same basis,
+    scale and integer columns (in [1, p) over F_p), and certified
+    ("transpose") exactly where the letter table is.  The bar is built
+    from the dual, so it is no second assembly to check the dual by; it
+    goes through the module, so the suite's guard checks the certified
+    ones."""
     native = bars._cobar_slice(chains)
-    built = bars._bar_slice(chains).complex
-    assert native.window == built.window.mirrored()
-    assert native.basis == {-d: words for d, words in built.basis.items()}
-    p = chains.spec.field.p
+    spec = chains.spec
+    reference = _reference_bar(spec, chains) if chains.left is None \
+        else _reference_two_sided(chains.left, spec, chains.right, chains)
+    assert native.window == reference.window.mirrored()
+    assert native.basis == {-d: words for d, words in reference.basis.items()}
+    p = spec.field.p
 
     def signed(m, negate):
         cols = [{i: (p - x if p else -x) if negate else x for i, x in col.items()}
@@ -317,10 +328,12 @@ def _assert_native_is_the_signed_transpose(chains):
         return SparseMatrix.from_int_columns(m.field, m.rows, cols, m.scale)
 
     assert {e: key(m) for e, m in native.diff.items()} \
-        == {-d - 1: key(signed(transpose(m), d % 2 == 0)) for d, m in built.diff.items()}
+        == {-d - 1: key(signed(transpose(m), d % 2 == 0)) for d, m in reference.diff.items()}
     assert all(x and (p is None or 0 < x < p)
                for m in native.diff.values() for col in m.int_columns for x in col.values())
-    assert native.certified_by == (built.certified_by and "transpose")
+    assert native.certified_by == ("transpose" if chains.certified else None)
+    built = bars._bar_slice(chains).complex
+    assert built.certified_by == ("letters" if chains.certified else None)
 
 
 @pytest.mark.parametrize("make, window", BARS + [
@@ -759,13 +772,13 @@ def test_dims_only_answers_never_build_a_fraction_view(monkeypatch):
     assert derived_tensor_dims(k, spec, k, Window(-6, 0)) == dict.fromkeys(range(-6, 1), 1)
 
 
-def test_dims_only_answers_of_certified_bars_never_transpose(monkeypatch):
+def test_dims_only_answers_of_certified_bars_eliminate_from_the_smaller_end(monkeypatch):
     """Bar, dual and derived-tensor dims of certified bars read their ranks
     columns bottom-up from the side whose low end is the smaller: the
     natively assembled dual of a connective algebra's bar, a coconnected
-    algebra's bar itself.  So no side needs a transpose, over Q and over
-    F_p, and neither does the homology_dims of a bar that a caller built:
-    every complex they eliminate starts at its smaller end."""
+    algebra's bar itself (built as the dual's signed transpose), over Q
+    and over F_p, and so does the homology_dims of a bar that a caller
+    built: every complex they eliminate starts at its smaller end."""
     cohomology = CochainComplexSlice.cohomology
 
     def from_the_smaller_end(self, representatives=True):

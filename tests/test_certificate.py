@@ -204,30 +204,45 @@ def test_dims_only_answers_skip_the_matrix_check(monkeypatch):
     assert ring.ring
 
 
+def _negate_moved_columns(monkeypatch):
+    """A sign bug in the one assembly: every tail's column that the dual
+    moves into a block comes out negated."""
+    moved = bar._moved
+    monkeypatch.setattr(bar, "_moved", lambda cols, rows: [
+        {i: -x for i, x in col.items()} for col in moved(cols, rows)])
+
+
 def test_a_sign_bug_in_the_assembly_passes_the_certificate(monkeypatch, certified_complexes):
     """The certificate reads the letter table, not the matrices: with the
-    tails' columns never negated, the bar of k[x]/x^4 is still certified,
-    but its matrices have d^2 != 0, which only the guard's matrix check
-    sees."""
-    moved = bar._moved
-    monkeypatch.setattr(bar, "_moved", lambda cols, rows, negate, p: moved(cols, rows, False, p))
-    built = bar_complex(truncated_polynomial(QQ, 4, 0), Window(-4, 0))
-    assert built.complex.certified_by == "letters"
-    assert built.complex.d_squared_failure() is not None
-    certified_complexes.remove(built.complex)
+    dual's moved columns negated, the bar of k[x]/x^4, built as the dual's
+    signed transpose, is still certified, but its matrices have d^2 != 0,
+    which only the guard's matrix check sees; so has the dual it was
+    built from."""
+    _negate_moved_columns(monkeypatch)
+    chains = bar._reduced(truncated_polynomial(QQ, 4, 0), Window(-4, 0))
+    built = bar._bar_slice(chains).complex
+    dual = bar._cobar_slice(chains)
+    assert built.certified_by == "letters" and dual.certified_by == "transpose"
+    assert built.d_squared_failure() is not None
+    assert dual.d_squared_failure() is not None
+    certified_complexes.remove(built)
+    certified_complexes.remove(dual)
 
 
 def test_a_sign_bug_in_the_dual_assembly_passes_the_certificate(
         monkeypatch, certified_complexes):
-    """The same for the dual assembled from the letter table: with every
-    tail's column negated as it moves, the dual of k[x]/x^4 is still
-    marked certified, but d^2 != 0 on its matrices, which only the guard's
-    matrix check sees."""
-    moved = bar._moved
-    monkeypatch.setattr(bar, "_moved", lambda cols, rows, negate, p: moved(cols, rows, True, p))
-    built = bar._cobar_slice(bar._reduced(truncated_polynomial(QQ, 4, 0), Window(-4, 0)))
-    assert built.certified_by == "transpose"
+    """The same through the public calls: with the dual's moved columns
+    negated, the dual of k[x]/x^4 is still marked certified, and so is
+    the bar built from it, but d^2 != 0 on the matrices of both, which
+    only the guard's matrix check sees."""
+    _negate_moved_columns(monkeypatch)
+    spec = truncated_polynomial(QQ, 4, 0)
+    dual, _ = bar.dual_complex(spec, Window(0, 4))
+    built = bar.bar_complex(spec, Window(-4, 0)).complex
+    assert dual.certified_by == "transpose" and built.certified_by == "letters"
+    assert dual.d_squared_failure() is not None
     assert built.d_squared_failure() is not None
+    certified_complexes.remove(dual)
     certified_complexes.remove(built)
 
 

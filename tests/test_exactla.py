@@ -753,7 +753,7 @@ def test_f_p_pivots_stand_as_made_whatever_their_lead(case):
         assert (residual == {}) == spanned
 
 
-@pytest.mark.parametrize("track", [False, True], ids=["raw", "tracked"])
+@pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
 def test_a_pivot_of_the_wrong_kind_raises_instead_of_looping(track):
     """Over F_p a reduction step that leaves its lead in the vector raises:
     here a pivot whose lead is 0 mod p, stored as 0 and as p, untracked and
