@@ -311,7 +311,7 @@ def _h0_surjective(m):
     return rank == len(h_tgt.representatives.get(0, ()))
 
 
-def _path_lift_space(f, g, p):
+def _path_lift_space(f, p):
     """All ways to route A through the path object compatibly with the legs.
 
     A lift of a strictly commuting square sends a to pf(a) tensor 1 plus
@@ -516,7 +516,7 @@ def verify_square(f, g, p, q, window=None):
             f"product has {dims_fp} (first disagreement at degree {bad[0]})",
             fp)
 
-    basis_lifts = _path_lift_space(f, g, p)
+    basis_lifts = _path_lift_space(f, p)
     candidates = [{}]
     candidates.extend(basis_lifts)
     if len(basis_lifts) > 1:

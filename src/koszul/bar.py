@@ -94,7 +94,6 @@ builds.
 """
 
 import math
-from bisect import bisect_left, insort
 from functools import cache, partial
 
 from .exactla import (
@@ -217,7 +216,13 @@ class _ChainEnumerator:
     only where a bar's basis is read, come block by block from the tails',
     and so do the reduced bar's prefix offsets (`prefixes`).  Letters and
     base elements are indexed by int in `letter` and `element` (_Labels of
-    them, with their shifted degrees and degrees)."""
+    them, with their shifted degrees and degrees).
+
+    A tail lies between its chain's degree and the base degree, max|n|
+    (connective) or min|n| (coconnected), so every memo, the dual's
+    columns' too (_LetterTable.cocolumns), is filled by one walk from the
+    base outward (`fill`): each holds the degrees from the base out with
+    no gap."""
 
     def __init__(self, spec, regime, right=None):
         self.spec = spec
@@ -231,27 +236,25 @@ class _ChainEnumerator:
         self.end = (lambda n: ()) if right is None else (lambda n: (self.element.labels[n],))
         self.letter = _Labels()
         self.element = _Labels()
-        self.letter_cache = {}
         self.memo = {}
         self.label_memo = {}
+        # one memo per diagonal d - d1, along which a word's tails move
         self.prefix_memo = {}
-        # the shifted degrees scanned for letters, an interval, and those
-        # of them that have letters, in increasing order (`_lettered`)
-        self.scanned, self.lettered = range(0), []
+        # (s, letters of shift s) where there are any, in the order the walk met them
+        self.lettered = []
 
     def letters(self, s):
-        """Letters of shifted degree s, checking augmentation-adaptedness."""
-        if s not in self.letter_cache:
-            spec = self.spec
-            labels = tuple(l for l in spec.basis(s + 1) if l != spec.unit)
-            if s + 1 == 0:
-                for l in labels:
-                    if not spec.field.is_zero(spec.aug(l)):
-                        raise StructuralError(
-                            f"{spec.name}: basis is not augmentation-adapted "
-                            f"(aug({l!r}) != 0); re-present the algebra first")
-            self.letter_cache[s] = tuple(self.letter(l, s) for l in labels)
-        return self.letter_cache[s]
+        """Letters of shifted degree s, indexed, checking
+        augmentation-adaptedness."""
+        spec = self.spec
+        labels = tuple(l for l in spec.basis(s + 1) if l != spec.unit)
+        if s + 1 == 0:
+            for l in labels:
+                if not spec.field.is_zero(spec.aug(l)):
+                    raise StructuralError(
+                        f"{spec.name}: basis is not augmentation-adapted "
+                        f"(aug({l!r}) != 0); re-present the algebra first")
+        return tuple(self.letter(l, s) for l in labels)
 
     def most_letters(self, d):
         """The most letters a chain of degree d can have: max|n| - d
@@ -261,114 +264,77 @@ class _ChainEnumerator:
             return max(0, self.reach - d)
         return 0 if g is None else max(0, (d - self.reach) // g)
 
+    def fill(self, memo, d, make, *args):
+        """memo[d], once memo holds every degree from the base out to d:
+        make(k, *args) builds the entry of degree k from those of degrees
+        between k and the base, so the missing degrees are made in order,
+        from the first one memo lacks, len(memo) degrees out from the base,
+        to d.  Nothing recurses once per degree, however wide the window.
+        A degree beyond the base holds no chain: its entry is made, not
+        stored."""
+        hit = memo.get(d)
+        if hit is not None:
+            return hit
+        step = -1 if self.connective else 1
+        for k in range(self.reach + step * len(memo), d + step, step):
+            memo[k] = make(k, *args)
+        return memo[d] if d in memo else make(d, *args)
+
     def blocks(self, d):
         """(size, blocks, offset, base) of chains(d): its length, its
         nonempty blocks as (letter, shifted degree, offset), offset[letter],
-        and its base elements, which come first.  A letter of shifted
-        degree s is tried only where chains(d - s) can hold a base element
-        (d - s <= max|n| connective, d - s >= min|n| coconnected), so the
-        tails end where no letter fits."""
-        hit = self.memo.get(d)
-        if hit is not None:
-            return hit
-        return self.fill(self.memo, d, self._blocks,
-                         lambda e: [e - s for s in self._lettered(e)])
-
-    def _lettered(self, d):
-        """The shifted degrees s that have letters among those chains(d)
-        may begin with, in increasing order.  Each s is scanned once
-        (`letters`): the ranges asked for all end at 0 (connective) or all
-        start at g (coconnected), so the scanned ones form an interval."""
-        kind, g = self.regime
-        if kind == "connective":
-            shifts = range(d - self.reach, 0)
-        else:
-            shifts = range(0) if g is None else range(g, d - self.reach + 1)
-        if not shifts:
-            return []
-        scanned = self.scanned
-        if not (scanned.start <= shifts.start and shifts.stop <= scanned.stop):
-            scanned = scanned or range(shifts.start, shifts.start)
-            lo, hi = min(shifts.start, scanned.start), max(shifts.stop, scanned.stop)
-            for s in (*range(lo, scanned.start), *range(scanned.stop, hi)):
-                if self.letters(s):
-                    insort(self.lettered, s)
-            self.scanned = range(lo, hi)
-        lettered = self.lettered
-        return lettered[bisect_left(lettered, shifts.start):bisect_left(lettered, shifts.stop)]
+        and its base elements, which come first."""
+        return self.fill(self.memo, d, self._blocks)
 
     def _blocks(self, d):
-        """`blocks(d)`, once those of its tails are memoized."""
+        """`blocks(d)`, made once those of the degrees between d and the
+        base are.  chains(d) may begin with the letters of shift s for
+        d - base <= s < 0 (connective) or g <= s <= d - base (coconnected),
+        the tails' degrees d - s reaching the base; of those shifts only
+        d - base itself is new to the walk, and is scanned for letters here."""
         base = tuple(self.element(n, d) for n in self.right.basis(d))
-        size = len(base)
-        blocks, offset = [], {}
-        for s in self._lettered(d):
-            for a in self.letters(s):
-                n = self.memo[d - s][0]
-                if n:
+        size, blocks, offset = len(base), [], {}
+        s, g = d - self.reach, self.regime[1]
+        if not (s < 0 if self.connective else g is not None and s >= g):
+            return size, blocks, offset, base  # no shift fits
+        letters = self.letters(s)
+        if letters:
+            self.lettered.append((s, letters))
+        # the walk meets the shifts from 0 outward, the blocks list them increasing
+        for s, letters in reversed(self.lettered) if self.connective else self.lettered:
+            n = self.memo[d - s][0]
+            if n:
+                for a in letters:
                     blocks.append((a, s, size))
                     offset[a] = size
                     size += n
         return size, blocks, offset, base
-
-    def tails(self, d):
-        """The degrees d - s of the tails in chains(d)'s blocks."""
-        return [d - s for _, s, _ in self.blocks(d)[1]]
-
-    def fill(self, memo, key, make, tails):
-        """memo[key], after memo has been filled on key and on every key it
-        is built from: make(k) builds the entry of k from the entries of
-        tails(k), which lie toward the base degree (max|n| connective,
-        min|n| coconnected).  The entries are made from the base outward,
-        so make reads only filled ones and nothing recurses once per
-        degree, however wide the window.  Keys are degrees, or pairs that
-        move together (`prefixes`)."""
-        todo, stack = {key}, tails(key)
-        while stack:
-            k = stack.pop()
-            if k not in memo and k not in todo:
-                todo.add(k)
-                stack += tails(k)
-        # connective tails sit above their chains, coconnected ones below
-        for k in sorted(todo, reverse=self.connective):
-            memo[k] = make(k)
-        return memo[key]
 
     def prefixes(self, d1, d):
         """P_d on the words of chains(d1) (reduced bar): x ++ y is word
         P_d(x) + index(y) of chains(d) for each y of chains(d - d1), and
         P_d([a|t]) = offset[a] in chains(d) plus P_{d - s_a}(t), built block
         by block with no word built (memoized)."""
-        hit = self.prefix_memo.get((d1, d))
-        if hit is not None:
-            return hit
-        return self.fill(self.prefix_memo, (d1, d), self._prefixes, self._prefix_tails)
+        return self.fill(self.prefix_memo.setdefault(d - d1, {}), d1, self._prefixes, d - d1)
 
-    def _prefixes(self, key):
-        """`prefixes(*key)`, once those of its tails are memoized."""
-        d1, d = key
+    def _prefixes(self, d1, e):
+        """`prefixes(d1, d1 + e)`, made once those of the degrees between
+        d1 and the base are, on the diagonal e."""
         _, blocks, _, base = self.blocks(d1)
-        offset = self.blocks(d)[2]
+        offset, memo = self.blocks(d1 + e)[2], self.prefix_memo[e]
         hit = [0] * len(base)
         for a, s, _ in blocks:
             o = offset[a]
-            hit += [o + q for q in self.prefix_memo[(d1 - s, d - s)]]
+            hit += [o + q for q in memo[d1 - s]]
         return hit
-
-    def _prefix_tails(self, key):
-        """The keys `prefixes(*key)` is built from."""
-        d1, d = key
-        return [(d1 - s, d - s) for _, s, _ in self.blocks(d1)[1]]
 
     def label_chains(self, d):
         """chains(d) as tuples of labels: the letters', then end(n)."""
-        hit = self.label_memo.get(d)
-        if hit is not None:
-            return hit
-        return self.fill(self.label_memo, d, self._label_chains, self.tails)
+        return self.fill(self.label_memo, d, self._label_chains)
 
     def _label_chains(self, d):
-        """`label_chains(d)`, once those of its tails are memoized."""
+        """`label_chains(d)`, made once those of the degrees between d and
+        the base are."""
         _, blocks, _, base = self.blocks(d)
         out = list(map(self.end, base))
         labels = self.letter.labels
@@ -640,14 +606,12 @@ class _LetterTable:
         j of the bar's differential leaving degree f - 1.  A base element's
         column holds the transposed [;dn] and [;a.n], then one _coblock per
         letter.  Valid once `cotables` has run, where no column uses a
-        dropped entry.  Memoized by f."""
-        hit = self.comemo.get(f)
-        if hit is not None:
-            return hit
-        return self.enum.fill(self.comemo, f, self._cocolumns, self.enum.tails)
+        dropped entry.  Memoized by f (_ChainEnumerator.fill)."""
+        return self.enum.fill(self.comemo, f, self._cocolumns)
 
     def _cocolumns(self, f):
-        """`cocolumns(f)`, once those of its tails are memoized."""
+        """`cocolumns(f)`, made once those of the degrees between f and the
+        base are."""
         colevel, cobase, coact, _ = self.co
         enum, p = self.enum, self.field.p
         _, _, target, lower = enum.blocks(f - 1)

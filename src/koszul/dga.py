@@ -569,23 +569,18 @@ def free_assoc(field, gens):
     degree_of = dict(gens)
     one, zero = field.one, field.zero
 
-    memo = {}
+    # the words of each degree from 0 out, with no gap
+    memo = {0: ("1",)}
 
     def words(d):
-        if d == 0:
-            return ("1",)
-        if (d > 0) != (sign > 0):
+        """The words of degree d, by first generator, then by tail.  A tail
+        lies between 0 and d, so the missing degrees are made in order from
+        the first one memo lacks, and nothing recurses once per degree."""
+        if d and (d > 0) != (sign > 0):
             return ()
-        if d in memo:
-            return memo[d]
-        out = []
-        for n, dg in gens:
-            rest = d - dg
-            if rest != 0 and (rest > 0) != (sign > 0):
-                continue
-            for tail in words(rest):
-                out.append(n if tail == "1" else f"{n}*{tail}")
-        memo[d] = tuple(out)
+        for e in range(sign * len(memo), d + sign, sign):
+            memo[e] = tuple(n if tail == "1" else f"{n}*{tail}"
+                            for n, dg in gens for tail in memo.get(e - dg, ()))
         return memo[d]
 
     def degree(label):

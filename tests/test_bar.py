@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from koszul.exactla import Window, QQ, Field, StructuralError
 from koszul.dga import (
     DgAlgebraSpec, square_zero, truncated_polynomial, free_assoc,
-    tensor_algebra, algebra_slice,
+    tensor_algebra, algebra_slice, finite_dga_from_tables,
 )
+from koszul import bar as bars
 from koszul.bar import (
     ConvergenceError, weight_bound, bar_complex, bar_homology_dims,
     two_sided_bar, derived_tensor_dims, dual_complex,
@@ -290,10 +291,11 @@ def default_recursion_limit():
 
 
 def test_wide_windows_do_not_recurse_once_per_degree(default_recursion_limit):
-    """k + k[0] has one chain in each degree, each built from the one
-    before: the memos of blocks, label_chains, prefixes, columns and
-    cocolumns are filled from the base degree outward, so a window wider
-    than the recursion limit answers like a narrow one."""
+    """k + k[0] and k + k·e with |e| = 2 have one chain in each degree, each
+    built from the one before: the memos of blocks, label_chains, prefixes
+    and cocolumns are filled from the base degree outward, so a window
+    wider than the recursion limit answers like a narrow one, on either
+    side of the base."""
     w = 1200
     tor = {d: 1 for d in range(-w, 1)}
     for field in (QQ, F5):
@@ -307,3 +309,85 @@ def test_wide_windows_do_not_recurse_once_per_degree(default_recursion_limit):
         dual, chains = dual_complex(spec, Window(0, w))
         assert dual.cohomology().dims == {d: 1 for d in range(w + 1)}
         assert chains.table.enum.prefixes(-w, -w - 1) == [0]
+        # coconnected: e of shifted degree 1, the base degree 0 at the bottom
+        one = field.one
+        spec = finite_dga_from_tables(
+            field, Window(0, 2), {0: ["1"], 2: ["e"]}, {},
+            {("1", "1"): {"1": one}, ("1", "e"): {"e": one}, ("e", "1"): {"e": one}},
+            "1", {"1": one}, True).as_spec()
+        cotor = {d: 1 for d in range(w + 1)}
+        assert bar_homology_dims(spec, Window(0, w)) == cotor
+        k = trivial_module(spec)
+        assert derived_tensor_dims(k, spec, k, Window(0, w)) == cotor
+        bar = bar_complex(spec, Window(0, w))
+        assert bar.basis[w] == (("e",) * w,)
+        assert bar.homology_dims() == cotor
+
+
+def _walked(spec, window, order, pairs=(), right=None):
+    """A fresh enumerator of spec's chains (ending in right, or in k) asked
+    for blocks and label_chains of each degree of order, in that order,
+    then its letter table on window for cocolumns of each degree of order
+    whose predecessor lies in window, then for the prefixes of pairs:
+    (enum, table, entries), entries keyed by (memo, degree or pair)."""
+    enum = bars._ChainEnumerator(spec, bars._regime(spec, window), right)
+    entries = {}
+    for d in order:
+        entries["blocks", d] = enum.blocks(d)
+        entries["labels", d] = enum.label_chains(d)
+    table = bars._LetterTable(spec, enum, window.lo, window.hi,
+                              max(enum.blocks(d)[0] for d in order))
+    table.scale_to_ints()
+    table.cotables()
+    for d in order:
+        if d - 1 in window:
+            entries["cocolumns", d] = table.cocolumns(d)
+    for pair in pairs:
+        entries["prefixes", pair] = enum.prefixes(*pair)
+    return enum, table, entries
+
+
+def _assert_gap_free(enum, table):
+    """Each memo's keys run from the base degree outward with no gap."""
+    step = -1 if enum.connective else 1
+    for memo in (enum.memo, enum.label_memo, table.comemo, *enum.prefix_memo.values()):
+        assert sorted(memo, reverse=enum.connective) == \
+            list(range(enum.reach, enum.reach + step * len(memo), step))
+
+
+@pytest.mark.parametrize("case", ["k+k[2]", "k[x]/x^4", "k<u2,v3>", "B(reg,A,k)"])
+def test_the_walk_does_not_depend_on_request_order(case):
+    """Asked far degrees first, degrees beyond the base, or a two-sided
+    bar's tail degrees d - |m|, a fresh enumerator makes the same entries,
+    and indexes the same letters, as one asked from the base outward."""
+    connective = case in ("k+k[2]", "k[x]/x^4")
+    if case == "k+k[2]":  # letters of shift -3 only: most degrees hold no chain
+        spec, lettered = square_zero(QQ, 2), [-3]
+    elif case == "k[x]/x^4":  # |x| = -2: letters of shifts -3, -5 and -7
+        spec, lettered = truncated_polynomial(QQ, 4, -2), [-3, -5, -7]
+    else:
+        spec, lettered = free_assoc(QQ, [("u", 2), ("v", 3)]), list(range(1, 13))
+    if connective:
+        window = Window(-13, 1)
+        degrees = [-13, -7, 1, -12, 0, -1, -3, -6, -9, -2, -4, -5, -8, -10, -11, 3]
+    else:
+        window = Window(-1, 12)
+        degrees = [12, 5, -1, 9, 0, 3, 11, 1, -3, 7, 2, 4, 6, 8, 10]
+    probe = bars._ChainEnumerator(spec, bars._regime(spec, window))
+    # x ++ y for x of degree d1 and y of degree e, far d1 first
+    pairs = [(d1, d1 + e) for d1 in degrees for e in window.degrees()
+             if probe.blocks(e)[0] and d1 + e in window]
+    right = None
+    if case == "B(reg,A,k)":
+        # the degrees _two_sided asks for: d - |m| for each m of each d
+        left, right, pairs = regular_module(spec), trivial_module(spec), []
+        degrees = [d - dm for d in window.degrees()
+                   for dm in range(left.min_degree, d - right.min_degree + 1) if left.basis(dm)]
+    enum, table, entries = _walked(spec, window, degrees, pairs, right)
+    outward = sorted(set(degrees), reverse=connective)
+    first, _, base_first = _walked(spec, window, outward, sorted(pairs), right)
+    assert entries == base_first
+    assert enum.letter.labels == first.letter.labels
+    assert enum.lettered == first.lettered
+    assert [s for s, _ in enum.lettered] == lettered
+    _assert_gap_free(enum, table)

@@ -13,7 +13,7 @@ from koszul import __version__, cli
 from koszul.exactla import QQ, Field, Window, StructuralError
 from koszul.artin import radical_filtration
 from koszul.dga import (
-    algebra_slice, finite_dga_from_tables, square_zero, truncated_polynomial,
+    algebra_slice, finite_dga_from_tables, free_assoc, square_zero, truncated_polynomial,
 )
 from koszul.cli import (
     main, parse_algebra_document, parse_field_name,
@@ -481,6 +481,22 @@ def test_a_window_wider_than_the_recursion_limit_answers(docs, capsys):
         sys.setrecursionlimit(limit)
     assert code == 0
     assert dims_of(report) == {d: int(d % 3 == 0) for d in range(3001)}
+
+
+def test_free_words_far_from_degree_0_answer_at_the_recursion_limit(docs, capsys):
+    """k<u> with |u| = -2 has one word in each even degree, each built from
+    the one two degrees up; the words are made from degree 0 outward, so
+    degree -3000 is listed at the default recursion limit, and `validate`
+    answers on -3000..-2990."""
+    path = docs("free.json", {"builder": "free_assoc", "gens": [["u", -2]]})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert free_assoc(QQ, [("u", -2)]).basis(-3000) == ("*".join(["u"] * 1500),)
+        code, report, _ = run(capsys, "validate", path, "--window=-3000..-2990", "--no-cache")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
 
 
 def test_the_shared_parser_keeps_no_option_between_calls(docs, capsys, tmp_path):

@@ -73,6 +73,27 @@ def test_free_assoc_word_enumeration():
     assert spec.mult("u", "v*u") == {"u*v*u": QQ.one}
 
 
+def test_free_assoc_lists_words_by_first_generator_then_tail():
+    """k<u, v> with |u| = -2 and |v| = -3 on degrees 0 to -12: each
+    degree's words by first generator, then in their tail's order, however
+    the degrees are asked for.  Kept narrow: the count grows exponentially
+    with the degree."""
+    spec = free_assoc(QQ, [("u", -2), ("v", -3)])
+    listed = {
+        0: ("1",), -1: (), -2: ("u",), -3: ("v",), -4: ("u*u",), -5: ("u*v", "v*u"),
+        -6: ("u*u*u", "v*v"), -7: ("u*u*v", "u*v*u", "v*u*u"),
+        -8: ("u*u*u*u", "u*v*v", "v*u*v", "v*v*u"),
+        -9: ("u*u*u*v", "u*u*v*u", "u*v*u*u", "v*u*u*u", "v*v*v"),
+        -10: ("u*u*u*u*u", "u*u*v*v", "u*v*u*v", "u*v*v*u", "v*u*u*v", "v*u*v*u", "v*v*u*u"),
+        -11: ("u*u*u*u*v", "u*u*u*v*u", "u*u*v*u*u", "u*v*u*u*u", "u*v*v*v", "v*u*u*u*u",
+              "v*u*v*v", "v*v*u*v", "v*v*v*u"),
+        -12: ("u*u*u*u*u*u", "u*u*u*v*v", "u*u*v*u*v", "u*u*v*v*u", "u*v*u*u*v", "u*v*u*v*u",
+              "u*v*v*u*u", "v*u*u*u*v", "v*u*u*v*u", "v*u*v*u*u", "v*v*u*u*u", "v*v*v*v"),
+    }
+    # asked far degrees first, and degrees of the wrong sign
+    assert {d: spec.basis(d) for d in (-12, 3, *range(-11, 1))} == {**listed, 3: ()}
+
+
 def test_free_assoc_rejections():
     with pytest.raises(RefusalError):
         free_assoc(QQ, [])
