@@ -9,19 +9,34 @@ every later computation (cohomology, duals, resolutions) inside the same
 machinery.  It is the sub-dg-algebra of X x path(Z) x Y spanned by the
 kernel of the constraints, built by the same constructor as the connective
 cover (dga._subalgebra), on a unit-first, augmentation-adapted basis.
+
+The square check solves two linear systems, the fiber product's
+constraints and the path lift's conditions.  Each is assembled as columns,
+one per unknown, whose entries are keyed by the condition their row states;
+_kernel numbers the rows as it meets them and returns the kernel basis.
 """
 
 from functools import cache
 
 from .exactla import (
     Window, SpanTracker, SparseMatrix, RefusalError, StructuralError,
-    complex_from_labels, vec_add_into,
+    CochainComplexSlice, complex_from_labels, vec_add_into,
 )
 from .dga import (
     DgaMap, _subalgebra, base_field_algebra, square_zero,
     algebra_slice, finite_dga_from_tables, tensor_algebra, full_cohomology,
-    lc_equal, _augmentation_ideal, _power_dims,
+    lc_equal, _augmentation_ideal, _power_dims, _linear,
 )
+
+
+def _kernel(field, cols):
+    """Kernel basis of the matrix whose columns are cols, each a dict from
+    row keys (the condition a row states) to scalars; the rows are numbered
+    as first met, which leaves the kernel basis unchanged."""
+    rows = {}
+    entries = {(rows.setdefault(key, len(rows)), j): c
+               for j, col in enumerate(cols) for key, c in col.items()}
+    return SparseMatrix(field, len(rows), len(cols), entries).nullspace_basis()
 
 
 def k_slice(field):
@@ -140,26 +155,15 @@ def homotopy_fiber_product(f, g, name=None):
         amb_labels[d] = labels
         amb_index[d] = {l: i for i, l in enumerate(labels)}
 
-    def constraint_columns(d):
-        zdim = z.dim(d)
-        zindex = {l: i for i, l in enumerate(z.labels(d))}
-        cols = []
-        for part, l in amb_labels[d]:
-            col = {}
-            if part == "x":
-                for m, c in f.apply({l: field.one}).items():
-                    col[zindex[m]] = field.neg(c)
-            elif part == "y":
-                for m, c in g.apply({l: field.one}).items():
-                    col[zindex[m] + zdim] = field.neg(c)
-            else:
-                for m, c in path.ev0.apply({l: field.one}).items():
-                    col[zindex[m]] = c
-                for m, c in path.ev1.apply({l: field.one}).items():
-                    vec_add_into(field, col, {zindex[m] + zdim: c}, field.one)
-            cols.append(col)
-        return SparseMatrix(field, 2 * zdim, len(cols),
-                            {(i, j): c for j, col in enumerate(cols) for i, c in col.items()})
+    # an ambient label's column holds the z-coefficients m of ev0(p) - f(x)
+    # on the rows (0, m) and of ev1(p) - g(y) on the rows (1, m)
+    one, minus = field.one, field.neg(field.one)
+    legs = {"x": ((0, f, minus),), "p": ((0, path.ev0, one), (1, path.ev1, one)),
+            "y": ((1, g, minus),)}
+    columns = {d: [{(row, m): field.mul(sign, c) for row, leg, sign in legs[part]
+                    for m, c in leg.apply({l: one}).items()}
+                   for part, l in amb_labels[d]]
+               for d in hull.degrees() if amb_labels[d]}
 
     def split(vec, d):
         xs, ps, ys = {}, {}, {}
@@ -188,13 +192,10 @@ def homotopy_fiber_product(f, g, name=None):
         (x1, p1, y1), (x2, p2, y2) = split(v1, d1), split(v2, d2)
         return join(x.mult_lc(x1, x2), p.mult_lc(p1, p2), y.mult_lc(y1, y2), d1 + d2)
 
-    unit_vec = {}
-    if 0 in hull:
-        unit_vec = join({x.unit: field.one}, {p.unit: field.one}, {y.unit: field.one}, 0)
-        if constraint_columns(0).apply(unit_vec):
-            raise StructuralError("the unit triple violates the constraints")
-    kernels = {d: constraint_columns(d).nullspace_basis()
-               for d in hull.degrees() if amb_labels[d]}
+    unit_vec = join({x.unit: one}, {p.unit: one}, {y.unit: one}, 0)
+    if _linear(field, columns[0].__getitem__, unit_vec):
+        raise StructuralError("the unit triple violates the constraints")
+    kernels = {d: _kernel(field, cols) for d, cols in columns.items()}
 
     fp, express = _subalgebra(
         field, hull, unit_vec, kernels,
@@ -230,6 +231,16 @@ class ArtinReport:
                 f"residue_is_k={self.residue_is_k}, verdict={self.verdict})")
 
 
+def _h0(fdga):
+    """H^0 of a slice with representatives: the cohomology on degrees -1..1,
+    whose only interior degree is 0.  Clearing leaves d_{-1}'s pivots as
+    they are, so the representatives are the whole window's."""
+    window, diff = Window(-1, 1), fdga.complex().diff
+    basis = {d: fdga.labels(d) for d in window.degrees()}
+    return CochainComplexSlice(fdga.field, window, basis,
+                               {d: diff[d] for d in (-1, 0) if d in diff}).cohomology()
+
+
 def is_artin(fdga):
     """Artin verdict: connective cohomology, finite total dimension, H^0
     local with residue field k.
@@ -242,21 +253,23 @@ def is_artin(fdga):
     which is sound since interior cohomology of a slice agrees with the
     full algebra; total_dimension then counts window classes only.  H^0 is
     local when its augmentation ideal is nilpotent (dga._power_dims); the
-    product of two chosen classes is read off once, on first use.
+    product of two chosen classes is read off once, on first use.  Only
+    degree 0 gets representatives (_h0); the dims are taken without.
     """
     field = fdga.field
     if fdga.complete:
-        h = full_cohomology(fdga, representatives=True)
+        dims = full_cohomology(fdga, representatives=False).dims
     else:
-        h = fdga.cohomology(representatives=True)
-        if not any(n and d > 0 for d, n in h.dims.items()):
+        dims = fdga.cohomology(representatives=False).dims
+        if not any(n and d > 0 for d, n in dims.items()):
             raise RefusalError(
                 f"{fdga.name}: Artin predicate needs a complete slice unless "
                 "the window already disproves connectivity")
-    connective = all(n == 0 for d, n in h.dims.items() if d > 0)
-    total = sum(h.dims.values())
-    if 0 not in h.dims:
+    connective = all(n == 0 for d, n in dims.items() if d > 0)
+    total = sum(dims.values())
+    if 0 not in dims:
         return ArtinReport(fdga.name, connective, total, None, None, False)
+    h = _h0(fdga)
     reps = h.representatives[0]
 
     n = len(reps)
@@ -299,8 +312,8 @@ class SquareVerdict:
 def _h0_surjective(m):
     """Does a map of complete slices induce a surjection on H^0?"""
     field = m.target.field
-    reps_src = full_cohomology(m.source).representatives.get(0, ())
-    h_tgt = full_cohomology(m.target)
+    reps_src = _h0(m.source).representatives[0]
+    h_tgt = _h0(m.target)
     tracker = SpanTracker(field)
     rank = 0
     for rep in reps_src:
@@ -308,7 +321,7 @@ def _h0_surjective(m):
         cv = h_tgt.coords(0, m.target.vector(image, 0)) if image else {}
         if cv and tracker.insert(cv):
             rank += 1
-    return rank == len(h_tgt.representatives.get(0, ()))
+    return rank == len(h_tgt.representatives[0])
 
 
 def _path_lift_space(f, p):
@@ -317,99 +330,52 @@ def _path_lift_space(f, p):
     A lift of a strictly commuting square sends a to pf(a) tensor 1 plus
     sigma(a) tensor h for a degree -1 map sigma: A -> Z; being a dg algebra
     map works out to the linear conditions sigma(1) = 0, sigma d = d sigma,
-    and sigma(ab) = pf(a) sigma(b) + (-1)^{|b|} sigma(a) pf(b).  Returns the
-    solution space as a list of {a-label: Z-lincomb} dictionaries.
+    and sigma(ab) = pf(a) sigma(b) + (-1)^{|b|} sigma(a) pf(b).  The
+    unknowns are the coefficients (a, m) of sigma, m in Z^{|a|-1}, by
+    degree, then A-label, then Z-label; the rows are keyed by the
+    Z-coefficient m of the condition they state, ("unit", m), ("d", a, m)
+    and ("m", a, b, m), and solved by _kernel.  Returns the solution space
+    as a list of {a-label: Z-lincomb} dictionaries.
     """
     a, z = f.source, p.target
     field = a.field
-    pf = {}
-    for d, labels in a.basis.items():
+    one, minus = field.one, field.neg(field.one)
+    pf = {l: p.apply(f.apply({l: one})) for labels in a.basis.values() for l in labels}
+    unknowns = [(l, m) for d in sorted(a.basis) for l in a.basis[d] for m in z.labels(d - 1)]
+    column = {u: j for j, u in enumerate(unknowns)}
+    cols = [{} for _ in unknowns]
+
+    def add(key, l, coeff, image=lambda m: {m: one}):
+        # coeff times image(m), on the rows key + (m2,), in each unknown (l, m)
+        for m in z.labels(a.degree(l) - 1):
+            vec_add_into(field, cols[column[l, m]],
+                         {key + (m2,): c for m2, c in image(m).items()}, coeff)
+
+    add(("unit",), a.unit, one)
+    for labels in a.basis.values():
         for l in labels:
-            pf[l] = p.apply(f.apply({l: field.one}))
-
-    offsets = {}
-    z_index = {}
-    total = 0
-    for d in sorted(a.basis):
-        for l in a.basis[d]:
-            zl = z.labels(d - 1)
-            offsets[l] = total
-            total += len(zl)
-    for d, labels in z.basis.items():
-        for i, m in enumerate(labels):
-            z_index[m] = i
-    if total == 0:
-        return []
-
-    cols = [dict() for _ in range(total)]
-    nrows = 0
-
-    def add(row, col, c):
-        vec_add_into(field, cols[col], {row: c}, field.one)
-
-    def unknown(l, m):
-        return offsets[l] + z_index[m]
-
-    a_source_z_labels = {}
-    for d, labels in a.basis.items():
-        for l in labels:
-            a_source_z_labels[l] = z.labels(d - 1)
-
-    # sigma(1) = 0
-    for m in a_source_z_labels[a.unit]:
-        add(nrows, unknown(a.unit, m), field.one)
-        nrows += 1
-
-    # sigma(da) - d(sigma(a)) = 0, rows over Z^{|a|}
-    for d, labels in a.basis.items():
-        z_targets = z.labels(d)
-        if not z_targets and not any(a.diff(l) for l in labels):
-            continue
-        for l in labels:
-            rows = {m: nrows + i for i, m in enumerate(z_targets)}
             for l2, c in a.diff(l).items():
-                for m in a_source_z_labels[l2]:
-                    add(rows[m], unknown(l2, m), c)
-            for m in a_source_z_labels[l]:
-                for m2, c in z.diff_lc({m: field.one}).items():
-                    add(rows[m2], unknown(l, m), field.neg(c))
-            nrows += len(z_targets)
-
-    # sigma(l1 l2) = pf(l1) sigma(l2) + (-1)^{d2} sigma(l1) pf(l2)
+                add(("d", l), l2, c)
+            add(("d", l), l, minus, lambda m: z.diff_lc({m: one}))
     for d1, labels1 in a.basis.items():
         for d2, labels2 in a.basis.items():
-            z_targets = z.labels(d1 + d2 - 1)
-            if not z_targets:
+            if not z.labels(d1 + d2 - 1):
                 continue
-            sign = field.one if d2 % 2 == 0 else field.neg(field.one)
+            sign = minus if d2 % 2 else one
             for l1 in labels1:
                 for l2 in labels2:
-                    rows = {m: nrows + i for i, m in enumerate(z_targets)}
+                    key = ("m", l1, l2)
                     for l3, c in a.mult(l1, l2).items():
-                        for m in a_source_z_labels[l3]:
-                            add(rows[m], unknown(l3, m), c)
-                    for m in a_source_z_labels[l2]:
-                        prod = z.mult_lc(pf[l1], {m: field.one})
-                        for m2, c in prod.items():
-                            add(rows[m2], unknown(l2, m), field.neg(c))
-                    for m in a_source_z_labels[l1]:
-                        prod = z.mult_lc({m: field.one}, pf[l2])
-                        for m2, c in prod.items():
-                            add(rows[m2], unknown(l1, m),
-                                field.neg(field.mul(sign, c)))
-                    nrows += len(z_targets)
+                        add(key, l3, c)
+                    add(key, l2, minus, lambda m: z.mult_lc(pf[l1], {m: one}))
+                    add(key, l1, field.neg(sign), lambda m: z.mult_lc({m: one}, pf[l2]))
 
-    kernel = SparseMatrix(field, nrows, len(cols), {
-        (i, j): c for j, col in enumerate(cols) for i, c in col.items()}).nullspace_basis()
     solutions = []
-    for vec in kernel:
+    for vec in _kernel(field, cols):
         sigma = {}
-        for l, off in offsets.items():
-            zl = a_source_z_labels[l]
-            lc = {zl[i - off]: c for i, c in vec.items()
-                  if off <= i < off + len(zl)}
-            if lc:
-                sigma[l] = lc
+        for j, c in sorted(vec.items()):
+            l, m = unknowns[j]
+            sigma.setdefault(l, {})[m] = c
         solutions.append(sigma)
     return solutions
 

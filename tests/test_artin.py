@@ -12,6 +12,7 @@ from koszul.artin import (
     interval_algebra, k_slice, unit_inclusion, augmentation_map, path_object,
     homotopy_fiber_product, is_artin, verify_square, small_extension_square,
     radical_filtration, TowerStep, TowerSpec, verify_tower,
+    _path_lift_space, _induced_map,
 )
 
 
@@ -261,10 +262,34 @@ def test_verify_square_rejects_invalid_map():
     assert "dg algebra map" in verdict.reason
 
 
-def test_verify_square_over_fp():
-    f5 = Field(5)
-    a = algebra_slice(square_zero(f5, 0), Window(0, 0))
-    assert verify_square(*small_extension_square(a, 1))
+@pytest.mark.parametrize("p", [5, 32003])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_verify_square_over_fp(p, n):
+    f, g, q1, q2 = small_extension_square(sq_slice(Field(p), n), n + 1)
+    assert verify_square(f, g, q1, q2)
+    assert len(_path_lift_space(f, q1)) == 1
+
+
+def _xyz(field):
+    """k[x,y,z]/(x^2,y^2,z^2), in degree 0."""
+    one = algebra_slice(truncated_polynomial(field, 2, 0), Window(0, 0))
+    return tensor_algebra(tensor_algebra(one, one), one)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+@pytest.mark.parametrize("algebra, shift, lifts", [
+    (lambda k: sq_slice(k, 0), 1, 1),
+    (lambda k: sq_slice(k, 1), 2, 1),
+    (lambda k: algebra_slice(truncated_polynomial(k, 3, 0), Window(0, 0)), 1, 1),
+    (_xyz, 1, 3),
+], ids=["k+k[0]", "k+k[1]", "cubic", "xyz"])
+def test_every_path_lift_induces_a_dg_algebra_map(field, algebra, shift, lifts):
+    f, g, p, q = small_extension_square(algebra(field), shift)
+    fp = homotopy_fiber_product(p, q)
+    sigmas = _path_lift_space(f, p)
+    assert len(sigmas) == lifts
+    for sigma in sigmas:
+        assert _induced_map(f, g, p, fp, sigma).validate_map()
 
 
 # -- radical filtration -----------------------------------------------------
