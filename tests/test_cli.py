@@ -241,6 +241,57 @@ def test_every_flag_the_readme_names_is_accepted():
     assert named <= accepted, sorted(named - accepted)
 
 
+# each subcommand's positionals as (dest, nargs, default), its own options
+# as (flags, dest, default, type, metavar, required), and whether --window
+# is required (True), optional (False) or absent (None)
+_OWN_PIN = {
+    "validate": ([("algebra", None, None)], [], True),
+    "bar": ([("algebra", None, None)], [], True),
+    "dual": ([("algebra", None, None)], [
+        (["--ring"], "ring", False, None, None, False),
+        (["--power-gen"], "power_gen", None, int, "G", False)], True),
+    "ext": ([("algebra", None, None)], [], True),
+    "bidual": ([("algebra", None, None)], [], True),
+    "tensor": ([("left", None, None), ("algebra", None, None), ("right", None, None)],
+               [(["--strict-via-kos"], "strict_via_kos", None, int, "N", False)], True),
+    "square": ([("square", None, None)], [], False),
+    "series": ([("ring", None, None), ("module", "?", None)], [], None),
+}
+
+_COMMON_PIN = [
+    (["--field"], "field", None, None, "Q|Fp:P", False),
+    (["--no-cache"], "no_cache", False, None, None, False),
+    (["--cache-dir"], "cache_dir", None, None, "PATH", False),
+]
+
+
+def test_each_subcommand_takes_its_documents_and_options_in_order(docs, capsys):
+    """The parser's surface, subcommand by subcommand: positional documents
+    in order, then the subcommand's own options, --window where it has one,
+    and the options every subcommand shares."""
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(_OWN_PIN)
+    for name, (positionals, own, window) in _OWN_PIN.items():
+        actions = [a for a in subparsers.choices[name]._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert [(a.dest, a.nargs, a.default) for a in actions
+                if not a.option_strings] == positionals, name
+        expected = list(own)
+        if window is not None:
+            expected.append((["--window"], "window", None, cli._window_type,
+                             "LO..HI", window))
+        expected += _COMMON_PIN
+        assert [(a.option_strings, a.dest, a.default, a.type, a.metavar, a.required)
+                for a in actions if a.option_strings] == expected, name
+    k = docs("k.json", {"module": "trivial"})
+    alg = docs("u2.json", {"builder": "free_assoc", "gens": [["u", 2]]})
+    code, report, _ = run(capsys, "tensor", k, alg, k, "--window=0..1",
+                          "--strict-via-kos", "1", "--no-cache")
+    assert code == 0
+    assert report["options"] == {"strict_via_kos": 1}
+
+
 def test_square_verdict_for_small_extension(docs, capsys):
     path = docs("sq.json", {"square": "small_extension",
                             "algebra": {"builder": "square_zero", "n": 0},
