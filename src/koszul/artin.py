@@ -117,7 +117,7 @@ def path_object(z):
         DgaMap(z, p, diag_images, name="diag"))
 
 
-def homotopy_fiber_product(f, g, name=None):
+def homotopy_fiber_product(f, g):
     """The fiber product of f: X -> Z and g: Y -> Z through the path object.
 
     Computes, degree by degree, the kernel of (x,p,y) -> (ev0(p) - f(x),
@@ -174,7 +174,9 @@ def homotopy_fiber_product(f, g, name=None):
         return xs, ps, ys
 
     def join(xs, ps, ys, d):
-        idx = amb_index[d]
+        # a degree outside the hull has no ambient labels, so only the
+        # empty triple lives there, and it joins to the zero vector
+        idx = amb_index.get(d, {})
         out = {}
         for l, c in xs.items():
             out[idx[("x", l)]] = c
@@ -201,7 +203,7 @@ def homotopy_fiber_product(f, g, name=None):
         field, hull, unit_vec, kernels,
         lambda v: x.aug_of_vector(x.vector(split(v, 0)[0], 0)), diff, mult,
         lambda d, i: f"v({d},{i})",
-        name or f"fp({x.name} -> {z.name} <- {y.name})")
+        f"fp({x.name} -> {z.name} <- {y.name})")
     fp.fp_express = lambda xs, ps, ys, d: express(join(xs, ps, ys, d), d)
     return fp
 

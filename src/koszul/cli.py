@@ -9,6 +9,12 @@ standard output with every scalar rendered exactly (integer strings and
 of the canonicalized documents, the command, the window, the options, the
 engine version and a digest of the engine's sources.
 
+Each subcommand is stated once, as a row of _COMMANDS: its runner, its
+help line, its positional documents, its own options (exactly the ones
+that enter the report's "options" and the cache key) and whether it takes
+--window.  The parser is built from the table, and main reads the row for
+the documents it loads, the options it keys and the runner it calls.
+
 Each report is encoded once, as json.dumps(report, sort_keys=True,
 indent=2); that text is the cache entry, and it is printed with the
 duration line put in.  A hit reads the entry's text, checks that it parses
@@ -364,28 +370,19 @@ def cmd_ext(args, field, handles):
         dual_spec = connective_cover(fdga).as_spec()
     else:
         dual_spec = handle.spec
-    ext = ext_dims(fdga, args.window)
-    dual = dual_cohomology_dims(dual_spec, args.window)
-    agree = all(ext.get(d, 0) == dual.get(d, 0) for d in args.window.degrees())
-    return {
-        "ext_dims": _dims_list(ext, args.window),
-        "dual_dims": _dims_list(dual, args.window),
-        "agree": agree,
-    }, 0
+    ext = _dims_list(ext_dims(fdga, args.window), args.window)
+    dual = _dims_list(dual_cohomology_dims(dual_spec, args.window), args.window)
+    return {"ext_dims": ext, "dual_dims": dual, "agree": ext == dual}, 0
 
 
 def cmd_bidual(args, field, handles):
-    handle = handles[0]
-    bidual = bidual_cohomology(handle.spec, args.window)
-    inner = algebra_slice(handle.spec, args.window.padded())
-    input_dims = inner.cohomology(representatives=False).dims
-    agree = all(bidual.get(d, 0) == input_dims.get(d, 0)
-                for d in args.window.degrees())
-    return {
-        "bidual_dims": _dims_list(bidual, args.window),
-        "input_dims": _dims_list(input_dims, args.window),
-        "agree": agree,
-    }, 0
+    spec = handles[0].spec
+    bidual = _dims_list(bidual_cohomology(spec, args.window), args.window)
+    inner = algebra_slice(spec, args.window.padded())
+    input_dims = _dims_list(inner.cohomology(representatives=False).dims,
+                            args.window)
+    return {"bidual_dims": bidual, "input_dims": input_dims,
+            "agree": bidual == input_dims}, 0
 
 
 def cmd_tensor(args, field, handles):
@@ -397,11 +394,10 @@ def cmd_tensor(args, field, handles):
     if args.strict_via_kos is not None:
         kos = koszul_complex(field, args.strict_via_kos)
         strict = strict_tensor(kos, args.window.padded())
-        strict_dims = strict.cohomology(representatives=False).dims
-        result["strict_dims"] = _dims_list(strict_dims, args.window)
-        result["strict_matches_derived"] = all(
-            strict_dims.get(d, 0) == derived.get(d, 0)
-            for d in args.window.degrees())
+        result["strict_dims"] = _dims_list(
+            strict.cohomology(representatives=False).dims, args.window)
+        result["strict_matches_derived"] = (result["strict_dims"]
+                                            == result["derived_dims"])
     return result, 0
 
 
@@ -433,7 +429,7 @@ def cmd_series(args, field, handles):
     ring_h = handles[0]
     fdga = _require_complete(ring_h)
     module = None
-    if len(handles) > 1 and handles[1] is not None:
+    if len(handles) > 1:
         module = parse_module_document(handles[1], ring_h, field)
     series = radical_filtration(fdga, module=module)
     return {
@@ -464,103 +460,64 @@ def _window_type(text):
         raise argparse.ArgumentTypeError(f"bad window {text!r}: {e}")
 
 
-def _add_common(sub, window_required=True, window=True):
-    if window:
-        sub.add_argument("--window", type=_window_type, required=window_required,
-                         metavar="LO..HI",
-                         help="degree window, e.g. --window=0..8 or --window=-4..1")
-    sub.add_argument("--field", default=None, metavar="Q|Fp:P",
-                     help="ground field (default Q)")
-    sub.add_argument("--no-cache", action="store_true",
-                     help="skip the report cache entirely")
-    sub.add_argument("--cache-dir", default=None, metavar="PATH",
-                     help="cache directory (default $KOSZUL_CACHE_DIR or "
-                          "~/.cache/koszul)")
+# One row per subcommand, in the order help lists them: its runner, its
+# help line, its positional documents in order (a trailing "?" marks an
+# optional one), its own options as (flag, add_argument keywords), which
+# are exactly the ones that enter the report's "options" and the cache key,
+# and whether --window is required (True), optional (False) or absent (None).
+_COMMANDS = {
+    "validate": (cmd_validate, "check the dg algebra axioms on a slice",
+                 ["algebra"], [], True),
+    "bar": (cmd_bar, "bar homology dimensions", ["algebra"], [], True),
+    "dual": (cmd_dual, "Koszul dual cohomology dimensions", ["algebra"], [
+        ("--ring", dict(action="store_true", help="include ring structure constants")),
+        ("--power-gen", dict(type=int, default=None, metavar="G",
+                             help="check generation by powers of a degree-G class")),
+    ], True),
+    "ext": (cmd_ext, "Ext dimensions by resolution, checked against the dual",
+            ["algebra"], [], True),
+    "bidual": (cmd_bidual, "double dual dimensions against the input",
+               ["algebra"], [], True),
+    "tensor": (cmd_tensor, "derived tensor dimensions of two modules",
+               ["left", "algebra", "right"], [
+        ("--strict-via-kos", dict(type=int, default=None, metavar="N",
+                                  help="also compute the strict tensor through the "
+                                       "length-N Koszul complex and compare")),
+    ], True),
+    "square": (cmd_square, "verify a homotopy pushout square", ["square"], [], False),
+    "series": (cmd_series, "radical filtration and composition series",
+               ["ring", "module?"], [], None),
+}
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser():
-    """The argument parser, built once per process: parse_args keeps no
-    state between calls, each returns a fresh namespace."""
+    """The argument parser, built once per process from _COMMANDS:
+    parse_args keeps no state between calls, each returns a fresh
+    namespace."""
     parser = _Parser(prog="koszul",
                      description="Exact Koszul duality computations on degree "
                                  "windows; JSON documents in, JSON reports out.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="check the dg algebra axioms on a slice")
-    p.add_argument("algebra")
-    _add_common(p)
-
-    p = subs.add_parser("bar", help="bar homology dimensions")
-    p.add_argument("algebra")
-    _add_common(p)
-
-    p = subs.add_parser("dual", help="Koszul dual cohomology dimensions")
-    p.add_argument("algebra")
-    p.add_argument("--ring", action="store_true",
-                   help="include ring structure constants")
-    p.add_argument("--power-gen", type=int, default=None, metavar="G",
-                   help="check generation by powers of a degree-G class")
-    _add_common(p)
-
-    p = subs.add_parser("ext", help="Ext dimensions by resolution, checked "
-                                    "against the dual")
-    p.add_argument("algebra")
-    _add_common(p)
-
-    p = subs.add_parser("bidual", help="double dual dimensions against the input")
-    p.add_argument("algebra")
-    _add_common(p)
-
-    p = subs.add_parser("tensor", help="derived tensor dimensions of two modules")
-    p.add_argument("left")
-    p.add_argument("algebra")
-    p.add_argument("right")
-    p.add_argument("--strict-via-kos", type=int, default=None, metavar="N",
-                   help="also compute the strict tensor through the length-N "
-                        "Koszul complex and compare")
-    _add_common(p)
-
-    p = subs.add_parser("square", help="verify a homotopy pushout square")
-    p.add_argument("square")
-    _add_common(p, window_required=False)
-
-    p = subs.add_parser("series", help="radical filtration and composition series")
-    p.add_argument("ring")
-    p.add_argument("module", nargs="?", default=None)
-    _add_common(p, window=False)
-
+    for name, (_, help_, documents, options, window) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_)
+        for role in documents:
+            p.add_argument(role.rstrip("?"),
+                           nargs="?" if role.endswith("?") else None)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        if window is not None:
+            p.add_argument("--window", type=_window_type, required=window,
+                           metavar="LO..HI",
+                           help="degree window, e.g. --window=0..8 or --window=-4..1")
+        p.add_argument("--field", default=None, metavar="Q|Fp:P",
+                       help="ground field (default Q)")
+        p.add_argument("--no-cache", action="store_true",
+                       help="skip the report cache entirely")
+        p.add_argument("--cache-dir", default=None, metavar="PATH",
+                       help="cache directory (default $KOSZUL_CACHE_DIR or "
+                            "~/.cache/koszul)")
     return parser
-
-
-_RUNNERS = {
-    "validate": cmd_validate,
-    "bar": cmd_bar,
-    "dual": cmd_dual,
-    "ext": cmd_ext,
-    "bidual": cmd_bidual,
-    "tensor": cmd_tensor,
-    "square": cmd_square,
-    "series": cmd_series,
-}
-
-_DOC_ARGS = {
-    "validate": ["algebra"],
-    "bar": ["algebra"],
-    "dual": ["algebra"],
-    "ext": ["algebra"],
-    "bidual": ["algebra"],
-    "tensor": ["left", "algebra", "right"],
-    "square": ["square"],
-    "series": ["ring", "module"],
-}
-
-# the flags that enter each command's report and cache key; a document
-# role (series names its first document "ring") is never an option
-_OPTIONS = {
-    "dual": ("ring", "power_gen"),
-    "tensor": ("strict_via_kos",),
-}
 
 
 def _resolve_field(args, raws):
@@ -588,11 +545,13 @@ def _resolve_field(args, raws):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
+    runner, _, documents, own, _ = _COMMANDS[args.command]
     start = time.monotonic()
     try:
         raws = []
         roles = []
-        for role in _DOC_ARGS[args.command]:
+        for role in documents:
+            role = role.rstrip("?")
             path = getattr(args, role)
             if path is None:
                 continue
@@ -602,7 +561,8 @@ def main(argv=None):
         field = _resolve_field(args, raws)
 
         window = getattr(args, "window", None)
-        options = {k: getattr(args, k) for k in _OPTIONS.get(args.command, ())}
+        keys = [flag[2:].replace("-", "_") for flag, _ in own]
+        options = {k: getattr(args, k) for k in keys}
         canonicals = [_canonical(r) for r in raws]
         payload = _canonical({
             "engine": _engine_key(),
@@ -655,7 +615,7 @@ def main(argv=None):
         }
 
         try:
-            result, code = _RUNNERS[args.command](args, field, handles)
+            result, code = runner(args, field, handles)
             report["result"] = result
         except ConvergenceError as e:
             report["result"] = None

@@ -119,12 +119,11 @@ class DgAlgebraSpec:
     diff, mult and aug act on labels, with diff/mult returning lincombs.
     min_degree/max_degree bound the degrees where the basis can be nonempty
     (None meaning unbounded on that side); the bar construction relies on
-    them to settle convergence without scanning all of Z.  total_dimension
-    is the global dimension when finite, else None.
+    them to settle convergence without scanning all of Z.
     """
 
     def __init__(self, field, name, basis, degree, diff, mult, unit, aug,
-                 min_degree=None, max_degree=None, total_dimension=None):
+                 min_degree=None, max_degree=None):
         self.field = field
         self.name = name
         self._basis = basis
@@ -135,7 +134,6 @@ class DgAlgebraSpec:
         self._aug = aug
         self.min_degree = min_degree
         self.max_degree = max_degree
-        self.total_dimension = total_dimension
 
     def basis(self, d):
         if self.min_degree is not None and d < self.min_degree:
@@ -347,8 +345,7 @@ class FiniteDga:
             mult=self.mult,
             unit=self.unit,
             aug=self.aug_of,
-            min_degree=lo, max_degree=hi,
-            total_dimension=self.total_dimension() if self.complete else None)
+            min_degree=lo, max_degree=hi)
 
     # -- axioms -------------------------------------------------------------
 
@@ -474,7 +471,7 @@ def base_field_algebra(field):
         mult=lambda a, b: {"1": field.one},
         unit="1",
         aug=lambda l: field.one,
-        min_degree=0, max_degree=0, total_dimension=1)
+        min_degree=0, max_degree=0)
 
 
 def square_zero(field, n):
@@ -505,7 +502,7 @@ def square_zero(field, n):
         mult=mult,
         unit="1",
         aug=lambda l: one if l == "1" else zero,
-        min_degree=-n, max_degree=0, total_dimension=2)
+        min_degree=-n, max_degree=0)
 
 
 def truncated_polynomial(field, m, d):
@@ -538,7 +535,7 @@ def truncated_polynomial(field, m, d):
         mult=mult,
         unit="1",
         aug=lambda l: one if l == "1" else zero,
-        min_degree=d * (m - 1), max_degree=0, total_dimension=m)
+        min_degree=d * (m - 1), max_degree=0)
 
 
 def free_assoc(field, gens):
@@ -620,13 +617,11 @@ def opposite(spec):
             return {m: field.mul(minus, c) for m, c in raw.items()}
         return dict(raw)
 
-    out = DgAlgebraSpec(
+    return DgAlgebraSpec(
         field, spec.name + "^op",
         basis=spec.basis, degree=spec.degree, diff=spec.diff, mult=mult,
         unit=spec.unit, aug=spec.aug,
-        min_degree=spec.min_degree, max_degree=spec.max_degree,
-        total_dimension=spec.total_dimension)
-    return out
+        min_degree=spec.min_degree, max_degree=spec.max_degree)
 
 
 def tensor_algebra(a, b, name=None):
@@ -728,7 +723,7 @@ def cohomology_ring(fdga, full=False, product=None):
     return base
 
 
-def connective_cover(fdga, name=None):
+def connective_cover(fdga):
     """The subalgebra (degrees < 0 unchanged, kernel of d in degree 0).
 
     For a complete slice whose cohomology vanishes in positive degrees this
@@ -765,7 +760,7 @@ def connective_cover(fdga, name=None):
         field, Window(min(fdga.window.lo, 0), 0), unit_vec, spans,
         fdga.aug_of_vector, lambda v, d: fdga.complex().d_at(d).apply(v), mult,
         lambda d, i: fdga.labels(d)[i] if d < 0 else f"c{i}",
-        name or f"{fdga.name}|cover")
+        f"{fdga.name}|cover")
     return cover
 
 

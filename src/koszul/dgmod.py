@@ -71,7 +71,7 @@ class DgModuleSpec:
 # builders
 
 
-def trivial_module(spec, name=None):
+def trivial_module(spec):
     """k as a bimodule over spec, both actions through the augmentation."""
     field = spec.field
 
@@ -84,7 +84,7 @@ def trivial_module(spec, name=None):
         return {} if field.is_zero(c) else {m: c}
 
     return DgModuleSpec(
-        field, name or "k", spec, "bi",
+        field, "k", spec, "bi",
         basis=lambda d: ("[]",) if d == 0 else (),
         degree=lambda l: 0,
         diff=lambda l: {},
@@ -92,9 +92,9 @@ def trivial_module(spec, name=None):
         min_degree=0, max_degree=0)
 
 
-def zero_module(spec, name=None):
+def zero_module(spec):
     return DgModuleSpec(
-        spec.field, name or "0", spec, "bi",
+        spec.field, "0", spec, "bi",
         basis=lambda d: (),
         degree=lambda l: 0,
         diff=lambda l: {},
@@ -102,16 +102,16 @@ def zero_module(spec, name=None):
         min_degree=0, max_degree=0)
 
 
-def regular_module(spec, name=None):
+def regular_module(spec):
     """spec as a bimodule over itself by multiplication."""
     return DgModuleSpec(
-        spec.field, name or f"{spec.name}_reg", spec, "bi",
+        spec.field, f"{spec.name}_reg", spec, "bi",
         basis=spec.basis, degree=spec.degree, diff=spec.diff,
         left_act=spec.mult, right_act=spec.mult,
         min_degree=spec.min_degree, max_degree=spec.max_degree)
 
 
-def laurent_module(field, g, name=None):
+def laurent_module(field, g):
     """k[t, 1/t] as a module over k[t] with |t| = g (g >= 2 even).
 
     Every degree divisible by g holds one basis label t^m, m in Z; t acts by
@@ -142,7 +142,7 @@ def laurent_module(field, g, name=None):
         return {label(power(l) + j): one}
 
     mod = DgModuleSpec(
-        field, name or f"k[t,1/t:{g}]", base, "bi",
+        field, f"k[t,1/t:{g}]", base, "bi",
         basis=lambda d: (label(d // g),) if d % g == 0 else (),
         degree=lambda l: power(l) * g,
         diff=lambda l: {},
@@ -151,7 +151,7 @@ def laurent_module(field, g, name=None):
     return mod
 
 
-def koszul_complex(field, n, name=None):
+def koszul_complex(field, n):
     """The two-step Koszul bimodule for the degree -n square-zero algebra.
 
     Basis u^a and u^a z (a >= 0) with deg(u^a z) = a(n+1) and
@@ -218,7 +218,7 @@ def koszul_complex(field, n, name=None):
         return {label(a, 1): c}
 
     mod = DgModuleSpec(
-        field, name or f"Kos({n})", left, "bi",
+        field, f"Kos({n})", left, "bi",
         basis=basis, degree=degree, diff=diff,
         left_act=left_act, right_act=right_act, right_algebra=right,
         min_degree=0, max_degree=None)

@@ -909,15 +909,15 @@ class CohomologyReport:
     """
 
     def __init__(self, field, window, dims, unreliable, representatives=None,
-                 ring=None, ring_skipped=(), classes=None, ranks=None):
+                 classes=None, ranks=None):
         self.field = field
         self.window = window
         self.dims = dims
         self.ranks = ranks
         self.unreliable = unreliable
         self.representatives = representatives
-        self.ring = ring
-        self.ring_skipped = tuple(ring_skipped)
+        self.ring = None
+        self.ring_skipped = ()
         self._classes = classes or {}  # degree -> SpanTracker of boundaries + reps
 
     def dim(self, d):

@@ -270,6 +270,25 @@ def test_verify_square_over_fp(p, n):
     assert len(_path_lift_space(f, q1)) == 1
 
 
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=["Q", "F5"])
+def test_a_window_may_hide_corner_degrees_outside_the_fiber_product(field):
+    """k[x]/x^3 with |x| = -2 at s = 3: the corner's x^2 sits in degree -4,
+    outside the fiber product's hull, and the induced map sends it to 0.  On
+    -3..3 the square holds; on -4..3, or with no window, the dims differ at
+    -4."""
+    a = algebra_slice(truncated_polynomial(field, 3, -2), Window(-4, 0))
+    square = small_extension_square(a, 3)
+    verdict = verify_square(*square, window=Window(-3, 3))
+    assert verdict, verdict.reason
+    assert verdict.induced.validate_map()
+    assert "x^2" not in verdict.induced.images
+    assert sorted(verdict.fiber_product.dims().items()) == [(-2, 1), (0, 2), (1, 1)]
+    for window in (None, Window(-4, 3)):
+        verdict = verify_square(*square, window=window)
+        assert not verdict
+        assert "first disagreement at degree -4" in verdict.reason
+
+
 def _xyz(field):
     """k[x,y,z]/(x^2,y^2,z^2), in degree 0."""
     one = algebra_slice(truncated_polynomial(field, 2, 0), Window(0, 0))

@@ -303,6 +303,24 @@ def test_square_verdict_for_small_extension(docs, capsys):
         == {0: 3, 1: 1}
 
 
+def test_a_windowed_square_may_hide_corner_degrees_outside_the_fiber_product(docs, capsys):
+    """The corner k[x]/x^3, |x| = -2, has x^2 in degree -4, where the fiber
+    product at s = 3 has no basis: the window -3..3 leaves it out and the
+    square holds, and with no window it is a false verdict, not a crash."""
+    path = docs("sq.json", {"square": "small_extension",
+                            "algebra": {"builder": "truncated_polynomial",
+                                        "m": 3, "d": -2},
+                            "shift": 3})
+    code, report, err = run(capsys, "square", path, "--window=-3..3", "--no-cache")
+    assert (code, err) == (0, "")
+    assert report["result"]["verdict"] is True
+    assert report["result"]["fiber_product_dims"] == [[-2, 1], [0, 2], [1, 1]]
+    code, report, err = run(capsys, "square", path, "--no-cache")
+    assert (code, err) == (0, "")
+    assert report["result"]["verdict"] is False
+    assert "at degree -4" in report["result"]["reason"]
+
+
 def test_series_of_truncated_cubic(docs, capsys):
     path = docs("cubic.json", {"builder": "truncated_polynomial", "m": 3, "d": 0})
     code, report, _ = run(capsys, "series", path, "--no-cache")
